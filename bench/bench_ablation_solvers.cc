@@ -208,11 +208,8 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
 
 /// SolveMany throughput: one planned pool answering a mixed batch of
 /// requests (different solvers, budgets, priors, seeds), serial Solve
-/// loop vs `SolveMany` fanned across the scheduler — then the same batch
-/// again with cross-request move-scan fusion on (the flat-combining
-/// broker coalescing every request's batched kernel flushes). Report i is
-/// asserted bit-identical to its serial solve at every thread count, in
-/// both modes.
+/// loop vs `SolveMany` fanned across the scheduler. Report i is asserted
+/// bit-identical to its serial solve at every thread count.
 int RunSolveManyThroughput(bench::ThreadScalingReport* report) {
   const int n = 60;
   const std::size_t batch = static_cast<std::size_t>(bench::Reps(32));
@@ -269,42 +266,11 @@ int RunSolveManyThroughput(bench::ThreadScalingReport* report) {
                   identical ? "yes" : "NO"});
     report->AddSolveMany(n, batch, threads, secs);
   }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    api::SolveManyOptions options;
-    options.num_threads = threads;
-    options.fuse_move_scans = true;
-    api::FusedScanStats stats;
-    options.fusion_stats = &stats;
-    Timer t_batch;
-    const auto reports = context.SolveMany(requests, options).value();
-    const double secs = t_batch.ElapsedSeconds();
-    bool identical = true;
-    for (std::size_t i = 0; i < batch; ++i) {
-      if (reports[i].solution.selected != reference[i]) {
-        identical = false;
-        ++violations;
-        std::cout << "DETERMINISM VIOLATION: fused SolveMany request " << i
-                  << " at " << threads << " threads\n";
-      }
-    }
-    table.AddRow({"SolveMany fused", std::to_string(threads),
-                  Format(secs, 4),
-                  Format(static_cast<double>(batch) / secs, 1),
-                  identical ? "yes" : "NO"});
-    report->AddSolveMany(n, batch, threads, secs, /*fused=*/true);
-    std::cout << "fused @" << threads << " threads: " << stats.passes
-              << " passes, " << stats.drains << " drains ("
-              << stats.fused_drains << " fused, max " << stats.max_drain
-              << " passes/drain)\n";
-  }
   std::cout << table.ToString()
             << "Takeaway: requests are independent given their seeds, so "
                "the batch fans across the scheduler (each request's own "
                "nested regions fan further) and the reports stay "
-               "bit-identical to the serial loop in any order — with "
-               "move-scan fusion on, the same juries come back while the "
-               "kernel passes drain back to back on the combiner.\n";
+               "bit-identical to the serial loop in any order.\n";
   return violations;
 }
 

@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "api/solve.h"
 #include "core/annealing.h"
 #include "core/objective.h"
 #include "jq/bucket.h"
@@ -479,8 +478,6 @@ BENCHMARK_CAPTURE(BM_EvaluateBatchKernel, scalar, simd::Level::kScalar)
     ->Arg(10)->Arg(100)->Arg(500);
 BENCHMARK_CAPTURE(BM_EvaluateBatchKernel, avx2, simd::Level::kAvx2)
     ->Arg(10)->Arg(100)->Arg(500);
-BENCHMARK_CAPTURE(BM_EvaluateBatchKernel, avx512, simd::Level::kAvx512)
-    ->Arg(10)->Arg(100)->Arg(500);
 
 void BM_ConvolveMassKernel(benchmark::State& state, simd::Level level) {
   if (!PinLevelOrSkip(state, level)) return;
@@ -511,8 +508,6 @@ BENCHMARK_CAPTURE(BM_ConvolveMassKernel, scalar, simd::Level::kScalar)
     ->Arg(10)->Arg(50)->Arg(200);
 BENCHMARK_CAPTURE(BM_ConvolveMassKernel, avx2, simd::Level::kAvx2)
     ->Arg(10)->Arg(50)->Arg(200);
-BENCHMARK_CAPTURE(BM_ConvolveMassKernel, avx512, simd::Level::kAvx512)
-    ->Arg(10)->Arg(50)->Arg(200);
 
 void BM_RemoveBatchKernel(benchmark::State& state, simd::Level level) {
   if (!PinLevelOrSkip(state, level)) return;
@@ -538,8 +533,6 @@ void BM_RemoveBatchKernel(benchmark::State& state, simd::Level level) {
 BENCHMARK_CAPTURE(BM_RemoveBatchKernel, scalar, simd::Level::kScalar)
     ->Arg(10)->Arg(100)->Arg(500);
 BENCHMARK_CAPTURE(BM_RemoveBatchKernel, avx2, simd::Level::kAvx2)
-    ->Arg(10)->Arg(100)->Arg(500);
-BENCHMARK_CAPTURE(BM_RemoveBatchKernel, avx512, simd::Level::kAvx512)
     ->Arg(10)->Arg(100)->Arg(500);
 
 void BM_DeconvolveMassKernel(benchmark::State& state, simd::Level level) {
@@ -570,8 +563,6 @@ void BM_DeconvolveMassKernel(benchmark::State& state, simd::Level level) {
 BENCHMARK_CAPTURE(BM_DeconvolveMassKernel, scalar, simd::Level::kScalar)
     ->Arg(10)->Arg(50)->Arg(200);
 BENCHMARK_CAPTURE(BM_DeconvolveMassKernel, avx2, simd::Level::kAvx2)
-    ->Arg(10)->Arg(50)->Arg(200);
-BENCHMARK_CAPTURE(BM_DeconvolveMassKernel, avx512, simd::Level::kAvx512)
     ->Arg(10)->Arg(50)->Arg(200);
 
 // ---------------------------------------------------------------------------
@@ -769,59 +760,6 @@ void BM_AnnealingStep(benchmark::State& state, bool with_token) {
 }
 BENCHMARK_CAPTURE(BM_AnnealingStep, bare, false);
 BENCHMARK_CAPTURE(BM_AnnealingStep, token, true);
-
-// ---------------------------------------------------------------------------
-// Fused multi-request move scans: the SolveMany seam with and without the
-// flat-combining broker. Same requests, byte-identical reports — the rows
-// differ only in where the batched kernel passes run (each worker thread
-// inline vs coalesced drains on whichever thread holds the combiner).
-// ---------------------------------------------------------------------------
-
-void SolveManyMoveScans(benchmark::State& state, bool fused) {
-  const int n = static_cast<int>(state.range(0));
-  Rng pool_rng(59);
-  std::vector<Worker> pool;
-  for (int i = 0; i < n; ++i) {
-    pool.emplace_back(
-        "w" + std::to_string(i),
-        pool_rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99),
-        pool_rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
-  }
-  auto context = api::PoolPlanContext::Plan(std::move(pool)).value();
-  // Scan-heavy requests (annealing polish + the greedy round scans), all
-  // runnable concurrently so the broker actually sees overlapping passes.
-  std::vector<api::SolveRequest> requests;
-  for (std::size_t i = 0; i < 8; ++i) {
-    api::SolveRequest request;
-    request.solver = i % 2 == 0 ? "annealing" : "greedy-mg";
-    request.budget = 0.4 + 0.1 * static_cast<double>(i % 3);
-    request.rng_seed = 900 + i;
-    requests.push_back(std::move(request));
-  }
-  api::SolveManyOptions options;
-  options.num_threads = 4;
-  options.fuse_move_scans = fused;
-  for (auto _ : state) {
-    auto reports = context.SolveMany(requests, options);
-    if (!reports.ok()) {
-      state.SkipWithError("SolveMany failed");
-      return;
-    }
-    benchmark::DoNotOptimize(reports.value().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(requests.size()));
-}
-
-void BM_SolveManyMoveScansUnfused(benchmark::State& state) {
-  SolveManyMoveScans(state, /*fused=*/false);
-}
-BENCHMARK(BM_SolveManyMoveScansUnfused)->Arg(50)->Arg(200);
-
-void BM_SolveManyMoveScansFused(benchmark::State& state) {
-  SolveManyMoveScans(state, /*fused=*/true);
-}
-BENCHMARK(BM_SolveManyMoveScansFused)->Arg(50)->Arg(200);
 
 }  // namespace
 }  // namespace jury

@@ -260,7 +260,6 @@ int Run() {
     Json simd_levels = Json::Array();
     simd_levels.Append(std::string("scalar"));
     if (simd::Avx2Available()) simd_levels.Append(std::string("avx2"));
-    if (simd::Avx512Available()) simd_levels.Append(std::string("avx512"));
     doc.Set("host",
             Json::Object()
                 .Set("hardware_threads",

@@ -339,7 +339,6 @@ int main(int argc, char** argv) {
     Json simd_levels = Json::Array();
     simd_levels.Append(std::string("scalar"));
     if (simd::Avx2Available()) simd_levels.Append(std::string("avx2"));
-    if (simd::Avx512Available()) simd_levels.Append(std::string("avx512"));
     Json doc = Json::Object();
     doc.Set("host",
             Json::Object()

@@ -172,18 +172,15 @@ class ThreadScalingReport {
                  static_cast<std::uint64_t>(instances_created)));
   }
 
-  /// One SolveMany throughput row at a thread count. `fused` marks the
-  /// cross-request move-scan fusion ablation rows (the flat-combining
-  /// broker on) against their per-request-dispatch siblings.
+  /// One SolveMany throughput row at a thread count.
   void AddSolveMany(int n, std::size_t requests, std::size_t threads,
-                    double seconds, bool fused = false) {
+                    double seconds) {
     solve_many_rows_.Append(
         Json::Object()
             .Set("workload", "solve_many")
             .Set("n", n)
             .Set("requests", static_cast<std::uint64_t>(requests))
             .Set("threads", static_cast<std::uint64_t>(threads))
-            .Set("fused_move_scans", fused)
             .Set("seconds", seconds)
             .Set("requests_per_second",
                  seconds > 0.0 ? static_cast<double>(requests) / seconds
@@ -219,7 +216,6 @@ class ThreadScalingReport {
     Json simd_levels = Json::Array();
     simd_levels.Append(std::string("scalar"));
     if (simd::Avx2Available()) simd_levels.Append(std::string("avx2"));
-    if (simd::Avx512Available()) simd_levels.Append(std::string("avx512"));
     doc.Set("host",
             Json::Object()
                 .Set("hardware_threads",
@@ -234,7 +230,7 @@ class ThreadScalingReport {
     if (have_scheduler_) doc.Set("scheduler", scheduler_json_);
     // End-of-run snapshot of the process-wide registry (the same
     // `{"counters":...,"gauges":...}` document `jury_cli --stats`
-    // prints): cumulative evaluation/fusion/plan counts across every
+    // prints): cumulative evaluation/plan counts across every
     // workload in the binary, for cross-run artifact diffs.
     doc.Set("process_stats", StatsRegistry::Global().ToJsonValue());
     std::ofstream out(path);

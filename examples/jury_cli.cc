@@ -21,7 +21,7 @@
 //                    stop point is reproducible
 //   --json           print each SolveReport as one JSON line
 //   --stats          after the run, print the process-wide stats registry
-//                    (scheduler/eval/fusion/plan/pool counters) as one JSON
+//                    (scheduler/eval/plan/pool counters) as one JSON
 //                    line; the pool source shows up as `pool.csv_loads` vs
 //                    `pool.snapshot_loads`
 //   --pool-snapshot=PATH  plan from a binary pool snapshot instead of CSV

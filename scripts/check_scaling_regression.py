@@ -57,12 +57,12 @@ without a host section (pre-field artifacts) keep the per-row >1.1x
 claim filter, which already skipped 1-core noise rows in practice.
 
 Rows pinned to a SIMD dispatch level (a "simd_level" field, e.g. rows
-measured under a forced avx512 table) are comparable only between hosts
+measured under a forced avx2 table) are comparable only between hosts
 that can execute that level. The harness records the recording host's
 executable tiers as "host.simd_levels"; a pinned row whose level is
 missing from either the baseline's or the fresh host's list is skipped —
-an AVX-512 row recorded on an AVX-512 box must not fail the gate on a
-runner that cannot run the kernel at all (and vice versa). Artifacts
+an AVX2 row recorded on an AVX2 box must not fail the gate on a runner
+that cannot run the kernel at all (and vice versa). Artifacts
 without the field (pre-field baselines) skip the level filter entirely.
 
 Note on baseline provenance: a baseline recorded on a single-core box has

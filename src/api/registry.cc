@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/cancellation.h"
-#include "util/scratch_arena.h"
 #include "util/timer.h"
 
 namespace jury::api {
@@ -57,30 +56,12 @@ class SolveControls {
   TerminationInfo termination_;
 };
 
-/// Shared tail of every adapter: snapshot the per-solve objective's
-/// counters into the uniform report. The objective is constructed by the
-/// adapter for exactly one solve, so the snapshot is that solve's exact
-/// full/incremental split.
-/// Binds the calling thread's ambient move-scan sink (scoped by a fusing
-/// `SolveMany`; nullptr outside one — sessions then run passes inline)
-/// and ambient scratch arena (scoped by `PoolPlanContext::Solve`; its
-/// sessions lease staging capacity across requests) onto the adapter's
-/// freshly constructed per-solve objective. Every adapter calls this
-/// between constructing its objective and opening the first session, so
-/// a fused batch coalesces kernel passes from all its requests — and a
-/// served stream reuses one arena — regardless of which solver each
-/// request named.
-void BindAmbientScanSink(const JqObjective& objective) {
-  objective.BindScanSink(CurrentThreadScanSink());
-  objective.BindScratchArena(CurrentThreadScratchArena());
-}
-
-/// Builds the tuned objective, rejects pools its evaluator cannot score,
-/// and binds the ambient scan sink. A solver can stage any subset of the
-/// pool, so the whole pool must fit under the objective's jury cap — the
-/// exact-enumeration objective used to abort inside `Evaluate` when an
-/// oversized jury reached its 2^n guard; this is the boundary where that
-/// became a recoverable Status instead.
+/// Builds the tuned objective and rejects pools its evaluator cannot
+/// score. A solver can stage any subset of the pool, so the whole pool
+/// must fit under the objective's jury cap — the exact-enumeration
+/// objective used to abort inside `Evaluate` when an oversized jury
+/// reached its 2^n guard; this is the boundary where that became a
+/// recoverable Status instead.
 Result<std::unique_ptr<JqObjective>> MakeCheckedObjective(
     const PoolPlanContext& context, const SolveRequest& request) {
   std::unique_ptr<JqObjective> objective;
@@ -95,7 +76,6 @@ Result<std::unique_ptr<JqObjective>> MakeCheckedObjective(
         std::to_string(objective->max_jury_size()) +
         "; use the bv-bucket objective for pools this large");
   }
-  BindAmbientScanSink(*objective);
   return objective;
 }
 
@@ -109,6 +89,10 @@ void ArmFrontier(SolverOptions& options, const PoolPlanContext& context) {
   }
 }
 
+/// Shared tail of every adapter: snapshot the per-solve objective's
+/// counters into the uniform report. The objective is constructed by the
+/// adapter for exactly one solve, so the snapshot is that solve's exact
+/// full/incremental split.
 SolveReport FinishReport(const std::string& solver, JspSolution solution,
                          const JqObjective& objective, double wall_seconds,
                          std::map<std::string, double> stats,
@@ -269,7 +253,6 @@ class OptjsSolver final : public JspSolver {
                             const SolveRequest& request) const override {
     OptjsOptions options = request.tuning.optjs;
     const BucketBvObjective objective(options.bucket);
-    BindAmbientScanSink(objective);
     auto lease = context.AcquireInstance(request.budget, request.alpha);
     Rng rng(request.rng_seed);
     AnnealingStats stats;
@@ -294,7 +277,6 @@ class MvjsSolver final : public JspSolver {
   Result<SolveReport> Solve(PoolPlanContext& context,
                             const SolveRequest& request) const override {
     const MajorityObjective objective;
-    BindAmbientScanSink(objective);
     auto lease = context.AcquireInstance(request.budget, request.alpha);
     Rng rng(request.rng_seed);
     AnnealingStats stats;

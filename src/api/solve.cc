@@ -19,7 +19,6 @@
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
-#include "util/scratch_arena.h"
 #include "util/stats_registry.h"
 
 namespace jury::api {
@@ -150,9 +149,6 @@ struct PoolPlanContext::Arena {
   /// Instances materialized across all epochs (the arena high-water
   /// mark `instances_created()` reports).
   std::atomic<std::size_t> created{0};
-  /// Session staging-buffer capacity pool, scoped onto the solving
-  /// thread by `Solve` (see util/scratch_arena.h).
-  ScratchArena scratch;
   /// The epoch-keyed result cache; null until `EnableResultCache`.
   std::unique_ptr<serve::ResultCache> cache;
   bool from_snapshot = false;
@@ -407,9 +403,6 @@ Result<SolveReport> PoolPlanContext::Solve(const SolveRequest& request) {
   // harmless duplicate.)
   PoolState* const state = CurrentState();
   ScopedStatePin pin(this, state);
-  // Sessions opened during this solve lease their staging-buffer
-  // capacity from the context's pool instead of allocating per request.
-  ScopedThreadScratchArena scratch_scope(&arena_->scratch);
 
   // Result cache (opt-in): only requests whose execution is a pure
   // function of (epoch, request) participate — a wall-clock deadline, a
@@ -475,7 +468,7 @@ Result<SolveReport> PoolPlanContext::Solve(const SolveRequest& request) {
 
 /// \brief Shared state of one `SubmitMany` call: the copied requests, the
 /// per-request result slots, the claim counter the worker tasks pull
-/// from, and the batch-wide instruments (fusion broker, retry totals).
+/// from, and the batch-wide retry totals.
 /// Kept alive by the futures (shared_ptr); worker tasks hold only raw
 /// pointers, which is safe because `group` — declared last, so destroyed
 /// first — waits out every task before any other member dies.
@@ -488,14 +481,6 @@ struct SubmitBatch {
   RetryPolicy retry;
   std::size_t max_attempts = 1;
   std::function<void(std::size_t)> on_complete;
-  // One broker spans the whole batch when fusing: every task scopes it
-  // as the thread's ambient scan sink, the registry adapters bind it
-  // onto each per-solve objective, and sessions (plus their clones on
-  // nested scheduler threads) submit their batched kernel flushes to it
-  // instead of dispatching inline. Fusion never changes results — each
-  // pass is a pure function of its own session's staged state.
-  FusedScanBroker broker;
-  FusedScanBroker* sink = nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<std::uint64_t> total_attempts{0};
   std::atomic<std::uint64_t> total_retries{0};
@@ -585,7 +570,6 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
   batch->retry = options.retry;
   batch->max_attempts = std::max<std::size_t>(options.retry.max_attempts, 1);
   batch->on_complete = options.on_complete;
-  batch->sink = options.fuse_move_scans ? &batch->broker : nullptr;
   batch->results.resize(count);
   std::vector<SolveFuture> futures;
   futures.reserve(count);
@@ -602,7 +586,6 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
     // Mirrors `GlobalParallelFor`'s structural invariant — a serial
     // caller never touches, or lazily spawns, the global scheduler.
     ScopedStatePin pin(this, raw->state);
-    ScopedThreadScanSink scoped(raw->sink);
     for (std::size_t i = 0; i < count; ++i) {
       raw->Publish(i, raw->SolveWithRetry(i));
     }
@@ -622,7 +605,6 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
     for (std::size_t t = 0; t < threads; ++t) {
       batch->group->Run([raw] {
         ScopedStatePin pin(raw->context, raw->state);
-        ScopedThreadScanSink scoped(raw->sink);
         for (;;) {
           const std::size_t i =
               raw->next.fetch_add(1, std::memory_order_relaxed);
@@ -659,7 +641,6 @@ Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
     std::span<const SolveRequest> requests, const SolveManyOptions& options) {
   SubmitOptions submit;
   submit.num_threads = options.num_threads;
-  submit.fuse_move_scans = options.fuse_move_scans;
   submit.retry = options.retry;
   std::vector<SolveFuture> futures = SubmitMany(requests, submit);
   // Take in index order, draining every future before returning, so the
@@ -680,16 +661,11 @@ Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
       reports.push_back(std::move(result).value());
     }
   }
-  if (batch != nullptr) {
-    if (batch->sink != nullptr && options.fusion_stats != nullptr) {
-      *options.fusion_stats = batch->broker.stats();
-    }
-    if (options.retry_stats != nullptr) {
-      options.retry_stats->attempts =
-          batch->total_attempts.load(std::memory_order_relaxed);
-      options.retry_stats->retries =
-          batch->total_retries.load(std::memory_order_relaxed);
-    }
+  if (batch != nullptr && options.retry_stats != nullptr) {
+    options.retry_stats->attempts =
+        batch->total_attempts.load(std::memory_order_relaxed);
+    options.retry_stats->retries =
+        batch->total_retries.load(std::memory_order_relaxed);
   }
   if (first_error.has_value()) return *first_error;
   return reports;

@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "api/fused_scan.h"
 #include "core/annealing.h"
 #include "core/branch_bound.h"
 #include "core/exhaustive.h"
@@ -113,7 +112,7 @@ struct SolveRequest {
   /// from the JSON binding, and must outlive the solve.
   const CancelToken* cancel_token = nullptr;
   /// Attach a snapshot of the process-wide `StatsRegistry` (scheduler,
-  /// evaluation, fusion, plan-context, and parser counters) to the
+  /// evaluation, plan-context, and parser counters) to the
   /// report as `SolveReport::process_stats`. Off by default because the
   /// snapshot is process-cumulative — it varies with whatever else the
   /// process has run — and would break the byte-identity of golden-trace
@@ -228,19 +227,6 @@ struct SolveManyOptions {
   /// Worker count for the fan-out (0 resolves via JURYOPT_THREADS,
   /// 1 = serial) — same meaning as the legacy overload's parameter.
   std::size_t num_threads = 0;
-  /// Routes every request's batched move-scan kernel flushes through one
-  /// shared `FusedScanBroker`, so passes from concurrently queued
-  /// requests coalesce into single fused sweeps (hot kernel table, hot
-  /// caches) instead of each thread dispatching its own. Reports are
-  /// byte-identical to the unfused path — each pass is a pure function
-  /// of its own session's staged state — for any thread count and batch
-  /// order (property-tested). Off by default: fusion pays off when many
-  /// scan-heavy requests run concurrently, and costs a queue hop when
-  /// they don't.
-  bool fuse_move_scans = false;
-  /// When non-null and `fuse_move_scans` is set, receives the broker's
-  /// lifetime counters (passes, drains, fusion rate) after the batch.
-  FusedScanStats* fusion_stats = nullptr;
   /// Per-request retry discipline (default: one attempt, no retries).
   /// A request that succeeds on attempt k > 1 reports
   /// `stats["attempts"] = k`; single-attempt reports are unchanged, so
@@ -271,8 +257,6 @@ struct SubmitOptions {
   /// futures are already resolved) — the serial path never touches, or
   /// lazily spawns, the global scheduler, same as `SolveMany`.
   std::size_t num_threads = 0;
-  /// Cross-request move-scan fusion, as in `SolveManyOptions`.
-  bool fuse_move_scans = false;
   /// Per-request retry discipline, as in `SolveManyOptions`.
   RetryPolicy retry;
   /// Invoked once per request, with its batch index, right after its
@@ -417,10 +401,8 @@ class PoolPlanContext {
       std::span<const SolveRequest> requests, std::size_t num_threads = 0);
 
   /// The knobbed overload: same fan-out and same bit-identity contract,
-  /// plus opt-in cross-request move-scan fusion (`fuse_move_scans`) —
-  /// batched kernel flushes from all requests in this call coalesce
-  /// through one flat-combining broker into fused sweeps. The legacy
-  /// overload above is exactly `SolveMany(requests, {.num_threads = n})`.
+  /// plus per-request retries. The legacy overload above is exactly
+  /// `SolveMany(requests, {.num_threads = n})`.
   /// Implemented as `SubmitMany` + an in-order wait — the blocking
   /// special case of the async path, sharing its claim loop, retry
   /// discipline, and epoch lease.
@@ -539,9 +521,9 @@ class PoolPlanContext {
   PlanOptions plan_options_;
   /// Everything mutable lives behind this pointer — the epoch states
   /// (each owning its candidates/view/sharded pool/instance free list,
-  /// retired epochs kept alive so in-flight readers never dangle), the
-  /// scratch-buffer arena, and the optional result cache — so the
-  /// context keeps its defaulted moves.
+  /// retired epochs kept alive so in-flight readers never dangle) and
+  /// the optional result cache — so the context keeps its defaulted
+  /// moves.
   std::unique_ptr<Arena> arena_;
 };
 

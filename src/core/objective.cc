@@ -15,7 +15,6 @@
 #include "util/check.h"
 #include "util/math.h"
 #include "util/poisson_binomial.h"
-#include "util/scratch_arena.h"
 #include "util/stats_registry.h"
 
 namespace jury {
@@ -68,25 +67,7 @@ class FullRecomputeEvaluator final : public IncrementalJqEvaluator {
 class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
  public:
   IncrementalMajorityEvaluator(const JqObjective* objective, double alpha)
-      : IncrementalJqEvaluator(objective, alpha) {
-    if (ScratchArena* arena = scratch_arena()) {
-      arena->Adopt(&batch_q0_);
-      arena->Adopt(&batch_q1_);
-      arena->Adopt(&batch_tail_);
-      arena->Adopt(&batch_cdf_);
-    }
-  }
-  // Clones copy staged capacity rather than adopting (values must match the
-  // parent bit for bit), but still donate it back at destruction.
-  IncrementalMajorityEvaluator(const IncrementalMajorityEvaluator&) = default;
-  ~IncrementalMajorityEvaluator() override {
-    if (ScratchArena* arena = scratch_arena()) {
-      arena->Donate(&batch_q0_);
-      arena->Donate(&batch_q1_);
-      arena->Donate(&batch_tail_);
-      arena->Donate(&batch_cdf_);
-    }
-  }
+      : IncrementalJqEvaluator(objective, alpha) {}
 
  protected:
   double ComputeAdd(const Worker& worker) override {
@@ -186,30 +167,14 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
       batch_q0_[j] = q;
       batch_q1_[j] = 1.0 - q;
     }
-    struct Ctx {
-      IncrementalMajorityEvaluator* self;
-      std::size_t count;
-      int zeros_needed;
-      double* scores;
-    };
-    Ctx ctx{this, count, zeros_needed, scores};
-    RunKernelPass(
-        [](void* p) {
-          auto* c = static_cast<Ctx*>(p);
-          auto& e = *c->self;
-          e.zeros_t0_.EvaluateRemoveBatch(e.batch_q0_.data(), c->count,
-                                          c->zeros_needed, -1,
-                                          e.batch_tail_.data(), nullptr);
-          e.zeros_t1_.EvaluateRemoveBatch(e.batch_q1_.data(), c->count, 0,
-                                          c->zeros_needed - 1, nullptr,
-                                          e.batch_cdf_.data());
-          const double a = e.alpha();
-          for (std::size_t j = 0; j < c->count; ++j) {
-            c->scores[j] =
-                a * e.batch_tail_[j] + (1.0 - a) * e.batch_cdf_[j];
-          }
-        },
-        &ctx);
+    RunKernelPass([&] {
+      zeros_t0_.EvaluateRemoveBatch(batch_q0_.data(), count, zeros_needed, -1,
+                                    batch_tail_.data(), nullptr);
+      zeros_t1_.EvaluateRemoveBatch(batch_q1_.data(), count, 0,
+                                    zeros_needed - 1, nullptr,
+                                    batch_cdf_.data());
+      BlendScores(count, scores);
+    });
     CountIncrementalEvaluations(count);
   }
 
@@ -240,30 +205,13 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
       batch_q0_[j] = q;
       batch_q1_[j] = 1.0 - q;
     }
-    struct Ctx {
-      IncrementalMajorityEvaluator* self;
-      std::size_t count;
-      int zeros_needed;
-      double* scores;
-    };
-    Ctx ctx{this, count, zeros_needed, scores};
-    RunKernelPass(
-        [](void* p) {
-          auto* c = static_cast<Ctx*>(p);
-          auto& e = *c->self;
-          e.scratch_t0_.EvaluateBatch(e.batch_q0_.data(), c->count,
-                                      c->zeros_needed, 0,
-                                      e.batch_tail_.data(), nullptr);
-          e.scratch_t1_.EvaluateBatch(e.batch_q1_.data(), c->count, 0,
-                                      c->zeros_needed - 1, nullptr,
-                                      e.batch_cdf_.data());
-          const double a = e.alpha();
-          for (std::size_t j = 0; j < c->count; ++j) {
-            c->scores[j] =
-                a * e.batch_tail_[j] + (1.0 - a) * e.batch_cdf_[j];
-          }
-        },
-        &ctx);
+    RunKernelPass([&] {
+      scratch_t0_.EvaluateBatch(batch_q0_.data(), count, zeros_needed, 0,
+                                batch_tail_.data(), nullptr);
+      scratch_t1_.EvaluateBatch(batch_q1_.data(), count, 0, zeros_needed - 1,
+                                nullptr, batch_cdf_.data());
+      BlendScores(count, scores);
+    });
     CountIncrementalEvaluations(count);
   }
 
@@ -271,39 +219,27 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
   /// Shared tail of the add scans: `batch_q0_`/`batch_q1_` hold the
   /// candidate probabilities (conditioned on t = 0 / t = 1); queries both
   /// committed pmfs and blends the MV score, exactly as `ScratchScore`.
-  /// The kernel pass goes through `RunKernelPass` so a bound
-  /// `MoveScanSink` can coalesce it with other requests' scans (see
-  /// objective.h; scores are identical either way).
   void FinishAddBatch(std::size_t count, double* scores) {
     const int n_new = zeros_t0_.size() + 1;
     const int zeros_needed = n_new / 2 + 1;
     batch_tail_.resize(count);
     batch_cdf_.resize(count);
-    struct Ctx {
-      IncrementalMajorityEvaluator* self;
-      std::size_t count;
-      int zeros_needed;
-      double* scores;
-    };
-    Ctx ctx{this, count, zeros_needed, scores};
-    RunKernelPass(
-        [](void* p) {
-          auto* c = static_cast<Ctx*>(p);
-          auto& e = *c->self;
-          e.zeros_t0_.EvaluateBatch(e.batch_q0_.data(), c->count,
-                                    c->zeros_needed, 0,
-                                    e.batch_tail_.data(), nullptr);
-          e.zeros_t1_.EvaluateBatch(e.batch_q1_.data(), c->count, 0,
-                                    c->zeros_needed - 1, nullptr,
-                                    e.batch_cdf_.data());
-          const double a = e.alpha();
-          for (std::size_t j = 0; j < c->count; ++j) {
-            c->scores[j] =
-                a * e.batch_tail_[j] + (1.0 - a) * e.batch_cdf_[j];
-          }
-        },
-        &ctx);
+    RunKernelPass([&] {
+      zeros_t0_.EvaluateBatch(batch_q0_.data(), count, zeros_needed, 0,
+                              batch_tail_.data(), nullptr);
+      zeros_t1_.EvaluateBatch(batch_q1_.data(), count, 0, zeros_needed - 1,
+                              nullptr, batch_cdf_.data());
+      BlendScores(count, scores);
+    });
     CountIncrementalEvaluations(count);
+  }
+
+  /// MV score of each staged candidate from its tail/cdf pair.
+  void BlendScores(std::size_t count, double* scores) const {
+    const double a = alpha();
+    for (std::size_t j = 0; j < count; ++j) {
+      scores[j] = a * batch_tail_[j] + (1.0 - a) * batch_cdf_[j];
+    }
   }
 
   void LoadScratch() {
@@ -487,23 +423,6 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
       has_prior_ = true;
       prior_q_ = NormalizeQuality(alpha);
     }
-    if (ScratchArena* arena = scratch_arena()) {
-      arena->Adopt(&batch_bs_);
-      arena->Adopt(&batch_qs_);
-      arena->Adopt(&batch_slot_);
-      arena->Adopt(&batch_out_);
-    }
-  }
-  // Clones copy staged capacity rather than adopting (values must match the
-  // parent bit for bit), but still donate it back at destruction.
-  IncrementalBucketBvEvaluator(const IncrementalBucketBvEvaluator&) = default;
-  ~IncrementalBucketBvEvaluator() override {
-    if (ScratchArena* arena = scratch_arena()) {
-      arena->Donate(&batch_bs_);
-      arena->Donate(&batch_qs_);
-      arena->Donate(&batch_slot_);
-      arena->Donate(&batch_out_);
-    }
   }
 
   /// Key-span guard: past this the dense delta state would be larger than
@@ -658,7 +577,7 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
   /// Batched remove scan: members whose removal keeps the committed grid
   /// are staged and scored through the fused `DeconvolvePositiveMassBatch`
   /// kernel — the whole scan's backward-recurrence folds in one dispatched
-  /// call (scalar reference, AVX2 or AVX-512), with the row buffer staged
+  /// call (scalar reference or AVX2), with the row buffer staged
   /// once for the batch instead of per member. Removing the grid-defining
   /// (max log-odds) member falls back to the scalar path, which owns the
   /// rebuild and its full-evaluation accounting. Scores and evaluation
@@ -824,34 +743,16 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
 
   /// Shared tail of the batched add/swap scans: runs the fused convolve
   /// kernel for the staged candidates against `dist` and books the
-  /// fast/special scorings as one bulk counter update. The kernel pass —
-  /// the staged-candidate sweep plus its result scatter — goes through
-  /// `RunKernelPass`, so a bound `MoveScanSink` can coalesce it with
-  /// passes from concurrently queued requests (see objective.h; results
-  /// are identical either way, the pass is a pure function of its staged
-  /// inputs).
+  /// fast/special scorings as one bulk counter update.
   void FlushConvolveBatch(const BucketKeyDistribution& dist, double* scores,
                           std::size_t fast_or_special) {
     if (!batch_bs_.empty()) {
-      struct Ctx {
-        IncrementalBucketBvEvaluator* self;
-        const BucketKeyDistribution* dist;
-        double* scores;
-      };
-      Ctx ctx{this, &dist, scores};
-      RunKernelPass(
-          [](void* p) {
-            auto* c = static_cast<Ctx*>(p);
-            auto& e = *c->self;
-            e.batch_out_.resize(e.batch_bs_.size());
-            c->dist->ConvolvePositiveMassBatch(
-                e.batch_bs_.data(), e.batch_qs_.data(), e.batch_bs_.size(),
-                e.batch_out_.data());
-            for (std::size_t m = 0; m < e.batch_bs_.size(); ++m) {
-              c->scores[e.batch_slot_[m]] = std::min(e.batch_out_[m], 1.0);
-            }
-          },
-          &ctx);
+      RunKernelPass([&] {
+        batch_out_.resize(batch_bs_.size());
+        dist.ConvolvePositiveMassBatch(batch_bs_.data(), batch_qs_.data(),
+                                       batch_bs_.size(), batch_out_.data());
+        ScatterScores(scores);
+      });
     }
     CountIncrementalEvaluations(fast_or_special);
   }
@@ -860,26 +761,21 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
   /// fused deconvolve kernel against the committed distribution.
   void FlushDeconvolveBatch(double* scores, std::size_t fast_or_special) {
     if (!batch_bs_.empty()) {
-      struct Ctx {
-        IncrementalBucketBvEvaluator* self;
-        double* scores;
-      };
-      Ctx ctx{this, scores};
-      RunKernelPass(
-          [](void* p) {
-            auto* c = static_cast<Ctx*>(p);
-            auto& e = *c->self;
-            e.batch_out_.resize(e.batch_bs_.size());
-            e.dist_.DeconvolvePositiveMassBatch(
-                e.batch_bs_.data(), e.batch_qs_.data(), e.batch_bs_.size(),
-                e.batch_out_.data());
-            for (std::size_t m = 0; m < e.batch_bs_.size(); ++m) {
-              c->scores[e.batch_slot_[m]] = std::min(e.batch_out_[m], 1.0);
-            }
-          },
-          &ctx);
+      RunKernelPass([&] {
+        batch_out_.resize(batch_bs_.size());
+        dist_.DeconvolvePositiveMassBatch(batch_bs_.data(), batch_qs_.data(),
+                                          batch_bs_.size(), batch_out_.data());
+        ScatterScores(scores);
+      });
     }
     CountIncrementalEvaluations(fast_or_special);
+  }
+
+  /// Writes each staged candidate's kernel mass back to its scan slot.
+  void ScatterScores(double* scores) const {
+    for (std::size_t m = 0; m < batch_bs_.size(); ++m) {
+      scores[batch_slot_[m]] = std::min(batch_out_[m], 1.0);
+    }
   }
 
   double Score(std::size_t out_idx, const Worker* in) {
@@ -1039,31 +935,12 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
 
 }  // namespace
 
-// ------------------------------------------------------------- scan sink
-
-namespace {
-thread_local MoveScanSink* t_scan_sink = nullptr;
-}  // namespace
-
-MoveScanSink* CurrentThreadScanSink() { return t_scan_sink; }
-
-ScopedThreadScanSink::ScopedThreadScanSink(MoveScanSink* sink)
-    : previous_(t_scan_sink) {
-  t_scan_sink = sink;
-}
-
-ScopedThreadScanSink::~ScopedThreadScanSink() { t_scan_sink = previous_; }
-
 // --------------------------------------------------------------- base class
 
 IncrementalJqEvaluator::IncrementalJqEvaluator(const JqObjective* objective,
                                                double alpha)
     : objective_(objective),
       alpha_(alpha),
-      scan_sink_(objective->scan_sink()),
-      scratch_arena_(objective->scratch_arena() != nullptr
-                         ? objective->scratch_arena()
-                         : CurrentThreadScratchArena()),
       current_jq_(objective->EmptyJq(alpha)) {}
 
 double IncrementalJqEvaluator::ScoreAdd(const Worker& worker) {

@@ -15,68 +15,12 @@
 namespace jury {
 
 class IncrementalJqEvaluator;
-class ScratchArena;
 class WorkerPoolView;
 
 /// JQ of the empty jury under the scalar binary prior (see core/jsp.h,
 /// which owns the definition); redeclared here so the `EmptyJq` default
 /// below needs no header cycle.
 double EmptyJuryJq(double alpha);
-
-/// \brief One prepared fused-kernel invocation of a batched move scan: a
-/// plain function pointer plus its context, so submitting a pass never
-/// allocates. `run(ctx)` executes the pass — the SIMD sweep over the
-/// session's staged SoA arrays plus the scatter of per-candidate scores —
-/// and must only touch state reachable from `ctx` (the submitting
-/// session's staging buffers and score output), because it may run on a
-/// different thread.
-struct KernelPass {
-  void (*run)(void* ctx);
-  void* ctx;
-};
-
-/// \brief Coalescing hook for the batched move-scan kernels — the
-/// cross-request fusion seam `PoolPlanContext::SolveMany` plugs into.
-///
-/// Sessions hand their prepared kernel passes here instead of invoking
-/// the kernels directly; an implementation may execute a pass inline or
-/// batch it back-to-back with passes submitted by *other* sessions
-/// (other queued requests' scans) so the SIMD kernels run as one wide
-/// sweep while that combiner thread owns the CPU's vector units. Each
-/// pass is a pure function of its submitting session's staged state —
-/// every batch score depends only on (committed jury, candidate), never
-/// on how passes are grouped or ordered — so any interleaving yields
-/// bit-identical scores and the fused reports match the unfused ones
-/// byte for byte.
-///
-/// Contract: `Execute` must have run `pass.run(pass.ctx)` to completion
-/// (on some thread, with the results visible to the caller) by the time
-/// it returns. Implementations must be safe against concurrent `Execute`
-/// calls from many threads; a pass must never re-enter the sink.
-class MoveScanSink {
- public:
-  virtual ~MoveScanSink() = default;
-  virtual void Execute(KernelPass pass) = 0;
-};
-
-/// The calling thread's ambient scan sink (nullptr by default). The
-/// serving layer scopes a sink around a solve; objectives constructed for
-/// that solve pick it up and thread it into their sessions (clones
-/// inherit it, so nested scan shards on other threads still submit to
-/// the same sink).
-MoveScanSink* CurrentThreadScanSink();
-
-/// RAII scope for `CurrentThreadScanSink` (restores the previous sink).
-class ScopedThreadScanSink {
- public:
-  explicit ScopedThreadScanSink(MoveScanSink* sink);
-  ~ScopedThreadScanSink();
-  ScopedThreadScanSink(const ScopedThreadScanSink&) = delete;
-  ScopedThreadScanSink& operator=(const ScopedThreadScanSink&) = delete;
-
- private:
-  MoveScanSink* previous_;
-};
 
 /// Tolerance of the session-vs-Evaluate equivalence contract: a delta
 /// update and a from-scratch evaluation of the same jury agree within this
@@ -196,34 +140,6 @@ class JqObjective {
     incremental_evals_.store(0, std::memory_order_relaxed);
   }
 
-  /// Binds the move-scan coalescing sink every session opened after this
-  /// call submits its kernel passes to (nullptr = run passes inline, the
-  /// zero-overhead default). The serving layer binds the per-batch sink
-  /// right after constructing the per-solve objective; the sink must
-  /// outlive every session of this objective. Const because registry
-  /// adapters hold per-solve objectives through const references.
-  void BindScanSink(MoveScanSink* sink) const {
-    scan_sink_.store(sink, std::memory_order_release);
-  }
-  MoveScanSink* scan_sink() const {
-    return scan_sink_.load(std::memory_order_acquire);
-  }
-
-  /// Binds the scratch-buffer arena (util/scratch_arena.h) every session
-  /// opened after this call adopts its batch-staging capacity from —
-  /// nullptr (the default) allocates per session, exactly the historical
-  /// behavior. Adoption recycles only *capacity*, never values, so pooled
-  /// solves stay bit-identical. The arena must outlive every session of
-  /// this objective (the plan context owns both). Sessions without a bound
-  /// arena fall back to the calling thread's ambient arena
-  /// (`CurrentThreadScratchArena()`), which the solve entry point scopes.
-  void BindScratchArena(ScratchArena* arena) const {
-    scratch_arena_.store(arena, std::memory_order_release);
-  }
-  ScratchArena* scratch_arena() const {
-    return scratch_arena_.load(std::memory_order_acquire);
-  }
-
  protected:
   /// Backend hook: returns the delta-updating session. The default is the
   /// full-recompute session, so third-party objectives keep working.
@@ -238,8 +154,6 @@ class JqObjective {
   friend class IncrementalJqEvaluator;
   mutable std::atomic<std::size_t> full_evals_{0};
   mutable std::atomic<std::size_t> incremental_evals_{0};
-  mutable std::atomic<MoveScanSink*> scan_sink_{nullptr};
-  mutable std::atomic<ScratchArena*> scratch_arena_{nullptr};
 };
 
 /// \brief A stateful evaluation session over one growing/shrinking jury.
@@ -396,38 +310,21 @@ class IncrementalJqEvaluator {
     AdoptStaged();
   }
 
-  /// The scratch arena captured at session construction — the objective's
-  /// bound arena, else the constructing thread's ambient arena, else
-  /// nullptr. Copied into clones, so a scan shard constructed on a
-  /// scheduler thread still donates its staging capacity back to the
-  /// owning context's arena. Backends `Adopt` their batch-staging vectors
-  /// from it in their constructors and `Donate` them in their destructors;
-  /// a null arena means plain allocation (the historical behavior).
-  ScratchArena* scratch_arena() const { return scratch_arena_; }
-
   /// Instrumentation forwarded to the owning objective's counters.
   void CountFullEvaluation() const;
   void CountIncrementalEvaluation() const;
   /// Bulk form for batched kernels: one atomic add for `n` scorings.
   void CountIncrementalEvaluations(std::size_t n) const;
 
-  /// Runs one prepared kernel pass — inline when no sink is bound (the
-  /// zero-overhead default), through the bound `MoveScanSink` otherwise,
-  /// which may coalesce it with passes from other sessions. Either way
-  /// the pass has completed (results written, visible to this thread)
-  /// when this returns. The sink is captured from the owning objective at
-  /// session construction and copied into clones, so sharded scans on
-  /// other threads submit to the same sink.
-  void RunKernelPass(void (*run)(void*), void* ctx) {
-    // Stands in for a kernel flush failing (a sink queue allocation, a
-    // device error in an offloaded build). Thrown before the pass runs:
-    // staged state is untouched, so `Rollback()` restores the session.
+  /// Runs one batched kernel pass — the SIMD sweep over the session's
+  /// staged arrays plus the scatter of per-candidate scores.
+  template <class F>
+  void RunKernelPass(F&& pass) {
+    // Stands in for a kernel flush failing (a device error in an
+    // offloaded build). Thrown before the pass runs: staged state is
+    // untouched, so `Rollback()` restores the session.
     JURY_FAULT_POINT("eval.kernel_flush");
-    if (scan_sink_ != nullptr) {
-      scan_sink_->Execute(KernelPass{run, ctx});
-    } else {
-      run(ctx);
-    }
+    pass();
   }
 
  private:
@@ -435,8 +332,6 @@ class IncrementalJqEvaluator {
 
   const JqObjective* objective_;
   double alpha_;
-  MoveScanSink* scan_sink_ = nullptr;
-  ScratchArena* scratch_arena_ = nullptr;
   const WorkerPoolView* view_ = nullptr;
   std::vector<Worker> members_;
   std::vector<double> member_quality_;  // aligned with members_

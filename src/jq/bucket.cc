@@ -200,11 +200,11 @@ void BucketKeyDistribution::Deconvolve(std::int64_t b, double q) {
 
 double BucketKeyDistribution::PositiveMass() const {
   // Canonical interleaved accumulation (simd_kernels_inl.h): 0.5 * g[0]
-  // plus four interleaved partial sums over the positive keys. One fixed
+  // plus eight interleaved partial sums over the positive keys. One fixed
   // order shared by every mass consumer — the fused batch kernels at
   // every dispatch level sum in exactly this order, which is what lets
-  // the AVX2 variant run one IEEE chain per vector lane and still be
-  // bit-identical to this function.
+  // the AVX2 variant carry the eight chains in two 4-lane accumulators
+  // and still be bit-identical to this function.
   return simd::internal::CommittedMass(pmf_.data(), span_);
 }
 
@@ -240,7 +240,7 @@ void BucketKeyDistribution::DeconvolvePositiveMassBatch(const std::int64_t* bs,
   // Fused {copy; Deconvolve(b, q); PositiveMass()} per candidate: the same
   // backward recurrence over one reused row (no full-distribution copy),
   // then the same canonical mass sweep — bit-identical to the scalar pair
-  // at every dispatch level (scalar reference, AVX2, AVX-512; see the
+  // at every dispatch level (scalar reference or AVX2; see the
   // `deconvolve_mass` contract in util/simd_dispatch.h).
   for (std::size_t j = 0; j < count; ++j) {
     JURY_CHECK_GE(bs[j], 0);

@@ -128,9 +128,10 @@ class BucketKeyDistribution {
 
   /// `sum_{key > 0} Pr[key] + 0.5 Pr[key = 0]` — JQ-hat before the
   /// min(., 1) clamp (steps 21-25 of Algorithm 1). Accumulated in the
-  /// canonical four-chain interleaved order shared by every mass consumer
-  /// (util/simd_kernels_inl.h), so the fused batch kernels — including
-  /// the AVX2 lane-per-chain variant — are bit-identical to this.
+  /// canonical eight-chain interleaved order shared by every mass
+  /// consumer (util/simd_kernels_inl.h), so the fused batch kernels —
+  /// including the AVX2 variant, which carries the eight chains in two
+  /// 4-lane accumulators — are bit-identical to this.
   double PositiveMass() const;
 
   /// \brief Fused batched candidate evaluation — the greedy-scan kernel

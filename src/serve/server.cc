@@ -273,36 +273,17 @@ void JuryServer::HandleReadable(std::uint64_t conn_id) {
   Connection& conn = it->second;
   char chunk[kReadChunk];
   bool peer_closed = false;
-  std::string input;
   while (true) {
     const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
-      input.append(chunk, static_cast<std::size_t>(n));
+      conn.inbuf.append(chunk, static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) peer_closed = true;
     break;  // EAGAIN, error, or orderly close
   }
 
-  // One request at a time per connection: while a solve is in flight we
-  // keep reads disarmed, so anything arriving here belongs to the next
-  // request and runs through the parser now.
-  while (!input.empty() && connections_.count(conn_id) != 0) {
-    Connection& c = connections_.at(conn_id);
-    if (c.awaiting_solve || c.close_after_write) break;
-    const std::size_t consumed = c.parser.Feed(input);
-    input.erase(0, consumed);
-    if (c.parser.failed()) {
-      QueueError(conn_id, c.parser.error_status(), c.parser.error_reason(),
-                 /*keep_alive=*/false);
-      break;
-    }
-    if (!c.parser.complete()) break;
-    Dispatch(conn_id);
-    if (connections_.count(conn_id) != 0) {
-      connections_.at(conn_id).parser.Reset();
-    }
-  }
+  ParseBuffered(conn_id);
 
   if (connections_.count(conn_id) == 0) return;
   Connection& c = connections_.at(conn_id);
@@ -314,6 +295,29 @@ void JuryServer::HandleReadable(std::uint64_t conn_id) {
     c.close_after_write = true;
   }
   UpdateInterest(conn_id);
+}
+
+void JuryServer::ParseBuffered(std::uint64_t conn_id) {
+  // One request at a time per connection: a submitted solve stops the
+  // loop with reads disarmed, and whatever the client pipelined behind it
+  // stays in `inbuf` until `FinishSolve` queues the response and resumes
+  // here.
+  while (connections_.count(conn_id) != 0) {
+    Connection& c = connections_.at(conn_id);
+    if (c.inbuf.empty() || c.awaiting_solve || c.close_after_write) break;
+    const std::size_t consumed = c.parser.Feed(c.inbuf);
+    c.inbuf.erase(0, consumed);
+    if (c.parser.failed()) {
+      QueueError(conn_id, c.parser.error_status(), c.parser.error_reason(),
+                 /*keep_alive=*/false);
+      break;
+    }
+    if (!c.parser.complete()) break;
+    Dispatch(conn_id);
+    if (connections_.count(conn_id) != 0) {
+      connections_.at(conn_id).parser.Reset();
+    }
+  }
 }
 
 void JuryServer::Dispatch(std::uint64_t conn_id) {
@@ -442,25 +446,27 @@ void JuryServer::FinishSolve(std::uint64_t conn_id) {
   conn.awaiting_solve = false;
   const bool keep_alive = !conn.close_after_write;
 
+  int status = 200;
+  std::string body;
   if (!result.ok()) {
-    const Status& status = result.status();
-    QueueError(conn_id, HttpStatusFor(status), status.message(), keep_alive);
-    return;
-  }
-  const api::SolveReport& report = result.value();
-  if (options_.deadline_as_504 && report.terminated_early &&
-      report.termination_reason == "deadline") {
+    status = HttpStatusFor(result.status());
+    body = ErrorBody(status, result.status().message());
+  } else if (options_.deadline_as_504 && result.value().terminated_early &&
+             result.value().termination_reason == "deadline") {
     // 504-style error, but the anytime jury is still in the envelope —
     // a caller that wants the partial result can take it.
-    std::string body = "{\"error\":{\"code\":504,\"message\":";
+    status = 504;
+    body = "{\"error\":{\"code\":504,\"message\":";
     body += Json::Quote("deadline expired before the solve completed");
     body += "},\"report\":";
-    body += report.ToJson();
+    body += result.value().ToJson();
     body += "}";
-    QueueResponse(conn_id, 504, body, keep_alive);
-    return;
+  } else {
+    body = result.value().ToJson();
   }
-  QueueResponse(conn_id, 200, report.ToJson(), keep_alive);
+  QueueResponse(conn_id, status, body, keep_alive);
+  // Requests the client pipelined behind this solve run now, in order.
+  ParseBuffered(conn_id);
 }
 
 void JuryServer::QueueError(std::uint64_t conn_id, int status,

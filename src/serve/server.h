@@ -97,6 +97,9 @@ class JuryServer {
   struct Connection {
     int fd = -1;
     HttpParser parser;
+    /// Received bytes not yet parsed: requests pipelined behind a
+    /// `/solve` wait here until that solve's response is queued.
+    std::string inbuf;
     std::string outbuf;
     std::size_t outbuf_sent = 0;
     bool close_after_write = false;
@@ -114,6 +117,9 @@ class JuryServer {
   Status Listen();
   void AcceptNew();
   void HandleReadable(std::uint64_t conn_id);
+  /// Parses and dispatches buffered requests until the buffer runs dry,
+  /// a solve is submitted, or the connection is closing.
+  void ParseBuffered(std::uint64_t conn_id);
   void HandleWritable(std::uint64_t conn_id);
   /// Routes one complete request; may enqueue a response or submit a
   /// solve (pausing reads until it completes).

@@ -51,9 +51,9 @@ void FusedStepAvx2(double a, double b, const double* p, double* acc,
 }
 
 // ---------------------------------------------------------------------------
-// convolve_mass: per candidate, the canonical 4-chain interleaved mass
-// (see simd_kernels_inl.h) with the four chains in the four vector lanes —
-// two contiguous unaligned loads per 4 keys, no gathers. The batch stages
+// convolve_mass: per candidate, the canonical 8-chain interleaved mass
+// (see simd_kernels_inl.h) with the eight chains in two 4-lane
+// accumulators — two contiguous unaligned loads per 4 keys, no gathers. The batch stages
 // f once into a zero-padded scratch buffer so the per-key bounds checks
 // vanish (out-of-range keys read an exact 0.0, which is what the generic
 // body's checks return), and the loop tail runs the shared scalar chain

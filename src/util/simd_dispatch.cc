@@ -7,10 +7,6 @@
 #include <string>
 #include <vector>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <cpuid.h>
-#endif
-
 #include "util/simd_kernels_inl.h"
 
 namespace jury::simd {
@@ -18,11 +14,6 @@ namespace jury::simd {
 #if defined(JURYOPT_HAVE_AVX2)
 // Defined in simd_avx2.cc (the only translation unit built with -mavx2).
 const KernelTable& Avx2Table();
-#endif
-#if defined(JURYOPT_HAVE_AVX512)
-// Defined in simd_avx512.cc (the only translation unit built with
-// -mavx512f).
-const KernelTable& Avx512Table();
 #endif
 
 namespace {
@@ -102,24 +93,6 @@ bool CpuHasAvx2() {
 #endif
 }
 
-bool CpuHasAvx512f() {
-#if defined(__x86_64__) || defined(__i386__)
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-  if ((ecx & (1u << 27)) == 0) return false;  // OSXSAVE
-  // xgetbv(0): the OS must save SSE + AVX + opmask/ZMM_Hi256/Hi16_ZMM
-  // state (XCR0 bits 1, 2 and 7:5), or the ZMM registers are unusable no
-  // matter what cpuid advertises.
-  unsigned lo = 0, hi = 0;
-  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0u));
-  if ((lo & 0xE6u) != 0xE6u) return false;
-  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-  return (ebx & (1u << 16)) != 0;  // AVX512F
-#else
-  return false;
-#endif
-}
-
 const KernelTable* TableFor(Level level) {
   switch (level) {
     case Level::kScalar:
@@ -129,17 +102,11 @@ const KernelTable* TableFor(Level level) {
       if (CpuHasAvx2()) return &Avx2Table();
 #endif
       return nullptr;  // unavailable on this build/CPU
-    case Level::kAvx512:
-#if defined(JURYOPT_HAVE_AVX512)
-      if (CpuHasAvx512f()) return &Avx512Table();
-#endif
-      return nullptr;
   }
   return nullptr;
 }
 
 Level BestLevel() {
-  if (TableFor(Level::kAvx512) != nullptr) return Level::kAvx512;
   if (TableFor(Level::kAvx2) != nullptr) return Level::kAvx2;
   return Level::kScalar;
 }
@@ -149,15 +116,15 @@ Level InitialLevel() {
   if (env != nullptr && env[0] != '\0') {
     Level requested;
     if (ParseLevel(env, &requested)) {
-      // Requested but unavailable degrades to scalar, never to a lower
-      // vector level: a forced level is a determinism/debug request.
+      // Requested but unavailable degrades to scalar: a forced level is
+      // a determinism/debug request.
       return TableFor(requested) != nullptr ? requested : Level::kScalar;
     }
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr,
                    "juryopt: unrecognized JURYOPT_SIMD value \"%s\" "
-                   "(expected scalar|avx2|avx512); autodetecting\n",
+                   "(expected scalar|avx2); autodetecting\n",
                    env);
     }
   }
@@ -193,8 +160,6 @@ Level ActiveLevel() {
 
 bool Avx2Available() { return TableFor(Level::kAvx2) != nullptr; }
 
-bool Avx512Available() { return TableFor(Level::kAvx512) != nullptr; }
-
 bool ParseLevel(const char* token, Level* out) {
   if (token == nullptr) return false;
   std::string lowered(token);
@@ -205,8 +170,6 @@ bool ParseLevel(const char* token, Level* out) {
     *out = Level::kScalar;
   } else if (lowered == "avx2") {
     *out = Level::kAvx2;
-  } else if (lowered == "avx512") {
-    *out = Level::kAvx512;
   } else {
     return false;
   }
@@ -223,8 +186,6 @@ bool SetLevel(Level level) {
 
 const char* LevelName(Level level) {
   switch (level) {
-    case Level::kAvx512:
-      return "avx512";
     case Level::kAvx2:
       return "avx2";
     case Level::kScalar:

@@ -22,24 +22,16 @@ namespace jury::simd {
 ///  * `kAvx2` — 4-wide AVX2 variants, compiled only when the toolchain
 ///    supports `-mavx2` (CMake option `JURYOPT_ENABLE_AVX2`) and selected
 ///    only when cpuid reports AVX2 at runtime.
-///  * `kAvx512` — 8-wide AVX-512F variants, compiled only when the
-///    toolchain supports `-mavx512f` (CMake option
-///    `JURYOPT_ENABLE_AVX512`) and selected only when cpuid reports
-///    AVX512F *and* xgetbv confirms the OS saves the opmask/ZMM register
-///    state. The canonical 8-chain mass accumulation order (see
-///    simd_kernels_inl.h) was designed for exactly this tier: the eight
-///    scalar chains become the eight lanes of one 512-bit accumulator.
 ///
-/// Selection: the `JURYOPT_SIMD` environment variable (`scalar` | `avx2` |
-/// `avx512`, case-insensitive) when set — an unavailable request falls
-/// back to scalar, an unrecognized token logs one warning and falls back
-/// to autodetection — otherwise the best level the CPU supports. The
-/// choice is made once, on first use; `SetLevel` rebinds it for tests and
+/// Selection: the `JURYOPT_SIMD` environment variable (`scalar` | `avx2`,
+/// case-insensitive) when set — an unavailable request falls back to
+/// scalar, an unrecognized token logs one warning and falls back to
+/// autodetection — otherwise the best level the CPU supports. The choice
+/// is made once, on first use; `SetLevel` rebinds it for tests and
 /// benchmarks.
 enum class Level : int {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
 };
 
 /// \brief The dispatched kernel table. All function pointers are non-null.
@@ -136,13 +128,9 @@ Level ActiveLevel();
 /// True when the AVX2 kernels are compiled in *and* the CPU reports AVX2.
 bool Avx2Available();
 
-/// True when the AVX-512 kernels are compiled in *and* the CPU reports
-/// AVX512F *and* the OS saves the opmask/ZMM state (xgetbv).
-bool Avx512Available();
-
-/// Parses a `JURYOPT_SIMD` token (case-insensitive `scalar` | `avx2` |
-/// `avx512`) into a level. Returns false on an unrecognized token, leaving
-/// `*out` untouched. Exposed for tests; availability is not checked here.
+/// Parses a `JURYOPT_SIMD` token (case-insensitive `scalar` | `avx2`) into
+/// a level. Returns false on an unrecognized token, leaving `*out`
+/// untouched. Exposed for tests; availability is not checked here.
 bool ParseLevel(const char* token, Level* out);
 
 /// Rebinds the active table. Returns false (leaving the scalar table

@@ -253,86 +253,6 @@ TEST(SolveManyTest, OrderAndThreadCountInvariant) {
   }
 }
 
-/// The cross-request fusion contract: `fuse_move_scans` changes where the
-/// batched kernel passes run — one flat-combining broker instead of each
-/// thread inline — and nothing else. Every report must be *byte*-identical
-/// to the unfused batch (solution, evaluation counters, solver stats;
-/// wall_seconds is the one legitimately timing-dependent field), at any
-/// thread count and under batch reordering.
-TEST(SolveManyTest, FusedScansAreByteIdenticalToUnfused) {
-  const auto pools = SeededPools(1, 12);
-  auto context = PoolPlanContext::Plan(pools[0]).value();
-
-  // Scan-heavy solvers (annealing polish drives the batched remove/swap
-  // folds, greedy-mg the add fold, the facades both) plus a deterministic
-  // one, several requests each so the broker sees concurrent passes.
-  const std::vector<std::string> names = {"annealing", "optjs", "mvjs",
-                                          "greedy-mg", "exhaustive"};
-  std::vector<SolveRequest> requests;
-  for (std::size_t i = 0; i < 2 * names.size(); ++i) {
-    SolveRequest request;
-    request.solver = names[i % names.size()];
-    request.budget = 0.35 + 0.2 * static_cast<double>(i % 3);
-    request.alpha = i % 2 == 0 ? 0.5 : 0.4;
-    request.rng_seed = 5000 + i;
-    requests.push_back(std::move(request));
-  }
-
-  const auto canonical = [](std::vector<SolveReport> reports) {
-    std::vector<std::string> json;
-    for (SolveReport& report : reports) {
-      report.wall_seconds = 0.0;
-      json.push_back(report.ToJson());
-    }
-    return json;
-  };
-
-  auto unfused = context.SolveMany(requests, std::size_t{0});
-  ASSERT_TRUE(unfused.ok()) << unfused.status();
-  const std::vector<std::string> expected =
-      canonical(std::move(unfused).value());
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    SolveManyOptions options;
-    options.num_threads = threads;
-    options.fuse_move_scans = true;
-    FusedScanStats stats;
-    options.fusion_stats = &stats;
-    auto fused = context.SolveMany(requests, options);
-    ASSERT_TRUE(fused.ok()) << fused.status();
-    const std::vector<std::string> got = canonical(std::move(fused).value());
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(got[i], expected[i])
-          << requests[i].solver << " at " << threads << " threads";
-    }
-    // The broker really brokered: the scan-heavy solvers flush batched
-    // kernel passes, each of which must have gone through Execute.
-    EXPECT_GT(stats.passes, 0u) << threads << " threads";
-    EXPECT_GT(stats.drains, 0u) << threads << " threads";
-    EXPECT_GE(stats.passes, stats.drains);
-    EXPECT_GE(stats.max_drain, 1u);
-  }
-
-  // Reordered fused batch: report i still answers shuffled request i,
-  // byte for byte.
-  std::vector<std::size_t> order(requests.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  Rng shuffle_rng(13);
-  shuffle_rng.Shuffle(&order);
-  std::vector<SolveRequest> shuffled;
-  for (const std::size_t idx : order) shuffled.push_back(requests[idx]);
-  SolveManyOptions options;
-  options.num_threads = 8;
-  options.fuse_move_scans = true;
-  auto fused = context.SolveMany(shuffled, options);
-  ASSERT_TRUE(fused.ok()) << fused.status();
-  const std::vector<std::string> got = canonical(std::move(fused).value());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(got[i], expected[order[i]]) << "shuffled position " << i;
-  }
-}
-
 TEST(SolveManyTest, FailsWithTheLowestIndexError) {
   auto context =
       PoolPlanContext::Plan(jury::testing::Figure1Workers()).value();

@@ -54,8 +54,7 @@ std::vector<Worker> FixturePool() {
 /// One fixture = one named request stream. Streams deliberately mix
 /// solver families, thread knobs, and both objective backends so the
 /// replay crosses every seam the determinism contract covers (restart
-/// fan-out, Gray-code sharding, bucket vs exact scoring, fused scans via
-/// SolveMany in the recorder's serial loop).
+/// fan-out, Gray-code sharding, bucket vs exact scoring).
 struct Fixture {
   std::string name;
   std::vector<SolveRequest> requests;

@@ -16,6 +16,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -455,10 +456,23 @@ TEST(PoolDeltaTest, InFlightSolvesSurviveChurn) {
 // ---------------------------------------------------------------------------
 // JuryServer end to end
 
+/// One HTTP/1.1 request as wire bytes.
+std::string FormatRequest(const std::string& method, const std::string& target,
+                          const std::string& body = "") {
+  std::string request = method + " " + target + " HTTP/1.1\r\n";
+  request += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
+  request += body;
+  return request;
+}
+
 class TestClient {
  public:
   explicit TestClient(int port) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    // A reply that never comes fails the read instead of hanging the test.
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -471,20 +485,27 @@ class TestClient {
   }
   bool connected() const { return connected_; }
 
-  /// One round trip; returns the raw status line + body.
+  /// One round trip; returns the status code + body.
   std::pair<int, std::string> RoundTrip(const std::string& method,
                                         const std::string& target,
                                         const std::string& body = "") {
-    std::string request = method + " " + target + " HTTP/1.1\r\n";
-    request += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
-    request += body;
-    if (::send(fd_, request.data(), request.size(), MSG_NOSIGNAL) !=
-        static_cast<ssize_t>(request.size())) {
-      return {0, ""};
-    }
-    std::string response;
+    if (!Send(FormatRequest(method, target, body))) return {0, ""};
+    return ReadResponse();
+  }
+
+  /// Writes `bytes` in one `send`.
+  bool Send(const std::string& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// Reads the next response; returns the status code (0 when the reply
+  /// does not arrive) + body. Bytes past it stay buffered for the next call.
+  std::pair<int, std::string> ReadResponse() {
+    std::string response = std::move(pending_);
+    pending_.clear();
     char chunk[4096];
-    std::size_t header_end = std::string::npos;
+    std::size_t header_end = response.find("\r\n\r\n");
     while (header_end == std::string::npos) {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n <= 0) return {0, response};
@@ -499,16 +520,18 @@ class TestClient {
     }
     while (response.size() - header_end - 4 < content_length) {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;
+      if (n <= 0) return {0, response};
       response.append(chunk, static_cast<std::size_t>(n));
     }
+    pending_ = response.substr(header_end + 4 + content_length);
     const int status = std::atoi(response.c_str() + 9);
-    return {status, response.substr(header_end + 4)};
+    return {status, response.substr(header_end + 4, content_length)};
   }
 
  private:
   int fd_ = -1;
   bool connected_ = false;
+  std::string pending_;
 };
 
 class JuryServerTest : public ::testing::Test {
@@ -594,6 +617,40 @@ TEST_F(JuryServerTest, EpochBumpMidStreamKeepsServing) {
   EXPECT_EQ(second_body.find("\"cache_hit\""), std::string::npos);
   auto [stats_status, stats_body] = client.RoundTrip("GET", "/stats");
   EXPECT_NE(stats_body.find("\"pool_epoch\":1"), std::string::npos);
+}
+
+TEST_F(JuryServerTest, PipelinedSolvesAreAnsweredInOrder) {
+  // Report bytes up to the wall clock, the one field a cold solve does
+  // not reproduce (keys are sorted, so it comes last).
+  const auto solved_part = [](const std::string& report) {
+    return report.substr(0, report.find("\"wall_seconds\""));
+  };
+  const api::SolveRequest first = BaseRequest(1.5);
+  const api::SolveRequest second = BaseRequest(0.6);
+  auto reference = api::PoolPlanContext::Plan(TestPool());
+  ASSERT_TRUE(reference.ok());
+  auto expected_first = reference.value().Solve(first);
+  auto expected_second = reference.value().Solve(second);
+  ASSERT_TRUE(expected_first.ok());
+  ASSERT_TRUE(expected_second.ok());
+  ASSERT_NE(solved_part(expected_first.value().ToJson()),
+            solved_part(expected_second.value().ToJson()));
+
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(FormatRequest("POST", "/solve", first.ToJson()) +
+                          FormatRequest("POST", "/solve", second.ToJson())));
+  auto [first_status, first_body] = client.ReadResponse();
+  EXPECT_EQ(first_status, 200);
+  EXPECT_EQ(solved_part(first_body),
+            solved_part(expected_first.value().ToJson()));
+  auto [second_status, second_body] = client.ReadResponse();
+  EXPECT_EQ(second_status, 200);
+  EXPECT_EQ(solved_part(second_body),
+            solved_part(expected_second.value().ToJson()));
+  // The connection is still usable afterwards.
+  auto [health_status, health_body] = client.RoundTrip("GET", "/healthz");
+  EXPECT_EQ(health_status, 200);
 }
 
 }  // namespace

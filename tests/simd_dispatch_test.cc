@@ -4,9 +4,8 @@
 // compositions ({copy; AddTrial/RemoveTrial/Convolve; queries}) — bit for
 // bit, across batch sizes 1–257 (odd tails, sub-block remainders) and
 // unaligned buffer offsets. Plus end-to-end solver equality: every solver
-// returns the identical jury under JURYOPT_SIMD=scalar, =avx2, and
-// =avx512 (each vector sweep runs at every compiled level and skips the
-// levels this host cannot execute).
+// returns the identical jury under JURYOPT_SIMD=scalar and =avx2 (each
+// vector sweep skips when this host cannot execute the AVX2 level).
 
 #include <cstddef>
 #include <vector>
@@ -59,7 +58,6 @@ constexpr std::size_t kOffsets[] = {0, 1, 3};  // unaligned starts
 TEST(SimdDispatchTest, LevelSelectionAndNames) {
   EXPECT_STREQ(simd::LevelName(simd::Level::kScalar), "scalar");
   EXPECT_STREQ(simd::LevelName(simd::Level::kAvx2), "avx2");
-  EXPECT_STREQ(simd::LevelName(simd::Level::kAvx512), "avx512");
   ASSERT_TRUE(simd::SetLevel(simd::Level::kScalar));
   EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);
   EXPECT_STREQ(simd::Kernels().name, "scalar");
@@ -70,15 +68,6 @@ TEST(SimdDispatchTest, LevelSelectionAndNames) {
     ASSERT_TRUE(simd::SetLevel(simd::Level::kScalar));
   } else {
     EXPECT_FALSE(simd::SetLevel(simd::Level::kAvx2));
-    EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);
-  }
-  if (simd::Avx512Available()) {
-    ASSERT_TRUE(simd::SetLevel(simd::Level::kAvx512));
-    EXPECT_EQ(simd::ActiveLevel(), simd::Level::kAvx512);
-    EXPECT_STREQ(simd::Kernels().name, "avx512");
-    ASSERT_TRUE(simd::SetLevel(simd::Level::kScalar));
-  } else {
-    EXPECT_FALSE(simd::SetLevel(simd::Level::kAvx512));
     EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);
   }
 }
@@ -93,10 +82,6 @@ TEST(SimdDispatchTest, ParseLevelAcceptsAllSpellings) {
   EXPECT_EQ(level, simd::Level::kAvx2);
   EXPECT_TRUE(simd::ParseLevel("Avx2", &level));
   EXPECT_EQ(level, simd::Level::kAvx2);
-  EXPECT_TRUE(simd::ParseLevel("avx512", &level));
-  EXPECT_EQ(level, simd::Level::kAvx512);
-  EXPECT_TRUE(simd::ParseLevel("AVX512", &level));
-  EXPECT_EQ(level, simd::Level::kAvx512);
   level = simd::Level::kAvx2;
   EXPECT_FALSE(simd::ParseLevel("avx", &level));
   EXPECT_FALSE(simd::ParseLevel("", &level));
@@ -154,11 +139,6 @@ TEST(SimdDispatchTest, EvaluateBatchMatchesScalarCompositionAvx2Level) {
   EvaluateBatchSweep(simd::Level::kAvx2);
 }
 
-TEST(SimdDispatchTest, EvaluateBatchMatchesScalarCompositionAvx512Level) {
-  if (!simd::Avx512Available()) GTEST_SKIP() << "AVX-512 unavailable";
-  EvaluateBatchSweep(simd::Level::kAvx512);
-}
-
 // ---------------------------------------------------------------------------
 // PoissonBinomial::EvaluateRemoveBatch — the remove fold.
 // ---------------------------------------------------------------------------
@@ -214,11 +194,6 @@ TEST(SimdDispatchTest, RemoveBatchMatchesScalarCompositionScalarLevel) {
 TEST(SimdDispatchTest, RemoveBatchMatchesScalarCompositionAvx2Level) {
   if (!simd::Avx2Available()) GTEST_SKIP() << "AVX2 unavailable";
   RemoveBatchSweep(simd::Level::kAvx2);
-}
-
-TEST(SimdDispatchTest, RemoveBatchMatchesScalarCompositionAvx512Level) {
-  if (!simd::Avx512Available()) GTEST_SKIP() << "AVX-512 unavailable";
-  RemoveBatchSweep(simd::Level::kAvx512);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,11 +270,6 @@ TEST(SimdDispatchTest, BucketBatchMatchesScalarCompositionAvx2Level) {
   BucketBatchSweep(simd::Level::kAvx2);
 }
 
-TEST(SimdDispatchTest, BucketBatchMatchesScalarCompositionAvx512Level) {
-  if (!simd::Avx512Available()) GTEST_SKIP() << "AVX-512 unavailable";
-  BucketBatchSweep(simd::Level::kAvx512);
-}
-
 // ---------------------------------------------------------------------------
 // BucketKeyDistribution::DeconvolvePositiveMassBatch — the batched bucket
 // remove/swap fold (the `deconvolve_mass` kernel).
@@ -366,11 +336,6 @@ TEST(SimdDispatchTest, DeconvolveBatchMatchesScalarCompositionAvx2Level) {
   DeconvolveBatchSweep(simd::Level::kAvx2);
 }
 
-TEST(SimdDispatchTest, DeconvolveBatchMatchesScalarCompositionAvx512Level) {
-  if (!simd::Avx512Available()) GTEST_SKIP() << "AVX-512 unavailable";
-  DeconvolveBatchSweep(simd::Level::kAvx512);
-}
-
 // ---------------------------------------------------------------------------
 // Cross-level equality: the same batched calls under scalar and each
 // available vector level produce bit-identical outputs (stronger than all
@@ -381,7 +346,6 @@ TEST(SimdDispatchTest, DeconvolveBatchMatchesScalarCompositionAvx512Level) {
 std::vector<simd::Level> AvailableVectorLevels() {
   std::vector<simd::Level> levels;
   if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
-  if (simd::Avx512Available()) levels.push_back(simd::Level::kAvx512);
   return levels;
 }
 
@@ -445,7 +409,7 @@ TEST(SimdDispatchTest, LevelsAgreeBitForBitOnRandomBatches) {
 
 // ---------------------------------------------------------------------------
 // End-to-end: solvers return the identical jury at every dispatch level
-// (the JURYOPT_SIMD=scalar vs =avx2 vs =avx512 equality run, in-process).
+// (the JURYOPT_SIMD=scalar vs =avx2 equality run, in-process).
 // Annealing's polish scans drive the batched remove and swap folds —
 // including the bucket deconvolve kernel — so this covers every kernel on
 // every available level, not just the add fold.

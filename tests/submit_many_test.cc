@@ -1,25 +1,21 @@
 // Async-submission tests: `PoolPlanContext::SubmitMany` futures must be
 // byte-identical to blocking solves for any thread count and any Take
-// order, dropping futures must be safe, retry/fusion options must ride
-// through, and the per-context `ScratchArena` must actually recycle
-// session buffers across requests.
+// order, dropping futures must be safe, and retry options must ride
+// through.
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "api/solve.h"
-#include "core/objective.h"
 #include "gtest/gtest.h"
 #include "model/worker.h"
 #include "test_util.h"
 #include "util/rng.h"
-#include "util/scratch_arena.h"
 
 namespace jury {
 namespace {
@@ -184,36 +180,6 @@ TEST(SubmitManyTest, EmptyBatchReturnsNoFutures) {
   EXPECT_TRUE(context.SubmitMany({}).empty());
 }
 
-TEST(SubmitManyTest, FusedMoveScansStayByteIdentical) {
-  auto planned = api::PoolPlanContext::Plan(TestPool(40));
-  ASSERT_TRUE(planned.ok());
-  api::PoolPlanContext context = std::move(planned).value();
-  std::vector<api::SolveRequest> requests;
-  for (int i = 0; i < 8; ++i) {
-    api::SolveRequest request;
-    request.solver = "annealing";
-    request.budget = 1.2 + 0.1 * i;
-    request.alpha = 0.4;
-    request.rng_seed = 42 + static_cast<std::uint64_t>(i);
-    requests.push_back(request);
-  }
-  std::vector<std::string> expected;
-  for (const api::SolveRequest& request : requests) {
-    auto report = context.Solve(request);
-    ASSERT_TRUE(report.ok());
-    expected.push_back(CanonicalJson(report.value()));
-  }
-  api::SubmitOptions options;
-  options.num_threads = 4;
-  options.fuse_move_scans = true;
-  std::vector<api::SolveFuture> futures = context.SubmitMany(requests, options);
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    auto report = futures[i].Take();
-    ASSERT_TRUE(report.ok());
-    EXPECT_EQ(CanonicalJson(report.value()), expected[i]);
-  }
-}
-
 TEST(SubmitManyTest, InvalidRequestFailsItsFutureOnly) {
   auto planned = api::PoolPlanContext::Plan(TestPool());
   ASSERT_TRUE(planned.ok());
@@ -228,77 +194,6 @@ TEST(SubmitManyTest, InvalidRequestFailsItsFutureOnly) {
   EXPECT_EQ(futures[1].Take().status().code(), StatusCode::kNotFound);
   EXPECT_EQ(futures[2].Take().status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(futures[3].Take().ok());
-}
-
-// ---------------------------------------------------------------------------
-// ScratchArena
-
-TEST(ScratchArenaTest, AdoptReusesDonatedCapacity) {
-  ScratchArena arena;
-  std::vector<double> buffer;
-  arena.Adopt(&buffer);  // nothing retained yet: a miss
-  buffer.resize(128);
-  const double* data = buffer.data();
-  arena.Donate(&buffer);
-  EXPECT_TRUE(buffer.empty());
-
-  std::vector<double> again;
-  arena.Adopt(&again);
-  EXPECT_TRUE(again.empty());  // capacity transfers, contents never do
-  EXPECT_EQ(again.data(), data);
-  EXPECT_GE(again.capacity(), 128u);
-
-  const ScratchArena::Stats stats = arena.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.reuses, 1u);
-  EXPECT_EQ(stats.donations, 1u);
-}
-
-TEST(ScratchArenaTest, TypedPoolsDoNotCross) {
-  ScratchArena arena;
-  std::vector<double> doubles(64);
-  std::vector<std::int64_t> ints(64);
-  arena.Donate(&doubles);
-  arena.Donate(&ints);
-  std::vector<std::size_t> sizes;
-  arena.Adopt(&sizes);  // no size_t capacity donated: a miss
-  EXPECT_EQ(arena.stats().misses, 1u);
-  std::vector<std::int64_t> ints_again;
-  arena.Adopt(&ints_again);
-  EXPECT_EQ(arena.stats().reuses, 1u);
-}
-
-TEST(ScratchArenaTest, RetentionCapDiscardsExcessDonations) {
-  ScratchArena arena(/*max_retained=*/1);
-  std::vector<double> a(8), b(8);
-  arena.Donate(&a);
-  arena.Donate(&b);  // pool full: freed, not retained
-  const ScratchArena::Stats stats = arena.stats();
-  EXPECT_EQ(stats.donations, 1u);
-  EXPECT_EQ(stats.discards, 1u);
-  EXPECT_EQ(stats.retained, 1u);
-}
-
-TEST(ScratchArenaTest, SessionsRecycleBatchBuffersAcrossRequests) {
-  // The serving-loop pattern one level down: sessions bound to an arena
-  // donate their batched-scan staging buffers at destruction, and the
-  // next request's session adopts them back.
-  ScratchArena arena;
-  const MajorityObjective objective;
-  objective.BindScratchArena(&arena);
-  Rng rng(7);
-  const std::vector<Worker> pool = RandomPool(&rng, 24, 0.5, 0.9, 0.05, 0.5);
-  std::vector<const Worker*> candidates;
-  for (const Worker& worker : pool) candidates.push_back(&worker);
-  std::vector<double> scores(pool.size());
-  for (int request = 0; request < 3; ++request) {
-    auto session = objective.StartSession(0.5);
-    session->ScoreAddBatch(candidates.data(), candidates.size(),
-                           scores.data());
-  }
-  const ScratchArena::Stats stats = arena.stats();
-  EXPECT_GT(stats.donations, 0u);
-  EXPECT_GT(stats.reuses, 0u);
 }
 
 }  // namespace
