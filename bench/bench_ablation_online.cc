@@ -51,7 +51,9 @@ void Run() {
       instance.budget = budget;
       instance.alpha = 0.5;
       Rng solver_rng = rng.Fork();
-      const auto solution = SolveOptjs(instance, &solver_rng).value();
+      const WorkerPoolView view(instance.candidates);
+      const auto solution =
+          SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
       const Jury jury = solution.ToJury(instance);
       if (!jury.empty()) {
         const Votes votes = crowd::SimulateVotes(jury, truth, &rng);

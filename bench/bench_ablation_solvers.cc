@@ -117,7 +117,7 @@ void Run() {
 
 /// PlanContext-reuse ablation: the same request stream answered by cold
 /// per-call setup (a fresh JspInstance copy + pool validation + columnar
-/// view build inside every legacy free-function call) vs a long-lived
+/// view build before every direct solver call) vs a long-lived
 /// `api::PoolPlanContext` (validation and view hoisted into `Plan`, the
 /// instance leased from the arena). Juries are asserted identical — the
 /// planned path is the same solver code — so only setup cost moves.
@@ -134,8 +134,8 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
   };
   bench::PrintHeader(
       "Ablation — PlanContext reuse vs cold per-call setup",
-      "Repeated requests (varying budgets) on one pool: legacy free "
-      "function per call vs one planned context; identical juries.");
+      "Repeated requests (varying budgets) on one pool: per-call setup "
+      "and a direct solver call vs one planned context; identical juries.");
 
   Table table({"solver", "N", "requests", "secs (cold)", "secs (reused)",
                "speedup", "instances created"});
@@ -151,7 +151,7 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
     }
 
     // Cold path: per-request instance copy + validation + view build,
-    // which is exactly what every legacy call site pays.
+    // which is exactly what a caller without a plan pays.
     const BucketBvObjective objective;
     std::vector<std::vector<std::size_t>> cold_juries;
     Timer t_cold;
@@ -160,10 +160,12 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
       instance.candidates = pool;
       instance.budget = budgets[i];
       instance.alpha = 0.5;
+      if (!instance.Validate().ok()) ++violations;
+      const WorkerPoolView view(instance.candidates);
       const auto solution =
           workload.solver == "greedy-quality"
-              ? SolveGreedyByQuality(instance, objective).value()
-              : SolveGreedyMarginalGain(instance, objective).value();
+              ? SolveGreedyByQuality(instance, view, objective).value()
+              : SolveGreedyMarginalGain(instance, view, objective).value();
       cold_juries.push_back(solution.selected);
     }
     const double cold_secs = t_cold.ElapsedSeconds();
@@ -308,7 +310,9 @@ void RunIncrementalAblation() {
       {
         Rng sa_rng(seed);
         Timer t;
-        const auto s = SolveAnnealing(instance, objective, &sa_rng).value();
+        const WorkerPoolView view(instance.candidates);
+        const auto s =
+            SolveAnnealing(instance, view, objective, &sa_rng).value();
         sa.inc_time.Add(t.ElapsedSeconds());
         static_cast<void>(s);
       }
@@ -319,8 +323,9 @@ void RunIncrementalAblation() {
         AnnealingOptions no_inc;
         no_inc.use_incremental = false;
         Timer t;
+        const WorkerPoolView view(instance.candidates);
         const auto s =
-            SolveAnnealing(instance, objective, &sa_rng, no_inc).value();
+            SolveAnnealing(instance, view, objective, &sa_rng, no_inc).value();
         sa.full_time.Add(t.ElapsedSeconds());
         static_cast<void>(s);
       }
@@ -328,7 +333,9 @@ void RunIncrementalAblation() {
       objective.ResetEvaluationCounters();
       {
         Timer t;
-        const auto s = SolveGreedyMarginalGain(instance, objective).value();
+        const WorkerPoolView view(instance.candidates);
+        const auto s =
+            SolveGreedyMarginalGain(instance, view, objective).value();
         greedy.inc_time.Add(t.ElapsedSeconds());
         static_cast<void>(s);
       }
@@ -338,8 +345,9 @@ void RunIncrementalAblation() {
         GreedyOptions no_inc;
         no_inc.use_incremental = false;
         Timer t;
+        const WorkerPoolView view(instance.candidates);
         const auto s =
-            SolveGreedyMarginalGain(instance, objective, no_inc).value();
+            SolveGreedyMarginalGain(instance, view, objective, no_inc).value();
         greedy.full_time.Add(t.ElapsedSeconds());
         static_cast<void>(s);
       }
@@ -372,7 +380,8 @@ void RunIncrementalAblation() {
   instance.budget = 1.0;
   instance.alpha = 0.5;
   Rng sa_rng(99);
-  static_cast<void>(SolveAnnealing(instance, demo, &sa_rng).value());
+  const WorkerPoolView view(instance.candidates);
+  static_cast<void>(SolveAnnealing(instance, view, demo, &sa_rng).value());
   bench::PrintEvaluationCounters("annealing N=100 (BV/bucket)", demo);
 }
 
@@ -428,8 +437,9 @@ void RunBatchedNeighbourhoodAblation(bench::ThreadScalingReport* report) {
     instance.candidates = bench::PaperPool(&pool_rng, kN, 0.7);
     instance.budget = 0.5;
     instance.alpha = 0.5;
+    const WorkerPoolView view(instance.candidates);
     optima.push_back(
-        SolveBranchAndBound(instance, objective).value().jq);
+        SolveBranchAndBound(instance, view, objective).value().jq);
     instances.push_back(std::move(instance));
   }
 
@@ -442,10 +452,11 @@ void RunBatchedNeighbourhoodAblation(bench::ThreadScalingReport* report) {
     for (int rep = 0; rep < reps; ++rep) {
       Rng sa_rng(31000 + static_cast<std::uint64_t>(rep));
       AnnealingStats stats;
+      const JspInstance& instance = instances[static_cast<std::size_t>(rep)];
       Timer t;
-      const auto s = SolveAnnealing(instances[static_cast<std::size_t>(rep)],
-                                    objective, &sa_rng, config.options,
-                                    &stats)
+      const WorkerPoolView view(instance.candidates);
+      const auto s = SolveAnnealing(instance, view, objective, &sa_rng,
+                                    config.options, &stats)
                          .value();
       secs.Add(t.ElapsedSeconds());
       gap.Add(optima[static_cast<std::size_t>(rep)] - s.jq);
@@ -595,7 +606,8 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
          options.num_restarts = 8;
          options.num_threads = threads;
          Rng sa_rng(seed);
-         return SolveAnnealing(instance, objective, &sa_rng, options)
+         const WorkerPoolView view(instance.candidates);
+         return SolveAnnealing(instance, view, objective, &sa_rng, options)
              .value();
        }},
       {"greedy marginal-gain", 200,
@@ -603,7 +615,8 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
           std::uint64_t, std::size_t threads) {
          GreedyOptions options;
          options.num_threads = threads;
-         return SolveGreedyMarginalGain(instance, objective, options)
+         const WorkerPoolView view(instance.candidates);
+         return SolveGreedyMarginalGain(instance, view, objective, options)
              .value();
        }},
       {"exhaustive (Gray-code)", 20,
@@ -611,7 +624,8 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
           std::uint64_t, std::size_t threads) {
          ExhaustiveOptions options;
          options.num_threads = threads;
-         return SolveExhaustive(instance, objective, options).value();
+         const WorkerPoolView view(instance.candidates);
+         return SolveExhaustive(instance, view, objective, options).value();
        }},
   };
 

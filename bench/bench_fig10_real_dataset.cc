@@ -54,8 +54,11 @@ Point AverageOverQuestions(
     JspInstance instance = make_instance(q, &rng);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    optjs_stats.Add(SolveOptjs(instance, &r1).value().jq);
-    mvjs_stats.Add(SolveMvjs(instance, &r2).value().jq);
+    const WorkerPoolView view(instance.candidates);
+    optjs_stats.Add(
+        SolveOptjs(instance, view, BucketBvObjective(), &r1).value().jq);
+    mvjs_stats.Add(
+        SolveMvjs(instance, view, MajorityObjective(), &r2).value().jq);
   }
   return {optjs_stats.mean(), mvjs_stats.mean()};
 }

@@ -34,8 +34,11 @@ Point RunPoint(std::uint64_t seed, int reps, int num_workers, double mu,
     instance.alpha = 0.5;
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    optjs_stats.Add(SolveOptjs(instance, &r1).value().jq);
-    mvjs_stats.Add(SolveMvjs(instance, &r2).value().jq);
+    const WorkerPoolView view(instance.candidates);
+    optjs_stats.Add(
+        SolveOptjs(instance, view, BucketBvObjective(), &r1).value().jq);
+    mvjs_stats.Add(
+        SolveMvjs(instance, view, MajorityObjective(), &r2).value().jq);
   }
   return {optjs_stats.mean(), mvjs_stats.mean()};
 }

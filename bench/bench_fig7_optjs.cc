@@ -28,10 +28,11 @@ void Fig7a(int reps) {
       instance.candidates = bench::PaperPool(&pool_rng, 11, 0.7);
       instance.budget = budget;
       instance.alpha = 0.5;
-      const auto optimal = SolveExhaustive(instance, objective).value();
+      const WorkerPoolView view(instance.candidates);
+      const auto optimal = SolveExhaustive(instance, view, objective).value();
       Rng sa_rng = rng.Fork();
       const auto returned =
-          SolveAnnealing(instance, objective, &sa_rng).value();
+          SolveAnnealing(instance, view, objective, &sa_rng).value();
       optimal_stats.Add(optimal.jq);
       returned_stats.Add(returned.jq);
     }
@@ -65,7 +66,8 @@ void Fig7b(int reps) {
         const BucketBvObjective objective;
         Rng sa_rng = rng.Fork();
         Timer timer;
-        (void)SolveAnnealing(instance, objective, &sa_rng).value();
+        const WorkerPoolView view(instance.candidates);
+        (void)SolveAnnealing(instance, view, objective, &sa_rng).value();
         time_stats.Add(timer.ElapsedSeconds());
       }
       row.push_back(Format(time_stats.mean(), 4));

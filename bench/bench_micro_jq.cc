@@ -93,8 +93,9 @@ void BM_IncrementalSwapBucket(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Jury jury = MakeJury(n);
   const BucketBvObjective objective;
-  auto session = objective.StartSession(0.5);
-  for (const Worker& w : jury.workers()) {
+  const WorkerPoolView view(jury.workers());
+  auto session = objective.StartSession(view, 0.5);
+  for (const Worker& w : view.workers()) {
     session->ScoreAdd(w);
     session->Commit();
   }
@@ -112,8 +113,9 @@ void BM_IncrementalSwapMajority(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Jury jury = MakeJury(n);
   const MajorityObjective objective;
-  auto session = objective.StartSession(0.5);
-  for (const Worker& w : jury.workers()) {
+  const WorkerPoolView view(jury.workers());
+  auto session = objective.StartSession(view, 0.5);
+  for (const Worker& w : view.workers()) {
     session->ScoreAdd(w);
     session->Commit();
   }
@@ -170,8 +172,9 @@ void BM_SessionCloneBucket(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Jury jury = MakeJury(n);
   const BucketBvObjective objective;
-  auto session = objective.StartSession(0.5);
-  for (const Worker& w : jury.workers()) {
+  const WorkerPoolView view(jury.workers());
+  auto session = objective.StartSession(view, 0.5);
+  for (const Worker& w : view.workers()) {
     session->ScoreAdd(w);
     session->Commit();
   }
@@ -376,11 +379,6 @@ void SessionScan(benchmark::State& state, const JqObjective& objective,
                  bool batched) {
   const int n = static_cast<int>(state.range(0));
   const Jury jury = MakeJury(n);
-  auto session = objective.StartSession(0.5);
-  for (const Worker& w : jury.workers()) {
-    session->ScoreAdd(w);
-    session->Commit();
-  }
   Rng rng(47);
   std::vector<Worker> candidates;
   for (std::size_t j = 0; j < kScanCandidates; ++j) {
@@ -388,15 +386,21 @@ void SessionScan(benchmark::State& state, const JqObjective& objective,
         "c" + std::to_string(j),
         rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99), 0.0);
   }
-  std::vector<const Worker*> ptrs;
-  for (const Worker& w : candidates) ptrs.push_back(&w);
-  std::vector<double> scores(ptrs.size());
+  const WorkerPoolView view(candidates);
+  auto session = objective.StartSession(view, 0.5);
+  for (const Worker& w : jury.workers()) {
+    session->ScoreAdd(w);
+    session->Commit();
+  }
+  std::vector<std::size_t> ids(view.size());
+  for (std::size_t j = 0; j < ids.size(); ++j) ids[j] = j;
+  std::vector<double> scores(ids.size());
   for (auto _ : state) {
     if (batched) {
-      session->ScoreAddBatch(ptrs.data(), ptrs.size(), scores.data());
+      session->ScoreAddBatch(ids.data(), ids.size(), scores.data());
     } else {
-      for (std::size_t j = 0; j < ptrs.size(); ++j) {
-        scores[j] = session->ScoreAdd(*ptrs[j]);
+      for (std::size_t j = 0; j < ids.size(); ++j) {
+        scores[j] = session->ScoreAdd(view.worker(ids[j]));
         session->Rollback();
       }
     }
@@ -698,8 +702,9 @@ void BM_AnnealingSolve(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
+    const WorkerPoolView view(instance.candidates);
     benchmark::DoNotOptimize(
-        SolveAnnealing(instance, objective, &rng).value());
+        SolveAnnealing(instance, view, objective, &rng).value());
   }
 }
 BENCHMARK(BM_AnnealingSolve)->Arg(50)->Arg(100)->Arg(200);
@@ -724,8 +729,9 @@ void BM_AnnealingSolveNoIncremental(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
+    const WorkerPoolView view(instance.candidates);
     benchmark::DoNotOptimize(
-        SolveAnnealing(instance, objective, &rng, options).value());
+        SolveAnnealing(instance, view, objective, &rng, options).value());
   }
 }
 BENCHMARK(BM_AnnealingSolveNoIncremental)->Arg(50)->Arg(100)->Arg(200);
@@ -754,8 +760,9 @@ void BM_AnnealingStep(benchmark::State& state, bool with_token) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
+    const WorkerPoolView view(instance.candidates);
     benchmark::DoNotOptimize(
-        SolveAnnealing(instance, objective, &rng, options).value());
+        SolveAnnealing(instance, view, objective, &rng, options).value());
   }
 }
 BENCHMARK_CAPTURE(BM_AnnealingStep, bare, false);

@@ -34,19 +34,21 @@ void Run() {
       instance.candidates = bench::PaperPool(&pool_rng, 11, 0.7);
       instance.budget = budget;
       instance.alpha = 0.5;
-      const auto optimal = SolveExhaustive(instance, objective).value();
+      const WorkerPoolView view(instance.candidates);
+      const auto optimal = SolveExhaustive(instance, view, objective).value();
       Rng sa_rng = rng.Fork();
       const auto returned =
-          SolveAnnealing(instance, objective, &sa_rng).value();
+          SolveAnnealing(instance, view, objective, &sa_rng).value();
       sa_counter.Add((optimal.jq - returned.jq) * 100.0);  // percent
 
       // The production OPTJS path backs SA with the greedy baselines.
       double system_jq = returned.jq;
       system_jq = std::max(
-          system_jq, SolveGreedyByQuality(instance, objective).value().jq);
+          system_jq,
+          SolveGreedyByQuality(instance, view, objective).value().jq);
       system_jq = std::max(
           system_jq,
-          SolveGreedyByValuePerCost(instance, objective).value().jq);
+          SolveGreedyByValuePerCost(instance, view, objective).value().jq);
       system_counter.Add((optimal.jq - system_jq) * 100.0);
     }
   }

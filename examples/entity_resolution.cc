@@ -53,7 +53,9 @@ int main() {
     instance.budget = 0.6;
     instance.alpha = pair.alpha;
     Rng solver_rng = rng.Fork();
-    const auto solution = SolveOptjs(instance, &solver_rng).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto solution =
+        SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
 
     // Simulate the selected jury actually answering.
     const Jury jury = solution.ToJury(instance);

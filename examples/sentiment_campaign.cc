@@ -49,7 +49,9 @@ int main() {
           rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
     }
     Rng solver_rng = rng.Fork();
-    const auto solution = SolveOptjs(instance, &solver_rng).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto solution =
+        SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
     total_spent += solution.cost;
 
     // Aggregate the selected jurors' actual votes with BV.

@@ -124,8 +124,8 @@ std::map<std::string, double> FlattenAnnealingStats(
 
 // ---------------------------------------------------------------------------
 // Raw-solver adapters: objective chosen by `tuning.objective`, solve
-// delegated to the core planned-pool overload, so a registry solve is
-// bit-identical to the legacy free function on the same inputs.
+// delegated to the core entry point on the plan's view, so a registry
+// solve is bit-identical to a direct call on the same inputs.
 // ---------------------------------------------------------------------------
 
 class AnnealingSolver final : public JspSolver {
@@ -301,19 +301,14 @@ const std::vector<std::unique_ptr<JspSolver>>& Registry() {
     auto* solvers = new std::vector<std::unique_ptr<JspSolver>>();
     solvers->push_back(std::make_unique<AnnealingSolver>());
     solvers->push_back(std::make_unique<ExhaustiveSolver>());
-    // The explicit casts pick the planned-pool overloads (the legacy
-    // wrappers share the name).
     solvers->push_back(std::make_unique<GreedyFamilySolver>(
-        "greedy-quality",
-        static_cast<GreedyFamilySolver::Entry>(&SolveGreedyByQuality)));
+        "greedy-quality", &SolveGreedyByQuality));
     solvers->push_back(std::make_unique<GreedyFamilySolver>(
-        "greedy-value",
-        static_cast<GreedyFamilySolver::Entry>(&SolveGreedyByValuePerCost)));
+        "greedy-value", &SolveGreedyByValuePerCost));
     solvers->push_back(std::make_unique<GreedyFamilySolver>(
-        "greedy-mg",
-        static_cast<GreedyFamilySolver::Entry>(&SolveGreedyMarginalGain)));
+        "greedy-mg", &SolveGreedyMarginalGain));
     solvers->push_back(std::make_unique<GreedyFamilySolver>(
-        "odd-top-k", static_cast<GreedyFamilySolver::Entry>(&SolveOddTopK)));
+        "odd-top-k", &SolveOddTopK));
     solvers->push_back(std::make_unique<BranchBoundSolver>());
     solvers->push_back(std::make_unique<OptjsSolver>());
     solvers->push_back(std::make_unique<MvjsSolver>());

@@ -302,8 +302,8 @@ class SolveFuture {
 
 /// \brief The common solver interface behind the registry: one virtual
 /// `Solve` over (planned pool, request). Implementations are stateless
-/// adapters around the core free functions' planned-pool overloads, so a
-/// registry solve is bit-identical to the corresponding legacy call.
+/// adapters around the core `Solve*` free functions, called on the plan's
+/// view, so a registry solve is bit-identical to the direct call.
 class JspSolver {
  public:
   virtual ~JspSolver() = default;

@@ -5,15 +5,12 @@
 namespace jury {
 namespace {
 
-/// Solves one task at one budget; returns the solution.
-Result<JspSolution> SolveTaskAt(const AllocationTask& task, double budget,
-                                Rng* rng, const OptjsOptions& options) {
+/// One task's pool, copied and snapshotted once for all its budget
+/// probes (a probe only moves `instance.budget`).
+struct TaskPool {
   JspInstance instance;
-  instance.candidates = task.candidates;
-  instance.budget = budget;
-  instance.alpha = task.alpha;
-  return SolveOptjs(instance, rng, options);
-}
+  WorkerPoolView view;
+};
 
 /// Greedy state for one task: solutions at the current grant and one and
 /// two increments ahead. The two-step lookahead matters because BV jury
@@ -60,16 +57,27 @@ Result<AllocationResult> AllocateBudget(
 
   const std::size_t n = tasks.size();
   const double inc = options.increment;
+  // Sized once: each view points into its own element's instance.
+  std::vector<TaskPool> pools(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pools[i].instance.candidates = tasks[i].candidates;
+    pools[i].instance.alpha = tasks[i].alpha;
+    pools[i].view = WorkerPoolView(pools[i].instance.candidates);
+  }
+  const BucketBvObjective objective(options.optjs.bucket);
+  // Solves one task at one budget.
+  const auto solve_at = [&](std::size_t task, double budget) {
+    TaskPool& pool = pools[task];
+    pool.instance.budget = budget;
+    return SolveOptjs(pool.instance, pool.view, objective, rng,
+                      options.optjs);
+  };
   std::vector<double> granted(n, 0.0);
   std::vector<TaskState> states(n);
   for (std::size_t i = 0; i < n; ++i) {
-    JURY_ASSIGN_OR_RETURN(states[i].at_current,
-                          SolveTaskAt(tasks[i], 0.0, rng, options.optjs));
-    JURY_ASSIGN_OR_RETURN(states[i].at_plus1,
-                          SolveTaskAt(tasks[i], inc, rng, options.optjs));
-    JURY_ASSIGN_OR_RETURN(
-        states[i].at_plus2,
-        SolveTaskAt(tasks[i], 2.0 * inc, rng, options.optjs));
+    JURY_ASSIGN_OR_RETURN(states[i].at_current, solve_at(i, 0.0));
+    JURY_ASSIGN_OR_RETURN(states[i].at_plus1, solve_at(i, inc));
+    JURY_ASSIGN_OR_RETURN(states[i].at_plus2, solve_at(i, 2.0 * inc));
     states[i].RecomputeGain();
   }
 
@@ -91,14 +99,11 @@ Result<AllocationResult> AllocateBudget(
       state.at_plus1 = state.at_plus2;
     } else {
       state.at_current = state.at_plus2;
-      JURY_ASSIGN_OR_RETURN(
-          state.at_plus1,
-          SolveTaskAt(tasks[best], granted[best] + inc, rng, options.optjs));
+      JURY_ASSIGN_OR_RETURN(state.at_plus1,
+                            solve_at(best, granted[best] + inc));
     }
-    JURY_ASSIGN_OR_RETURN(
-        state.at_plus2,
-        SolveTaskAt(tasks[best], granted[best] + 2.0 * inc, rng,
-                    options.optjs));
+    JURY_ASSIGN_OR_RETURN(state.at_plus2,
+                          solve_at(best, granted[best] + 2.0 * inc));
     state.RecomputeGain();
   }
 

@@ -481,22 +481,11 @@ Status AnnealingOptions::Validate() const {
 }
 
 Result<JspSolution> SolveAnnealing(const JspInstance& instance,
-                                   const JqObjective& objective, Rng* rng,
-                                   const AnnealingOptions& options,
-                                   AnnealingStats* stats) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  // One columnar snapshot per solve, shared read-only by every chain's
-  // session (and the polish scans). The planned overload below hoists
-  // this (and the pool validation above) to a per-pool context.
-  const WorkerPoolView view(instance.candidates);
-  return SolveAnnealing(instance, view, objective, rng, options, stats);
-}
-
-Result<JspSolution> SolveAnnealing(const JspInstance& instance,
                                    const WorkerPoolView& view,
                                    const JqObjective& objective, Rng* rng,
                                    const AnnealingOptions& options,
                                    AnnealingStats* stats) {
+  JURY_RETURN_NOT_OK(ValidateSolveEntry(instance, view));
   if (rng == nullptr) {
     return Status::InvalidArgument("SolveAnnealing requires an Rng");
   }

@@ -11,8 +11,6 @@
 
 namespace jury {
 
-class WorkerPoolView;
-
 /// \brief Knobs of the simulated-annealing JSP heuristic (Algorithm 3).
 struct AnnealingOptions : SolverOptions {
   /// Initial temperature T (step 1 of Algorithm 3).
@@ -116,19 +114,9 @@ struct AnnealingStats {
 /// `exp(delta / T)` (Boltzmann). Temperature halves until epsilon.
 /// `options.num_restarts > 1` runs that many independent chains in
 /// parallel and returns the best jury found; `stats` then aggregates the
-/// per-chain instrumentation.
-Result<JspSolution> SolveAnnealing(const JspInstance& instance,
-                                   const JqObjective& objective, Rng* rng,
-                                   const AnnealingOptions& options = {},
-                                   AnnealingStats* stats = nullptr);
-
-/// \brief Planned-pool overload: the per-solve setup (pool validation and
-/// the columnar `WorkerPoolView` snapshot) is hoisted to the caller, which
-/// built it once — `api::PoolPlanContext` for the serving path. `view`
-/// must be a snapshot of `instance.candidates`-equal workers, and the
-/// pool must already be validated (only the options are re-checked here).
-/// Bit-identical to the wrapper above, which is now one `Validate` + one
-/// view build + this call.
+/// per-chain instrumentation. `view` is the columnar snapshot of
+/// `instance.candidates`, built once per validated pool (only
+/// `ValidateSolveEntry` and the options are checked here).
 Result<JspSolution> SolveAnnealing(const JspInstance& instance,
                                    const WorkerPoolView& view,
                                    const JqObjective& objective, Rng* rng,

@@ -254,19 +254,11 @@ Status BranchBoundOptions::Validate() const {
 }
 
 Result<JspSolution> SolveBranchAndBound(const JspInstance& instance,
-                                        const JqObjective& objective,
-                                        const BranchBoundOptions& options,
-                                        BranchBoundStats* stats) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  return SolveBranchAndBound(instance, view, objective, options, stats);
-}
-
-Result<JspSolution> SolveBranchAndBound(const JspInstance& instance,
                                         const WorkerPoolView& view,
                                         const JqObjective& objective,
                                         const BranchBoundOptions& options,
                                         BranchBoundStats* stats) {
+  JURY_RETURN_NOT_OK(ValidateSolveEntry(instance, view));
   JURY_RETURN_NOT_OK(options.Validate());
   if (!objective.monotone_in_size()) {
     return Status::InvalidArgument(

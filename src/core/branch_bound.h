@@ -8,8 +8,6 @@
 
 namespace jury {
 
-class WorkerPoolView;
-
 /// \brief Options/instrumentation for the branch-and-bound JSP solver.
 /// The search itself is serial (the base's `num_threads` is unused); the
 /// base's cancellation fields bound it per explored node — a stop
@@ -60,14 +58,8 @@ struct BranchBoundStats {
 ///
 /// Requires `objective.monotone_in_size()` (InvalidArgument otherwise) —
 /// for MV use `SolveExhaustive`. Ties break towards cheaper juries, like
-/// the exhaustive solver.
-Result<JspSolution> SolveBranchAndBound(const JspInstance& instance,
-                                        const JqObjective& objective,
-                                        const BranchBoundOptions& options = {},
-                                        BranchBoundStats* stats = nullptr);
-
-/// Planned-pool overload (see the annealing planned overload for the
-/// contract): pool validation and the columnar view are the caller's.
+/// the exhaustive solver. `view` is the columnar snapshot of
+/// `instance.candidates`, built once per validated pool.
 Result<JspSolution> SolveBranchAndBound(const JspInstance& instance,
                                         const WorkerPoolView& view,
                                         const JqObjective& objective,

@@ -18,6 +18,13 @@ Result<std::vector<BudgetQualityRow>> BuildBudgetQualityTable(
   if (rng == nullptr) {
     return Status::InvalidArgument("BuildBudgetQualityTable requires an Rng");
   }
+  // The pool is validated and snapshotted once; every row solves on the
+  // same view and objective (its counters are atomic).
+  for (const Worker& w : candidates) {
+    JURY_RETURN_NOT_OK(ValidateWorker(w));
+  }
+  const WorkerPoolView view(candidates);
+  const BucketBvObjective objective(options.bucket);
   // Rows are independent solves that run as one region on the process-wide
   // scheduler. Each row gets its own rng stream, forked from the caller's
   // rng serially (in row order) before the region. With nested solver
@@ -68,8 +75,8 @@ Result<std::vector<BudgetQualityRow>> BuildBudgetQualityTable(
       instance.budget = budgets[i];
       instance.alpha = alpha;
       Rng row_rng(row_seeds[i]);
-      Result<JspSolution> solution = SolveOptjs(instance, &row_rng,
-                                                row_options);
+      Result<JspSolution> solution =
+          SolveOptjs(instance, view, objective, &row_rng, row_options);
       if (!solution.ok()) {
         row_status[i] = solution.status();
         row_done[i] = 1;
@@ -127,6 +134,13 @@ Result<BudgetQualityRow> MinimalBudgetForQuality(
     JURY_RETURN_NOT_OK(ValidateWorker(w));
     total += w.cost;
   }
+  // One instance, view and objective serve every probe; probes only move
+  // the budget.
+  JspInstance instance;
+  instance.candidates = candidates;
+  instance.alpha = alpha;
+  const WorkerPoolView view(instance.candidates);
+  const BucketBvObjective objective(options.bucket);
 
   // One bisection probe is one work unit; a stop keeps the best budget
   // found so far (the full-pool solve below guarantees a valid fallback).
@@ -142,12 +156,9 @@ Result<BudgetQualityRow> MinimalBudgetForQuality(
   probe_options.max_work_units = 0;
 
   auto solve_at = [&](double budget) -> Result<JspSolution> {
-    JspInstance instance;
-    instance.candidates = candidates;
     instance.budget = budget;
-    instance.alpha = alpha;
     try {
-      return SolveOptjs(instance, rng, probe_options);
+      return SolveOptjs(instance, view, objective, rng, probe_options);
     } catch (const FaultInjectedError& error) {
       return Status::ResourceExhausted(error.what());
     }
@@ -187,9 +198,7 @@ Result<BudgetQualityRow> MinimalBudgetForQuality(
   BudgetQualityRow row;
   row.budget = best_budget;
   row.selected = best.selected;
-  JspInstance describe_instance;
-  describe_instance.candidates = candidates;
-  row.jury_ids = best.Describe(describe_instance);
+  row.jury_ids = best.Describe(instance);
   row.jq = best.jq;
   row.required = best.cost;
   return row;

@@ -265,19 +265,10 @@ Status ExhaustiveOptions::Validate() const {
 }
 
 Result<JspSolution> SolveExhaustive(const JspInstance& instance,
-                                    const JqObjective& objective,
-                                    const ExhaustiveOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  // One columnar snapshot per solve, shared read-only by every shard's
-  // session; the planned overload hoists it to a per-pool context.
-  const WorkerPoolView view(instance.candidates);
-  return SolveExhaustive(instance, view, objective, options);
-}
-
-Result<JspSolution> SolveExhaustive(const JspInstance& instance,
                                     const WorkerPoolView& view,
                                     const JqObjective& objective,
                                     const ExhaustiveOptions& options) {
+  JURY_RETURN_NOT_OK(ValidateSolveEntry(instance, view));
   JURY_RETURN_NOT_OK(options.Validate());
   const std::size_t n = instance.num_candidates();
   if (n > options.max_candidates) {

@@ -8,8 +8,6 @@
 
 namespace jury {
 
-class WorkerPoolView;
-
 /// \brief Options for the brute-force JSP solver.
 struct ExhaustiveOptions : SolverOptions {
   /// Hard cap on the candidate count (2^N subsets are enumerated).
@@ -41,13 +39,8 @@ struct ExhaustiveOptions : SolverOptions {
 /// For monotone objectives (Lemma 1), only maximal feasible juries need the
 /// objective evaluated — any non-maximal jury is dominated by a superset —
 /// which prunes most of the 2^N evaluations. Returns OutOfRange when N
-/// exceeds `max_candidates`.
-Result<JspSolution> SolveExhaustive(const JspInstance& instance,
-                                    const JqObjective& objective,
-                                    const ExhaustiveOptions& options = {});
-
-/// Planned-pool overload (see the annealing planned overload for the
-/// contract): pool validation and the columnar view are the caller's.
+/// exceeds `max_candidates`. `view` is the columnar snapshot of
+/// `instance.candidates`, built once per validated pool.
 Result<JspSolution> SolveExhaustive(const JspInstance& instance,
                                     const WorkerPoolView& view,
                                     const JqObjective& objective,

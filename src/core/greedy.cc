@@ -84,17 +84,10 @@ std::vector<std::size_t> SortedIndices(const std::vector<double>& keys) {
 }  // namespace
 
 Result<JspSolution> SolveGreedyByQuality(const JspInstance& instance,
-                                         const JqObjective& objective,
-                                         const GreedyOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  return SolveGreedyByQuality(instance, view, objective, options);
-}
-
-Result<JspSolution> SolveGreedyByQuality(const JspInstance& instance,
                                          const WorkerPoolView& view,
                                          const JqObjective& objective,
                                          const GreedyOptions& options) {
+  JURY_RETURN_NOT_OK(ValidateSolveEntry(instance, view));
   JURY_RETURN_NOT_OK(options.Validate());
   const std::vector<double> keys(view.quality().begin(),
                                  view.quality().end());
@@ -103,17 +96,10 @@ Result<JspSolution> SolveGreedyByQuality(const JspInstance& instance,
 }
 
 Result<JspSolution> SolveGreedyByValuePerCost(const JspInstance& instance,
-                                              const JqObjective& objective,
-                                              const GreedyOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  return SolveGreedyByValuePerCost(instance, view, objective, options);
-}
-
-Result<JspSolution> SolveGreedyByValuePerCost(const JspInstance& instance,
                                               const WorkerPoolView& view,
                                               const JqObjective& objective,
                                               const GreedyOptions& options) {
+  JURY_RETURN_NOT_OK(ValidateSolveEntry(instance, view));
   JURY_RETURN_NOT_OK(options.Validate());
   std::vector<double> keys(view.size());
   for (std::size_t i = 0; i < view.size(); ++i) {
@@ -125,17 +111,10 @@ Result<JspSolution> SolveGreedyByValuePerCost(const JspInstance& instance,
 }
 
 Result<JspSolution> SolveOddTopK(const JspInstance& instance,
-                                 const JqObjective& objective,
-                                 const GreedyOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  return SolveOddTopK(instance, view, objective, options);
-}
-
-Result<JspSolution> SolveOddTopK(const JspInstance& instance,
                                  const WorkerPoolView& view,
                                  const JqObjective& objective,
                                  const GreedyOptions& options) {
+  JURY_RETURN_NOT_OK(ValidateSolveEntry(instance, view));
   JURY_RETURN_NOT_OK(options.Validate());
   WorkGovernor governor(options.cancel_token, options.max_work_units);
   if (options.termination != nullptr) *options.termination = TerminationInfo{};
@@ -185,20 +164,10 @@ Result<JspSolution> SolveOddTopK(const JspInstance& instance,
 }
 
 Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
-                                            const JqObjective& objective,
-                                            const GreedyOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  // One columnar snapshot per solve: sessions (and their per-shard
-  // clones) score straight off the view's contiguous columns, and the
-  // affordability filter reads the cost column instead of Worker structs.
-  const WorkerPoolView view(instance.candidates);
-  return SolveGreedyMarginalGain(instance, view, objective, options);
-}
-
-Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
                                             const WorkerPoolView& view,
                                             const JqObjective& objective,
                                             const GreedyOptions& options) {
+  JURY_RETURN_NOT_OK(ValidateSolveEntry(instance, view));
   JURY_RETURN_NOT_OK(options.Validate());
   WorkGovernor governor(options.cancel_token, options.max_work_units);
   if (options.termination != nullptr) *options.termination = TerminationInfo{};

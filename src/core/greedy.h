@@ -8,8 +8,6 @@
 
 namespace jury {
 
-class WorkerPoolView;
-
 /// \brief Cheap deterministic JSP baselines, used for ablations (E19) and as
 /// seeds/components of the MVJS system. All of them grow juries one worker
 /// at a time through an `IncrementalJqEvaluator` session.
@@ -23,18 +21,23 @@ struct GreedyOptions : SolverOptions {
   Status Validate() const { return Status::OK(); }
 };
 
+// Every entry below takes `view`, the columnar snapshot of
+// `instance.candidates` built once per validated pool; only
+// `ValidateSolveEntry` and the options are checked per call.
+
 /// Sorts candidates by quality (descending) and adds each one that still
 /// fits the budget. With uniform costs this is optimal for BV by Lemmas 1-2
 /// (a property the tests verify).
 Result<JspSolution> SolveGreedyByQuality(const JspInstance& instance,
+                                         const WorkerPoolView& view,
                                          const JqObjective& objective,
                                          const GreedyOptions& options = {});
 
 /// Sorts by (quality - 0.5) / cost — informativeness per unit money — and
 /// adds while affordable. Free workers (cost ~ 0) rank first.
 Result<JspSolution> SolveGreedyByValuePerCost(
-    const JspInstance& instance, const JqObjective& objective,
-    const GreedyOptions& options = {});
+    const JspInstance& instance, const WorkerPoolView& view,
+    const JqObjective& objective, const GreedyOptions& options = {});
 
 /// MV-oriented heuristic: for every odd jury size k, greedily picks the k
 /// highest-quality affordable workers, evaluates the objective, and keeps
@@ -43,6 +46,7 @@ Result<JspSolution> SolveGreedyByValuePerCost(
 /// are nested, so one evaluation session walks every size in O(n) delta
 /// updates total.
 Result<JspSolution> SolveOddTopK(const JspInstance& instance,
+                                 const WorkerPoolView& view,
                                  const JqObjective& objective,
                                  const GreedyOptions& options = {});
 
@@ -56,24 +60,6 @@ Result<JspSolution> SolveOddTopK(const JspInstance& instance,
 /// `Clone()` of the round's session; scores are bit-identical to the
 /// serial scan and the winner is picked by the same ordered banded argmax,
 /// so the selected jury never depends on the thread count.
-Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
-                                            const JqObjective& objective,
-                                            const GreedyOptions& options = {});
-
-/// Planned-pool overloads of the four greedy solvers: pool validation and
-/// the columnar view are hoisted to the caller (see the annealing planned
-/// overload for the contract). Bit-identical to the wrappers above.
-Result<JspSolution> SolveGreedyByQuality(const JspInstance& instance,
-                                         const WorkerPoolView& view,
-                                         const JqObjective& objective,
-                                         const GreedyOptions& options = {});
-Result<JspSolution> SolveGreedyByValuePerCost(
-    const JspInstance& instance, const WorkerPoolView& view,
-    const JqObjective& objective, const GreedyOptions& options = {});
-Result<JspSolution> SolveOddTopK(const JspInstance& instance,
-                                 const WorkerPoolView& view,
-                                 const JqObjective& objective,
-                                 const GreedyOptions& options = {});
 Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
                                             const WorkerPoolView& view,
                                             const JqObjective& objective,

@@ -7,14 +7,35 @@
 #include "util/json.h"
 
 namespace jury {
+namespace {
 
-Status JspInstance::Validate() const {
-  JURY_RETURN_NOT_OK(ValidateAlpha(alpha));
-  if (!(budget >= 0.0)) {
+/// The pool-independent half of `JspInstance::Validate`.
+Status ValidateAlphaAndBudget(const JspInstance& instance) {
+  JURY_RETURN_NOT_OK(ValidateAlpha(instance.alpha));
+  if (!(instance.budget >= 0.0)) {
     return Status::InvalidArgument("budget must be non-negative");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status JspInstance::Validate() const {
+  JURY_RETURN_NOT_OK(ValidateAlphaAndBudget(*this));
   for (const Worker& w : candidates) {
     JURY_RETURN_NOT_OK(ValidateWorker(w));
+  }
+  return Status::OK();
+}
+
+Status ValidateSolveEntry(const JspInstance& instance,
+                          const WorkerPoolView& view) {
+  JURY_RETURN_NOT_OK(ValidateAlphaAndBudget(instance));
+  if (view.size() != instance.num_candidates()) {
+    return Status::InvalidArgument(
+        "pool view covers " + std::to_string(view.size()) +
+        " workers, instance has " +
+        std::to_string(instance.num_candidates()) + " candidates");
   }
   return Status::OK();
 }

@@ -7,6 +7,7 @@
 
 #include "model/jury.h"
 #include "model/worker.h"
+#include "model/worker_pool_view.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -22,9 +23,19 @@ struct JspInstance {
   double budget = 0.0;
   double alpha = 0.5;
 
+  /// Full O(n) check: a valid prior, a non-negative budget, and every
+  /// candidate's quality and cost. Run once where a pool is built.
   Status Validate() const;
   std::size_t num_candidates() const { return candidates.size(); }
 };
+
+/// The O(1) check every `Solve*` entry runs before it reads the pool: a
+/// valid prior, a non-negative budget, and a `view` with one entry per
+/// candidate (the solvers index the view's columns with candidate
+/// indices). InvalidArgument otherwise. It does not re-validate the
+/// workers: the caller validated the pool once, when it built `view`.
+Status ValidateSolveEntry(const JspInstance& instance,
+                          const WorkerPoolView& view);
 
 /// \brief A solved jury: indices into `JspInstance::candidates`, the
 /// objective value attained, and the jury's actual cost (<= budget).

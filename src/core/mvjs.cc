@@ -2,23 +2,15 @@
 
 #include "core/greedy.h"
 #include "core/objective.h"
-#include "model/worker_pool_view.h"
 
 namespace jury {
-
-Result<JspSolution> SolveMvjs(const JspInstance& instance, Rng* rng,
-                              const MvjsOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  const MajorityObjective objective;
-  return SolveMvjs(instance, view, objective, rng, options);
-}
 
 Result<JspSolution> SolveMvjs(const JspInstance& instance,
                               const WorkerPoolView& view,
                               const MajorityObjective& objective, Rng* rng,
                               const MvjsOptions& options,
                               AnnealingStats* annealing_stats) {
+  JURY_RETURN_NOT_OK(ValidateSolveEntry(instance, view));
   JURY_RETURN_NOT_OK(options.Validate());
   if (options.termination != nullptr) *options.termination = TerminationInfo{};
 

@@ -33,14 +33,10 @@ struct MvjsOptions : SolverOptions {
 
 /// Solves JSP under the MV strategy (the baseline system of §6.1.2).
 /// The returned `jq` is the exact JQ(J, MV, alpha) of the chosen jury.
-Result<JspSolution> SolveMvjs(const JspInstance& instance, Rng* rng,
-                              const MvjsOptions& options = {});
-
-/// \brief Planned-pool overload: pool validation and the columnar view are
-/// the caller's, and the exact-MV objective is passed in so the caller
-/// owns its evaluation counters (see the OPTJS planned overload). When
-/// `annealing_stats` is non-null it receives the inner SA
-/// instrumentation.
+/// `view` is the columnar snapshot of `instance.candidates`, built once
+/// per validated pool; the caller builds the exact-MV objective, so it
+/// owns its evaluation counters. When `annealing_stats` is non-null it
+/// receives the inner SA instrumentation.
 Result<JspSolution> SolveMvjs(const JspInstance& instance,
                               const WorkerPoolView& view,
                               const MajorityObjective& objective, Rng* rng,

@@ -33,8 +33,10 @@ double NormalizeQuality(double q) { return NormalizedQuality(q); }
 // ---------------------------------------------------------------------------
 class FullRecomputeEvaluator final : public IncrementalJqEvaluator {
  public:
-  FullRecomputeEvaluator(const JqObjective* objective, double alpha)
-      : IncrementalJqEvaluator(objective, alpha), objective_(objective) {}
+  FullRecomputeEvaluator(const JqObjective* objective,
+                         const WorkerPoolView& view, double alpha)
+      : IncrementalJqEvaluator(objective, view, alpha),
+        objective_(objective) {}
 
  protected:
   double ComputeAdd(const Worker& worker) override {
@@ -66,8 +68,9 @@ class FullRecomputeEvaluator final : public IncrementalJqEvaluator {
 // ---------------------------------------------------------------------------
 class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
  public:
-  IncrementalMajorityEvaluator(const JqObjective* objective, double alpha)
-      : IncrementalJqEvaluator(objective, alpha) {}
+  IncrementalMajorityEvaluator(const JqObjective* objective,
+                               const WorkerPoolView& view, double alpha)
+      : IncrementalJqEvaluator(objective, view, alpha) {}
 
  protected:
   double ComputeAdd(const Worker& worker) override {
@@ -107,29 +110,13 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
   /// Batched add scan: both conditional pmfs are queried through
   /// `PoissonBinomial::EvaluateBatch`, whose fused SoA loops replace the
   /// per-candidate scratch copy + convolution + cumulative rebuild of the
-  /// scalar path while reproducing its arithmetic bit for bit.
-  void ScoreAddBatch(const Worker* const* candidates, std::size_t count,
-                     double* scores) override {
-    Rollback();
-    if (count == 0) return;
-    batch_q0_.resize(count);
-    batch_q1_.resize(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      const double q = candidates[j]->quality;
-      batch_q0_[j] = q;
-      batch_q1_[j] = 1.0 - q;
-    }
-    FinishAddBatch(count, scores);
-  }
-
-  /// Index-based add scan: candidate probabilities come straight from the
-  /// view's quality column — the gather the columnar refactor deletes.
+  /// scalar path while reproducing its arithmetic bit for bit. Candidate
+  /// probabilities come straight from the view's quality column.
   void ScoreAddBatch(const std::size_t* pool_indices, std::size_t count,
                      double* scores) override {
     Rollback();
     if (count == 0) return;
-    JURY_CHECK(view() != nullptr) << "index-based batch scan without a view";
-    const std::span<const double> quality = view()->quality();
+    const std::span<const double> quality = view().quality();
     batch_q0_.resize(count);
     batch_q1_.resize(count);
     for (std::size_t j = 0; j < count; ++j) {
@@ -137,7 +124,21 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
       batch_q0_[j] = q;
       batch_q1_[j] = 1.0 - q;
     }
-    FinishAddBatch(count, scores);
+    // Query both committed pmfs with the candidate probabilities
+    // (conditioned on t = 0 / t = 1) and blend the MV score, exactly as
+    // `ScratchScore`.
+    const int n_new = zeros_t0_.size() + 1;
+    const int zeros_needed = n_new / 2 + 1;
+    batch_tail_.resize(count);
+    batch_cdf_.resize(count);
+    RunKernelPass([&] {
+      zeros_t0_.EvaluateBatch(batch_q0_.data(), count, zeros_needed, 0,
+                              batch_tail_.data(), nullptr);
+      zeros_t1_.EvaluateBatch(batch_q1_.data(), count, 0, zeros_needed - 1,
+                              nullptr, batch_cdf_.data());
+      BlendScores(count, scores);
+    });
+    CountIncrementalEvaluations(count);
   }
 
   /// Batched remove scan: for each member position, the tail/cdf pair of
@@ -187,7 +188,6 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
                       double* scores) override {
     Rollback();
     if (count == 0) return;
-    JURY_CHECK(view() != nullptr) << "index-based batch scan without a view";
     const double q_out = member_qualities()[out_position];
     scratch_t0_ = zeros_t0_;
     scratch_t1_ = zeros_t1_;
@@ -195,7 +195,7 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
     scratch_t1_.RemoveTrial(1.0 - q_out);
     const int n = scratch_t0_.size() + 1;  // == committed size
     const int zeros_needed = n / 2 + 1;
-    const std::span<const double> quality = view()->quality();
+    const std::span<const double> quality = view().quality();
     batch_q0_.resize(count);
     batch_q1_.resize(count);
     batch_tail_.resize(count);
@@ -216,24 +216,6 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
   }
 
  private:
-  /// Shared tail of the add scans: `batch_q0_`/`batch_q1_` hold the
-  /// candidate probabilities (conditioned on t = 0 / t = 1); queries both
-  /// committed pmfs and blends the MV score, exactly as `ScratchScore`.
-  void FinishAddBatch(std::size_t count, double* scores) {
-    const int n_new = zeros_t0_.size() + 1;
-    const int zeros_needed = n_new / 2 + 1;
-    batch_tail_.resize(count);
-    batch_cdf_.resize(count);
-    RunKernelPass([&] {
-      zeros_t0_.EvaluateBatch(batch_q0_.data(), count, zeros_needed, 0,
-                              batch_tail_.data(), nullptr);
-      zeros_t1_.EvaluateBatch(batch_q1_.data(), count, 0, zeros_needed - 1,
-                              nullptr, batch_cdf_.data());
-      BlendScores(count, scores);
-    });
-    CountIncrementalEvaluations(count);
-  }
-
   /// MV score of each staged candidate from its tail/cdf pair.
   void BlendScores(std::size_t count, double* scores) const {
     const double a = alpha();
@@ -281,8 +263,9 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
 // ---------------------------------------------------------------------------
 class IncrementalExactBvEvaluator final : public IncrementalJqEvaluator {
  public:
-  IncrementalExactBvEvaluator(const JqObjective* objective, double alpha)
-      : IncrementalJqEvaluator(objective, alpha),
+  IncrementalExactBvEvaluator(const JqObjective* objective,
+                              const WorkerPoolView& view, double alpha)
+      : IncrementalJqEvaluator(objective, view, alpha),
         prior_stat_(LogOdds(EffectiveQuality(alpha))) {
     FoldMembers({}, &state_);  // empty product
   }
@@ -415,9 +398,10 @@ class IncrementalExactBvEvaluator final : public IncrementalJqEvaluator {
 // ---------------------------------------------------------------------------
 class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
  public:
-  IncrementalBucketBvEvaluator(const JqObjective* objective, double alpha,
+  IncrementalBucketBvEvaluator(const JqObjective* objective,
+                               const WorkerPoolView& view, double alpha,
                                const BucketJqOptions& options)
-      : IncrementalJqEvaluator(objective, alpha), options_(options) {
+      : IncrementalJqEvaluator(objective, view, alpha), options_(options) {
     JURY_CHECK_GT(options_.num_buckets, 0);
     if (!IsUninformativeAlpha(alpha)) {
       has_prior_ = true;
@@ -525,39 +509,14 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
   /// (§4.4 shortcut, all-0.5, grid move, span overflow, no cached state)
   /// fall back to the scalar `ScoreAdd` path, which handles — and counts
   /// — them exactly as before. Scores are bit-identical to the scalar
-  /// scan.
-  void ScoreAddBatch(const Worker* const* candidates, std::size_t count,
-                     double* scores) override {
-    Rollback();
-    if (count == 0) return;
-    const double committed_max = CommittedMaxQuality();
-    batch_bs_.clear();
-    batch_qs_.clear();
-    batch_slot_.clear();
-    std::size_t fast_or_special = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      const double q = NormalizeQuality(candidates[j]->quality);
-      if (!StageAddCandidate(j, q, LogOdds(EffectiveQuality(q)),
-                             committed_max, scores, &fast_or_special)) {
-        // Grid move / invalid cache / oversized span: the scalar path owns
-        // these (including their full-evaluation accounting).
-        scores[j] = ScoreAdd(*candidates[j]);
-        Rollback();
-      }
-    }
-    FlushConvolveBatch(dist_, scores, fast_or_special);
-  }
-
-  /// Index-based add scan: normalized qualities and log-odds come straight
-  /// from the view's columns — no per-candidate `Worker` gather and no
-  /// re-running of the flip/log per score.
+  /// scan. Normalized qualities and log-odds come straight from the
+  /// view's columns, so no score re-runs the flip or the log.
   void ScoreAddBatch(const std::size_t* pool_indices, std::size_t count,
                      double* scores) override {
     Rollback();
     if (count == 0) return;
-    JURY_CHECK(view() != nullptr) << "index-based batch scan without a view";
-    const std::span<const double> norm = view()->norm_quality();
-    const std::span<const double> phi = view()->log_odds();
+    const std::span<const double> norm = view().norm_quality();
+    const std::span<const double> phi = view().log_odds();
     const double committed_max = CommittedMaxQuality();
     batch_bs_.clear();
     batch_qs_.clear();
@@ -567,7 +526,9 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
       const std::size_t idx = pool_indices[j];
       if (!StageAddCandidate(j, norm[idx], phi[idx], committed_max, scores,
                              &fast_or_special)) {
-        scores[j] = ScoreAdd(view()->worker(idx));
+        // Grid move / invalid cache / oversized span: the scalar path owns
+        // these (including their full-evaluation accounting).
+        scores[j] = ScoreAdd(view().worker(idx));
         Rollback();
       }
     }
@@ -634,9 +595,8 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
                       double* scores) override {
     Rollback();
     if (count == 0) return;
-    JURY_CHECK(view() != nullptr) << "index-based batch scan without a view";
-    const std::span<const double> norm = view()->norm_quality();
-    const std::span<const double> phi = view()->log_odds();
+    const std::span<const double> norm = view().norm_quality();
+    const std::span<const double> phi = view().log_odds();
     const double removed_max = MaxQualityWithout(out_position);
     const std::int64_t out_b = dist_valid_ ? bucket_[out_position] : 0;
     batch_bs_.clear();
@@ -677,7 +637,7 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
           continue;
         }
       }
-      scores[j] = ScoreSwap(out_position, view()->worker(idx));
+      scores[j] = ScoreSwap(out_position, view().worker(idx));
       Rollback();
     }
     FlushConvolveBatch(swap_dist_, scores, fast_or_special);
@@ -938,9 +898,11 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
 // --------------------------------------------------------------- base class
 
 IncrementalJqEvaluator::IncrementalJqEvaluator(const JqObjective* objective,
+                                               const WorkerPoolView& view,
                                                double alpha)
     : objective_(objective),
       alpha_(alpha),
+      view_(&view),
       current_jq_(objective->EmptyJq(alpha)) {}
 
 double IncrementalJqEvaluator::ScoreAdd(const Worker& worker) {
@@ -951,21 +913,11 @@ double IncrementalJqEvaluator::ScoreAdd(const Worker& worker) {
   return staged_score_;
 }
 
-void IncrementalJqEvaluator::ScoreAddBatch(const Worker* const* candidates,
+void IncrementalJqEvaluator::ScoreAddBatch(const std::size_t* pool_indices,
                                            std::size_t count,
                                            double* scores) {
   // Reference implementation: the scalar scan loop, so backends without a
   // batched kernel (full-recompute, exact-BV) behave exactly as before.
-  for (std::size_t j = 0; j < count; ++j) {
-    scores[j] = ScoreAdd(*candidates[j]);
-  }
-  Rollback();
-}
-
-void IncrementalJqEvaluator::ScoreAddBatch(const std::size_t* pool_indices,
-                                           std::size_t count,
-                                           double* scores) {
-  JURY_CHECK(view_ != nullptr) << "index-based batch scan without a view";
   for (std::size_t j = 0; j < count; ++j) {
     scores[j] = ScoreAdd(view_->worker(pool_indices[j]));
   }
@@ -984,7 +936,6 @@ void IncrementalJqEvaluator::ScoreSwapBatch(std::size_t out_position,
                                             const std::size_t* pool_indices,
                                             std::size_t count,
                                             double* scores) {
-  JURY_CHECK(view_ != nullptr) << "index-based batch scan without a view";
   for (std::size_t j = 0; j < count; ++j) {
     scores[j] = ScoreSwap(out_position, view_->worker(pool_indices[j]));
   }
@@ -1100,43 +1051,39 @@ void IncrementalJqEvaluator::CountIncrementalEvaluations(std::size_t n) const {
 // ---------------------------------------------------------------- factories
 
 std::unique_ptr<IncrementalJqEvaluator> JqObjective::StartSession(
-    double alpha, bool incremental) const {
+    const WorkerPoolView& view, double alpha, bool incremental) const {
   // Session construction is the solve path's first real allocation; the
   // hook stands in for it failing before any state exists.
   JURY_FAULT_POINT("eval.session_start");
   if (!incremental) {
-    return std::make_unique<FullRecomputeEvaluator>(this, alpha);
+    return std::make_unique<FullRecomputeEvaluator>(this, view, alpha);
   }
-  return StartIncrementalSession(alpha);
-}
-
-std::unique_ptr<IncrementalJqEvaluator> JqObjective::StartSession(
-    const WorkerPoolView& view, double alpha, bool incremental) const {
-  auto session = StartSession(alpha, incremental);
-  session->BindView(&view);
-  return session;
+  return StartIncrementalSession(view, alpha);
 }
 
 std::unique_ptr<IncrementalJqEvaluator> JqObjective::StartIncrementalSession(
-    double alpha) const {
+    const WorkerPoolView& view, double alpha) const {
   // Objectives without a delta backend still get the session API.
-  return std::make_unique<FullRecomputeEvaluator>(this, alpha);
+  return std::make_unique<FullRecomputeEvaluator>(this, view, alpha);
 }
 
 std::unique_ptr<IncrementalJqEvaluator>
-BucketBvObjective::StartIncrementalSession(double alpha) const {
-  return std::make_unique<IncrementalBucketBvEvaluator>(this, alpha,
+BucketBvObjective::StartIncrementalSession(const WorkerPoolView& view,
+                                           double alpha) const {
+  return std::make_unique<IncrementalBucketBvEvaluator>(this, view, alpha,
                                                         options_);
 }
 
 std::unique_ptr<IncrementalJqEvaluator>
-ExactBvObjective::StartIncrementalSession(double alpha) const {
-  return std::make_unique<IncrementalExactBvEvaluator>(this, alpha);
+ExactBvObjective::StartIncrementalSession(const WorkerPoolView& view,
+                                          double alpha) const {
+  return std::make_unique<IncrementalExactBvEvaluator>(this, view, alpha);
 }
 
 std::unique_ptr<IncrementalJqEvaluator>
-MajorityObjective::StartIncrementalSession(double alpha) const {
-  return std::make_unique<IncrementalMajorityEvaluator>(this, alpha);
+MajorityObjective::StartIncrementalSession(const WorkerPoolView& view,
+                                           double alpha) const {
+  return std::make_unique<IncrementalMajorityEvaluator>(this, view, alpha);
 }
 
 // --------------------------------------------------------------- one-shots

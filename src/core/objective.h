@@ -54,9 +54,10 @@ struct EvaluationCounters {
 ///
 /// Two-level API:
 ///  * `Evaluate` — stateless one-shot scoring of an arbitrary jury;
-///  * `StartSession` — an `IncrementalJqEvaluator` that scores the
-///    add/remove/swap neighbourhood of a growing jury via O(n) delta
-///    updates, which is how the solvers explore candidates.
+///  * `StartSession` — an `IncrementalJqEvaluator` over a candidate pool's
+///    view that scores the add/remove/swap neighbourhood of a growing
+///    jury via O(n) delta updates, which is how the solvers explore
+///    candidates.
 class JqObjective {
  public:
   /// Pool-view column in which this objective's *add* score is monotone
@@ -107,19 +108,14 @@ class JqObjective {
   /// never hard-code the binary formula.
   virtual double EmptyJq(double alpha) const { return EmptyJuryJq(alpha); }
 
-  /// Opens an evaluation session starting from the empty jury. When
-  /// `incremental` is false the session scores every move by materializing
-  /// the jury and calling `Evaluate` — the `--no-incremental` reference
-  /// path that delta updates are asserted bit-equal (within 1e-12) against.
-  std::unique_ptr<IncrementalJqEvaluator> StartSession(
-      double alpha, bool incremental = true) const;
-
-  /// View-bound session: identical scoring semantics, with the candidate
-  /// pool's columnar snapshot attached so the index-based batched
-  /// move-scan APIs (`ScoreAddBatch`/`ScoreRemoveBatch`/`ScoreSwapBatch`
-  /// over view indices) read contiguous columns instead of re-gathering
-  /// `Worker` structs. `view` must outlive the session (solvers build it
-  /// once per solve from `JspInstance::candidates`).
+  /// Opens an evaluation session starting from the empty jury, bound to
+  /// the candidate pool's columnar snapshot: the batched move scans
+  /// (`ScoreAddBatch`/`ScoreRemoveBatch`/`ScoreSwapBatch` over view
+  /// indices) read its contiguous columns. `view` must outlive the
+  /// session; callers build it once per pool. When `incremental` is false
+  /// the session scores every move by materializing the jury and calling
+  /// `Evaluate` — the `--no-incremental` reference path that delta updates
+  /// are asserted bit-equal (within 1e-12) against.
   std::unique_ptr<IncrementalJqEvaluator> StartSession(
       const WorkerPoolView& view, double alpha,
       bool incremental = true) const;
@@ -144,7 +140,7 @@ class JqObjective {
   /// Backend hook: returns the delta-updating session. The default is the
   /// full-recompute session, so third-party objectives keep working.
   virtual std::unique_ptr<IncrementalJqEvaluator> StartIncrementalSession(
-      double alpha) const;
+      const WorkerPoolView& view, double alpha) const;
 
   // Out of line: besides the per-objective atomic it bumps the
   // process-wide stats registry, which this header must not drag in.
@@ -183,12 +179,9 @@ class IncrementalJqEvaluator {
   const std::vector<double>& member_qualities() const {
     return member_quality_;
   }
-  /// The columnar pool view bound at `StartSession(view, ...)` (nullptr
-  /// for unbound sessions). Clones share the parent's view.
-  const WorkerPoolView* view() const { return view_; }
-  /// Binds `view` as the candidate pool the index-based batch APIs score
-  /// from. The view must outlive the session.
-  void BindView(const WorkerPoolView* view) { view_ = view; }
+  /// The columnar pool view bound at `StartSession`. Clones share the
+  /// parent's view.
+  const WorkerPoolView& view() const { return *view_; }
   std::size_t size() const { return members_.size(); }
   /// JQ of the committed jury (`EmptyJuryJq(alpha)` for the empty jury).
   double current_jq() const { return current_jq_; }
@@ -219,24 +212,6 @@ class IncrementalJqEvaluator {
   /// JQ of members + `worker`; stages the addition.
   double ScoreAdd(const Worker& worker);
 
-  /// \brief Batched candidate scoring — the greedy-scan fast path.
-  ///
-  /// Fills `scores[j]` with the value `ScoreAdd(*candidates[j])` would
-  /// return, for every candidate, against the *committed* jury; leaves no
-  /// move staged (any previously staged move is discarded). The base
-  /// implementation loops `ScoreAdd` + `Rollback`; the MV and BV/bucket
-  /// backends override it with fused structure-of-arrays kernels
-  /// (`PoissonBinomial::EvaluateBatch`,
-  /// `BucketKeyDistribution::ConvolvePositiveMassBatch`) whose contiguous
-  /// inner loops skip the per-candidate scratch copies and virtual
-  /// dispatch of the scalar path. Each score is a pure function of
-  /// (committed jury, candidate) — never of how candidates are grouped
-  /// into batches — so sharding a scan across threads with any grain
-  /// yields the same scores, which is what keeps the parallel greedy scan
-  /// bit-deterministic in the thread count.
-  virtual void ScoreAddBatch(const Worker* const* candidates,
-                             std::size_t count, double* scores);
-
   /// \brief Unified batched move-scan API over the bound view.
   ///
   /// The index-based triplet below is the one scan surface every solver's
@@ -252,16 +227,18 @@ class IncrementalJqEvaluator {
   /// staged, and are pure functions of (committed jury, candidate) — so
   /// scans can be sharded across threads with any grain without changing
   /// a single bit. The base implementations loop the scalar calls, which
-  /// is what the full-recompute and exact-BV sessions use.
+  /// is what the full-recompute and exact-BV sessions use. Every score is
+  /// against the *committed* jury, and any previously staged move is
+  /// discarded.
   ///
-  /// Fills `scores[j]` with `ScoreAdd(view()->worker(pool_indices[j]))`.
+  /// Fills `scores[j]` with `ScoreAdd(view().worker(pool_indices[j]))`.
   virtual void ScoreAddBatch(const std::size_t* pool_indices,
                              std::size_t count, double* scores);
   /// Fills `scores[j]` with `ScoreRemove(member_positions[j])`.
   virtual void ScoreRemoveBatch(const std::size_t* member_positions,
                                 std::size_t count, double* scores);
   /// Fills `scores[j]` with
-  /// `ScoreSwap(out_position, view()->worker(pool_indices[j]))` — the
+  /// `ScoreSwap(out_position, view().worker(pool_indices[j]))` — the
   /// swap-partner scan of the annealing neighbourhood.
   virtual void ScoreSwapBatch(std::size_t out_position,
                               const std::size_t* pool_indices,
@@ -278,7 +255,8 @@ class IncrementalJqEvaluator {
   void Rollback();
 
  protected:
-  IncrementalJqEvaluator(const JqObjective* objective, double alpha);
+  IncrementalJqEvaluator(const JqObjective* objective,
+                         const WorkerPoolView& view, double alpha);
   /// Memberwise copy for `Clone` implementations.
   IncrementalJqEvaluator(const IncrementalJqEvaluator&) = default;
 
@@ -332,7 +310,7 @@ class IncrementalJqEvaluator {
 
   const JqObjective* objective_;
   double alpha_;
-  const WorkerPoolView* view_ = nullptr;
+  const WorkerPoolView* view_;
   std::vector<Worker> members_;
   std::vector<double> member_quality_;  // aligned with members_
   double current_jq_;
@@ -359,7 +337,7 @@ class BucketBvObjective final : public JqObjective {
 
  protected:
   std::unique_ptr<IncrementalJqEvaluator> StartIncrementalSession(
-      double alpha) const override;
+      const WorkerPoolView& view, double alpha) const override;
 
  private:
   BucketJqOptions options_;
@@ -383,7 +361,7 @@ class ExactBvObjective final : public JqObjective {
 
  protected:
   std::unique_ptr<IncrementalJqEvaluator> StartIncrementalSession(
-      double alpha) const override;
+      const WorkerPoolView& view, double alpha) const override;
 };
 
 /// MV jury quality via the exact Poisson-binomial DP. The MVJS baseline
@@ -401,7 +379,7 @@ class MajorityObjective final : public JqObjective {
 
  protected:
   std::unique_ptr<IncrementalJqEvaluator> StartIncrementalSession(
-      double alpha) const override;
+      const WorkerPoolView& view, double alpha) const override;
 };
 
 }  // namespace jury

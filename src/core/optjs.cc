@@ -4,7 +4,6 @@
 
 #include "core/greedy.h"
 #include "core/objective.h"
-#include "model/worker_pool_view.h"
 #include "util/scheduler.h"
 
 namespace jury {
@@ -42,20 +41,13 @@ Status OptjsOptions::Validate() const {
   return Status::OK();
 }
 
-Result<JspSolution> SolveOptjs(const JspInstance& instance, Rng* rng,
-                               const OptjsOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  const BucketBvObjective objective(options.bucket);
-  return SolveOptjs(instance, view, objective, rng, options);
-}
-
 Result<JspSolution> SolveOptjs(const JspInstance& instance,
                                const WorkerPoolView& view,
                                const BucketBvObjective& objective, Rng* rng,
                                const OptjsOptions& options,
                                AnnealingStats* annealing_stats,
                                bool* used_exhaustive_shortcut) {
+  JURY_RETURN_NOT_OK(ValidateSolveEntry(instance, view));
   JURY_RETURN_NOT_OK(options.Validate());
   if (annealing_stats != nullptr) *annealing_stats = AnnealingStats{};
   if (options.termination != nullptr) *options.termination = TerminationInfo{};

@@ -42,19 +42,14 @@ struct OptjsOptions : SolverOptions {
 ///
 /// The returned `jq` is the Algorithm-1 estimate JQ-hat(J, BV, alpha), an
 /// underestimate of the true JQ by at most the §4.4 bound.
-Result<JspSolution> SolveOptjs(const JspInstance& instance, Rng* rng,
-                               const OptjsOptions& options = {});
-
-/// \brief Planned-pool overload: pool validation and the columnar view are
-/// the caller's (see the annealing planned overload for the contract), and
-/// the Algorithm-1 objective is passed in rather than built per call so
-/// the caller owns its evaluation counters — `objective.options()` must
-/// equal `options.bucket`. When `annealing_stats` is non-null it receives
-/// the inner SA instrumentation (zeroed when the exhaustive shortcut ran
+///
+/// `view` is the columnar snapshot of `instance.candidates`, built once
+/// per validated pool. The caller builds the Algorithm-1 objective, so it
+/// owns its evaluation counters; `objective.options()` must equal
+/// `options.bucket`. When `annealing_stats` is non-null it receives the
+/// inner SA instrumentation (zeroed when the exhaustive shortcut ran
 /// instead); `used_exhaustive_shortcut` (when non-null) records which
-/// path the facade actually took. The one-argument wrapper above is
-/// exactly: validate pool, build view, build
-/// `BucketBvObjective(options.bucket)`, call this.
+/// path the facade actually took.
 Result<JspSolution> SolveOptjs(const JspInstance& instance,
                                const WorkerPoolView& view,
                                const BucketBvObjective& objective, Rng* rng,

@@ -198,7 +198,9 @@ Status PoolSnapshot::Write(const std::string& path,
 
   std::byte* cursor = payload;
   const auto put_column = [&cursor, count](std::span<const double> column) {
-    std::memcpy(cursor, column.data(), 8 * count);
+    // An empty pool's column has a null data(), and memcpy requires a
+    // non-null source even for zero bytes.
+    if (count > 0) std::memcpy(cursor, column.data(), 8 * count);
     cursor += 8 * count;
   };
   put_column(view.quality());

@@ -11,21 +11,19 @@
 namespace jury {
 
 /// \brief Immutable columnar (structure-of-arrays) snapshot of a candidate
-/// worker pool, built once per solve.
+/// worker pool, built once per pool and shared by every solve on it.
 ///
 /// The JQ kernels under every JSP solver — the Poisson-binomial
 /// convolutions for MV, the Algorithm-1 bucketed key DP for BV — are flat
 /// numeric loops over worker probabilities, yet the pool is stored as an
-/// array of `Worker` structs (id string + quality + cost). Before this
-/// view, every batched scan re-gathered those fields through an
-/// `const Worker* const*` indirection per candidate per round. The view
-/// hoists that gather to one O(n) pass per solve: contiguous `double`
+/// array of `Worker` structs (id string + quality + cost). The view
+/// gathers those fields in one O(n) pass per pool: contiguous `double`
 /// columns for the quality, cost, §3.3 flip-normalized quality, and
 /// log-odds `phi(q) = ln(q/(1-q))` of every candidate, plus a stable
-/// index ↔ WorkerId map. Evaluation sessions bound to a view
-/// (`JqObjective::StartSession(view, ...)`) consume the columns directly
-/// in their batched move scans; the derived columns are computed with
-/// exactly the session backends' own expressions
+/// index ↔ WorkerId map. Every evaluation session is bound to a view
+/// (`JqObjective::StartSession(view, ...)`) and consumes the columns
+/// directly in its batched move scans; the derived columns are computed
+/// with exactly the session backends' own expressions
 /// (`NormalizeQuality`/`EffectiveQuality`/`LogOdds`), so column-sourced
 /// scores are bit-identical to struct-sourced ones.
 ///
@@ -39,10 +37,11 @@ namespace jury {
 ///     (lazy materialization) for the call sites that need the AoS record.
 ///
 /// The view never owns the workers: it keeps a `std::span` over the
-/// caller's array (a `JspInstance::candidates` vector in most in-repo
-/// uses), which must outlive the view. Views are immutable after
-/// construction (BindWorkers excepted, which happens once before any
-/// `worker()` access) and therefore freely shared across threads.
+/// caller's array (a `PoolPlanContext` epoch's candidate table, or the
+/// vector a direct caller passes as `JspInstance::candidates`), which
+/// must outlive the view. Views are immutable after construction
+/// (BindWorkers excepted, which happens once before any `worker()`
+/// access) and therefore freely shared across threads.
 class WorkerPoolView {
  public:
   static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);

@@ -132,6 +132,7 @@ Result<McJspSolution> SolveMcAnnealing(const McJspInstance& instance, Rng* rng,
     return Status::InvalidArgument("bucket.num_buckets must be positive");
   }
   const JspInstance binary = MakeBinaryInstance(instance);
+  const WorkerPoolView view(binary.candidates);
   const McJqObjectiveAdapter objective(instance, options.bucket);
   AnnealingOptions annealing;
   annealing.initial_temperature = options.initial_temperature;
@@ -139,7 +140,7 @@ Result<McJspSolution> SolveMcAnnealing(const McJspInstance& instance, Rng* rng,
   annealing.cooling_factor = options.cooling_factor;
   JspSolution solution;
   JURY_ASSIGN_OR_RETURN(
-      solution, SolveAnnealing(binary, objective, rng, annealing));
+      solution, SolveAnnealing(binary, view, objective, rng, annealing));
   return FromBinary(solution);
 }
 
@@ -151,12 +152,13 @@ Result<McJspSolution> SolveMcExhaustive(const McJspInstance& instance,
     return Status::InvalidArgument("bucket.num_buckets must be positive");
   }
   const JspInstance binary = MakeBinaryInstance(instance);
+  const WorkerPoolView view(binary.candidates);
   const McJqObjectiveAdapter objective(instance, bucket);
   ExhaustiveOptions exhaustive;
   exhaustive.max_candidates = max_candidates;
   JspSolution solution;
   JURY_ASSIGN_OR_RETURN(solution,
-                        SolveExhaustive(binary, objective, exhaustive));
+                        SolveExhaustive(binary, view, objective, exhaustive));
   return FromBinary(solution);
 }
 

@@ -11,15 +11,21 @@ Result<MultiLabelPlan> PlanMultiLabelSelection(
   std::vector<BinaryProjection> projections;
   JURY_ASSIGN_OR_RETURN(projections, DecomposeToBinary(candidates, prior));
 
+  const BucketBvObjective objective(options.bucket);
   MultiLabelPlan plan;
   plan.selections.reserve(projections.size());
   for (BinaryProjection& projection : projections) {
+    // Each label's projection is its own pool: validated and snapshotted
+    // once, then solved.
     JspInstance instance;
     instance.candidates = projection.workers;
     instance.budget = budget_per_label;
     instance.alpha = projection.alpha;
+    JURY_RETURN_NOT_OK(instance.Validate());
+    const WorkerPoolView view(instance.candidates);
     JspSolution solution;
-    JURY_ASSIGN_OR_RETURN(solution, SolveOptjs(instance, rng, options));
+    JURY_ASSIGN_OR_RETURN(solution,
+                          SolveOptjs(instance, view, objective, rng, options));
 
     LabelSelection selection;
     selection.label = projection.label;

@@ -5,6 +5,17 @@
 #include <utility>
 
 namespace jury {
+namespace {
+
+// `fault.injected` is bumped by util/fault_injection.cc, but Release builds
+// compile the fault hooks out, so no binary references that unit and the
+// static link drops it, registration included. Registering the counter
+// here, in the unit every stats consumer links, keeps the exported schema
+// the same in every build type.
+[[maybe_unused]] StatsRegistry::Counter& g_faults_injected =
+    RegisterStatsCounter("fault.injected");
+
+}  // namespace
 
 StatsRegistry& StatsRegistry::Global() {
   // Leaked intentionally: counters registered from static initializers in

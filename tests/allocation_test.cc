@@ -47,7 +47,9 @@ TEST(AllocationTest, BeatsUniformSplit) {
     instance.candidates = task.candidates;
     instance.budget = global / 6.0;
     instance.alpha = task.alpha;
-    uniform_mean += SolveOptjs(instance, &r2).value().jq;
+    const WorkerPoolView view(instance.candidates);
+    uniform_mean +=
+        SolveOptjs(instance, view, BucketBvObjective(), &r2).value().jq;
   }
   uniform_mean /= 6.0;
   EXPECT_GE(smart.mean_jq, uniform_mean - 1e-6);

@@ -3,7 +3,7 @@
 //
 // The central claims, property-tested over seeded instances:
 //  * every registered solver returns the *bit-identical* jury through the
-//    new SolveRequest path and the legacy free function;
+//    SolveRequest path and a direct call of its core free function;
 //  * SolveMany over shuffled request batches is order- and
 //    thread-count-invariant;
 //  * unknown solver names and invalid options surface as non-OK Status —
@@ -47,49 +47,52 @@ std::vector<std::vector<Worker>> SeededPools(int count, int n) {
   return pools;
 }
 
-/// The legacy call the registry adapter for `name` must match bit-for-bit.
-Result<JspSolution> LegacySolve(const std::string& name,
+/// The direct core call the registry adapter for `name` must match
+/// bit-for-bit.
+Result<JspSolution> DirectSolve(const std::string& name,
                                 const JspInstance& instance,
                                 const SolveRequest& request) {
+  const WorkerPoolView view(instance.candidates);
+  Rng rng(request.rng_seed);
   if (name == "optjs") {
-    Rng rng(request.rng_seed);
-    return SolveOptjs(instance, &rng, request.tuning.optjs);
+    const BucketBvObjective objective(request.tuning.optjs.bucket);
+    return SolveOptjs(instance, view, objective, &rng, request.tuning.optjs);
   }
   if (name == "mvjs") {
-    Rng rng(request.rng_seed);
-    return SolveMvjs(instance, &rng, request.tuning.mvjs);
+    const MajorityObjective objective;
+    return SolveMvjs(instance, view, objective, &rng, request.tuning.mvjs);
   }
   auto objective = MakeObjective(request.tuning);
   if (!objective.ok()) return objective.status();
   if (name == "annealing") {
-    Rng rng(request.rng_seed);
-    return SolveAnnealing(instance, *objective.value(), &rng,
+    return SolveAnnealing(instance, view, *objective.value(), &rng,
                           request.tuning.annealing);
   }
   if (name == "exhaustive") {
-    return SolveExhaustive(instance, *objective.value(),
+    return SolveExhaustive(instance, view, *objective.value(),
                            request.tuning.exhaustive);
   }
   if (name == "greedy-quality") {
-    return SolveGreedyByQuality(instance, *objective.value(),
+    return SolveGreedyByQuality(instance, view, *objective.value(),
                                 request.tuning.greedy);
   }
   if (name == "greedy-value") {
-    return SolveGreedyByValuePerCost(instance, *objective.value(),
+    return SolveGreedyByValuePerCost(instance, view, *objective.value(),
                                      request.tuning.greedy);
   }
   if (name == "greedy-mg") {
-    return SolveGreedyMarginalGain(instance, *objective.value(),
+    return SolveGreedyMarginalGain(instance, view, *objective.value(),
                                    request.tuning.greedy);
   }
   if (name == "odd-top-k") {
-    return SolveOddTopK(instance, *objective.value(), request.tuning.greedy);
+    return SolveOddTopK(instance, view, *objective.value(),
+                        request.tuning.greedy);
   }
   if (name == "branch-bound") {
-    return SolveBranchAndBound(instance, *objective.value(),
+    return SolveBranchAndBound(instance, view, *objective.value(),
                                request.tuning.branch_bound);
   }
-  return Status::NotFound("test has no legacy mapping for '" + name + "'");
+  return Status::NotFound("test has no direct mapping for '" + name + "'");
 }
 
 TEST(RegistryTest, NamesAreStableAndResolvable) {
@@ -127,9 +130,9 @@ INSTANTIATE_TEST_SUITE_P(AllSolvers, RegistryContractTest,
                            return name;
                          });
 
-/// (a) of the registry contract: the SolveRequest path equals the legacy
-/// free function bit-for-bit on seeded instances.
-TEST_P(RegistryContractTest, MatchesLegacyFreeFunctionBitForBit) {
+/// (a) of the registry contract: the SolveRequest path equals the direct
+/// core call bit-for-bit on seeded instances.
+TEST_P(RegistryContractTest, MatchesDirectSolverCallBitForBit) {
   const std::string name = GetParam();
   for (const std::vector<Worker>& pool : SeededPools(5, 10)) {
     auto context = PoolPlanContext::Plan(pool).value();
@@ -153,12 +156,12 @@ TEST_P(RegistryContractTest, MatchesLegacyFreeFunctionBitForBit) {
         instance.candidates = pool;
         instance.budget = budget;
         instance.alpha = 0.4;
-        auto legacy = LegacySolve(name, instance, request);
-        ASSERT_TRUE(legacy.ok()) << name << ": " << legacy.status();
-        EXPECT_EQ(report.value().solution.selected, legacy.value().selected)
+        auto direct = DirectSolve(name, instance, request);
+        ASSERT_TRUE(direct.ok()) << name << ": " << direct.status();
+        EXPECT_EQ(report.value().solution.selected, direct.value().selected)
             << name << " B=" << budget << " seed=" << seed;
-        EXPECT_EQ(report.value().solution.jq, legacy.value().jq);
-        EXPECT_EQ(report.value().solution.cost, legacy.value().cost);
+        EXPECT_EQ(report.value().solution.jq, direct.value().jq);
+        EXPECT_EQ(report.value().solution.cost, direct.value().cost);
       }
     }
   }
@@ -371,8 +374,7 @@ TEST(OptionsValidationTest, DirectValidateCalls) {
   bad_threshold.exhaustive_threshold = 63;
   EXPECT_FALSE(bad_threshold.Validate().ok());
 
-  // Legacy free functions validate too (the "call it at every Solve*
-  // entry" satellite): the thin wrappers share the planned entry.
+  // The core entry points validate their options too.
   JspInstance instance;
   instance.candidates = jury::testing::Figure1Workers();
   instance.budget = 15.0;
@@ -380,12 +382,14 @@ TEST(OptionsValidationTest, DirectValidateCalls) {
   Rng rng(1);
   AnnealingOptions bad_schedule;
   bad_schedule.cooling_factor = 0.0;
-  EXPECT_EQ(
-      SolveAnnealing(instance, objective, &rng, bad_schedule).status().code(),
-      StatusCode::kInvalidArgument);
+  const WorkerPoolView view(instance.candidates);
+  EXPECT_EQ(SolveAnnealing(instance, view, objective, &rng, bad_schedule)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   BranchBoundOptions zero_nodes;
   zero_nodes.max_nodes = 0;
-  EXPECT_EQ(SolveBranchAndBound(instance, objective, zero_nodes)
+  EXPECT_EQ(SolveBranchAndBound(instance, view, objective, zero_nodes)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

@@ -32,8 +32,9 @@ TEST_P(BranchBoundAgreementTest, MatchesExhaustiveExactly) {
   const auto instance = MakeInstance(
       RandomPool(&rng, n, 0.5, 0.95, 0.05, 0.4), budget);
   const ExactBvObjective objective;
-  const auto exhaustive = SolveExhaustive(instance, objective).value();
-  const auto bb = SolveBranchAndBound(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto exhaustive = SolveExhaustive(instance, view, objective).value();
+  const auto bb = SolveBranchAndBound(instance, view, objective).value();
   EXPECT_NEAR(bb.jq, exhaustive.jq, 1e-10);
   // Note: at numerically-equal JQ the two exact solvers may return
   // different juries — the exhaustive sweep only visits maximal juries
@@ -51,7 +52,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BranchBoundTest, SolvesFigure1) {
   const ExactBvObjective objective;
   const auto instance = MakeInstance(Figure1Workers(), 15.0);
-  const auto solution = SolveBranchAndBound(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution = SolveBranchAndBound(instance, view, objective).value();
   EXPECT_EQ(solution.selected, (std::vector<std::size_t>{1, 2, 6}));
   EXPECT_NEAR(solution.jq, 0.845, 1e-9);
 }
@@ -64,8 +66,9 @@ TEST(BranchBoundTest, ScalesBeyondTheExhaustiveGuard) {
       RandomPool(&rng, 26, 0.5, 0.95, 0.05, 0.4), 0.4);
   const BucketBvObjective objective;
   BranchBoundStats stats;
+  const WorkerPoolView view(instance.candidates);
   const auto solution =
-      SolveBranchAndBound(instance, objective, {}, &stats).value();
+      SolveBranchAndBound(instance, view, objective, {}, &stats).value();
   EXPECT_LE(solution.cost, instance.budget + 1e-12);
   EXPECT_GT(stats.nodes_pruned_bound + stats.nodes_pruned_budget, 0u);
   EXPECT_LT(stats.nodes_explored, (1u << 26));
@@ -74,7 +77,8 @@ TEST(BranchBoundTest, ScalesBeyondTheExhaustiveGuard) {
 TEST(BranchBoundTest, RejectsNonMonotoneObjectives) {
   const MajorityObjective mv;
   const auto instance = MakeInstance(Figure1Workers(), 10.0);
-  EXPECT_EQ(SolveBranchAndBound(instance, mv).status().code(),
+  const WorkerPoolView view(instance.candidates);
+  EXPECT_EQ(SolveBranchAndBound(instance, view, mv).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -85,22 +89,25 @@ TEST(BranchBoundTest, NodeBudgetIsEnforced) {
   const ExactBvObjective objective;
   BranchBoundOptions options;
   options.max_nodes = 5;
+  const WorkerPoolView view(instance.candidates);
   EXPECT_EQ(
-      SolveBranchAndBound(instance, objective, options).status().code(),
+      SolveBranchAndBound(instance, view, objective, options).status().code(),
       StatusCode::kResourceExhausted);
 }
 
 TEST(BranchBoundTest, EmptyPoolAndZeroBudget) {
   const ExactBvObjective objective;
   const auto empty = MakeInstance({}, 1.0, 0.7);
-  const auto s1 = SolveBranchAndBound(empty, objective).value();
+  const WorkerPoolView empty_view(empty.candidates);
+  const auto s1 = SolveBranchAndBound(empty, empty_view, objective).value();
   EXPECT_TRUE(s1.selected.empty());
   EXPECT_DOUBLE_EQ(s1.jq, 0.7);
 
   Rng rng(17);
   const auto broke =
       MakeInstance(RandomPool(&rng, 6, 0.5, 0.9, 0.5, 1.0), 0.0);
-  const auto s2 = SolveBranchAndBound(broke, objective).value();
+  const WorkerPoolView broke_view(broke.candidates);
+  const auto s2 = SolveBranchAndBound(broke, broke_view, objective).value();
   EXPECT_TRUE(s2.selected.empty());
 }
 
@@ -110,7 +117,8 @@ TEST(BranchBoundTest, PrefersCheaperTies) {
   std::vector<Worker> workers = {{"cheap", 0.8, 1.0}, {"pricey", 0.8, 3.0}};
   const ExactBvObjective objective;
   const auto instance = MakeInstance(std::move(workers), 3.0);
-  const auto solution = SolveBranchAndBound(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution = SolveBranchAndBound(instance, view, objective).value();
   ASSERT_EQ(solution.selected.size(), 1u);
   EXPECT_EQ(solution.selected[0], 0u);
   EXPECT_DOUBLE_EQ(solution.cost, 1.0);

@@ -69,9 +69,10 @@ TEST(DeterminismTest, AnnealingSolver) {
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const BucketBvObjective objective;
+  const WorkerPoolView view(instance.candidates);
   ExpectSameTwice([&] {
     Rng rng(4242);
-    return SolveAnnealing(instance, objective, &rng).value().selected;
+    return SolveAnnealing(instance, view, objective, &rng).value().selected;
   });
 }
 
@@ -81,13 +82,16 @@ TEST(DeterminismTest, FullSystems) {
   instance.candidates = RandomPool(&pool_rng, 16, 0.5, 0.95, 0.05, 0.3);
   instance.budget = 0.5;
   instance.alpha = 0.5;
+  const WorkerPoolView view(instance.candidates);
+  const BucketBvObjective bucket;
+  const MajorityObjective majority;
   ExpectSameTwice([&] {
     Rng rng(555);
-    return SolveOptjs(instance, &rng).value().selected;
+    return SolveOptjs(instance, view, bucket, &rng).value().selected;
   });
   ExpectSameTwice([&] {
     Rng rng(556);
-    return SolveMvjs(instance, &rng).value().selected;
+    return SolveMvjs(instance, view, majority, &rng).value().selected;
   });
 }
 

@@ -83,19 +83,20 @@ TEST_P(FuzzTest, SolverInvariants) {
     instance.alpha = rng.Uniform();
 
     const ExactBvObjective objective;
-    const auto exhaustive = SolveExhaustive(instance, objective).value();
-    const auto bb = SolveBranchAndBound(instance, objective).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto exhaustive = SolveExhaustive(instance, view, objective).value();
+    const auto bb = SolveBranchAndBound(instance, view, objective).value();
     EXPECT_NEAR(bb.jq, exhaustive.jq, 1e-9);
 
     Rng sa_rng = rng.Fork();
-    const auto sa = SolveAnnealing(instance, objective, &sa_rng).value();
+    const auto sa = SolveAnnealing(instance, view, objective, &sa_rng).value();
     EXPECT_LE(sa.cost, instance.budget + 1e-12);
     EXPECT_LE(sa.jq, exhaustive.jq + 1e-9);
 
     for (const auto& greedy :
-         {SolveGreedyByQuality(instance, objective).value(),
-          SolveGreedyByValuePerCost(instance, objective).value(),
-          SolveOddTopK(instance, objective).value()}) {
+         {SolveGreedyByQuality(instance, view, objective).value(),
+          SolveGreedyByValuePerCost(instance, view, objective).value(),
+          SolveOddTopK(instance, view, objective).value()}) {
       EXPECT_LE(greedy.cost, instance.budget + 1e-12);
       EXPECT_LE(greedy.jq, exhaustive.jq + 1e-9);
     }
@@ -113,8 +114,12 @@ TEST_P(FuzzTest, SystemsNeverViolateBudgetsOrDominance) {
     Rng r2 = rng.Fork();
     OptjsOptions options;
     options.bucket.num_buckets = 400;
-    const auto optjs = SolveOptjs(instance, &r1, options).value();
-    const auto mvjs = SolveMvjs(instance, &r2).value();
+    const WorkerPoolView view(instance.candidates);
+    const BucketBvObjective bucket(options.bucket);
+    const auto optjs =
+        SolveOptjs(instance, view, bucket, &r1, options).value();
+    const auto mvjs =
+        SolveMvjs(instance, view, MajorityObjective(), &r2).value();
     EXPECT_LE(optjs.cost, instance.budget + 1e-12);
     EXPECT_LE(mvjs.cost, instance.budget + 1e-12);
     // Corollary 1 at system level (exhaustive path is exact for N <= 12;

@@ -36,7 +36,11 @@ void ChurnAgainstEvaluate(const JqObjective& objective, double alpha,
                           std::uint64_t seed, int steps, double qlo,
                           double qhi, std::size_t max_size) {
   Rng rng(seed);
-  auto session = objective.StartSession(alpha);
+  // Every move here is a scalar `Score*` call that takes its worker
+  // directly, and the workers are drawn as the walk goes, so the session
+  // is bound to an empty pool: nothing reads the view.
+  const WorkerPoolView no_pool;
+  auto session = objective.StartSession(no_pool, alpha);
   std::vector<Worker> shadow;  // mirrors the committed member list
   int serial = 0;
 
@@ -112,17 +116,18 @@ TEST(IncrementalEvalTest, BucketBvShortcutAndDegenerateModes) {
   ChurnAgainstEvaluate(objective, 0.7, 109, 150, 0.3, 1.0, 20);
 
   // Deterministic walk through the modes.
-  auto session = objective.StartSession(0.5);
-  const Worker half("half", 0.5, 0.0);
-  const Worker sharp("sharp", 0.999, 0.0);
-  const Worker solid("solid", 0.8, 0.0);
-  session->ScoreAdd(half);
+  const std::vector<Worker> pool = {Worker("half", 0.5, 0.0),
+                                    Worker("sharp", 0.999, 0.0),
+                                    Worker("solid", 0.8, 0.0)};
+  const WorkerPoolView view(pool);
+  auto session = objective.StartSession(view, 0.5);
+  session->ScoreAdd(view.worker(0));
   session->Commit();
   EXPECT_NEAR(session->current_jq(), 0.5, kTol);  // all-0.5 mode
-  session->ScoreAdd(sharp);
+  session->ScoreAdd(view.worker(1));
   session->Commit();
   EXPECT_NEAR(session->current_jq(), 0.999, kTol);  // shortcut mode
-  session->ScoreAdd(solid);
+  session->ScoreAdd(view.worker(2));
   session->Commit();
   EXPECT_NEAR(session->current_jq(), 0.999, kTol);  // still shortcut
   session->ScoreRemove(1);  // drop "sharp": back to the regular DP
@@ -141,11 +146,14 @@ TEST(IncrementalEvalTest, ExactBvChurnMatchesEvaluate) {
 TEST(IncrementalEvalTest, ExactBvBeyondCacheCapFallsBackCorrectly) {
   const ExactBvObjective objective;
   Rng rng(223);
-  auto session = objective.StartSession(0.5);
+  std::vector<Worker> pool;
+  for (int i = 0; i < 22; ++i) pool.push_back(RandomWorker(&rng, i, 0.55, 0.9));
+  const WorkerPoolView view(pool);
+  auto session = objective.StartSession(view, 0.5);
   // Grow past the 2^n cache cap (20 members) and make sure scores stay
   // correct through the enumeration fallback and the rebuild on shrink.
-  for (std::size_t i = 0; i < 22; ++i) {
-    session->ScoreAdd(RandomWorker(&rng, static_cast<int>(i), 0.55, 0.9));
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    session->ScoreAdd(view.worker(i));
     session->Commit();
   }
   EXPECT_NEAR(session->current_jq(),
@@ -177,10 +185,14 @@ TEST(IncrementalEvalTest, FullRecomputeSessionIsEvaluateVerbatim) {
   for (const JqObjective* objective :
        std::vector<const JqObjective*>{&bucket, &majority}) {
     Rng rng(401);
-    auto session = objective->StartSession(0.5, /*incremental=*/false);
-    std::vector<Worker> shadow;
+    std::vector<Worker> pool;
     for (int step = 0; step < 40; ++step) {
-      const Worker w = RandomWorker(&rng, step, 0.4, 0.9);
+      pool.push_back(RandomWorker(&rng, step, 0.4, 0.9));
+    }
+    const WorkerPoolView view(pool);
+    auto session = objective->StartSession(view, 0.5, /*incremental=*/false);
+    std::vector<Worker> shadow;
+    for (const Worker& w : pool) {
       const double score = session->ScoreAdd(w);
       shadow.push_back(w);
       // Bit-equal, not just near: the fallback session *is* Evaluate.
@@ -192,11 +204,12 @@ TEST(IncrementalEvalTest, FullRecomputeSessionIsEvaluateVerbatim) {
 
 TEST(IncrementalEvalTest, RestagingReplacesThePendingMove) {
   const MajorityObjective objective;
-  auto session = objective.StartSession(0.5);
-  const Worker a("a", 0.9, 0.0);
-  const Worker b("b", 0.6, 0.0);
-  session->ScoreAdd(a);
-  session->ScoreAdd(b);  // replaces the staged move
+  const std::vector<Worker> pool = {Worker("a", 0.9, 0.0),
+                                    Worker("b", 0.6, 0.0)};
+  const WorkerPoolView view(pool);
+  auto session = objective.StartSession(view, 0.5);
+  session->ScoreAdd(view.worker(0));
+  session->ScoreAdd(view.worker(1));  // replaces the staged move
   session->Commit();
   ASSERT_EQ(session->size(), 1u);
   EXPECT_EQ(session->members()[0].id, "b");
@@ -206,8 +219,10 @@ TEST(IncrementalEvalTest, RestagingReplacesThePendingMove) {
 TEST(IncrementalEvalTest, CountersSplitFullAndIncremental) {
   const MajorityObjective objective;
   objective.ResetEvaluationCounters();
-  auto session = objective.StartSession(0.5);
-  const Worker w("w", 0.7, 0.0);
+  const std::vector<Worker> pool = {Worker("w", 0.7, 0.0)};
+  const WorkerPoolView view(pool);
+  const Worker& w = view.worker(0);
+  auto session = objective.StartSession(view, 0.5);
   session->ScoreAdd(w);
   session->Commit();
   session->ScoreAdd(w);
@@ -221,86 +236,10 @@ TEST(IncrementalEvalTest, CountersSplitFullAndIncremental) {
   EXPECT_EQ(objective.evaluation_counters().full, 1u);
   EXPECT_EQ(objective.evaluations(), 3u);  // legacy total
 
-  auto reference = objective.StartSession(0.5, /*incremental=*/false);
+  auto reference = objective.StartSession(view, 0.5, /*incremental=*/false);
   reference->ScoreAdd(w);
   EXPECT_EQ(objective.evaluation_counters().full, 2u);
   EXPECT_EQ(objective.evaluation_counters().incremental, 2u);
-}
-
-/// Shared harness for the batched-scan contract: against a committed jury
-/// of each size in `committed_sizes`, `ScoreAddBatch` must reproduce the
-/// scalar `ScoreAdd` score of every candidate bit for bit, and the scores
-/// must not depend on how the candidate list is split into batches (the
-/// invariant that lets the parallel greedy scan shard with any grain).
-void BatchMatchesScalar(const JqObjective& objective, double alpha,
-                        bool incremental, std::uint64_t seed) {
-  Rng rng(seed);
-  auto session = objective.StartSession(alpha, incremental);
-  std::vector<Worker> candidates;
-  for (int j = 0; j < 24; ++j) {
-    candidates.push_back(RandomWorker(&rng, j));
-  }
-  // Stress the bucket backend's special cases: a §4.4-shortcut candidate,
-  // a grid-moving near-max candidate, and exact coin flippers.
-  candidates.push_back(Worker("hq", 0.995, 0.0));
-  candidates.push_back(Worker("gridmove", 0.949, 0.0));
-  candidates.push_back(Worker("coin", 0.5, 0.0));
-  candidates.push_back(Worker("flip", 0.2, 0.0));
-  std::vector<const Worker*> ptrs;
-  for (const Worker& w : candidates) ptrs.push_back(&w);
-
-  for (int committed = 0; committed < 4; ++committed) {
-    std::vector<double> scalar(ptrs.size());
-    for (std::size_t j = 0; j < ptrs.size(); ++j) {
-      scalar[j] = session->ScoreAdd(*ptrs[j]);
-      session->Rollback();
-    }
-    std::vector<double> batched(ptrs.size(), -1.0);
-    session->ScoreAddBatch(ptrs.data(), ptrs.size(), batched.data());
-    for (std::size_t j = 0; j < ptrs.size(); ++j) {
-      EXPECT_EQ(batched[j], scalar[j])
-          << objective.name() << " committed=" << committed << " j=" << j
-          << " (" << ptrs[j]->id << ")";
-    }
-    // Batch-composition independence: two half-batches, same scores.
-    const std::size_t half = ptrs.size() / 2;
-    std::vector<double> split(ptrs.size(), -1.0);
-    session->ScoreAddBatch(ptrs.data(), half, split.data());
-    session->ScoreAddBatch(ptrs.data() + half, ptrs.size() - half,
-                           split.data() + half);
-    for (std::size_t j = 0; j < ptrs.size(); ++j) {
-      EXPECT_EQ(split[j], batched[j])
-          << objective.name() << " committed=" << committed << " j=" << j;
-    }
-    EXPECT_FALSE(session->has_staged_move());
-    // Grow the committed jury through the batch-scored winner, as the
-    // greedy solver does, and make sure the session stays coherent.
-    const std::size_t winner = static_cast<std::size_t>(committed);
-    session->CommitAdd(*ptrs[winner], batched[winner]);
-    EXPECT_EQ(session->current_jq(), batched[winner]);
-  }
-}
-
-TEST(IncrementalEvalTest, ScoreAddBatchMatchesScalarBucketBv) {
-  BatchMatchesScalar(BucketBvObjective(), 0.5, true, 31001);
-  BatchMatchesScalar(BucketBvObjective(), 0.7, true, 31003);
-  BucketJqOptions no_shortcut;
-  no_shortcut.high_quality_cutoff = 1.0;
-  BatchMatchesScalar(BucketBvObjective(no_shortcut), 0.5, true, 31005);
-}
-
-TEST(IncrementalEvalTest, ScoreAddBatchMatchesScalarMajority) {
-  BatchMatchesScalar(MajorityObjective(), 0.5, true, 31011);
-  BatchMatchesScalar(MajorityObjective(), 0.65, true, 31013);
-}
-
-TEST(IncrementalEvalTest, ScoreAddBatchMatchesScalarExactBv) {
-  BatchMatchesScalar(ExactBvObjective(), 0.5, true, 31021);
-}
-
-TEST(IncrementalEvalTest, ScoreAddBatchMatchesScalarFullRecompute) {
-  BatchMatchesScalar(BucketBvObjective(), 0.5, /*incremental=*/false, 31031);
-  BatchMatchesScalar(MajorityObjective(), 0.5, /*incremental=*/false, 31033);
 }
 
 /// Shared harness for the unified (view-index) move-scan contract: against
@@ -354,14 +293,6 @@ void UnifiedScanMatchesScalar(const JqObjective& objective, double alpha,
                            split.data() + half);
     for (std::size_t j = 0; j < ids.size(); ++j) {
       EXPECT_EQ(split[j], batched[j]) << objective.name() << " add split";
-    }
-    // Index-based and Worker-pointer-based scans agree.
-    std::vector<const Worker*> ptrs;
-    for (std::size_t i : ids) ptrs.push_back(&view.worker(i));
-    std::vector<double> by_ptr(ids.size(), -1.0);
-    session->ScoreAddBatch(ptrs.data(), ptrs.size(), by_ptr.data());
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      EXPECT_EQ(by_ptr[j], batched[j]) << objective.name() << " ptr vs idx";
     }
 
     if (size > 0) {
@@ -473,22 +404,25 @@ TEST(IncrementalEvalTest, ScoreAddBatchOnClonesMatchesParent) {
   // scores must be bit-identical to the parent session's.
   const BucketBvObjective objective;
   Rng rng(31041);
-  auto session = objective.StartSession(0.5);
-  for (int i = 0; i < 5; ++i) {
-    session->ScoreAdd(RandomWorker(&rng, 100 + i));
+  // Pool positions 0-4 are the committed jury, 5-20 the scanned candidates.
+  std::vector<Worker> pool;
+  for (int i = 0; i < 5; ++i) pool.push_back(RandomWorker(&rng, 100 + i));
+  for (int j = 0; j < 16; ++j) pool.push_back(RandomWorker(&rng, j));
+  const WorkerPoolView view(pool);
+  auto session = objective.StartSession(view, 0.5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    session->ScoreAdd(view.worker(i));
     session->Commit();
   }
-  std::vector<Worker> candidates;
-  for (int j = 0; j < 16; ++j) candidates.push_back(RandomWorker(&rng, j));
-  std::vector<const Worker*> ptrs;
-  for (const Worker& w : candidates) ptrs.push_back(&w);
-  std::vector<double> parent(ptrs.size());
-  session->ScoreAddBatch(ptrs.data(), ptrs.size(), parent.data());
+  std::vector<std::size_t> ids;
+  for (std::size_t j = 5; j < pool.size(); ++j) ids.push_back(j);
+  std::vector<double> parent(ids.size());
+  session->ScoreAddBatch(ids.data(), ids.size(), parent.data());
   auto clone = session->Clone();
   ASSERT_NE(clone, nullptr);
-  std::vector<double> cloned(ptrs.size());
-  clone->ScoreAddBatch(ptrs.data(), ptrs.size(), cloned.data());
-  for (std::size_t j = 0; j < ptrs.size(); ++j) {
+  std::vector<double> cloned(ids.size());
+  clone->ScoreAddBatch(ids.data(), ids.size(), cloned.data());
+  for (std::size_t j = 0; j < ids.size(); ++j) {
     EXPECT_EQ(cloned[j], parent[j]) << "j=" << j;
   }
 }

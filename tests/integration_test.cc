@@ -31,7 +31,9 @@ TEST(IntegrationTest, JqPredictsRealizedAccuracy) {
   instance.budget = 0.5;
   instance.alpha = 0.5;
   Rng solver_rng(7);
-  const auto solution = SolveOptjs(instance, &solver_rng).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution =
+      SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
   ASSERT_FALSE(solution.selected.empty());
   const Jury jury = solution.ToJury(instance);
 
@@ -63,8 +65,10 @@ TEST(IntegrationTest, EndToEndSyntheticComparisonFavorsOptjs) {
     instance.alpha = 0.5;
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    optjs_jq.Add(SolveOptjs(instance, &r1).value().jq);
-    mvjs_jq.Add(SolveMvjs(instance, &r2).value().jq);
+    const WorkerPoolView view(instance.candidates);
+    optjs_jq.Add(
+        SolveOptjs(instance, view, BucketBvObjective(), &r1).value().jq);
+    mvjs_jq.Add(SolveMvjs(instance, view, MajorityObjective(), &r2).value().jq);
   }
   EXPECT_GE(optjs_jq.mean(), mvjs_jq.mean());
 }
@@ -89,7 +93,9 @@ TEST(IntegrationTest, SentimentDatasetDrivesJsp) {
           rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
     }
     Rng solver_rng = rng.Fork();
-    const auto solution = SolveOptjs(instance, &solver_rng).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto solution =
+        SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
     jq_stats.Add(solution.jq);
   }
@@ -141,12 +147,17 @@ TEST(IntegrationTest, EstimatedQualitiesAreGoodEnoughForSelection) {
     }
     return instance;
   };
-  Rng r1(1), r2(1);
-  const auto with_latent = SolveOptjs(make_instance(latent), &r1).value();
-  const auto with_estimate =
-      SolveOptjs(make_instance(estimated), &r2).value();
-  // Evaluate BOTH selections under the latent qualities.
   const auto latent_instance = make_instance(latent);
+  const auto estimated_instance = make_instance(estimated);
+  const WorkerPoolView latent_view(latent_instance.candidates);
+  const WorkerPoolView estimated_view(estimated_instance.candidates);
+  const BucketBvObjective objective;
+  Rng r1(1), r2(1);
+  const auto with_latent =
+      SolveOptjs(latent_instance, latent_view, objective, &r1).value();
+  const auto with_estimate =
+      SolveOptjs(estimated_instance, estimated_view, objective, &r2).value();
+  // Evaluate BOTH selections under the latent qualities.
   JspSolution estimate_as_latent = with_estimate;
   const double jq_latent_selection =
       EstimateJq(with_latent.ToJury(latent_instance), 0.5).value();

@@ -102,7 +102,8 @@ TEST(CostCorollaryTest, FreeWorkersMeanSelectEveryone) {
                                      rng.Uniform(0.5, 0.95), 0.0);
   }
   const ExactBvObjective objective;
-  const auto solution = SolveGreedyByQuality(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution = SolveGreedyByQuality(instance, view, objective).value();
   EXPECT_EQ(solution.selected.size(), instance.candidates.size());
 }
 
@@ -119,9 +120,10 @@ TEST(CostCorollaryTest, UniformCostsMeanTopKByQuality) {
                                        rng.Uniform(0.5, 0.95), 1.0);
     }
     const ExactBvObjective objective;
-    const auto greedy = SolveGreedyByQuality(instance, objective).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto greedy = SolveGreedyByQuality(instance, view, objective).value();
     const auto exact =
-        SolveExhaustive(instance, objective).value();
+        SolveExhaustive(instance, view, objective).value();
     EXPECT_NEAR(greedy.jq, exact.jq, 1e-9);
   }
 }

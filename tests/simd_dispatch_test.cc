@@ -430,6 +430,7 @@ TEST(SimdDispatchTest, SolversReturnIdenticalJuriesAcrossLevels) {
     instance.budget = rng.Uniform(0.3, 1.0);
     instance.alpha = 0.5;
     const std::uint64_t seed = 7100 + static_cast<std::uint64_t>(inst);
+    const WorkerPoolView view(instance.candidates);
 
     JspSolution ref_sa, ref_greedy, ref_mv_greedy, ref_ex, ref_bb;
     bool have_ref = false;
@@ -437,13 +438,13 @@ TEST(SimdDispatchTest, SolversReturnIdenticalJuriesAcrossLevels) {
       ScopedSimdLevel scoped(level);
       ASSERT_TRUE(scoped.ok());
       Rng sa_rng(seed);
-      const auto sa = SolveAnnealing(instance, bucket, &sa_rng).value();
+      const auto sa = SolveAnnealing(instance, view, bucket, &sa_rng).value();
       const auto greedy =
-          SolveGreedyMarginalGain(instance, bucket, {}).value();
+          SolveGreedyMarginalGain(instance, view, bucket, {}).value();
       const auto mv_greedy =
-          SolveGreedyMarginalGain(instance, majority, {}).value();
-      const auto ex = SolveExhaustive(instance, bucket, {}).value();
-      const auto bb = SolveBranchAndBound(instance, bucket, {}).value();
+          SolveGreedyMarginalGain(instance, view, majority, {}).value();
+      const auto ex = SolveExhaustive(instance, view, bucket, {}).value();
+      const auto bb = SolveBranchAndBound(instance, view, bucket, {}).value();
       if (!have_ref) {
         ref_sa = sa;
         ref_greedy = greedy;

@@ -1,6 +1,10 @@
 #include <cstdlib>
+#include <functional>
+#include <limits>
+#include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -58,7 +62,8 @@ TEST(ExhaustiveSolverTest, FindsTheFigure1Optima) {
   };
   for (const auto& expected : table) {
     const auto instance = MakeInstance(Figure1Workers(), expected.budget);
-    const auto solution = SolveExhaustive(instance, objective).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto solution = SolveExhaustive(instance, view, objective).value();
     EXPECT_EQ(solution.selected, expected.selected)
         << "B=" << expected.budget << " got " << solution.Describe(instance);
     EXPECT_NEAR(solution.jq, expected.jq, 1e-9);
@@ -72,7 +77,8 @@ TEST(ExhaustiveSolverTest, RespectsBudgetAlways) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 9, 0.5, 0.95, 0.1, 1.0), rng.Uniform(0.2, 2.0));
-    const auto solution = SolveExhaustive(instance, objective).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto solution = SolveExhaustive(instance, view, objective).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
   }
 }
@@ -82,7 +88,8 @@ TEST(ExhaustiveSolverTest, ZeroBudgetYieldsEmptyJury) {
   Rng rng(1);
   const auto instance =
       MakeInstance(RandomPool(&rng, 5, 0.5, 0.9, 0.5, 1.0), 0.0);
-  const auto solution = SolveExhaustive(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution = SolveExhaustive(instance, view, objective).value();
   EXPECT_TRUE(solution.selected.empty());
   EXPECT_DOUBLE_EQ(solution.jq, 0.5);
 }
@@ -92,7 +99,8 @@ TEST(ExhaustiveSolverTest, GuardsLargePools) {
   const ExactBvObjective objective;
   const auto instance =
       MakeInstance(RandomPool(&rng, 23, 0.5, 0.9, 0.1, 1.0), 1.0);
-  EXPECT_EQ(SolveExhaustive(instance, objective).status().code(),
+  const WorkerPoolView view(instance.candidates);
+  EXPECT_EQ(SolveExhaustive(instance, view, objective).status().code(),
             StatusCode::kOutOfRange);
 }
 
@@ -105,7 +113,8 @@ TEST(ExhaustiveSolverTest, MaximalityPruningMatchesFullEnumeration) {
   for (int trial = 0; trial < 8; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 8, 0.5, 0.95, 0.1, 0.6), rng.Uniform(0.3, 1.5));
-    const auto fast = SolveExhaustive(instance, bv).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto fast = SolveExhaustive(instance, view, bv).value();
     // Brute-force reference without maximality pruning.
     double best = EmptyJuryJq(instance.alpha);
     for (std::uint64_t mask = 1; mask < (1u << 8); ++mask) {
@@ -141,11 +150,12 @@ TEST_P(AnnealingQualityTest, ComesCloseToTheExhaustiveOptimum) {
   }
   const auto instance = MakeInstance(std::move(pool), 0.5);
   const ExactBvObjective objective;
-  const auto optimal = SolveExhaustive(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto optimal = SolveExhaustive(instance, view, objective).value();
   double best_sa = 0.0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     Rng sa_rng(static_cast<std::uint64_t>(GetParam()) * 7 + seed);
-    const auto sa = SolveAnnealing(instance, objective, &sa_rng).value();
+    const auto sa = SolveAnnealing(instance, view, objective, &sa_rng).value();
     EXPECT_LE(sa.cost, instance.budget + 1e-12);
     EXPECT_LE(sa.jq, optimal.jq + 1e-9);
     best_sa = std::max(best_sa, sa.jq);
@@ -162,8 +172,9 @@ TEST(AnnealingSolverTest, BudgetNeverViolated) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 30, 0.5, 0.95, 0.05, 0.5), rng.Uniform(0.1, 1.0));
     Rng sa_rng = rng.Fork();
+    const WorkerPoolView view(instance.candidates);
     const auto solution =
-        SolveAnnealing(instance, objective, &sa_rng).value();
+        SolveAnnealing(instance, view, objective, &sa_rng).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
     // No duplicate selections.
     for (std::size_t i = 1; i < solution.selected.size(); ++i) {
@@ -176,7 +187,8 @@ TEST(AnnealingSolverTest, EmptyPoolYieldsPriorOnlySolution) {
   const BucketBvObjective objective;
   const auto instance = MakeInstance({}, 1.0, 0.7);
   Rng rng(5);
-  const auto solution = SolveAnnealing(instance, objective, &rng).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution = SolveAnnealing(instance, view, objective, &rng).value();
   EXPECT_TRUE(solution.selected.empty());
   EXPECT_DOUBLE_EQ(solution.jq, 0.7);
 }
@@ -188,7 +200,9 @@ TEST(AnnealingSolverTest, StatsAreConsistent) {
       MakeInstance(RandomPool(&rng, 20, 0.5, 0.95, 0.05, 0.3), 0.5);
   Rng sa_rng(17);
   AnnealingStats stats;
-  ASSERT_TRUE(SolveAnnealing(instance, objective, &sa_rng, {}, &stats).ok());
+  const WorkerPoolView view(instance.candidates);
+  ASSERT_TRUE(
+      SolveAnnealing(instance, view, objective, &sa_rng, {}, &stats).ok());
   // T halves from 1.0 to 1e-8: 27 levels.
   EXPECT_EQ(stats.temperature_levels, 27u);
   EXPECT_EQ(stats.moves_attempted, 27u * 20u);
@@ -202,10 +216,11 @@ TEST(AnnealingSolverTest, ValidatesArguments) {
   const BucketBvObjective objective;
   const auto instance = MakeInstance(Figure1Workers(), 10.0);
   Rng rng(1);
-  EXPECT_FALSE(SolveAnnealing(instance, objective, nullptr).ok());
+  const WorkerPoolView view(instance.candidates);
+  EXPECT_FALSE(SolveAnnealing(instance, view, objective, nullptr).ok());
   AnnealingOptions bad;
   bad.cooling_factor = 1.5;
-  EXPECT_FALSE(SolveAnnealing(instance, objective, &rng, bad).ok());
+  EXPECT_FALSE(SolveAnnealing(instance, view, objective, &rng, bad).ok());
 }
 
 TEST(AnnealingSolverTest, ReturnBestSeenNeverHurts) {
@@ -217,12 +232,14 @@ TEST(AnnealingSolverTest, ReturnBestSeenNeverHurts) {
     Rng rng_final(1000 + static_cast<std::uint64_t>(trial));
     Rng rng_best(1000 + static_cast<std::uint64_t>(trial));
     AnnealingOptions final_opts;
+    const WorkerPoolView view(instance.candidates);
     const auto final_solution =
-        SolveAnnealing(instance, objective, &rng_final, final_opts).value();
+        SolveAnnealing(instance, view, objective, &rng_final, final_opts)
+            .value();
     AnnealingOptions best_opts;
     best_opts.return_best_seen = true;
     const auto best_solution =
-        SolveAnnealing(instance, objective, &rng_best, best_opts).value();
+        SolveAnnealing(instance, view, objective, &rng_best, best_opts).value();
     EXPECT_GE(best_solution.jq, final_solution.jq - 1e-12);
   }
 }
@@ -236,7 +253,8 @@ TEST(AnnealingSolverTest, RemovalMovesHelpEscapeStuckJuries) {
       {"expert", 0.97, 0.45}};
   const auto instance = MakeInstance(std::move(workers), 0.6);
   const ExactBvObjective objective;
-  const auto optimal = SolveExhaustive(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto optimal = SolveExhaustive(instance, view, objective).value();
   ASSERT_NEAR(optimal.jq, 0.97, 0.01);  // the expert dominates
 
   int plain_hits = 0;
@@ -244,11 +262,12 @@ TEST(AnnealingSolverTest, RemovalMovesHelpEscapeStuckJuries) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng r1(seed), r2(seed);
     AnnealingOptions plain;
-    const auto s1 = SolveAnnealing(instance, objective, &r1, plain).value();
+    const auto s1 =
+        SolveAnnealing(instance, view, objective, &r1, plain).value();
     AnnealingOptions with_removals;
     with_removals.removal_probability = 0.25;
     const auto s2 =
-        SolveAnnealing(instance, objective, &r2, with_removals).value();
+        SolveAnnealing(instance, view, objective, &r2, with_removals).value();
     plain_hits += (s1.jq >= optimal.jq - 1e-9);
     removal_hits += (s2.jq >= optimal.jq - 1e-9);
     EXPECT_LE(s2.cost, instance.budget + 1e-12);
@@ -265,10 +284,11 @@ TEST(AnnealingSolverTest, RemovalsDisabledByDefaultMatchVerbatimAlg3) {
       MakeInstance(RandomPool(&rng, 15, 0.5, 0.95, 0.05, 0.3), 0.5);
   const ExactBvObjective objective;
   Rng r1(99), r2(99);
-  const auto a = SolveAnnealing(instance, objective, &r1).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto a = SolveAnnealing(instance, view, objective, &r1).value();
   AnnealingOptions zero;
   zero.removal_probability = 0.0;
-  const auto b = SolveAnnealing(instance, objective, &r2, zero).value();
+  const auto b = SolveAnnealing(instance, view, objective, &r2, zero).value();
   EXPECT_EQ(a.selected, b.selected);
   EXPECT_DOUBLE_EQ(a.jq, b.jq);
 }
@@ -281,10 +301,11 @@ TEST(GreedySolverTest, RespectsBudget) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 10, 0.5, 0.95, 0.1, 1.0), rng.Uniform(0.3, 2.0));
+    const WorkerPoolView view(instance.candidates);
     for (const auto& solution :
-         {SolveGreedyByQuality(instance, objective).value(),
-          SolveGreedyByValuePerCost(instance, objective).value(),
-          SolveOddTopK(instance, objective).value()}) {
+         {SolveGreedyByQuality(instance, view, objective).value(),
+          SolveGreedyByValuePerCost(instance, view, objective).value(),
+          SolveOddTopK(instance, view, objective).value()}) {
       EXPECT_LE(solution.cost, instance.budget + 1e-12);
     }
   }
@@ -295,7 +316,8 @@ TEST(GreedySolverTest, OddTopKSelectsOddSizes) {
   const MajorityObjective objective;
   const auto instance =
       MakeInstance(RandomPool(&rng, 9, 0.5, 0.95, 1.0, 1.0), 6.0);
-  const auto solution = SolveOddTopK(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution = SolveOddTopK(instance, view, objective).value();
   EXPECT_EQ(solution.selected.size() % 2, 1u);
 }
 
@@ -314,8 +336,11 @@ TEST(SystemComparisonTest, OptjsNeverLosesOnExpectation) {
         RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4), 0.5);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    const auto optjs = SolveOptjs(instance, &r1).value();
-    const auto mvjs = SolveMvjs(instance, &r2).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto optjs =
+        SolveOptjs(instance, view, BucketBvObjective(), &r1).value();
+    const auto mvjs =
+        SolveMvjs(instance, view, MajorityObjective(), &r2).value();
     const double optjs_true_jq =
         ExactJqBv(optjs.ToJury(instance), instance.alpha).value();
     const double mvjs_true_jq =
@@ -341,8 +366,12 @@ TEST(SystemComparisonTest, OptjsExhaustiveDominatesMvjsPointwise) {
     Rng r2 = rng.Fork();
     OptjsOptions options;
     options.bucket.num_buckets = 400;
-    const auto optjs = SolveOptjs(instance, &r1, options).value();
-    const auto mvjs = SolveMvjs(instance, &r2).value();
+    const WorkerPoolView view(instance.candidates);
+    const BucketBvObjective bucket(options.bucket);
+    const auto optjs =
+        SolveOptjs(instance, view, bucket, &r1, options).value();
+    const auto mvjs =
+        SolveMvjs(instance, view, MajorityObjective(), &r2).value();
     const double optjs_true_jq =
         ExactJqBv(optjs.ToJury(instance), instance.alpha).value();
     const double mvjs_true_jq =
@@ -359,10 +388,13 @@ TEST(OptjsFacadeTest, SmallPoolsUseTheExactPath) {
       MakeInstance(RandomPool(&rng, 9, 0.5, 0.95, 0.05, 0.4), 0.5);
   OptjsOptions options;
   options.bucket.num_buckets = 400;
+  const WorkerPoolView view(instance.candidates);
+  const BucketBvObjective objective(options.bucket);
   double first_jq = -1.0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng solver_rng(seed);
-    const auto solution = SolveOptjs(instance, &solver_rng, options).value();
+    const auto solution =
+        SolveOptjs(instance, view, objective, &solver_rng, options).value();
     if (first_jq < 0.0) first_jq = solution.jq;
     EXPECT_NEAR(solution.jq, first_jq, 1e-12) << "seed " << seed;
   }
@@ -380,9 +412,12 @@ TEST(OptjsFacadeTest, GreedyFallbackRescuesStuckAnnealing) {
   const auto instance = MakeInstance(std::move(workers), 0.6);
   OptjsOptions options;
   options.exhaustive_threshold = 0;  // force the SA+fallback path
+  const WorkerPoolView view(instance.candidates);
+  const BucketBvObjective objective(options.bucket);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Rng solver_rng(seed);
-    const auto solution = SolveOptjs(instance, &solver_rng, options).value();
+    const auto solution =
+        SolveOptjs(instance, view, objective, &solver_rng, options).value();
     EXPECT_GE(solution.jq, 0.97 - 0.01) << "seed " << seed;
   }
 }
@@ -411,6 +446,7 @@ TEST(IncrementalEquivalenceTest, AnnealingAndGreedyOnFiftyInstances) {
     const auto instance =
         MakeInstance(RandomPool(&rng, 14, 0.4, 0.95, 0.05, 0.4),
                      rng.Uniform(0.3, 1.0));
+    const WorkerPoolView view(instance.candidates);
     const std::uint64_t sa_seed = 5000 + static_cast<std::uint64_t>(inst);
     for (const JqObjective* objective :
          {static_cast<const JqObjective*>(&bucket),
@@ -419,21 +455,21 @@ TEST(IncrementalEquivalenceTest, AnnealingAndGreedyOnFiftyInstances) {
       full_opts.use_incremental = false;
       Rng r1(sa_seed), r2(sa_seed);
       const auto inc =
-          SolveAnnealing(instance, *objective, &r1, inc_opts).value();
+          SolveAnnealing(instance, view, *objective, &r1, inc_opts).value();
       const auto full =
-          SolveAnnealing(instance, *objective, &r2, full_opts).value();
+          SolveAnnealing(instance, view, *objective, &r2, full_opts).value();
       ExpectSameSolution(inc, full, instance,
                          "annealing/" + objective->name(), inst);
 
       GreedyOptions g_inc, g_full;
       g_full.use_incremental = false;
       ExpectSameSolution(
-          SolveGreedyMarginalGain(instance, *objective, g_inc).value(),
-          SolveGreedyMarginalGain(instance, *objective, g_full).value(),
+          SolveGreedyMarginalGain(instance, view, *objective, g_inc).value(),
+          SolveGreedyMarginalGain(instance, view, *objective, g_full).value(),
           instance, "marginal-gain/" + objective->name(), inst);
       ExpectSameSolution(
-          SolveOddTopK(instance, *objective, g_inc).value(),
-          SolveOddTopK(instance, *objective, g_full).value(), instance,
+          SolveOddTopK(instance, view, *objective, g_inc).value(),
+          SolveOddTopK(instance, view, *objective, g_full).value(), instance,
           "odd-top-k/" + objective->name(), inst);
     }
   }
@@ -448,6 +484,7 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
     const auto instance =
         MakeInstance(RandomPool(&rng, 10, 0.4, 0.95, 0.05, 0.4),
                      rng.Uniform(0.3, 1.0));
+    const WorkerPoolView view(instance.candidates);
     ExhaustiveOptions ex_inc, ex_full;
     ex_full.use_incremental = false;
     for (const JqObjective* objective :
@@ -455,9 +492,9 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
           static_cast<const JqObjective*>(&exact),
           static_cast<const JqObjective*>(&majority)}) {
       ExpectSameSolution(
-          SolveExhaustive(instance, *objective, ex_inc).value(),
-          SolveExhaustive(instance, *objective, ex_full).value(), instance,
-          "exhaustive/" + objective->name(), inst);
+          SolveExhaustive(instance, view, *objective, ex_inc).value(),
+          SolveExhaustive(instance, view, *objective, ex_full).value(),
+          instance, "exhaustive/" + objective->name(), inst);
     }
     BranchBoundOptions bb_inc, bb_full;
     bb_full.use_incremental = false;
@@ -465,8 +502,8 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
          {static_cast<const JqObjective*>(&bucket),
           static_cast<const JqObjective*>(&exact)}) {
       ExpectSameSolution(
-          SolveBranchAndBound(instance, *objective, bb_inc).value(),
-          SolveBranchAndBound(instance, *objective, bb_full).value(),
+          SolveBranchAndBound(instance, view, *objective, bb_inc).value(),
+          SolveBranchAndBound(instance, view, *objective, bb_full).value(),
           instance, "branch-bound/" + objective->name(), inst);
     }
   }
@@ -484,11 +521,12 @@ TEST(IncrementalEquivalenceTest, ExhaustiveBreaksExactTiesIdentically) {
   full.use_incremental = false;
   const MajorityObjective mv;  // non-monotone: no maximality filter
   const ExactBvObjective bv;
+  const WorkerPoolView view(instance.candidates);
   for (const JqObjective* objective :
        {static_cast<const JqObjective*>(&mv),
         static_cast<const JqObjective*>(&bv)}) {
-    const auto a = SolveExhaustive(instance, *objective, inc).value();
-    const auto b = SolveExhaustive(instance, *objective, full).value();
+    const auto a = SolveExhaustive(instance, view, *objective, inc).value();
+    const auto b = SolveExhaustive(instance, view, *objective, full).value();
     EXPECT_EQ(a.selected, b.selected) << objective->name();
     EXPECT_NEAR(a.jq, b.jq, 1e-12);
   }
@@ -505,14 +543,15 @@ TEST(IncrementalEquivalenceTest, SolversSpendFarFewerFullEvaluations) {
 
   objective.ResetEvaluationCounters();
   Rng r1(7);
-  ASSERT_TRUE(SolveAnnealing(instance, objective, &r1).ok());
+  const WorkerPoolView view(instance.candidates);
+  ASSERT_TRUE(SolveAnnealing(instance, view, objective, &r1).ok());
   const EvaluationCounters with_sessions = objective.evaluation_counters();
 
   objective.ResetEvaluationCounters();
   AnnealingOptions no_inc;
   no_inc.use_incremental = false;
   Rng r2(7);
-  ASSERT_TRUE(SolveAnnealing(instance, objective, &r2, no_inc).ok());
+  ASSERT_TRUE(SolveAnnealing(instance, view, objective, &r2, no_inc).ok());
   const EvaluationCounters without = objective.evaluation_counters();
 
   EXPECT_EQ(without.incremental, 0u);
@@ -565,6 +604,7 @@ TEST(ThreadDeterminismTest, AllParallelSolversAcrossThreadCounts) {
         MakeInstance(RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4),
                      rng.Uniform(0.3, 1.0));
     const std::uint64_t seed = 8800 + static_cast<std::uint64_t>(inst);
+    const WorkerPoolView view(instance.candidates);
 
     JspSolution ref_sa, ref_greedy, ref_exhaustive, ref_mv_greedy;
     bool have_ref = false;
@@ -575,15 +615,15 @@ TEST(ThreadDeterminismTest, AllParallelSolversAcrossThreadCounts) {
       sa_opts.num_restarts = 4;
       Rng sa_rng(seed);
       const auto sa =
-          SolveAnnealing(instance, bucket, &sa_rng, sa_opts).value();
+          SolveAnnealing(instance, view, bucket, &sa_rng, sa_opts).value();
       // Greedy marginal-gain: sharded candidate scan, both objectives.
       const auto greedy =
-          SolveGreedyMarginalGain(instance, bucket, {}).value();
+          SolveGreedyMarginalGain(instance, view, bucket, {}).value();
       const auto mv_greedy =
-          SolveGreedyMarginalGain(instance, majority, {}).value();
+          SolveGreedyMarginalGain(instance, view, majority, {}).value();
       // Exhaustive: partitioned Gray-code sweep.
       const auto exhaustive =
-          SolveExhaustive(instance, bucket, {}).value();
+          SolveExhaustive(instance, view, bucket, {}).value();
 
       if (!have_ref) {
         ref_sa = sa;
@@ -644,10 +684,11 @@ TEST(ThreadDeterminismTest, MultiRestartNeverLosesToSingleChainBadly) {
         MakeInstance(RandomPool(&rng, 16, 0.4, 0.95, 0.05, 0.4), 0.5);
     Rng r1(42), r2(42);
     AnnealingOptions single;
-    const auto s = SolveAnnealing(instance, bucket, &r1, single).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto s = SolveAnnealing(instance, view, bucket, &r1, single).value();
     AnnealingOptions multi;
     multi.num_restarts = 4;
-    const auto m = SolveAnnealing(instance, bucket, &r2, multi).value();
+    const auto m = SolveAnnealing(instance, view, bucket, &r2, multi).value();
     single_total += s.jq;
     multi_total += m.jq;
     EXPECT_LE(m.cost, instance.budget + 1e-12);
@@ -664,7 +705,9 @@ TEST(ThreadDeterminismTest, MultiRestartStatsAggregateAllChains) {
   AnnealingOptions opts;
   opts.num_restarts = 3;
   AnnealingStats stats;
-  ASSERT_TRUE(SolveAnnealing(instance, bucket, &sa_rng, opts, &stats).ok());
+  const WorkerPoolView view(instance.candidates);
+  ASSERT_TRUE(
+      SolveAnnealing(instance, view, bucket, &sa_rng, opts, &stats).ok());
   // Each chain runs 27 temperature levels of 20 moves (see
   // AnnealingSolverTest.StatsAreConsistent); the aggregate is 3x that.
   EXPECT_EQ(stats.temperature_levels, 3u * 27u);
@@ -673,12 +716,84 @@ TEST(ThreadDeterminismTest, MultiRestartStatsAggregateAllChains) {
             stats.uphill_accepts + stats.downhill_accepts);
 }
 
+// ------------------------------------------------------------ entry check
+
+/// All nine entry points run the same O(1) check before they read the
+/// pool: a view that does not cover the instance's candidates, a NaN
+/// budget and an out-of-range prior each return InvalidArgument.
+TEST(SolveEntryTest, EveryEntryRejectsShortViewsAndBadScalars) {
+  const BucketBvObjective bucket;
+  const MajorityObjective majority;
+  using Entry = std::function<Status(const JspInstance&,
+                                     const WorkerPoolView&)>;
+  const std::vector<std::pair<std::string, Entry>> entries = {
+      {"annealing",
+       [&](const JspInstance& i, const WorkerPoolView& v) {
+         Rng rng(1);
+         return SolveAnnealing(i, v, bucket, &rng).status();
+       }},
+      {"greedy-quality",
+       [&](const JspInstance& i, const WorkerPoolView& v) {
+         return SolveGreedyByQuality(i, v, bucket).status();
+       }},
+      {"greedy-value",
+       [&](const JspInstance& i, const WorkerPoolView& v) {
+         return SolveGreedyByValuePerCost(i, v, bucket).status();
+       }},
+      {"odd-top-k",
+       [&](const JspInstance& i, const WorkerPoolView& v) {
+         return SolveOddTopK(i, v, majority).status();
+       }},
+      {"greedy-mg",
+       [&](const JspInstance& i, const WorkerPoolView& v) {
+         return SolveGreedyMarginalGain(i, v, bucket).status();
+       }},
+      {"exhaustive",
+       [&](const JspInstance& i, const WorkerPoolView& v) {
+         return SolveExhaustive(i, v, bucket).status();
+       }},
+      {"branch-bound",
+       [&](const JspInstance& i, const WorkerPoolView& v) {
+         return SolveBranchAndBound(i, v, bucket).status();
+       }},
+      {"optjs",
+       [&](const JspInstance& i, const WorkerPoolView& v) {
+         Rng rng(1);
+         return SolveOptjs(i, v, bucket, &rng).status();
+       }},
+      {"mvjs",
+       [&](const JspInstance& i, const WorkerPoolView& v) {
+         Rng rng(1);
+         return SolveMvjs(i, v, majority, &rng).status();
+       }},
+  };
+  const JspInstance good = MakeInstance(Figure1Workers(), 10.0);
+  const WorkerPoolView view(good.candidates);
+  const std::span<const Worker> all(good.candidates);
+  const WorkerPoolView short_view(all.first(all.size() - 1));
+  JspInstance nan_budget = good;
+  nan_budget.budget = std::numeric_limits<double>::quiet_NaN();
+  JspInstance bad_alpha = good;
+  bad_alpha.alpha = 1.5;
+  for (const auto& [name, entry] : entries) {
+    EXPECT_TRUE(entry(good, view).ok()) << name;
+    EXPECT_EQ(entry(good, short_view).code(), StatusCode::kInvalidArgument)
+        << name << ": short view";
+    EXPECT_EQ(entry(nan_budget, view).code(), StatusCode::kInvalidArgument)
+        << name << ": NaN budget";
+    EXPECT_EQ(entry(bad_alpha, view).code(), StatusCode::kInvalidArgument)
+        << name << ": alpha 1.5";
+  }
+}
+
 TEST(MvjsTest, ReportsExactMajorityJq) {
   Rng rng(5103);
   const auto instance =
       MakeInstance(RandomPool(&rng, 10, 0.5, 0.95, 0.05, 0.4), 0.5);
   Rng solver_rng(9);
-  const auto solution = SolveMvjs(instance, &solver_rng).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution =
+      SolveMvjs(instance, view, MajorityObjective(), &solver_rng).value();
   if (!solution.selected.empty()) {
     EXPECT_NEAR(
         solution.jq,
