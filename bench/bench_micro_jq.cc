@@ -69,7 +69,7 @@ void BM_EstimateJqHighResolution(benchmark::State& state) {
     benchmark::DoNotOptimize(EstimateJq(jury, 0.5, options).value());
   }
 }
-BENCHMARK(BM_EstimateJqHighResolution)->Arg(10)->Arg(25)->Arg(50);
+BENCHMARK(BM_EstimateJqHighResolution)->Arg(10)->Arg(25)->Arg(50)->Arg(100);
 
 void BM_MajorityJqDp(benchmark::State& state) {
   const Jury jury = MakeJury(static_cast<int>(state.range(0)));

@@ -9,7 +9,6 @@
 //   --port=P            listen port (default 0 = ephemeral; the bound
 //                       port is printed either way)
 //   --host=H            listen address (default 127.0.0.1)
-//   --threads=N         solver threads per request (0 = JURYOPT_THREADS)
 //   --cache-entries=N   result-cache capacity (default 1024; 0 disables)
 //   --max-inflight=N    admission-control cap; beyond it /solve sheds
 //                       with 503 (default 64; 0 = unlimited)
@@ -97,11 +96,6 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
       if (args.options.host.empty()) {
         return Status::InvalidArgument("bad --host value");
       }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!ParseUint(value_of("--threads="), &uint_value)) {
-        return Status::InvalidArgument("bad --threads value");
-      }
-      args.options.solve_threads = static_cast<std::size_t>(uint_value);
     } else if (arg.rfind("--cache-entries=", 0) == 0) {
       if (!ParseUint(value_of("--cache-entries="), &uint_value)) {
         return Status::InvalidArgument("bad --cache-entries value");

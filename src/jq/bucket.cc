@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "jq/prior_transform.h"
@@ -64,54 +66,143 @@ class JqAccumulator {
   double jq_ = 0.0;
 };
 
-/// One Algorithm-1 pass over the dense (flat array) key representation.
-double RunDense(const std::vector<BucketedWorker>& ws,
-                const std::vector<std::int64_t>& aggregate, bool pruning,
-                BucketJqStats* stats) {
-  std::int64_t span = 0;
-  for (const auto& w : ws) span += w.bucket;
-  const std::size_t size = static_cast<std::size_t>(2 * span + 1);
-  const std::int64_t offset = span;
+/// Writes `nxt[s] = cur[s-b]*q + cur[s+b]*(1-q)` for every s in
+/// [from, to], with both sources inside the live range. Returns the
+/// number of nonzero entries written when `kCount`, else 0.
+template <bool kCount>
+std::size_t GatherBoth(const double* __restrict cur, double* __restrict nxt,
+                       std::int64_t from, std::int64_t to, std::int64_t b,
+                       double q) {
+  const double down = 1.0 - q;
+  std::size_t nonzero = 0;
+  for (std::int64_t s = from; s <= to; ++s) {
+    const double v = cur[s - b] * q + cur[s + b] * down;
+    nxt[s] = v;
+    if constexpr (kCount) nonzero += v > 0.0;
+  }
+  return nonzero;
+}
 
-  std::vector<double> cur(size, 0.0);
-  std::vector<double> nxt(size, 0.0);
-  cur[static_cast<std::size_t>(offset)] = 1.0;
+/// `nxt[s] = cur[s + shift] * weight` for every s in [from, to]: the
+/// window's edges, where only one source is live.
+template <bool kCount>
+std::size_t GatherOne(const double* __restrict cur, double* __restrict nxt,
+                      std::int64_t from, std::int64_t to, std::int64_t shift,
+                      double weight) {
+  std::size_t nonzero = 0;
+  for (std::int64_t s = from; s <= to; ++s) {
+    const double v = cur[s + shift] * weight;
+    nxt[s] = v;
+    if constexpr (kCount) nonzero += v > 0.0;
+  }
+  return nonzero;
+}
+
+/// One Algorithm-1 pass over the dense (flat array) key representation.
+///
+/// Each step gathers the next distribution over the live key window only:
+/// `nxt[s] = cur[s-b]*q + cur[s+b]*(1-q)`, where a source outside the
+/// support or settled by Algorithm 2 reads as zero. Reported JQ bits
+/// depend on this equalling a zero-fill-then-scatter sweep bit for bit,
+/// and it does: a scatter adds `prob*q` from source s-b before
+/// `prob*(1-q)` from source s+b into a zeroed entry and skips zero
+/// sources, and `0.0 + x == x`. That needs unfused multiply-adds, so this
+/// file must not be built with -mfma or -ffast-math. Settled positive
+/// keys join the JQ sum step by step in ascending key order, and the
+/// final sweep runs ascending, for the same reason.
+///
+/// Workers arrive sorted by decreasing bucket. After i steps every key
+/// lies in [-P_i, P_i] (P_i the prefix bucket sum), and under pruning
+/// step i expands only keys in [-R_i, R_i] (R_i = aggregate[i]), so it
+/// writes within ±(min(P_i, R_i) + b_i). The buffers are sized by the
+/// widest such window, at most span/2 + max bucket, instead of 2*span+1.
+///
+/// `kCount` fills the stats counters. Counting stops the gather loops
+/// from vectorizing (about 2x slower), so only callers with stats pay it.
+template <bool kCount>
+double RunDenseWindowed(const std::vector<BucketedWorker>& ws,
+                        const std::vector<std::int64_t>& aggregate,
+                        bool pruning, BucketJqStats* stats) {
+  std::int64_t width = 0;
+  std::int64_t prefix = 0;
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    const std::int64_t reach =
+        pruning ? std::min(prefix, aggregate[i]) : prefix;
+    width = std::max(width, reach + ws[i].bucket);
+    prefix += ws[i].bucket;
+  }
+  // Only entries inside the current support [lo, hi] are ever read, and
+  // each step writes its whole new support, so neither buffer is
+  // zero-filled: a fill would add a write pass over both per call.
+  const std::size_t size = static_cast<std::size_t>(2 * width + 1);
+  const auto cur_buf = std::make_unique_for_overwrite<double[]>(size);
+  const auto nxt_buf = std::make_unique_for_overwrite<double[]>(size);
+  double* cur = cur_buf.get() + width;  // cur[key], key in [-width, width]
+  double* nxt = nxt_buf.get() + width;
+  cur[0] = 1.0;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  // Nonzero entries of `cur`: the keys this step expands. Counted while
+  // the previous step wrote them, so stats cost no extra sweep.
+  std::size_t nonzero = 1;
 
   JqAccumulator acc;
   for (std::size_t i = 0; i < ws.size(); ++i) {
-    std::fill(nxt.begin(), nxt.end(), 0.0);
     const std::int64_t b = ws[i].bucket;
     const double q = ws[i].quality;
     const std::int64_t remaining = aggregate[i];
-    for (std::size_t idx = 0; idx < size; ++idx) {
-      const double prob = cur[idx];
-      if (prob <= 0.0) continue;
-      const std::int64_t key = static_cast<std::int64_t>(idx) - offset;
-      if (stats != nullptr) ++stats->keys_expanded;
-      if (pruning) {
-        // Algorithm 2: the sign of the key can no longer change.
-        if (key > 0 && key - remaining > 0) {
-          acc.AddSettledPositive(prob);
-          if (stats != nullptr) ++stats->keys_pruned;
-          continue;
-        }
-        if (key < 0 && key + remaining < 0) {
-          if (stats != nullptr) ++stats->keys_pruned;
-          continue;
+    if constexpr (kCount) stats->keys_expanded += nonzero;
+    // Live sources [from, to]; outside it, Algorithm 2 has settled the
+    // sign: positive keys join the JQ sum, negative keys are dropped.
+    std::int64_t from = lo;
+    std::int64_t to = hi;
+    if (pruning) {
+      from = std::max(lo, -remaining);
+      to = std::min(hi, remaining);
+      if constexpr (kCount) {
+        for (std::int64_t key = lo; key < from && key <= hi; ++key) {
+          stats->keys_pruned += cur[key] > 0.0;
         }
       }
-      nxt[static_cast<std::size_t>(key + b + offset)] += prob * q;  // v_i = 0
-      nxt[static_cast<std::size_t>(key - b + offset)] +=
-          prob * (1.0 - q);  // v_i = 1
+      for (std::int64_t key = std::max(lo, remaining + 1); key <= hi; ++key) {
+        if (cur[key] > 0.0) {
+          acc.AddSettledPositive(cur[key]);
+          if constexpr (kCount) ++stats->keys_pruned;
+        }
+      }
     }
-    cur.swap(nxt);
+    if (from > to) return acc.value();  // every key has settled
+    // New support [from - b, to + b]. Source s-b is live for
+    // s >= from + b, source s+b for s <= to - b.
+    const std::int64_t up_from = from + b;
+    const std::int64_t down_to = to - b;
+    nonzero = 0;
+    if (up_from <= down_to) {
+      nonzero += GatherOne<kCount>(cur, nxt, from - b, up_from - 1, b,
+                                   1.0 - q);
+      nonzero += GatherBoth<kCount>(cur, nxt, up_from, down_to, b, q);
+      nonzero += GatherOne<kCount>(cur, nxt, down_to + 1, to + b, -b, q);
+    } else {
+      nonzero += GatherOne<kCount>(cur, nxt, from - b, down_to, b, 1.0 - q);
+      std::fill(nxt + down_to + 1, nxt + up_from, 0.0);
+      nonzero += GatherOne<kCount>(cur, nxt, up_from, to + b, -b, q);
+    }
+    lo = from - b;
+    hi = to + b;
+    std::swap(cur, nxt);
   }
-  for (std::size_t idx = 0; idx < size; ++idx) {
-    if (cur[idx] > 0.0) {
-      acc.AddFinal(static_cast<std::int64_t>(idx) - offset, cur[idx]);
-    }
+  for (std::int64_t key = std::max<std::int64_t>(lo, 0); key <= hi; ++key) {
+    if (cur[key] > 0.0) acc.AddFinal(key, cur[key]);
   }
   return acc.value();
+}
+
+double RunDense(const std::vector<BucketedWorker>& ws,
+                const std::vector<std::int64_t>& aggregate, bool pruning,
+                BucketJqStats* stats) {
+  return stats != nullptr
+             ? RunDenseWindowed<true>(ws, aggregate, pruning, stats)
+             : RunDenseWindowed<false>(ws, aggregate, pruning, nullptr);
 }
 
 /// One Algorithm-1 pass over the sparse (hash map) key representation.

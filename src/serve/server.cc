@@ -393,7 +393,6 @@ void JuryServer::SubmitSolve(std::uint64_t conn_id,
 
   ServeInflightAdd(1);
   api::SubmitOptions submit;
-  submit.num_threads = options_.solve_threads;
   const int completion_fd = completion_fd_;
   std::mutex* completed_mutex = &completed_mutex_;
   std::deque<std::uint64_t>* completed = &completed_;
@@ -407,6 +406,7 @@ void JuryServer::SubmitSolve(std::uint64_t conn_id,
     [[maybe_unused]] ssize_t n = ::write(completion_fd, &one, sizeof(one));
   };
 
+  // A one-request batch solves inline: the future is ready on return.
   std::vector<api::SolveFuture> futures =
       context_->SubmitMany(std::span<const api::SolveRequest>(&request, 1),
                            submit);

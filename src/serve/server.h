@@ -23,9 +23,6 @@ struct ServeOptions {
   std::string host = "127.0.0.1";
   /// Listen port; 0 binds an ephemeral port (read it back via `port()`).
   int port = 0;
-  /// `SubmitOptions::num_threads` for each request's solve (0 resolves
-  /// via JURYOPT_THREADS; 1 solves inline on the event loop).
-  std::size_t solve_threads = 0;
   /// Admission control: when this many solves are already in flight, new
   /// `/solve` requests are shed with a 503 (`serve.shed`). 0 = unlimited.
   std::size_t max_inflight = 64;
@@ -48,13 +45,15 @@ struct ServeOptions {
 /// epoll/eventfd loop speaking the existing `SolveRequest` JSON binding
 /// over `PoolPlanContext::SubmitMany`.
 ///
-/// Design: the event loop owns all connection state and never solves
-/// anything itself (beyond the deliberate `solve_threads <= 1` inline
-/// mode) — each `POST /solve` becomes a one-request `SubmitMany` batch
-/// whose `on_complete` hook kicks an eventfd, and the loop writes the
-/// response when the completion drains. Solver concurrency therefore
-/// comes from the process work-stealing scheduler, not from server
-/// threads, and the server adds no locking on the solve path.
+/// Design: the event loop owns all connection state, and each
+/// `POST /solve` becomes a one-request `SubmitMany` batch whose
+/// `on_complete` hook kicks an eventfd; the loop writes the response when
+/// the completion drains. A one-request batch solves inline during
+/// submission, so every solve runs on the loop thread, and requests that
+/// arrive meanwhile (cache hits included) wait for it. Parallelism
+/// inside a solve (OPTJS's fallbacks, parallel scans) still fans out on
+/// the process work-stealing scheduler. The server adds no locking on
+/// the solve path.
 ///
 /// Routes:
 ///  * `GET /healthz`  -> `{"ok":true}`

@@ -1,4 +1,9 @@
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "jq/bucket.h"
@@ -6,8 +11,11 @@
 #include "jq/exact.h"
 #include "jq/monte_carlo.h"
 #include "jq/prior_transform.h"
+#include "model/jury.h"
+#include "model/worker.h"
 #include "strategy/registry.h"
 #include "test_util.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace jury {
@@ -284,6 +292,230 @@ TEST(BucketJqTest, MixedExtremeAndWeakWorkers) {
   const double exact = ExactJqBv(jury, 0.5).value();
   EXPECT_NEAR(EstimateJq(jury, 0.5, options).value(), exact, 1e-3);
   EXPECT_NEAR(exact, 0.98, 1e-9);
+}
+
+// ------------------------------------------- Dense sweep bit identity
+
+/// `EstimateJq` computed the original way: the same preamble (prior,
+/// normalization, bucketing, decreasing-bucket sort, suffix sums) built
+/// from the public helpers, then the dense sweep that zero-fills the full
+/// 2*span+1 array each step and scatters every live key into it. The
+/// library's windowed gather must reproduce its value and counters bit
+/// for bit.
+struct ScatterResult {
+  double jq = 0.0;
+  BucketJqStats stats;
+};
+
+ScatterResult ScatterReferenceJq(const Jury& jury, double alpha,
+                                 const BucketJqOptions& options) {
+  ScatterResult out;
+  const std::vector<double> qs =
+      Normalize(ApplyPrior(jury, alpha)).jury.qualities();
+  if (options.high_quality_cutoff < 1.0) {
+    double best = 0.0;
+    for (double q : qs) {
+      if (q > options.high_quality_cutoff) best = std::max(best, q);
+    }
+    if (best > 0.0) {
+      out.stats.high_quality_shortcut = true;
+      out.stats.error_bound = 1.0 - best;
+      out.jq = best;
+      return out;
+    }
+  }
+  std::vector<double> phis(qs.size());
+  double upper = 0.0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    phis[i] = LogOdds(EffectiveQuality(qs[i]));
+    upper = std::max(upper, phis[i]);
+  }
+  if (upper <= 0.0) {
+    out.jq = 0.5;
+    return out;
+  }
+  const double delta = upper / static_cast<double>(options.num_buckets);
+  struct Bucketed {
+    std::int64_t bucket = 0;
+    double quality = 0.5;
+  };
+  std::vector<Bucketed> ws(qs.size());
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    ws[i].bucket = static_cast<std::int64_t>(std::ceil(phis[i] / delta - 0.5));
+    ws[i].quality = qs[i];
+  }
+  std::sort(ws.begin(), ws.end(), [](const auto& a, const auto& b) {
+    return a.bucket > b.bucket;
+  });
+  std::vector<std::int64_t> aggregate(ws.size(), 0);
+  std::int64_t span = 0;
+  for (std::size_t i = ws.size(); i > 0; --i) {
+    span += ws[i - 1].bucket;
+    aggregate[i - 1] = span;
+  }
+  out.stats.delta = delta;
+  out.stats.error_bound = BucketErrorBound(static_cast<int>(qs.size()), delta);
+  EXPECT_LE(2 * span + 1, std::int64_t{1} << 24)
+      << "case must stay on the dense backend";
+
+  const std::size_t size = static_cast<std::size_t>(2 * span + 1);
+  std::vector<double> cur(size, 0.0);
+  std::vector<double> nxt(size, 0.0);
+  cur[static_cast<std::size_t>(span)] = 1.0;
+  double jq = 0.0;
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    std::fill(nxt.begin(), nxt.end(), 0.0);
+    const std::int64_t b = ws[i].bucket;
+    const double q = ws[i].quality;
+    for (std::size_t idx = 0; idx < size; ++idx) {
+      const double prob = cur[idx];
+      if (prob <= 0.0) continue;
+      const std::int64_t key = static_cast<std::int64_t>(idx) - span;
+      ++out.stats.keys_expanded;
+      if (options.enable_pruning) {
+        if (key > 0 && key - aggregate[i] > 0) {
+          jq += prob;
+          ++out.stats.keys_pruned;
+          continue;
+        }
+        if (key < 0 && key + aggregate[i] < 0) {
+          ++out.stats.keys_pruned;
+          continue;
+        }
+      }
+      nxt[static_cast<std::size_t>(key + b + span)] += prob * q;
+      nxt[static_cast<std::size_t>(key - b + span)] += prob * (1.0 - q);
+    }
+    cur.swap(nxt);
+  }
+  for (std::size_t idx = 0; idx < size; ++idx) {
+    if (!(cur[idx] > 0.0)) continue;
+    const std::int64_t key = static_cast<std::int64_t>(idx) - span;
+    if (key > 0) {
+      jq += cur[idx];
+    } else if (key == 0) {
+      jq += 0.5 * cur[idx];
+    }
+  }
+  out.jq = std::min(jq, 1.0);
+  return out;
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Checks `EstimateJq` with and without a stats pointer against the
+/// scatter reference; returns the reference for case-shape assertions.
+ScatterResult ExpectMatchesScatter(const Jury& jury, double alpha,
+                                   const BucketJqOptions& options) {
+  SCOPED_TRACE(::testing::Message()
+               << "n=" << jury.size() << " alpha=" << alpha
+               << " buckets=" << options.num_buckets
+               << " pruning=" << options.enable_pruning
+               << " cutoff=" << options.high_quality_cutoff);
+  const ScatterResult ref = ScatterReferenceJq(jury, alpha, options);
+  BucketJqStats stats;
+  EXPECT_EQ(Bits(EstimateJq(jury, alpha, options, &stats).value()),
+            Bits(ref.jq));
+  EXPECT_EQ(Bits(EstimateJq(jury, alpha, options).value()), Bits(ref.jq));
+  EXPECT_EQ(stats.keys_expanded, ref.stats.keys_expanded);
+  EXPECT_EQ(stats.keys_pruned, ref.stats.keys_pruned);
+  EXPECT_EQ(Bits(stats.delta), Bits(ref.stats.delta));
+  EXPECT_EQ(Bits(stats.error_bound), Bits(ref.stats.error_bound));
+  EXPECT_EQ(stats.high_quality_shortcut, ref.stats.high_quality_shortcut);
+  return ref;
+}
+
+BucketJqOptions SweepOptions(int num_buckets, bool pruning,
+                             double cutoff = 0.99) {
+  BucketJqOptions options;
+  options.num_buckets = num_buckets;
+  options.enable_pruning = pruning;
+  options.high_quality_cutoff = cutoff;
+  return options;
+}
+
+TEST(BucketJqTest, DenseSweepMatchesScatterReference) {
+  // Seeded sweep: four quality mixes (sub-half workers that Normalize
+  // flips, exact coin-flippers whose bucket is 0, few distinct values so
+  // buckets tie), priors across (0, 1), one bucket up to the served
+  // 200*(n+1), pruning on and off, and both cutoffs.
+  Rng rng(4099);
+  for (int trial = 0; trial < 160; ++trial) {
+    const int n = 1 + static_cast<int>(rng.UniformInt(30));
+    const int mix = trial % 4;
+    std::vector<double> qs;
+    for (int i = 0; i < n; ++i) {
+      switch (mix) {
+        case 0:
+          qs.push_back(rng.Uniform(0.5, 0.97));
+          break;
+        case 1:
+          qs.push_back(rng.Uniform(0.03, 0.97));
+          break;
+        case 2:
+          qs.push_back(rng.Bernoulli(0.3) ? 0.5 : rng.Uniform(0.3, 0.9));
+          break;
+        default:
+          qs.push_back(0.6 + 0.05 * static_cast<double>(rng.UniformInt(5)));
+          break;
+      }
+    }
+    const Jury jury = Jury::FromQualities(qs);
+    const double alpha = trial % 5 == 0 ? 0.5 : rng.Uniform(0.05, 0.95);
+    const double cutoff = trial % 3 == 0 ? 1.0 : 0.99;
+    for (int num_buckets : {1, 7, 50, 333, 200 * (n + 1)}) {
+      for (bool pruning : {true, false}) {
+        ExpectMatchesScatter(jury, alpha,
+                             SweepOptions(num_buckets, pruning, cutoff));
+      }
+    }
+  }
+
+  // Served shapes: OPTJS's tight re-evaluation of paper-pool juries.
+  for (int n : {60, 90, 100}) {
+    Rng pool_rng(static_cast<std::uint64_t>(n));
+    std::vector<double> qs;
+    for (int i = 0; i < n; ++i) {
+      qs.push_back(
+          pool_rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99));
+    }
+    ExpectMatchesScatter(Jury::FromQualities(qs), 0.4,
+                         SweepOptions(200 * (n + 1), n != 90));
+  }
+
+  // b == 0 workers trail the sort, where R_i == 0 and only key 0 stays
+  // live: exact coin-flippers, and (on a one-bucket grid) workers above
+  // 0.5 whose log-odds round to bucket 0. The two 0.7 jurors cancel to
+  // key 0, so both b == 0 steps expand it.
+  for (bool pruning : {true, false}) {
+    const ScatterResult coin_flippers = ExpectMatchesScatter(
+        Jury::FromQualities({0.7, 0.7, 0.5, 0.5}), 0.5,
+        SweepOptions(50, pruning));
+    if (pruning) {
+      EXPECT_EQ(coin_flippers.stats.keys_expanded, 7u);
+      EXPECT_EQ(coin_flippers.stats.keys_pruned, 2u);
+    }
+    ExpectMatchesScatter(Jury::FromQualities({0.7, 0.7, 0.55, 0.52}), 0.52,
+                         SweepOptions(1, pruning));
+  }
+
+  // q == 1.0 (and q == 0.0, which Normalize flips to 1.0): the (1-q)
+  // products are exact zeros.
+  for (bool pruning : {true, false}) {
+    ExpectMatchesScatter(Jury::FromQualities({1.0, 0.7, 0.6}), 0.5,
+                         SweepOptions(50, pruning, 1.0));
+    ExpectMatchesScatter(Jury::FromQualities({1.0, 0.0, 0.8, 0.55}), 0.3,
+                         SweepOptions(200 * 5, pruning, 1.0));
+  }
+
+  // A window that empties before the last worker: after the 0.95 juror
+  // the keys sit at ±50, beyond what the 0.55 jurors (bucket 3 each) can
+  // undo, so step 1 settles both and the sweep ends two workers early.
+  const ScatterResult emptied = ExpectMatchesScatter(
+      Jury::FromQualities({0.95, 0.55, 0.55, 0.55}), 0.5,
+      SweepOptions(50, true));
+  EXPECT_EQ(emptied.stats.keys_expanded, 3u);
+  EXPECT_EQ(emptied.stats.keys_pruned, 2u);
 }
 
 TEST(BucketKeyDistributionBatchTest, FusedMassMatchesCopyConvolveSweep) {
