@@ -116,10 +116,9 @@ void Run() {
 }
 
 /// PlanContext-reuse ablation: the same request stream answered by cold
-/// per-call setup (a fresh JspInstance copy + pool validation + columnar
-/// view build before every direct solver call) vs a long-lived
-/// `api::PoolPlanContext` (validation and view hoisted into `Plan`, the
-/// instance leased from the arena). Juries are asserted identical — the
+/// per-call setup (pool validation + columnar view build before every
+/// direct solver call) vs a long-lived `api::PoolPlanContext` (validation
+/// and view hoisted into `Plan`). Juries are asserted identical — the
 /// planned path is the same solver code — so only setup cost moves.
 int RunPlanContextReuse(bench::ThreadScalingReport* report) {
   struct Workload {
@@ -138,7 +137,7 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
       "and a direct solver call vs one planned context; identical juries.");
 
   Table table({"solver", "N", "requests", "secs (cold)", "secs (reused)",
-               "speedup", "instances created"});
+               "speedup"});
   int violations = 0;
   Rng rng(881188);
   for (const Workload& workload : workloads) {
@@ -150,8 +149,8 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
       budgets[i] = 0.5 + 0.001 * static_cast<double>(i % 100);
     }
 
-    // Cold path: per-request instance copy + validation + view build,
-    // which is exactly what a caller without a plan pays.
+    // Cold path: per-request validation + view build, which is exactly
+    // what a caller without a plan pays.
     const BucketBvObjective objective;
     std::vector<std::vector<std::size_t>> cold_juries;
     Timer t_cold;
@@ -193,18 +192,15 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
                   Format(reused_secs, 4),
                   Format(reused_secs > 0.0 ? cold_secs / reused_secs : 0.0,
                          2) +
-                      "x",
-                  std::to_string(context.instances_created())});
+                      "x"});
     report->AddPlanContextReuse(workload.solver, workload.n,
-                                workload.requests, cold_secs, reused_secs,
-                                context.instances_created());
+                                workload.requests, cold_secs, reused_secs);
   }
   std::cout << table.ToString()
             << "Takeaway: a pool is planned once and queried many times — "
-               "the serving shape. The arena's instance count stays at the "
-               "solve concurrency (1 here), not the request count, and the "
-               "per-request win is largest for the cheap solvers where "
-               "validation + view build rivals the solve itself.\n";
+               "the serving shape. The per-request win is largest for the "
+               "cheap solvers where validation + view build rivals the "
+               "solve itself.\n";
   return violations;
 }
 
@@ -300,8 +296,9 @@ void RunIncrementalAblation() {
     const BucketBvObjective objective;
     for (int rep = 0; rep < reps; ++rep) {
       Rng pool_rng = rng.Fork();
+      const std::vector<Worker> pool = bench::PaperPool(&pool_rng, n, 0.7);
       JspInstance instance;
-      instance.candidates = bench::PaperPool(&pool_rng, n, 0.7);
+      instance.candidates = pool;
       instance.budget = 1.0;
       instance.alpha = 0.5;
       const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(rep);
@@ -375,8 +372,9 @@ void RunIncrementalAblation() {
   // One labelled run through the shared counter-reporting helper.
   const BucketBvObjective demo;
   Rng pool_rng = rng.Fork();
+  const std::vector<Worker> pool = bench::PaperPool(&pool_rng, 100, 0.7);
   JspInstance instance;
-  instance.candidates = bench::PaperPool(&pool_rng, 100, 0.7);
+  instance.candidates = pool;
   instance.budget = 1.0;
   instance.alpha = 0.5;
   Rng sa_rng(99);
@@ -429,12 +427,16 @@ void RunBatchedNeighbourhoodAblation(bench::ThreadScalingReport* report) {
 
   const BucketBvObjective objective;
   Rng rng(737373);
+  // Each instance borrows its pool; reserved, so the pools never move.
+  std::vector<std::vector<Worker>> pools;
+  pools.reserve(static_cast<std::size_t>(reps));
   std::vector<JspInstance> instances;
   std::vector<double> optima;
   for (int rep = 0; rep < reps; ++rep) {
     Rng pool_rng = rng.Fork();
+    pools.push_back(bench::PaperPool(&pool_rng, kN, 0.7));
     JspInstance instance;
-    instance.candidates = bench::PaperPool(&pool_rng, kN, 0.7);
+    instance.candidates = pools.back();
     instance.budget = 0.5;
     instance.alpha = 0.5;
     const WorkerPoolView view(instance.candidates);
@@ -631,11 +633,14 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
 
   for (const Workload& workload : workloads) {
     const BucketBvObjective objective;
+    std::vector<std::vector<Worker>> pools;
+    pools.reserve(static_cast<std::size_t>(reps));
     std::vector<JspInstance> instances;
     for (int rep = 0; rep < reps; ++rep) {
       Rng pool_rng = rng.Fork();
+      pools.push_back(bench::PaperPool(&pool_rng, workload.n, 0.7));
       JspInstance instance;
-      instance.candidates = bench::PaperPool(&pool_rng, workload.n, 0.7);
+      instance.candidates = pools.back();
       instance.budget = workload.n >= 100 ? 1.0 : 0.5;
       instance.alpha = 0.5;
       instances.push_back(std::move(instance));

@@ -23,20 +23,17 @@ using crowd::SentimentDataset;
 /// Builds the per-question JSP candidate set: the first `n` workers who
 /// answered it, with their empirically estimated qualities and synthetic
 /// costs ~ N(0.05, cost_sigma^2) truncated at 0.01.
-JspInstance QuestionInstance(const SentimentDataset& dataset,
-                             std::size_t question, std::size_t n,
-                             double budget, double cost_sigma, Rng* rng) {
-  JspInstance instance;
-  instance.budget = budget;
-  instance.alpha = 0.5;
+std::vector<Worker> QuestionPool(const SentimentDataset& dataset,
+                                 std::size_t question, std::size_t n,
+                                 double cost_sigma, Rng* rng) {
+  std::vector<Worker> pool;
   const auto& answers = dataset.campaign.tasks[question].answers;
   for (std::size_t i = 0; i < std::min(n, answers.size()); ++i) {
-    instance.candidates.emplace_back(
-        "w" + std::to_string(answers[i].worker),
-        dataset.estimated_quality[answers[i].worker],
-        rng->TruncatedGaussian(0.05, cost_sigma, 0.01, 1e9));
+    pool.emplace_back("w" + std::to_string(answers[i].worker),
+                      dataset.estimated_quality[answers[i].worker],
+                      rng->TruncatedGaussian(0.05, cost_sigma, 0.01, 1e9));
   }
-  return instance;
+  return pool;
 }
 
 struct Point {
@@ -45,13 +42,16 @@ struct Point {
 };
 
 Point AverageOverQuestions(
-    const SentimentDataset& /*dataset*/, std::size_t num_questions,
-    std::uint64_t seed,
-    const std::function<JspInstance(std::size_t, Rng*)>& make_instance) {
+    std::size_t num_questions, std::uint64_t seed, double budget,
+    const std::function<std::vector<Worker>(std::size_t, Rng*)>& make_pool) {
   Rng rng(seed);
   OnlineStats optjs_stats, mvjs_stats;
   for (std::size_t q = 0; q < num_questions; ++q) {
-    JspInstance instance = make_instance(q, &rng);
+    const std::vector<Worker> pool = make_pool(q, &rng);
+    JspInstance instance;
+    instance.candidates = pool;
+    instance.budget = budget;
+    instance.alpha = 0.5;
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
     const WorkerPoolView view(instance.candidates);
@@ -86,9 +86,9 @@ void Run() {
   Table a({"B", "MVJS", "OPTJS"});
   for (double b : {0.2, 0.4, 0.6, 0.8, 1.0}) {
     const auto p = AverageOverQuestions(
-        dataset, questions, 100 + static_cast<std::uint64_t>(b * 100),
+        questions, 100 + static_cast<std::uint64_t>(b * 100), b,
         [&](std::size_t q, Rng* rng) {
-          return QuestionInstance(dataset, q, 20, b, 0.2, rng);
+          return QuestionPool(dataset, q, 20, 0.2, rng);
         });
     a.AddRow({Format(b, 1), FormatPercent(p.mvjs), FormatPercent(p.optjs)});
   }
@@ -98,9 +98,9 @@ void Run() {
   Table bt({"N", "MVJS", "OPTJS"});
   for (std::size_t n : {4u, 8u, 12u, 16u, 20u}) {
     const auto p = AverageOverQuestions(
-        dataset, questions, 200 + static_cast<std::uint64_t>(n),
+        questions, 200 + static_cast<std::uint64_t>(n), 0.5,
         [&](std::size_t q, Rng* rng) {
-          return QuestionInstance(dataset, q, n, 0.5, 0.2, rng);
+          return QuestionPool(dataset, q, n, 0.2, rng);
         });
     bt.AddRow({std::to_string(n), FormatPercent(p.mvjs),
                FormatPercent(p.optjs)});
@@ -111,9 +111,9 @@ void Run() {
   Table c({"sigma", "MVJS", "OPTJS"});
   for (double s : {0.1, 0.3, 0.5, 0.7, 1.0}) {
     const auto p = AverageOverQuestions(
-        dataset, questions, 300 + static_cast<std::uint64_t>(s * 100),
+        questions, 300 + static_cast<std::uint64_t>(s * 100), 0.5,
         [&](std::size_t q, Rng* rng) {
-          return QuestionInstance(dataset, q, 20, 0.5, s, rng);
+          return QuestionPool(dataset, q, 20, s, rng);
         });
     c.AddRow({Format(s, 1), FormatPercent(p.mvjs), FormatPercent(p.optjs)});
   }

@@ -24,8 +24,9 @@ void Fig7a(int reps) {
     Rng rng(static_cast<std::uint64_t>(budget * 1000) + 7);
     for (int rep = 0; rep < reps; ++rep) {
       Rng pool_rng = rng.Fork();
+      const std::vector<Worker> pool = bench::PaperPool(&pool_rng, 11, 0.7);
       JspInstance instance;
-      instance.candidates = bench::PaperPool(&pool_rng, 11, 0.7);
+      instance.candidates = pool;
       instance.budget = budget;
       instance.alpha = 0.5;
       const WorkerPoolView view(instance.candidates);
@@ -59,8 +60,9 @@ void Fig7b(int reps) {
       OnlineStats time_stats;
       for (int rep = 0; rep < reps; ++rep) {
         Rng pool_rng = rng.Fork();
+        const std::vector<Worker> pool = bench::PaperPool(&pool_rng, n, 0.7);
         JspInstance instance;
-        instance.candidates = bench::PaperPool(&pool_rng, n, 0.7);
+        instance.candidates = pool;
         instance.budget = budget;
         instance.alpha = 0.5;
         const BucketBvObjective objective;

@@ -686,16 +686,24 @@ void BM_SessionSwapScanBatchedMajority(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionSwapScanBatchedMajority)->Arg(50)->Arg(200);
 
-void BM_AnnealingSolve(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+/// The annealing benches' pool: the paper's quality and cost model.
+std::vector<Worker> AnnealingPool(int n) {
   Rng pool_rng(7);
-  JspInstance instance;
+  std::vector<Worker> pool;
   for (int i = 0; i < n; ++i) {
-    instance.candidates.emplace_back(
+    pool.emplace_back(
         "w" + std::to_string(i),
         pool_rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99),
         pool_rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
   }
+  return pool;
+}
+
+void BM_AnnealingSolve(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::vector<Worker> pool = AnnealingPool(n);
+  JspInstance instance;
+  instance.candidates = pool;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const BucketBvObjective objective;
@@ -713,14 +721,9 @@ void BM_AnnealingSolveNoIncremental(benchmark::State& state) {
   // The pre-session path: every move re-evaluated from scratch. Contrast
   // with BM_AnnealingSolve (same workload, delta updates on).
   const int n = static_cast<int>(state.range(0));
-  Rng pool_rng(7);
+  const std::vector<Worker> pool = AnnealingPool(n);
   JspInstance instance;
-  for (int i = 0; i < n; ++i) {
-    instance.candidates.emplace_back(
-        "w" + std::to_string(i),
-        pool_rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99),
-        pool_rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
-  }
+  instance.candidates = pool;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const BucketBvObjective objective;
@@ -743,14 +746,9 @@ void BM_AnnealingStep(benchmark::State& state, bool with_token) {
   // plus a clock probe every WorkGovernor::kDeadlineProbePeriod steps.
   // scripts/check_deadline_overhead.py gates token/bare at <2% in CI.
   const int n = 100;
-  Rng pool_rng(7);
+  const std::vector<Worker> pool = AnnealingPool(n);
   JspInstance instance;
-  for (int i = 0; i < n; ++i) {
-    instance.candidates.emplace_back(
-        "w" + std::to_string(i),
-        pool_rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99),
-        pool_rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
-  }
+  instance.candidates = pool;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const BucketBvObjective objective;

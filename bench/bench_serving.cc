@@ -10,10 +10,10 @@
 //
 // The artifact (`JURY_BENCH_JSON`, committed as BENCH_serving.json) gets
 // one row per level: throughput, p50/p99 latency, the measured cache hit
-// rate, and `warm_speedup_vs_cold` — the throughput ratio the regression
-// gate (scripts/check_scaling_regression.py, "serving" section) pins.
-// The ratio is single-core-valid: a cache hit skips the solve entirely,
-// so the speedup claim does not depend on host parallelism.
+// rate, the cold phase's throughput, and `warm_speedup_vs_cold`. The
+// regression gate (scripts/check_scaling_regression.py, "serving"
+// section) requires a hit rate of 1, no errors, and a warm p99 below the
+// cold per-request time; the speedup ratio is recorded but not gated.
 //
 // JURY_BENCH_FAST=1 trims the sweep and marks rows `fast_run` (the gate
 // skips them). `--connect=HOST:PORT` drives an external server instead;

@@ -30,8 +30,9 @@ void Run() {
     Rng rng(static_cast<std::uint64_t>(budget * 1000) + 31);
     for (int rep = 0; rep < reps; ++rep) {
       Rng pool_rng = rng.Fork();
+      const std::vector<Worker> pool = bench::PaperPool(&pool_rng, 11, 0.7);
       JspInstance instance;
-      instance.candidates = bench::PaperPool(&pool_rng, 11, 0.7);
+      instance.candidates = pool;
       instance.budget = budget;
       instance.alpha = 0.5;
       const WorkerPoolView view(instance.candidates);

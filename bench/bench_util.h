@@ -152,12 +152,10 @@ class ThreadScalingReport {
 
   /// One PlanContext-reuse row: `requests` repeated solves on one pool,
   /// cold per-call setup (validate + view rebuild per request) vs the
-  /// reused context (setup amortized into `Plan`; `instances_created` is
-  /// the arena high-water mark proving the reuse).
+  /// reused context (setup amortized into `Plan`).
   void AddPlanContextReuse(const std::string& solver, int n,
                            std::size_t requests, double seconds_cold,
-                           double seconds_reused,
-                           std::size_t instances_created) {
+                           double seconds_reused) {
     const double speedup =
         seconds_reused > 0.0 ? seconds_cold / seconds_reused : 0.0;
     reuse_rows_.Append(
@@ -167,9 +165,7 @@ class ThreadScalingReport {
             .Set("requests", static_cast<std::uint64_t>(requests))
             .Set("seconds_cold", seconds_cold)
             .Set("seconds_reused", seconds_reused)
-            .Set("speedup_vs_cold", speedup)
-            .Set("instances_created",
-                 static_cast<std::uint64_t>(instances_created)));
+            .Set("speedup_vs_cold", speedup));
   }
 
   /// One SolveMany throughput row at a thread count.

@@ -39,15 +39,16 @@ int main() {
   for (std::size_t q = 0; q < num_questions; ++q) {
     const auto& task = dataset.campaign.tasks[q];
 
+    std::vector<Worker> pool;
+    for (const auto& answer : task.answers) {
+      pool.emplace_back(std::to_string(answer.worker),
+                        dataset.estimated_quality[answer.worker],
+                        rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
+    }
     JspInstance instance;
+    instance.candidates = pool;
     instance.budget = 0.5;
     instance.alpha = 0.5;
-    for (const auto& answer : task.answers) {
-      instance.candidates.emplace_back(
-          std::to_string(answer.worker),
-          dataset.estimated_quality[answer.worker],
-          rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
-    }
     Rng solver_rng = rng.Fork();
     const WorkerPoolView view(instance.candidates);
     const auto solution =

@@ -10,10 +10,8 @@ fails on regressions. Three artifact families share this gate:
 `thread_scaling` / `budget_table_nested` / `scheduler` sections;
 `bench_pool` artifacts (BENCH_pool.json) carry `pool_build` /
 `snapshot` / `frontier` sections; `bench_serving` artifacts
-(BENCH_serving.json) carry a `serving` section whose rows (keyed by
-client concurrency) defend `warm_speedup_vs_cold` — the result cache
-must keep answering repeated requests orders of magnitude faster than
-cold solves. Sections the baseline does not record are never demanded
+(BENCH_serving.json) carry a `serving` section with one row per client
+concurrency. Sections the baseline does not record are never demanded
 of the fresh run, so one script gates all families without inventing
 cross-family requirements.
 
@@ -45,6 +43,15 @@ baselines — a 1-core recorder measures them fine. A baseline row whose
 than failed: JURY_BENCH_FAST runs legitimately drop the million-worker
 rows.
 
+For `bench_serving` artifacts the gate checks properties of the fresh
+run alone, on every row not marked `fast_run`: the warm phase must be
+all cache hits (`cache_hit_rate == 1`) with no failed request
+(`errors == 0`), and a warm hit's `p99_ms` must stay below the cold
+phase's per-request time, `1000 / cold_requests_per_second`. The
+`warm_speedup_vs_cold` ratio stays in the artifact but is not gated: it
+rises whenever the cold path gets slower, so it rewards the wrong
+change.
+
 The 20% tolerance absorbs runner-to-runner noise; real regressions (a
 serialized path, a lost nested fan-out) overshoot it by far.
 
@@ -73,6 +80,7 @@ independent and catches total serialization either way.
 """
 
 import json
+import math
 import sys
 
 TOLERANCE = 0.8
@@ -118,25 +126,20 @@ def level_unavailable(row: dict, baseline: dict, fresh: dict) -> bool:
 
 
 def check_pool_ratios(baseline: dict, fresh: dict, section: str,
-                      metric: str, key_field: str = "n") -> int:
-    """Gates a single-process ratio section (rows keyed by `key_field`):
+                      metric: str) -> int:
+    """Gates a single-process ratio section (rows keyed by pool size `n`):
     the fresh ratio must hold >= TOLERANCE of every baseline row that
     makes a claim (> MIN_BASELINE_CLAIM). Single-core-valid — both sides
     of the ratio run in one process on however many cores exist — so no
     hardware_threads skip applies. Fresh artifacts may omit rows
     (JURY_BENCH_FAST drops large-n pool rows); those are skipped, not
-    failed. Rows recorded at the reduced fast-run workload scale
-    (`fast_run: true`, written by bench_serving) are excluded on both
-    sides — a fast row's ratio is measured on a different request mix
-    and warm-pass count, so it makes no claim comparable to a full row's."""
-    base_rows = {row.get(key_field): row for row in baseline.get(section, [])
-                 if not row.get("fast_run")}
-    fresh_rows = {row.get(key_field): row for row in fresh.get(section, [])
-                  if not row.get("fast_run")}
+    failed."""
+    base_rows = {row.get("n"): row for row in baseline.get(section, [])}
+    fresh_rows = {row.get("n"): row for row in fresh.get(section, [])}
     checked = 0
     for key in sorted(k for k in base_rows if k is not None):
         base_value = base_rows[key].get(metric, 0.0)
-        label = f"{section}[{key_field}={key}].{metric}"
+        label = f"{section}[n={key}].{metric}"
         if base_value <= MIN_BASELINE_CLAIM:
             print(f"skip   {label}: baseline {base_value:.2f} makes no claim")
             continue
@@ -151,6 +154,33 @@ def check_pool_ratios(baseline: dict, fresh: dict, section: str,
               f"{base_value:.2f}x (floor {floor:.2f}x)")
         if fresh_value < floor:
             fail(f"{label} {fresh_value:.2f}x fell below {floor:.2f}x")
+        checked += 1
+    return checked
+
+
+def check_serving(fresh: dict) -> int:
+    """Gates each full-run `serving` row of the fresh artifact: every
+    warm request hit the cache, none failed, and a warm hit's p99 beats
+    the cold phase's per-request time. Fast-run rows use a reduced
+    request mix and are skipped."""
+    checked = 0
+    for row in fresh.get("serving", []):
+        label = f"serving[concurrency={row.get('concurrency')}]"
+        if row.get("fast_run"):
+            print(f"skip   {label}: fast run")
+            continue
+        hit_rate = row.get("cache_hit_rate", 0.0)
+        errors = row.get("errors", 0)
+        p99_ms = row.get("p99_ms", math.inf)
+        cold_rps = row.get("cold_requests_per_second", 0.0)
+        cold_ms = 1000.0 / cold_rps if cold_rps > 0.0 else 0.0
+        ok = hit_rate == 1 and errors == 0 and p99_ms < cold_ms
+        print(f"{'ok' if ok else 'FAIL':6} {label}: hit rate {hit_rate}, "
+              f"errors {errors}, warm p99 {p99_ms:.3f} ms vs cold "
+              f"{cold_ms:.3f} ms/request")
+        if not ok:
+            fail(f"{label}: needs hit rate 1, 0 errors and warm p99 below "
+                 "the cold per-request time")
         checked += 1
     return checked
 
@@ -236,14 +266,8 @@ def main() -> None:
                                  "speedup_vs_full_scan")
     checked += check_pool_ratios(baseline, fresh, "snapshot",
                                  "speedup_vs_csv")
-    # `bench_serving` artifacts (BENCH_serving.json): the epoch-keyed
-    # result cache must keep repeated requests far cheaper than cold
-    # solves. Warm-vs-cold is a two-code-path ratio inside one process,
-    # so it is single-core-valid like the pool ratios; rows are keyed by
-    # closed-loop client concurrency.
-    checked += check_pool_ratios(baseline, fresh, "serving",
-                                 "warm_speedup_vs_cold",
-                                 key_field="concurrency")
+    if baseline.get("serving"):
+        checked += check_serving(fresh)
 
     print(f"scaling gate passed ({checked} rows checked, "
           f"{nested_regions} nested regions observed)")

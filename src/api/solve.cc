@@ -32,8 +32,6 @@ namespace {
 // fetch_add per bump.
 StatsRegistry::Counter& g_contexts_planned =
     RegisterStatsCounter("plan.contexts_planned");
-StatsRegistry::Counter& g_instances_created =
-    RegisterStatsCounter("plan.instances_created");
 StatsRegistry::Counter& g_instances_leased =
     RegisterStatsCounter("plan.instances_leased");
 StatsRegistry::Counter& g_requests_solved =
@@ -113,13 +111,12 @@ std::string SolveReport::ToJson() const {
 }
 
 /// \brief One pool epoch's immutable plan: the candidate table, its
-/// columnar view, the lazily built sharded summary index, and the
-/// free list of per-request instances whose candidate copies match this
-/// epoch. Epoch 0 is built at plan time; `ApplyPoolDelta` appends a new
-/// state per churn batch. States are heap-pinned (shared_ptr in the
-/// arena) and retired states are kept alive for the context's lifetime,
-/// so a reference obtained from any epoch — a `view()` held by an
-/// in-flight solve, a lease's candidate span — can never dangle.
+/// columnar view, and the lazily built sharded summary index. Epoch 0 is
+/// built at plan time; `ApplyPoolDelta` appends a new state per churn
+/// batch. States are heap-pinned (shared_ptr in the arena) and retired
+/// states are kept alive for the context's lifetime, so a reference
+/// obtained from any epoch — a `view()` held by an in-flight solve, a
+/// lease's candidate span — can never dangle.
 struct PoolState {
   std::uint64_t epoch = 0;
   /// Owner of the mapped columns for a snapshot-born epoch 0 (its view
@@ -131,12 +128,6 @@ struct PoolState {
   std::once_flag workers_once;
   std::mutex pool_mutex;
   std::unique_ptr<ShardedWorkerPool> pool;  // lazy; guarded by pool_mutex
-  /// The instance arena: a mutex-guarded free list of `JspInstance`
-  /// objects whose candidate vectors were copied from this epoch exactly
-  /// once. The lock is held only for the list pop/push — never across a
-  /// solve — so concurrent requests contend for nanoseconds.
-  std::mutex instance_mutex;
-  std::vector<std::unique_ptr<JspInstance>> free_list;
 };
 
 struct PoolPlanContext::Arena {
@@ -146,9 +137,6 @@ struct PoolPlanContext::Arena {
   /// Serializes `ApplyPoolDelta` (epoch construction is copy-heavy; two
   /// racing churn batches must see each other's updates).
   std::mutex churn_mutex;
-  /// Instances materialized across all epochs (the arena high-water
-  /// mark `instances_created()` reports).
-  std::atomic<std::size_t> created{0};
   /// The epoch-keyed result cache; null until `EnableResultCache`.
   std::unique_ptr<serve::ResultCache> cache;
   bool from_snapshot = false;
@@ -355,44 +343,14 @@ Status PoolPlanContext::ApplyPoolDelta(
 
 PoolPlanContext::InstanceLease PoolPlanContext::AcquireInstance(double budget,
                                                                 double alpha) {
-  // A cold lease copies the whole pool; the fault hook stands in for that
-  // allocation failing. First, before any arena mutation, so a fired
-  // fault leaves the free list and high-water mark untouched.
+  // The fault hook stands in for a lease failing to materialize a
+  // snapshot plan's workers.
   JURY_FAULT_POINT("plan.lease_instance");
   PoolState* const state = CurrentState();
   EnsureWorkers(state);  // snapshot plans materialize structs on first lease
-  std::unique_ptr<JspInstance> instance;
-  {
-    std::lock_guard<std::mutex> lock(state->instance_mutex);
-    if (!state->free_list.empty()) {
-      instance = std::move(state->free_list.back());
-      state->free_list.pop_back();
-    }
-  }
   g_instances_leased.Increment();
-  if (instance == nullptr) {
-    arena_->created.fetch_add(1, std::memory_order_relaxed);
-    g_instances_created.Increment();
-    instance = std::make_unique<JspInstance>();
-    instance->candidates = state->candidates;  // the one O(n) copy, reused
-  }
-  instance->budget = budget;
-  instance->alpha = alpha;
-  return InstanceLease(this, state, std::move(instance));
-}
-
-void PoolPlanContext::ReturnInstance(PoolState* state,
-                                     std::unique_ptr<JspInstance> instance) {
-  std::lock_guard<std::mutex> lock(state->instance_mutex);
-  state->free_list.push_back(std::move(instance));
-}
-
-std::size_t PoolPlanContext::instances_created() const {
-  return arena_->created.load(std::memory_order_relaxed);
-}
-
-PoolPlanContext::InstanceLease::~InstanceLease() {
-  if (owner_ != nullptr) owner_->ReturnInstance(state_, std::move(instance_));
+  return InstanceLease(JspInstance{
+      .candidates = state->candidates, .budget = budget, .alpha = alpha});
 }
 
 Result<SolveReport> PoolPlanContext::Solve(const SolveRequest& request) {

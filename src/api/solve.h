@@ -319,17 +319,16 @@ class JspSolver {
 /// budgets and task priors. Built once per pool, it owns everything the
 /// per-request path used to rebuild from scratch:
 ///
-///  * the validated candidate snapshot (pool validation runs once, at
-///    `Plan`, never per request);
-///  * the columnar `WorkerPoolView` every evaluation session scores from;
-///  * a reusable arena of prevalidated `JspInstance` scratch objects, so
-///    a request only stamps its (budget, alpha) scalars onto a leased
-///    instance instead of copying the pool.
+///  * the validated candidate table (pool validation runs once, at
+///    `Plan`, never per request), the one struct-array copy of the pool
+///    every solve on an epoch reads: a request's `JspInstance` borrows it
+///    and carries only its own (budget, alpha) scalars;
+///  * the columnar `WorkerPoolView` every evaluation session scores from.
 ///
 /// `Solve` runs one request; `SolveMany` fans a batch across the
 /// process-wide scheduler, each request bit-identical to its serial
-/// solve. The context is safe for concurrent `Solve` calls (the arena is
-/// internally synchronized; the view is immutable).
+/// solve. The context is safe for concurrent `Solve` calls (epochs are
+/// immutable once published).
 class PoolPlanContext {
  public:
   /// Validates the pool (every worker's quality/cost ranges) and builds
@@ -458,47 +457,30 @@ class PoolPlanContext {
   /// The enabled cache (nullptr when disabled). Thread-safe for stats.
   serve::ResultCache* result_cache() const;
 
-  /// \brief RAII lease of a prevalidated per-request instance from the
-  /// context's arena (returned to the free list on destruction).
+  /// \brief One request's instance, held by value: the leased epoch's
+  /// candidate table (borrowed, never copied) and the request's budget
+  /// and alpha. Epochs are never mutated and live as long as the context,
+  /// so a lease taken before an `ApplyPoolDelta` keeps reading the old
+  /// epoch's workers.
   class InstanceLease {
    public:
-    InstanceLease(InstanceLease&& other) noexcept
-        : owner_(other.owner_),
-          state_(other.state_),
-          instance_(std::move(other.instance_)) {
-      other.owner_ = nullptr;
-    }
-    InstanceLease& operator=(InstanceLease&&) = delete;
-    InstanceLease(const InstanceLease&) = delete;
-    InstanceLease& operator=(const InstanceLease&) = delete;
-    ~InstanceLease();
+    InstanceLease(InstanceLease&&) noexcept = default;
 
-    JspInstance& instance() { return *instance_; }
-    const JspInstance& instance() const { return *instance_; }
+    JspInstance& instance() { return instance_; }
+    const JspInstance& instance() const { return instance_; }
 
    private:
     friend class PoolPlanContext;
-    InstanceLease(PoolPlanContext* owner, PoolState* state,
-                  std::unique_ptr<JspInstance> instance)
-        : owner_(owner), state_(state), instance_(std::move(instance)) {}
+    explicit InstanceLease(const JspInstance& instance)
+        : instance_(instance) {}
 
-    PoolPlanContext* owner_;
-    /// The epoch the instance's candidate copy matches — the lease
-    /// returns to *that* epoch's free list, so churn mid-lease can never
-    /// hand a stale candidate table to a later request.
-    PoolState* state_;
-    std::unique_ptr<JspInstance> instance_;
+    JspInstance instance_;
   };
 
-  /// Checks an instance out of the arena with the request's scalars
-  /// stamped on. The candidate copy is made at most once per concurrency
-  /// level and reused for every later request — the amortization the
-  /// bench's PlanContext-reuse section measures.
+  /// The current (or pinned) epoch's instance with the request's scalars
+  /// stamped on. O(1): materializes a snapshot plan's workers on the
+  /// first lease, then only points at them.
   InstanceLease AcquireInstance(double budget, double alpha);
-
-  /// Instances materialized so far (arena high-water mark): stays at the
-  /// solve concurrency — not the request count — under reuse.
-  std::size_t instances_created() const;
 
  private:
   struct Arena;
@@ -511,8 +493,6 @@ class PoolPlanContext {
   /// on this thread for this context (a solve in flight), else the
   /// newest epoch.
   PoolState* CurrentState() const;
-  void ReturnInstance(PoolState* state,
-                      std::unique_ptr<JspInstance> instance);
   /// Materializes `state`'s workers from its snapshot (no-op for memory
   /// and churned states) and binds them onto its view. Thread-safe, once
   /// per state.
@@ -520,10 +500,9 @@ class PoolPlanContext {
 
   PlanOptions plan_options_;
   /// Everything mutable lives behind this pointer — the epoch states
-  /// (each owning its candidates/view/sharded pool/instance free list,
-  /// retired epochs kept alive so in-flight readers never dangle) and
-  /// the optional result cache — so the context keeps its defaulted
-  /// moves.
+  /// (each owning its candidates/view/sharded pool, retired epochs kept
+  /// alive so in-flight readers never dangle) and the optional result
+  /// cache — so the context keeps its defaulted moves.
   std::unique_ptr<Arena> arena_;
 };
 

@@ -5,8 +5,8 @@
 namespace jury {
 namespace {
 
-/// One task's pool, copied and snapshotted once for all its budget
-/// probes (a probe only moves `instance.budget`).
+/// One task's pool, borrowed from the caller's task and snapshotted once
+/// for all its budget probes (a probe only moves `instance.budget`).
 struct TaskPool {
   JspInstance instance;
   WorkerPoolView view;
@@ -57,7 +57,7 @@ Result<AllocationResult> AllocateBudget(
 
   const std::size_t n = tasks.size();
   const double inc = options.increment;
-  // Sized once: each view points into its own element's instance.
+  // Instances and views point into `tasks`, which outlives every solve.
   std::vector<TaskPool> pools(n);
   for (std::size_t i = 0; i < n; ++i) {
     pools[i].instance.candidates = tasks[i].candidates;

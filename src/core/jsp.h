@@ -2,6 +2,7 @@
 #define JURYOPT_CORE_JSP_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,13 +14,30 @@
 
 namespace jury {
 
+/// \brief A non-owning view of a candidate pool. It binds to a named
+/// `std::vector<Worker>` or to a span, never to a temporary vector: the
+/// rvalue constructor is deleted, so `instance.candidates = MakePool()`
+/// fails to compile instead of dangling.
+class CandidateSpan : public std::span<const Worker> {
+ public:
+  CandidateSpan() = default;
+  CandidateSpan(std::span<const Worker> workers)  // NOLINT
+      : std::span<const Worker>(workers) {}
+  CandidateSpan(const std::vector<Worker>& workers)  // NOLINT
+      : std::span<const Worker>(workers) {}
+  CandidateSpan(std::vector<Worker>&&) = delete;
+};
+
 /// \brief An instance of the Jury Selection Problem (§2.2): candidate
 /// workers W, a budget B, and the task prior alpha. The goal is
 /// `J* = argmax_{J in C} max_S JQ(J, S, alpha)` over feasible juries
 /// `C = { J subset of W : sum of costs <= B }`; by Corollary 1 the inner
 /// max is attained by Bayesian Voting.
+///
+/// The instance borrows its candidates, as `WorkerPoolView` does: the
+/// pool they point at must outlive every solve on the instance.
 struct JspInstance {
-  std::vector<Worker> candidates;
+  CandidateSpan candidates;
   double budget = 0.0;
   double alpha = 0.5;
 

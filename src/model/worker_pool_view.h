@@ -37,11 +37,12 @@ namespace jury {
 ///     (lazy materialization) for the call sites that need the AoS record.
 ///
 /// The view never owns the workers: it keeps a `std::span` over the
-/// caller's array (a `PoolPlanContext` epoch's candidate table, or the
-/// vector a direct caller passes as `JspInstance::candidates`), which
-/// must outlive the view. Views are immutable after construction
-/// (BindWorkers excepted, which happens once before any `worker()`
-/// access) and therefore freely shared across threads.
+/// caller's array (a `PoolPlanContext` epoch's candidate table, or a
+/// direct caller's pool vector), which must outlive the view; a
+/// `JspInstance` borrows the same array through its `candidates` span.
+/// Views are immutable after construction (BindWorkers excepted, which
+/// happens once before any `worker()` access) and therefore freely
+/// shared across threads.
 class WorkerPoolView {
  public:
   static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);

@@ -75,20 +75,18 @@ class McJqObjectiveAdapter final : public JqObjective {
   double empty_jq_;
 };
 
-/// Binary instance over placeholder workers: id = candidate index, cost =
-/// the real cost (the column every affordability test reads), quality = a
-/// neutral 0.5 the adapter never consults. Alpha is likewise a neutral
-/// placeholder — the adapter overrides everything alpha-dependent.
-JspInstance MakeBinaryInstance(const McJspInstance& instance) {
-  JspInstance binary;
-  binary.budget = instance.budget;
-  binary.alpha = 0.5;
-  binary.candidates.reserve(instance.candidates.size());
+/// Placeholder workers for the binary drivers: id = candidate index, cost
+/// = the real cost (the column every affordability test reads), quality =
+/// a neutral 0.5 the adapter never consults. The binary instance's alpha
+/// is a neutral 0.5 too — the adapter overrides everything
+/// alpha-dependent.
+std::vector<Worker> PlaceholderWorkers(const McJspInstance& instance) {
+  std::vector<Worker> workers;
+  workers.reserve(instance.candidates.size());
   for (std::size_t i = 0; i < instance.candidates.size(); ++i) {
-    binary.candidates.emplace_back(std::to_string(i), 0.5,
-                                   instance.candidates[i].cost);
+    workers.emplace_back(std::to_string(i), 0.5, instance.candidates[i].cost);
   }
-  return binary;
+  return workers;
 }
 
 McJspSolution FromBinary(const JspSolution& solution) {
@@ -131,8 +129,10 @@ Result<McJspSolution> SolveMcAnnealing(const McJspInstance& instance, Rng* rng,
   if (options.bucket.num_buckets <= 0) {
     return Status::InvalidArgument("bucket.num_buckets must be positive");
   }
-  const JspInstance binary = MakeBinaryInstance(instance);
-  const WorkerPoolView view(binary.candidates);
+  const std::vector<Worker> placeholders = PlaceholderWorkers(instance);
+  const JspInstance binary{
+      .candidates = placeholders, .budget = instance.budget, .alpha = 0.5};
+  const WorkerPoolView view(placeholders);
   const McJqObjectiveAdapter objective(instance, options.bucket);
   AnnealingOptions annealing;
   annealing.initial_temperature = options.initial_temperature;
@@ -151,8 +151,10 @@ Result<McJspSolution> SolveMcExhaustive(const McJspInstance& instance,
   if (bucket.num_buckets <= 0) {
     return Status::InvalidArgument("bucket.num_buckets must be positive");
   }
-  const JspInstance binary = MakeBinaryInstance(instance);
-  const WorkerPoolView view(binary.candidates);
+  const std::vector<Worker> placeholders = PlaceholderWorkers(instance);
+  const JspInstance binary{
+      .candidates = placeholders, .budget = instance.budget, .alpha = 0.5};
+  const WorkerPoolView view(placeholders);
   const McJqObjectiveAdapter objective(instance, bucket);
   ExhaustiveOptions exhaustive;
   exhaustive.max_candidates = max_candidates;

@@ -386,8 +386,7 @@ void JuryServer::SubmitSolve(std::uint64_t conn_id,
     return;
   }
 
-  const bool had_own_deadline = request.deadline_ms > 0.0;
-  if (!had_own_deadline && options_.default_deadline_ms > 0.0) {
+  if (request.deadline_ms == 0.0 && options_.default_deadline_ms > 0.0) {
     request.deadline_ms = options_.default_deadline_ms;
   }
 
@@ -413,8 +412,7 @@ void JuryServer::SubmitSolve(std::uint64_t conn_id,
   Connection& conn = connections_.at(conn_id);
   conn.awaiting_solve = true;
   conn.close_after_write = conn.close_after_write || !keep_alive;
-  pending_.emplace(conn_id, PendingSolve{conn_id, std::move(futures.front()),
-                                         had_own_deadline});
+  pending_.emplace(conn_id, std::move(futures.front()));
   UpdateInterest(conn_id);
 }
 
@@ -434,11 +432,11 @@ void JuryServer::DrainCompletions() {
 void JuryServer::FinishSolve(std::uint64_t conn_id) {
   auto pending_it = pending_.find(conn_id);
   if (pending_it == pending_.end()) return;
-  PendingSolve pending = std::move(pending_it->second);
+  api::SolveFuture future = std::move(pending_it->second);
   pending_.erase(pending_it);
   ServeInflightAdd(-1);
 
-  Result<api::SolveReport> result = pending.future.Take();
+  Result<api::SolveReport> result = future.Take();
 
   auto conn_it = connections_.find(conn_id);
   if (conn_it == connections_.end()) return;  // client went away; discard

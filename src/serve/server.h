@@ -107,12 +107,6 @@ class JuryServer {
     bool awaiting_solve = false;
   };
 
-  struct PendingSolve {
-    std::uint64_t conn_id = 0;
-    api::SolveFuture future;
-    bool had_own_deadline = false;
-  };
-
   Status Listen();
   void AcceptNew();
   void HandleReadable(std::uint64_t conn_id);
@@ -147,7 +141,8 @@ class JuryServer {
 
   std::uint64_t next_conn_id_ = 1;
   std::unordered_map<std::uint64_t, Connection> connections_;
-  std::unordered_map<std::uint64_t, PendingSolve> pending_;
+  /// The in-flight solve of each connection awaiting one.
+  std::unordered_map<std::uint64_t, api::SolveFuture> pending_;
 
   /// Completions crossing from scheduler threads to the loop.
   std::mutex completed_mutex_;

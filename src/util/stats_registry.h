@@ -15,8 +15,8 @@ namespace jury {
 /// \brief Process-wide registry of named monotonic counters and gauges —
 /// the observability spine of the serving surface.
 ///
-/// Subsystems (the scheduler, the objective layer, the plan-context
-/// arena, the JSON parser) register their instruments once, at
+/// Subsystems (the scheduler, the objective layer, the plan context,
+/// the JSON parser) register their instruments once, at
 /// static-initialization time, and bump them with relaxed atomics on the
 /// hot path: an `Add` is one `fetch_add`, and reading never takes a lock
 /// — `Snapshot` walks the registered instruments with relaxed loads, so a

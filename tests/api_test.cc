@@ -17,6 +17,7 @@
 #include <numeric>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "api/registry.h"
@@ -375,8 +376,9 @@ TEST(OptionsValidationTest, DirectValidateCalls) {
   EXPECT_FALSE(bad_threshold.Validate().ok());
 
   // The core entry points validate their options too.
+  const std::vector<Worker> workers = jury::testing::Figure1Workers();
   JspInstance instance;
-  instance.candidates = jury::testing::Figure1Workers();
+  instance.candidates = workers;
   instance.budget = 15.0;
   const BucketBvObjective objective;
   Rng rng(1);
@@ -402,18 +404,40 @@ TEST(PlanContextTest, RejectsInvalidPools) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(PlanContextTest, ArenaReusesInstancesAcrossRequests) {
+// An instance borrows its pool, so a temporary vector must not bind.
+static_assert(!std::is_assignable_v<decltype(JspInstance::candidates)&,
+                                    std::vector<Worker>&&>);
+static_assert(std::is_assignable_v<decltype(JspInstance::candidates)&,
+                                   const std::vector<Worker>&>);
+
+TEST(PlanContextTest, LeasesBorrowTheEpochCandidateTable) {
   auto context =
       PoolPlanContext::Plan(jury::testing::Figure1Workers()).value();
-  for (int i = 0; i < 32; ++i) {
-    SolveRequest request;
-    request.solver = "greedy-quality";
-    request.budget = 5.0 + i;
-    ASSERT_TRUE(context.Solve(request).ok());
-  }
-  // Serial solves lease and return one instance: the candidate copy was
-  // made once, not 32 times.
-  EXPECT_EQ(context.instances_created(), 1u);
+  const auto first = context.AcquireInstance(5.0, 0.5);
+  const auto second = context.AcquireInstance(10.0, 0.3);
+  // Concurrent leases read the epoch's one candidate table, not copies.
+  EXPECT_EQ(first.instance().candidates.data(), context.candidates().data());
+  EXPECT_EQ(second.instance().candidates.data(), context.candidates().data());
+  EXPECT_EQ(first.instance().budget, 5.0);
+  EXPECT_EQ(second.instance().budget, 10.0);
+  EXPECT_EQ(second.instance().alpha, 0.3);
+}
+
+TEST(PlanContextTest, LeaseKeepsItsEpochAcrossPoolDeltas) {
+  auto context =
+      PoolPlanContext::Plan(jury::testing::Figure1Workers()).value();
+  const Worker* const old_table = context.candidates().data();
+  const Worker old_worker = context.candidates()[0];
+  const auto before = context.AcquireInstance(5.0, 0.5);
+  const PoolDeltaUpdate update{0, 0.99, old_worker.cost};
+  ASSERT_TRUE(context.ApplyPoolDelta({&update, 1}).ok());
+  const auto after = context.AcquireInstance(5.0, 0.5);
+
+  EXPECT_EQ(before.instance().candidates.data(), old_table);
+  EXPECT_EQ(before.instance().candidates[0], old_worker);
+  EXPECT_EQ(after.instance().candidates.data(), context.candidates().data());
+  EXPECT_NE(after.instance().candidates.data(), old_table);
+  EXPECT_EQ(after.instance().candidates[0].quality, 0.99);
 }
 
 TEST(PlanContextTest, ZeroBudgetReturnsTheEmptyJury) {

@@ -13,10 +13,10 @@ namespace {
 using jury::testing::Figure1Workers;
 using jury::testing::RandomPool;
 
-JspInstance MakeInstance(std::vector<Worker> workers, double budget,
+JspInstance MakeInstance(CandidateSpan workers, double budget,
                          double alpha = 0.5) {
   JspInstance instance;
-  instance.candidates = std::move(workers);
+  instance.candidates = workers;
   instance.budget = budget;
   instance.alpha = alpha;
   return instance;
@@ -29,8 +29,8 @@ TEST_P(BranchBoundAgreementTest, MatchesExhaustiveExactly) {
   const auto [n, budget, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 7001 +
           static_cast<std::uint64_t>(n));
-  const auto instance = MakeInstance(
-      RandomPool(&rng, n, 0.5, 0.95, 0.05, 0.4), budget);
+  const auto pool = RandomPool(&rng, n, 0.5, 0.95, 0.05, 0.4);
+  const auto instance = MakeInstance(pool, budget);
   const ExactBvObjective objective;
   const WorkerPoolView view(instance.candidates);
   const auto exhaustive = SolveExhaustive(instance, view, objective).value();
@@ -51,7 +51,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BranchBoundTest, SolvesFigure1) {
   const ExactBvObjective objective;
-  const auto instance = MakeInstance(Figure1Workers(), 15.0);
+  const auto pool = Figure1Workers();
+  const auto instance = MakeInstance(pool, 15.0);
   const WorkerPoolView view(instance.candidates);
   const auto solution = SolveBranchAndBound(instance, view, objective).value();
   EXPECT_EQ(solution.selected, (std::vector<std::size_t>{1, 2, 6}));
@@ -62,8 +63,8 @@ TEST(BranchBoundTest, ScalesBeyondTheExhaustiveGuard) {
   // N = 26 is past SolveExhaustive's default cap; branch-and-bound with the
   // bucket objective finishes and prunes most of the tree.
   Rng rng(11);
-  const auto instance = MakeInstance(
-      RandomPool(&rng, 26, 0.5, 0.95, 0.05, 0.4), 0.4);
+  const auto pool = RandomPool(&rng, 26, 0.5, 0.95, 0.05, 0.4);
+  const auto instance = MakeInstance(pool, 0.4);
   const BucketBvObjective objective;
   BranchBoundStats stats;
   const WorkerPoolView view(instance.candidates);
@@ -76,7 +77,8 @@ TEST(BranchBoundTest, ScalesBeyondTheExhaustiveGuard) {
 
 TEST(BranchBoundTest, RejectsNonMonotoneObjectives) {
   const MajorityObjective mv;
-  const auto instance = MakeInstance(Figure1Workers(), 10.0);
+  const auto pool = Figure1Workers();
+  const auto instance = MakeInstance(pool, 10.0);
   const WorkerPoolView view(instance.candidates);
   EXPECT_EQ(SolveBranchAndBound(instance, view, mv).status().code(),
             StatusCode::kInvalidArgument);
@@ -84,8 +86,8 @@ TEST(BranchBoundTest, RejectsNonMonotoneObjectives) {
 
 TEST(BranchBoundTest, NodeBudgetIsEnforced) {
   Rng rng(13);
-  const auto instance = MakeInstance(
-      RandomPool(&rng, 18, 0.5, 0.95, 0.05, 0.4), 1.0);
+  const auto pool = RandomPool(&rng, 18, 0.5, 0.95, 0.05, 0.4);
+  const auto instance = MakeInstance(pool, 1.0);
   const ExactBvObjective objective;
   BranchBoundOptions options;
   options.max_nodes = 5;
@@ -104,8 +106,8 @@ TEST(BranchBoundTest, EmptyPoolAndZeroBudget) {
   EXPECT_DOUBLE_EQ(s1.jq, 0.7);
 
   Rng rng(17);
-  const auto broke =
-      MakeInstance(RandomPool(&rng, 6, 0.5, 0.9, 0.5, 1.0), 0.0);
+  const auto pool = RandomPool(&rng, 6, 0.5, 0.9, 0.5, 1.0);
+  const auto broke = MakeInstance(pool, 0.0);
   const WorkerPoolView broke_view(broke.candidates);
   const auto s2 = SolveBranchAndBound(broke, broke_view, objective).value();
   EXPECT_TRUE(s2.selected.empty());
@@ -116,7 +118,7 @@ TEST(BranchBoundTest, PrefersCheaperTies) {
   // quality need — the optimum should keep the cost minimal among ties.
   std::vector<Worker> workers = {{"cheap", 0.8, 1.0}, {"pricey", 0.8, 3.0}};
   const ExactBvObjective objective;
-  const auto instance = MakeInstance(std::move(workers), 3.0);
+  const auto instance = MakeInstance(workers, 3.0);
   const WorkerPoolView view(instance.candidates);
   const auto solution = SolveBranchAndBound(instance, view, objective).value();
   ASSERT_EQ(solution.selected.size(), 1u);

@@ -64,8 +64,10 @@ TEST(DeterminismTest, SentimentDataset) {
 
 TEST(DeterminismTest, AnnealingSolver) {
   Rng pool_rng(99);
+  const std::vector<Worker> pool =
+      RandomPool(&pool_rng, 20, 0.5, 0.95, 0.05, 0.3);
   JspInstance instance;
-  instance.candidates = RandomPool(&pool_rng, 20, 0.5, 0.95, 0.05, 0.3);
+  instance.candidates = pool;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const BucketBvObjective objective;
@@ -78,8 +80,10 @@ TEST(DeterminismTest, AnnealingSolver) {
 
 TEST(DeterminismTest, FullSystems) {
   Rng pool_rng(101);
+  const std::vector<Worker> pool =
+      RandomPool(&pool_rng, 16, 0.5, 0.95, 0.05, 0.3);
   JspInstance instance;
-  instance.candidates = RandomPool(&pool_rng, 16, 0.5, 0.95, 0.05, 0.3);
+  instance.candidates = pool;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const WorkerPoolView view(instance.candidates);

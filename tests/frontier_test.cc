@@ -43,9 +43,13 @@ std::vector<simd::Level> TestableLevels() {
   return levels;
 }
 
-JspInstance MakeInstance(Rng* rng, int n, double budget) {
+std::vector<Worker> MakePool(Rng* rng, int n) {
+  return RandomPool(rng, n, 0.0, 1.0, 0.01, 0.5);
+}
+
+JspInstance MakeInstance(CandidateSpan workers, double budget) {
   JspInstance instance;
-  instance.candidates = RandomPool(rng, n, 0.0, 1.0, 0.01, 0.5);
+  instance.candidates = workers;
   instance.budget = budget;
   instance.alpha = 0.5;
   return instance;
@@ -53,7 +57,8 @@ JspInstance MakeInstance(Rng* rng, int n, double budget) {
 
 TEST(FrontierTest, GreedyMarginalGainExactModeIsBitIdentical) {
   Rng rng(8801);
-  const JspInstance instance = MakeInstance(&rng, 600, 1.0);
+  const std::vector<Worker> workers = MakePool(&rng, 600);
+  const JspInstance instance = MakeInstance(workers, 1.0);
   const WorkerPoolView view(instance.candidates);
   const BucketBvObjective bv{BucketJqOptions{}};
   const MajorityObjective mv;
@@ -105,7 +110,8 @@ TEST(FrontierTest, SelectAddMatchesFullScanArgmaxUnderPruning) {
   // bit, and on these smooth random pools some scans should retain
   // pruning (the proof doing real work at least once).
   Rng rng(8803);
-  const JspInstance instance = MakeInstance(&rng, 512, 0.4);
+  const std::vector<Worker> workers = MakePool(&rng, 512);
+  const JspInstance instance = MakeInstance(workers, 0.4);
   const WorkerPoolView view(instance.candidates);
   const BucketBvObjective objective{BucketJqOptions{}};
   auto session = objective.StartSession(view, instance.alpha, true);
@@ -154,7 +160,8 @@ TEST(FrontierTest, AnnealingPolishIdenticalWithFrontier) {
   // annealing solve must return the identical jury with and without the
   // sharded pool wired (same seed, same trajectory).
   Rng rng_base(8805);
-  const JspInstance instance = MakeInstance(&rng_base, 300, 0.8);
+  const std::vector<Worker> workers = MakePool(&rng_base, 300);
+  const JspInstance instance = MakeInstance(workers, 0.8);
   const WorkerPoolView view(instance.candidates);
   const BucketBvObjective objective{BucketJqOptions{}};
   ShardedPoolOptions pool_options;
@@ -188,8 +195,9 @@ TEST(FrontierTest, BranchBoundOrderingKeepsOptimality) {
   // to well within evaluation noise; the certified optimum is unique up
   // to score ties).
   Rng rng(8807);
+  const auto workers = RandomPool(&rng, 24, 0.3, 1.0, 0.05, 0.4);
   JspInstance instance;
-  instance.candidates = RandomPool(&rng, 24, 0.3, 1.0, 0.05, 0.4);
+  instance.candidates = workers;
   instance.budget = 0.8;
   instance.alpha = 0.5;
   const WorkerPoolView view(instance.candidates);

@@ -77,8 +77,9 @@ TEST_P(FuzzTest, SolverInvariants) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 40503u + 13u);
   for (int round = 0; round < 6; ++round) {
     const int n = 2 + static_cast<int>(rng.UniformInt(9));
+    const std::vector<Worker> pool = RandomPool(&rng, n, 0.0, 1.0, 0.0, 0.5);
     JspInstance instance;
-    instance.candidates = RandomPool(&rng, n, 0.0, 1.0, 0.0, 0.5);
+    instance.candidates = pool;
     instance.budget = rng.Uniform(0.0, 1.5);
     instance.alpha = rng.Uniform();
 
@@ -106,8 +107,9 @@ TEST_P(FuzzTest, SolverInvariants) {
 TEST_P(FuzzTest, SystemsNeverViolateBudgetsOrDominance) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7577u + 101u);
   for (int round = 0; round < 4; ++round) {
+    const std::vector<Worker> pool = RandomPool(&rng, 14, 0.3, 0.99, 0.02, 0.4);
     JspInstance instance;
-    instance.candidates = RandomPool(&rng, 14, 0.3, 0.99, 0.02, 0.4);
+    instance.candidates = pool;
     instance.budget = rng.Uniform(0.1, 1.0);
     instance.alpha = 0.5;
     Rng r1 = rng.Fork();

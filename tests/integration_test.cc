@@ -83,15 +83,16 @@ TEST(IntegrationTest, SentimentDatasetDrivesJsp) {
   OnlineStats jq_stats;
   for (std::size_t q = 0; q < 25; ++q) {  // a slice of the 600 questions
     const auto& task = dataset.campaign.tasks[q];
+    std::vector<Worker> pool;
+    for (const auto& answer : task.answers) {
+      pool.emplace_back("w" + std::to_string(answer.worker),
+                        dataset.estimated_quality[answer.worker],
+                        rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
+    }
     JspInstance instance;
+    instance.candidates = pool;
     instance.budget = 0.5;
     instance.alpha = 0.5;
-    for (const auto& answer : task.answers) {
-      instance.candidates.emplace_back(
-          "w" + std::to_string(answer.worker),
-          dataset.estimated_quality[answer.worker],
-          rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
-    }
     Rng solver_rng = rng.Fork();
     const WorkerPoolView view(instance.candidates);
     const auto solution =
@@ -136,21 +137,27 @@ TEST(IntegrationTest, EstimatedQualitiesAreGoodEnoughForSelection) {
       crowd::SimulateCampaign(config, latent, quota, &rng).value();
   const auto estimated = crowd::EstimateQualitiesEmpirical(campaign).value();
 
-  auto make_instance = [&](const std::vector<double>& qs) {
+  auto make_pool = [](const std::vector<double>& qs) {
+    std::vector<Worker> pool;
+    for (int i = 0; i < 10; ++i) {
+      pool.emplace_back("w" + std::to_string(i),
+                        qs[static_cast<std::size_t>(i)], 0.05 + 0.01 * i);
+    }
+    return pool;
+  };
+  auto make_instance = [](const std::vector<Worker>& pool) {
     JspInstance instance;
+    instance.candidates = pool;
     instance.budget = 0.3;
     instance.alpha = 0.5;
-    for (int i = 0; i < 10; ++i) {
-      instance.candidates.emplace_back("w" + std::to_string(i),
-                                       qs[static_cast<std::size_t>(i)],
-                                       0.05 + 0.01 * i);
-    }
     return instance;
   };
-  const auto latent_instance = make_instance(latent);
-  const auto estimated_instance = make_instance(estimated);
-  const WorkerPoolView latent_view(latent_instance.candidates);
-  const WorkerPoolView estimated_view(estimated_instance.candidates);
+  const std::vector<Worker> latent_pool = make_pool(latent);
+  const std::vector<Worker> estimated_pool = make_pool(estimated);
+  const auto latent_instance = make_instance(latent_pool);
+  const auto estimated_instance = make_instance(estimated_pool);
+  const WorkerPoolView latent_view(latent_pool);
+  const WorkerPoolView estimated_view(estimated_pool);
   const BucketBvObjective objective;
   Rng r1(1), r2(1);
   const auto with_latent =

@@ -94,13 +94,14 @@ TEST(Lemma2Test, FullQualityLadderIsMonotone) {
 TEST(CostCorollaryTest, FreeWorkersMeanSelectEveryone) {
   // Lemma 1 corollary: with zero costs the whole pool is optimal.
   Rng rng(2027);
+  std::vector<Worker> pool;
+  for (int i = 0; i < 8; ++i) {
+    pool.emplace_back("w" + std::to_string(i), rng.Uniform(0.5, 0.95), 0.0);
+  }
   JspInstance instance;
+  instance.candidates = pool;
   instance.budget = 0.0;
   instance.alpha = 0.5;
-  for (int i = 0; i < 8; ++i) {
-    instance.candidates.emplace_back("w" + std::to_string(i),
-                                     rng.Uniform(0.5, 0.95), 0.0);
-  }
   const ExactBvObjective objective;
   const WorkerPoolView view(instance.candidates);
   const auto solution = SolveGreedyByQuality(instance, view, objective).value();
@@ -112,13 +113,14 @@ TEST(CostCorollaryTest, UniformCostsMeanTopKByQuality) {
   // Verify greedy-by-quality matches the exhaustive optimum.
   Rng rng(2029);
   for (int trial = 0; trial < 10; ++trial) {
+    std::vector<Worker> pool;
+    for (int i = 0; i < 7; ++i) {
+      pool.emplace_back("w" + std::to_string(i), rng.Uniform(0.5, 0.95), 1.0);
+    }
     JspInstance instance;
+    instance.candidates = pool;
     instance.budget = 3.0;  // exactly three workers affordable
     instance.alpha = 0.5;
-    for (int i = 0; i < 7; ++i) {
-      instance.candidates.emplace_back("w" + std::to_string(i),
-                                       rng.Uniform(0.5, 0.95), 1.0);
-    }
     const ExactBvObjective objective;
     const WorkerPoolView view(instance.candidates);
     const auto greedy = SolveGreedyByQuality(instance, view, objective).value();

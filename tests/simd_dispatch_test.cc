@@ -425,8 +425,9 @@ TEST(SimdDispatchTest, SolversReturnIdenticalJuriesAcrossLevels) {
   const BucketBvObjective bucket;
   const MajorityObjective majority;
   for (int inst = 0; inst < 8; ++inst) {
+    const std::vector<Worker> pool = RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4);
     JspInstance instance;
-    instance.candidates = RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4);
+    instance.candidates = pool;
     instance.budget = rng.Uniform(0.3, 1.0);
     instance.alpha = 0.5;
     const std::uint64_t seed = 7100 + static_cast<std::uint64_t>(inst);

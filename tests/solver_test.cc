@@ -27,10 +27,10 @@ namespace {
 using jury::testing::Figure1Workers;
 using jury::testing::RandomPool;
 
-JspInstance MakeInstance(std::vector<Worker> workers, double budget,
+JspInstance MakeInstance(CandidateSpan workers, double budget,
                          double alpha = 0.5) {
   JspInstance instance;
-  instance.candidates = std::move(workers);
+  instance.candidates = workers;
   instance.budget = budget;
   instance.alpha = alpha;
   return instance;
@@ -61,7 +61,8 @@ TEST(ExhaustiveSolverTest, FindsTheFigure1Optima) {
       {20.0, {0, 2, 5, 6}, 0.8695, 20.0},
   };
   for (const auto& expected : table) {
-    const auto instance = MakeInstance(Figure1Workers(), expected.budget);
+    const auto pool = Figure1Workers();
+    const auto instance = MakeInstance(pool, expected.budget);
     const WorkerPoolView view(instance.candidates);
     const auto solution = SolveExhaustive(instance, view, objective).value();
     EXPECT_EQ(solution.selected, expected.selected)
@@ -75,8 +76,9 @@ TEST(ExhaustiveSolverTest, RespectsBudgetAlways) {
   Rng rng(3001);
   const ExactBvObjective objective;
   for (int trial = 0; trial < 10; ++trial) {
-    const auto instance = MakeInstance(
-        RandomPool(&rng, 9, 0.5, 0.95, 0.1, 1.0), rng.Uniform(0.2, 2.0));
+    const double budget = rng.Uniform(0.2, 2.0);
+    const auto pool = RandomPool(&rng, 9, 0.5, 0.95, 0.1, 1.0);
+    const auto instance = MakeInstance(pool, budget);
     const WorkerPoolView view(instance.candidates);
     const auto solution = SolveExhaustive(instance, view, objective).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
@@ -86,8 +88,8 @@ TEST(ExhaustiveSolverTest, RespectsBudgetAlways) {
 TEST(ExhaustiveSolverTest, ZeroBudgetYieldsEmptyJury) {
   const ExactBvObjective objective;
   Rng rng(1);
-  const auto instance =
-      MakeInstance(RandomPool(&rng, 5, 0.5, 0.9, 0.5, 1.0), 0.0);
+  const auto pool = RandomPool(&rng, 5, 0.5, 0.9, 0.5, 1.0);
+  const auto instance = MakeInstance(pool, 0.0);
   const WorkerPoolView view(instance.candidates);
   const auto solution = SolveExhaustive(instance, view, objective).value();
   EXPECT_TRUE(solution.selected.empty());
@@ -97,8 +99,8 @@ TEST(ExhaustiveSolverTest, ZeroBudgetYieldsEmptyJury) {
 TEST(ExhaustiveSolverTest, GuardsLargePools) {
   Rng rng(3);
   const ExactBvObjective objective;
-  const auto instance =
-      MakeInstance(RandomPool(&rng, 23, 0.5, 0.9, 0.1, 1.0), 1.0);
+  const auto pool = RandomPool(&rng, 23, 0.5, 0.9, 0.1, 1.0);
+  const auto instance = MakeInstance(pool, 1.0);
   const WorkerPoolView view(instance.candidates);
   EXPECT_EQ(SolveExhaustive(instance, view, objective).status().code(),
             StatusCode::kOutOfRange);
@@ -111,8 +113,9 @@ TEST(ExhaustiveSolverTest, MaximalityPruningMatchesFullEnumeration) {
   Rng rng(3011);
   const ExactBvObjective bv;
   for (int trial = 0; trial < 8; ++trial) {
-    const auto instance = MakeInstance(
-        RandomPool(&rng, 8, 0.5, 0.95, 0.1, 0.6), rng.Uniform(0.3, 1.5));
+    const double budget = rng.Uniform(0.3, 1.5);
+    const auto pool = RandomPool(&rng, 8, 0.5, 0.95, 0.1, 0.6);
+    const auto instance = MakeInstance(pool, budget);
     const WorkerPoolView view(instance.candidates);
     const auto fast = SolveExhaustive(instance, view, bv).value();
     // Brute-force reference without maximality pruning.
@@ -148,7 +151,7 @@ TEST_P(AnnealingQualityTest, ComesCloseToTheExhaustiveOptimum) {
     pool.emplace_back("w" + std::to_string(i), pool_rng.Uniform(0.5, 0.95),
                       pool_rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
   }
-  const auto instance = MakeInstance(std::move(pool), 0.5);
+  const auto instance = MakeInstance(pool, 0.5);
   const ExactBvObjective objective;
   const WorkerPoolView view(instance.candidates);
   const auto optimal = SolveExhaustive(instance, view, objective).value();
@@ -169,8 +172,9 @@ TEST(AnnealingSolverTest, BudgetNeverViolated) {
   Rng rng(4001);
   const BucketBvObjective objective;
   for (int trial = 0; trial < 10; ++trial) {
-    const auto instance = MakeInstance(
-        RandomPool(&rng, 30, 0.5, 0.95, 0.05, 0.5), rng.Uniform(0.1, 1.0));
+    const double budget = rng.Uniform(0.1, 1.0);
+    const auto pool = RandomPool(&rng, 30, 0.5, 0.95, 0.05, 0.5);
+    const auto instance = MakeInstance(pool, budget);
     Rng sa_rng = rng.Fork();
     const WorkerPoolView view(instance.candidates);
     const auto solution =
@@ -196,8 +200,8 @@ TEST(AnnealingSolverTest, EmptyPoolYieldsPriorOnlySolution) {
 TEST(AnnealingSolverTest, StatsAreConsistent) {
   Rng rng(4003);
   const BucketBvObjective objective;
-  const auto instance =
-      MakeInstance(RandomPool(&rng, 20, 0.5, 0.95, 0.05, 0.3), 0.5);
+  const auto pool = RandomPool(&rng, 20, 0.5, 0.95, 0.05, 0.3);
+  const auto instance = MakeInstance(pool, 0.5);
   Rng sa_rng(17);
   AnnealingStats stats;
   const WorkerPoolView view(instance.candidates);
@@ -214,7 +218,8 @@ TEST(AnnealingSolverTest, StatsAreConsistent) {
 
 TEST(AnnealingSolverTest, ValidatesArguments) {
   const BucketBvObjective objective;
-  const auto instance = MakeInstance(Figure1Workers(), 10.0);
+  const auto pool = Figure1Workers();
+  const auto instance = MakeInstance(pool, 10.0);
   Rng rng(1);
   const WorkerPoolView view(instance.candidates);
   EXPECT_FALSE(SolveAnnealing(instance, view, objective, nullptr).ok());
@@ -227,8 +232,8 @@ TEST(AnnealingSolverTest, ReturnBestSeenNeverHurts) {
   Rng rng(4007);
   const ExactBvObjective objective;
   for (int trial = 0; trial < 5; ++trial) {
-    const auto instance = MakeInstance(
-        RandomPool(&rng, 12, 0.5, 0.95, 0.05, 0.3), 0.4);
+    const auto pool = RandomPool(&rng, 12, 0.5, 0.95, 0.05, 0.3);
+    const auto instance = MakeInstance(pool, 0.4);
     Rng rng_final(1000 + static_cast<std::uint64_t>(trial));
     Rng rng_best(1000 + static_cast<std::uint64_t>(trial));
     AnnealingOptions final_opts;
@@ -251,7 +256,7 @@ TEST(AnnealingSolverTest, RemovalMovesHelpEscapeStuckJuries) {
   std::vector<Worker> workers = {
       {"cheap1", 0.55, 0.20}, {"cheap2", 0.55, 0.20}, {"cheap3", 0.55, 0.20},
       {"expert", 0.97, 0.45}};
-  const auto instance = MakeInstance(std::move(workers), 0.6);
+  const auto instance = MakeInstance(workers, 0.6);
   const ExactBvObjective objective;
   const WorkerPoolView view(instance.candidates);
   const auto optimal = SolveExhaustive(instance, view, objective).value();
@@ -280,8 +285,8 @@ TEST(AnnealingSolverTest, RemovalsDisabledByDefaultMatchVerbatimAlg3) {
   // With removal_probability = 0 the run must be bit-identical to the
   // default configuration (same seed, same moves).
   Rng rng(6007);
-  const auto instance =
-      MakeInstance(RandomPool(&rng, 15, 0.5, 0.95, 0.05, 0.3), 0.5);
+  const auto pool = RandomPool(&rng, 15, 0.5, 0.95, 0.05, 0.3);
+  const auto instance = MakeInstance(pool, 0.5);
   const ExactBvObjective objective;
   Rng r1(99), r2(99);
   const WorkerPoolView view(instance.candidates);
@@ -299,8 +304,9 @@ TEST(GreedySolverTest, RespectsBudget) {
   Rng rng(4011);
   const ExactBvObjective objective;
   for (int trial = 0; trial < 10; ++trial) {
-    const auto instance = MakeInstance(
-        RandomPool(&rng, 10, 0.5, 0.95, 0.1, 1.0), rng.Uniform(0.3, 2.0));
+    const double budget = rng.Uniform(0.3, 2.0);
+    const auto pool = RandomPool(&rng, 10, 0.5, 0.95, 0.1, 1.0);
+    const auto instance = MakeInstance(pool, budget);
     const WorkerPoolView view(instance.candidates);
     for (const auto& solution :
          {SolveGreedyByQuality(instance, view, objective).value(),
@@ -314,8 +320,8 @@ TEST(GreedySolverTest, RespectsBudget) {
 TEST(GreedySolverTest, OddTopKSelectsOddSizes) {
   Rng rng(4013);
   const MajorityObjective objective;
-  const auto instance =
-      MakeInstance(RandomPool(&rng, 9, 0.5, 0.95, 1.0, 1.0), 6.0);
+  const auto pool = RandomPool(&rng, 9, 0.5, 0.95, 1.0, 1.0);
+  const auto instance = MakeInstance(pool, 6.0);
   const WorkerPoolView view(instance.candidates);
   const auto solution = SolveOddTopK(instance, view, objective).value();
   EXPECT_EQ(solution.selected.size() % 2, 1u);
@@ -332,8 +338,8 @@ TEST(SystemComparisonTest, OptjsNeverLosesOnExpectation) {
   double mvjs_total = 0.0;
   const int trials = 20;
   for (int trial = 0; trial < trials; ++trial) {
-    const auto instance = MakeInstance(
-        RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4), 0.5);
+    const auto pool = RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4);
+    const auto instance = MakeInstance(pool, 0.5);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
     const WorkerPoolView view(instance.candidates);
@@ -360,8 +366,8 @@ TEST(SystemComparisonTest, OptjsExhaustiveDominatesMvjsPointwise) {
   // (Corollary 1 + optimality of the search).
   Rng rng(5101);
   for (int trial = 0; trial < 10; ++trial) {
-    const auto instance = MakeInstance(
-        RandomPool(&rng, 10, 0.4, 0.95, 0.05, 0.4), 0.5);
+    const auto pool = RandomPool(&rng, 10, 0.4, 0.95, 0.05, 0.4);
+    const auto instance = MakeInstance(pool, 0.5);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
     OptjsOptions options;
@@ -384,8 +390,8 @@ TEST(OptjsFacadeTest, SmallPoolsUseTheExactPath) {
   // Below the exhaustive threshold the facade must return the true optimum
   // regardless of SA luck (same instance, many rng streams, one answer).
   Rng rng(5107);
-  const auto instance =
-      MakeInstance(RandomPool(&rng, 9, 0.5, 0.95, 0.05, 0.4), 0.5);
+  const auto pool = RandomPool(&rng, 9, 0.5, 0.95, 0.05, 0.4);
+  const auto instance = MakeInstance(pool, 0.5);
   OptjsOptions options;
   options.bucket.num_buckets = 400;
   const WorkerPoolView view(instance.candidates);
@@ -409,7 +415,7 @@ TEST(OptjsFacadeTest, GreedyFallbackRescuesStuckAnnealing) {
     workers.emplace_back("cheap" + std::to_string(i), 0.55, 0.20);
   }
   workers.emplace_back("expert", 0.97, 0.45);
-  const auto instance = MakeInstance(std::move(workers), 0.6);
+  const auto instance = MakeInstance(workers, 0.6);
   OptjsOptions options;
   options.exhaustive_threshold = 0;  // force the SA+fallback path
   const WorkerPoolView view(instance.candidates);
@@ -443,9 +449,9 @@ TEST(IncrementalEquivalenceTest, AnnealingAndGreedyOnFiftyInstances) {
   const BucketBvObjective bucket;
   const MajorityObjective majority;
   for (int inst = 0; inst < 50; ++inst) {
-    const auto instance =
-        MakeInstance(RandomPool(&rng, 14, 0.4, 0.95, 0.05, 0.4),
-                     rng.Uniform(0.3, 1.0));
+    const double budget = rng.Uniform(0.3, 1.0);
+    const auto pool = RandomPool(&rng, 14, 0.4, 0.95, 0.05, 0.4);
+    const auto instance = MakeInstance(pool, budget);
     const WorkerPoolView view(instance.candidates);
     const std::uint64_t sa_seed = 5000 + static_cast<std::uint64_t>(inst);
     for (const JqObjective* objective :
@@ -481,9 +487,9 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
   const ExactBvObjective exact;
   const MajorityObjective majority;
   for (int inst = 0; inst < 15; ++inst) {
-    const auto instance =
-        MakeInstance(RandomPool(&rng, 10, 0.4, 0.95, 0.05, 0.4),
-                     rng.Uniform(0.3, 1.0));
+    const double budget = rng.Uniform(0.3, 1.0);
+    const auto pool = RandomPool(&rng, 10, 0.4, 0.95, 0.05, 0.4);
+    const auto instance = MakeInstance(pool, budget);
     const WorkerPoolView view(instance.candidates);
     ExhaustiveOptions ex_inc, ex_full;
     ex_full.use_incremental = false;
@@ -516,7 +522,7 @@ TEST(IncrementalEquivalenceTest, ExhaustiveBreaksExactTiesIdentically) {
   // mask, i.e. the ascending sweep's first hit).
   std::vector<Worker> workers = {{"a", 0.7, 1.0}, {"b", 0.7, 1.0},
                                  {"c", 0.8, 1.5}, {"d", 0.7, 1.0}};
-  const auto instance = MakeInstance(std::move(workers), 2.5);
+  const auto instance = MakeInstance(workers, 2.5);
   ExhaustiveOptions inc, full;
   full.use_incremental = false;
   const MajorityObjective mv;  // non-monotone: no maximality filter
@@ -537,8 +543,8 @@ TEST(IncrementalEquivalenceTest, SolversSpendFarFewerFullEvaluations) {
   // on, annealing's full (from-scratch) evaluation count collapses — only
   // grid rebuilds remain — while the no-incremental path is all-full.
   Rng rng(90011);
-  const auto instance = MakeInstance(
-      RandomPool(&rng, 100, 0.4, 0.95, 0.05, 0.4), 1.0);
+  const auto pool = RandomPool(&rng, 100, 0.4, 0.95, 0.05, 0.4);
+  const auto instance = MakeInstance(pool, 1.0);
   const BucketBvObjective objective;
 
   objective.ResetEvaluationCounters();
@@ -600,9 +606,9 @@ TEST(ThreadDeterminismTest, AllParallelSolversAcrossThreadCounts) {
   const MajorityObjective majority;
   const char* kThreadCounts[] = {"1", "2", "8"};
   for (int inst = 0; inst < 24; ++inst) {
-    const auto instance =
-        MakeInstance(RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4),
-                     rng.Uniform(0.3, 1.0));
+    const double budget = rng.Uniform(0.3, 1.0);
+    const auto pool = RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4);
+    const auto instance = MakeInstance(pool, budget);
     const std::uint64_t seed = 8800 + static_cast<std::uint64_t>(inst);
     const WorkerPoolView view(instance.candidates);
 
@@ -680,8 +686,8 @@ TEST(ThreadDeterminismTest, MultiRestartNeverLosesToSingleChainBadly) {
   double single_total = 0.0;
   double multi_total = 0.0;
   for (int inst = 0; inst < 10; ++inst) {
-    const auto instance =
-        MakeInstance(RandomPool(&rng, 16, 0.4, 0.95, 0.05, 0.4), 0.5);
+    const auto pool = RandomPool(&rng, 16, 0.4, 0.95, 0.05, 0.4);
+    const auto instance = MakeInstance(pool, 0.5);
     Rng r1(42), r2(42);
     AnnealingOptions single;
     const WorkerPoolView view(instance.candidates);
@@ -699,8 +705,8 @@ TEST(ThreadDeterminismTest, MultiRestartNeverLosesToSingleChainBadly) {
 TEST(ThreadDeterminismTest, MultiRestartStatsAggregateAllChains) {
   Rng rng(77031);
   const BucketBvObjective bucket;
-  const auto instance =
-      MakeInstance(RandomPool(&rng, 20, 0.5, 0.95, 0.05, 0.3), 0.5);
+  const auto pool = RandomPool(&rng, 20, 0.5, 0.95, 0.05, 0.3);
+  const auto instance = MakeInstance(pool, 0.5);
   Rng sa_rng(17);
   AnnealingOptions opts;
   opts.num_restarts = 3;
@@ -767,7 +773,8 @@ TEST(SolveEntryTest, EveryEntryRejectsShortViewsAndBadScalars) {
          return SolveMvjs(i, v, majority, &rng).status();
        }},
   };
-  const JspInstance good = MakeInstance(Figure1Workers(), 10.0);
+  const auto pool = Figure1Workers();
+  const JspInstance good = MakeInstance(pool, 10.0);
   const WorkerPoolView view(good.candidates);
   const std::span<const Worker> all(good.candidates);
   const WorkerPoolView short_view(all.first(all.size() - 1));
@@ -788,8 +795,8 @@ TEST(SolveEntryTest, EveryEntryRejectsShortViewsAndBadScalars) {
 
 TEST(MvjsTest, ReportsExactMajorityJq) {
   Rng rng(5103);
-  const auto instance =
-      MakeInstance(RandomPool(&rng, 10, 0.5, 0.95, 0.05, 0.4), 0.5);
+  const auto pool = RandomPool(&rng, 10, 0.5, 0.95, 0.05, 0.4);
+  const auto instance = MakeInstance(pool, 0.5);
   Rng solver_rng(9);
   const WorkerPoolView view(instance.candidates);
   const auto solution =
