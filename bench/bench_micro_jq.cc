@@ -28,6 +28,14 @@ Jury MakeJury(int n, std::uint64_t seed = 99) {
   return Jury::FromQualities(qs);
 }
 
+/// Commits view indices [0, count) to `session`, in order.
+void CommitPrefix(IncrementalJqEvaluator* session, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    session->ScoreAdd(i);
+    session->Commit();
+  }
+}
+
 void BM_EstimateJqDense(benchmark::State& state) {
   const Jury jury = MakeJury(static_cast<int>(state.range(0)));
   BucketJqOptions options;
@@ -87,45 +95,31 @@ void BM_ExactJqEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactJqEnumeration)->Arg(8)->Arg(12)->Arg(16)->Arg(20);
 
-void BM_IncrementalSwapBucket(benchmark::State& state) {
-  // One SA-style swap scored by session delta update vs the from-scratch
-  // estimate the solvers used to pay per move.
-  const int n = static_cast<int>(state.range(0));
-  const Jury jury = MakeJury(n);
-  const BucketBvObjective objective;
-  const WorkerPoolView view(jury.workers());
+/// One SA-style swap scored by session delta update vs the from-scratch
+/// estimate the solvers used to pay per move. The swap-in worker is
+/// appended to the committed jury's pool.
+void IncrementalSwap(benchmark::State& state, const JqObjective& objective) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<Worker> pool = MakeJury(static_cast<int>(n)).workers();
+  pool.emplace_back("swap-in", 0.72, 0.0);
+  const WorkerPoolView view(pool);
   auto session = objective.StartSession(view, 0.5);
-  for (const Worker& w : view.workers()) {
-    session->ScoreAdd(w);
-    session->Commit();
-  }
-  const Worker in("swap-in", 0.72, 0.0);
+  CommitPrefix(session.get(), n);
   std::size_t idx = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session->ScoreSwap(idx % jury.size(), in));
+    benchmark::DoNotOptimize(session->ScoreSwap(idx % n, n));
     session->Rollback();
     ++idx;
   }
 }
+
+void BM_IncrementalSwapBucket(benchmark::State& state) {
+  IncrementalSwap(state, BucketBvObjective());
+}
 BENCHMARK(BM_IncrementalSwapBucket)->Arg(10)->Arg(50)->Arg(100)->Arg(200)->Arg(500);
 
 void BM_IncrementalSwapMajority(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const Jury jury = MakeJury(n);
-  const MajorityObjective objective;
-  const WorkerPoolView view(jury.workers());
-  auto session = objective.StartSession(view, 0.5);
-  for (const Worker& w : view.workers()) {
-    session->ScoreAdd(w);
-    session->Commit();
-  }
-  const Worker in("swap-in", 0.72, 0.0);
-  std::size_t idx = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(session->ScoreSwap(idx % jury.size(), in));
-    session->Rollback();
-    ++idx;
-  }
+  IncrementalSwap(state, MajorityObjective());
 }
 BENCHMARK(BM_IncrementalSwapMajority)->Arg(10)->Arg(100)->Arg(500);
 
@@ -174,10 +168,7 @@ void BM_SessionCloneBucket(benchmark::State& state) {
   const BucketBvObjective objective;
   const WorkerPoolView view(jury.workers());
   auto session = objective.StartSession(view, 0.5);
-  for (const Worker& w : view.workers()) {
-    session->ScoreAdd(w);
-    session->Commit();
-  }
+  CommitPrefix(session.get(), view.size());
   for (auto _ : state) {
     benchmark::DoNotOptimize(session->Clone());
   }
@@ -377,30 +368,28 @@ BENCHMARK(BM_BucketRemoveScanBatched)->Arg(10)->Arg(50)->Arg(200);
 /// scan); batched = one ScoreAddBatch call (what the solver runs now).
 void SessionScan(benchmark::State& state, const JqObjective& objective,
                  bool batched) {
-  const int n = static_cast<int>(state.range(0));
-  const Jury jury = MakeJury(n);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  // The committed jury comes first in the pool, the scanned candidates
+  // after it.
+  std::vector<Worker> pool = MakeJury(static_cast<int>(n)).workers();
   Rng rng(47);
-  std::vector<Worker> candidates;
   for (std::size_t j = 0; j < kScanCandidates; ++j) {
-    candidates.emplace_back(
+    pool.emplace_back(
         "c" + std::to_string(j),
         rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99), 0.0);
   }
-  const WorkerPoolView view(candidates);
+  const WorkerPoolView view(pool);
   auto session = objective.StartSession(view, 0.5);
-  for (const Worker& w : jury.workers()) {
-    session->ScoreAdd(w);
-    session->Commit();
-  }
-  std::vector<std::size_t> ids(view.size());
-  for (std::size_t j = 0; j < ids.size(); ++j) ids[j] = j;
+  CommitPrefix(session.get(), n);
+  std::vector<std::size_t> ids(kScanCandidates);
+  for (std::size_t j = 0; j < ids.size(); ++j) ids[j] = n + j;
   std::vector<double> scores(ids.size());
   for (auto _ : state) {
     if (batched) {
       session->ScoreAddBatch(ids.data(), ids.size(), scores.data());
     } else {
       for (std::size_t j = 0; j < ids.size(); ++j) {
-        scores[j] = session->ScoreAdd(view.worker(ids[j]));
+        scores[j] = session->ScoreAdd(ids[j]);
         session->Rollback();
       }
     }
@@ -591,10 +580,7 @@ struct ScanFixture {
     session = objective.StartSession(view, 0.5);
     // Commit the first half; scan removes over members and swaps/adds
     // against the second half.
-    for (int i = 0; i < n / 2; ++i) {
-      session->ScoreAdd(view.worker(static_cast<std::size_t>(i)));
-      session->Commit();
-    }
+    CommitPrefix(session.get(), static_cast<std::size_t>(n / 2));
   }
 };
 
@@ -654,8 +640,8 @@ void SessionSwapScan(benchmark::State& state, const JqObjective& objective,
                                  ins.size(), scores.data());
     } else {
       for (std::size_t j = 0; j < ins.size(); ++j) {
-        scores[j] = fx.session->ScoreSwap(out_pos % fx.session->size(),
-                                          fx.view.worker(ins[j]));
+        scores[j] =
+            fx.session->ScoreSwap(out_pos % fx.session->size(), ins[j]);
         fx.session->Rollback();
       }
     }

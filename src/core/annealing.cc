@@ -20,29 +20,31 @@ namespace {
 /// decision is banded.
 constexpr double kScoreTol = kScoreEquivalenceTol;
 
-/// Mutable SA state: the jury as an index set, its cached cost, and the
-/// objective's evaluation session holding the jury's delta-update state.
-/// Every candidate move is *staged* on the session (`Score*`), then either
-/// committed (move accepted) or rolled back (rejected).
+/// Mutable SA state: the objective's evaluation session (which holds the
+/// jury as view indices plus its delta-update state), a selection bitmap,
+/// and the jury's cached cost. Every candidate move is *staged* on the
+/// session (`Score*`), then either committed (move accepted) or rolled
+/// back (rejected).
 class SearchState {
  public:
   SearchState(const JspInstance& instance, const WorkerPoolView& view,
               const JqObjective& objective, bool use_incremental,
               AnnealingStats* stats)
-      : instance_(instance),
+      : cost_col_(view.cost()),
         stats_(stats),
         session_(objective.StartSession(view, instance.alpha,
                                         use_incremental)) {
     selected_.assign(instance.num_candidates(), false);
-    best_members_ = members_;
     best_jq_ = session_->current_jq();
   }
 
-  const std::vector<std::size_t>& members() const { return members_; }
+  const std::vector<std::size_t>& members() const {
+    return session_->members();
+  }
   double cost() const { return cost_; }
   double current_jq() const { return session_->current_jq(); }
   bool is_selected(std::size_t i) const { return selected_[i]; }
-  std::size_t size() const { return members_.size(); }
+  std::size_t size() const { return session_->size(); }
 
   const std::vector<std::size_t>& best_members() const {
     return best_members_;
@@ -52,27 +54,24 @@ class SearchState {
   /// Stages "add candidate `in`" and returns the resulting JQ.
   double ScoreAdd(std::size_t in) {
     CountEvaluation();
-    return session_->ScoreAdd(instance_.candidates[in]);
+    return session_->ScoreAdd(in);
   }
   /// Stages "remove candidate `out`" and returns the resulting JQ.
   double ScoreRemove(std::size_t out) {
     CountEvaluation();
-    staged_pos_ = PositionOf(out);
-    return session_->ScoreRemove(staged_pos_);
+    return session_->ScoreRemove(session_->PositionOf(out));
   }
   /// Stages "swap candidate `out` for `in`" and returns the resulting JQ.
   double ScoreSwap(std::size_t out, std::size_t in) {
     CountEvaluation();
-    staged_pos_ = PositionOf(out);
-    return session_->ScoreSwap(staged_pos_, instance_.candidates[in]);
+    return session_->ScoreSwap(session_->PositionOf(out), in);
   }
   void Reject() { session_->Rollback(); }
 
   void AcceptAdd(std::size_t in) {
     session_->Commit();
     selected_[in] = true;
-    members_.push_back(in);
-    cost_ += instance_.candidates[in].cost;
+    cost_ += cost_col_[in];
     TrackBest();
   }
 
@@ -80,28 +79,20 @@ class SearchState {
     session_->Commit();
     selected_[out] = false;
     selected_[in] = true;
-    members_[staged_pos_] = in;
-    cost_ += instance_.candidates[in].cost - instance_.candidates[out].cost;
+    cost_ += cost_col_[in] - cost_col_[out];
     TrackBest();
   }
 
   void AcceptRemove(std::size_t out) {
     session_->Commit();
     selected_[out] = false;
-    members_.erase(members_.begin() +
-                   static_cast<std::ptrdiff_t>(staged_pos_));
-    cost_ -= instance_.candidates[out].cost;
+    cost_ -= cost_col_[out];
     TrackBest();
   }
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
  private:
-  std::size_t PositionOf(std::size_t candidate) const {
-    const auto it = std::find(members_.begin(), members_.end(), candidate);
-    return static_cast<std::size_t>(it - members_.begin());
-  }
-
   void CountEvaluation() {
     if (stats_ != nullptr) ++stats_->objective_evaluations;
   }
@@ -110,17 +101,15 @@ class SearchState {
     const double jq = session_->current_jq();
     if (jq > best_jq_ + kScoreTol) {
       best_jq_ = jq;
-      best_members_ = members_;
+      best_members_ = members();
     }
   }
 
-  const JspInstance& instance_;
+  std::span<const double> cost_col_;
   AnnealingStats* stats_;
   std::unique_ptr<IncrementalJqEvaluator> session_;
   std::vector<bool> selected_;
-  std::vector<std::size_t> members_;
   double cost_ = 0.0;
-  std::size_t staged_pos_ = 0;
   std::vector<std::size_t> best_members_;
   double best_jq_ = 0.0;
 };
@@ -175,13 +164,11 @@ JspSolution PolishNeighbourhood(const JspInstance& instance,
   auto session =
       objective.StartSession(view, instance.alpha, options.use_incremental);
   std::vector<char> selected(n, 0);
-  std::vector<std::size_t> order;  // member index by session position
   double cost = 0.0;
   for (std::size_t idx : start) {
-    session->ScoreAdd(view.worker(idx));
+    session->ScoreAdd(idx);
     session->Commit();
     selected[idx] = 1;
-    order.push_back(idx);
     cost += cost_col[idx];
   }
   const std::size_t move_cap =
@@ -261,7 +248,8 @@ JspSolution PolishNeighbourhood(const JspInstance& instance,
     // objective (Lemma 1) cannot improve by shrinking, so the scan is
     // skipped there — the decision depends only on the objective, never
     // on scores, so the incremental/full paths stay aligned.
-    const std::size_t size = order.size();
+    const std::vector<std::size_t>& members = session->members();
+    const std::size_t size = members.size();
     if (!monotone && size > 0) {
       positions.resize(size);
       for (std::size_t pos = 0; pos < size; ++pos) positions[pos] = pos;
@@ -276,7 +264,7 @@ JspSolution PolishNeighbourhood(const JspInstance& instance,
     // partners (the out member's remove fold is amortized inside
     // `ScoreSwapBatch`).
     for (std::size_t pos = 0; pos < size; ++pos) {
-      const double c_out = cost_col[order[pos]];
+      const double c_out = cost_col[members[pos]];
       batch_ids.clear();
       for (std::size_t i = 0; i < n; ++i) {
         if (!selected[i] && cost - c_out + cost_col[i] <= instance.budget) {
@@ -296,28 +284,27 @@ JspSolution PolishNeighbourhood(const JspInstance& instance,
       break;  // local optimum under the band
     }
     // Apply the winner by re-staging it (one scalar delta) and committing.
+    // A remove or swap reads its leaving member before the commit.
+    const std::size_t out = best_kind == Kind::kAdd ? 0 : members[best_pos];
     switch (best_kind) {
       case Kind::kAdd:
-        session->ScoreAdd(view.worker(best_in));
+        session->ScoreAdd(best_in);
         session->Commit();
         selected[best_in] = true;
-        order.push_back(best_in);
         cost += cost_col[best_in];
         break;
       case Kind::kRemove:
         session->ScoreRemove(best_pos);
         session->Commit();
-        selected[order[best_pos]] = false;
-        cost -= cost_col[order[best_pos]];
-        order.erase(order.begin() + static_cast<std::ptrdiff_t>(best_pos));
+        selected[out] = false;
+        cost -= cost_col[out];
         break;
       case Kind::kSwap:
-        session->ScoreSwap(best_pos, view.worker(best_in));
+        session->ScoreSwap(best_pos, best_in);
         session->Commit();
-        selected[order[best_pos]] = false;
+        selected[out] = false;
         selected[best_in] = true;
-        cost += cost_col[best_in] - cost_col[order[best_pos]];
-        order[best_pos] = best_in;
+        cost += cost_col[best_in] - cost_col[out];
         break;
       case Kind::kNone:
         break;
@@ -325,7 +312,7 @@ JspSolution PolishNeighbourhood(const JspInstance& instance,
     if (stats != nullptr) ++stats->polish_moves;
   }
   if (use_frontier) FlushFrontierStats(frontier_stats);
-  return MakeSolution(instance, order, session->current_jq());
+  return MakeSolution(instance, session->members(), session->current_jq());
 }
 
 /// One annealing chain (the whole of Algorithm 3): the body of the
@@ -337,6 +324,7 @@ JspSolution RunChain(const JspInstance& instance, const WorkerPoolView& view,
                      const AnnealingOptions& options, AnnealingStats* stats,
                      WorkGovernor* governor) {
   const std::size_t n = instance.num_candidates();
+  const std::span<const double> cost_col = view.cost();
   SearchState state(instance, view, objective, options.use_incremental,
                     stats);
   const bool blind_adds =
@@ -362,7 +350,7 @@ JspSolution RunChain(const JspInstance& instance, const WorkerPoolView& view,
 
       // Steps 9-11 of Algorithm 3: adopt an affordable unselected worker.
       if (!state.is_selected(r) &&
-          state.cost() + instance.candidates[r].cost <= instance.budget) {
+          state.cost() + cost_col[r] <= instance.budget) {
         const double new_jq = state.ScoreAdd(r);
         const double delta = new_jq - state.current_jq();
         if (blind_adds || Accept(delta, temperature, rng)) {
@@ -411,9 +399,7 @@ JspSolution RunChain(const JspInstance& instance, const WorkerPoolView& view,
         if (in == SearchState::kNone) continue;
         out = r;
       }
-      const double new_cost = state.cost() -
-                              instance.candidates[out].cost +
-                              instance.candidates[in].cost;
+      const double new_cost = state.cost() - cost_col[out] + cost_col[in];
       if (new_cost > instance.budget) continue;
 
       const double new_jq = state.ScoreSwap(out, in);

@@ -100,9 +100,8 @@ class Searcher {
       // the whole pool.
       session_ = objective_.StartSession(view_, instance_.alpha, true);
       for (std::size_t idx : order_) {
-        session_->ScoreAdd(view_.worker(idx));
+        session_->ScoreAdd(idx);
         session_->Commit();
-        session_members_.push_back(idx);
       }
     }
     JURY_RETURN_NOT_OK(Dfs(0));
@@ -123,7 +122,7 @@ class Searcher {
  private:
   double Evaluate(const std::vector<std::size_t>& selected) const {
     Jury jury;
-    for (std::size_t idx : selected) jury.Add(instance_.candidates[idx]);
+    for (std::size_t idx : selected) jury.Add(view_.worker(idx));
     return objective_.Evaluate(jury, instance_.alpha);
   }
 
@@ -149,18 +148,13 @@ class Searcher {
   }
 
   void SessionRemove(std::size_t candidate) {
-    const auto it = std::find(session_members_.begin(),
-                              session_members_.end(), candidate);
-    session_->ScoreRemove(
-        static_cast<std::size_t>(it - session_members_.begin()));
+    session_->ScoreRemove(session_->PositionOf(candidate));
     session_->Commit();
-    session_members_.erase(it);
   }
 
   void SessionReAdd(std::size_t candidate) {
-    session_->ScoreAdd(view_.worker(candidate));
+    session_->ScoreAdd(candidate);
     session_->Commit();
-    session_members_.push_back(candidate);
   }
 
   Status Dfs(std::size_t depth) {
@@ -202,7 +196,7 @@ class Searcher {
     }
 
     const std::size_t candidate = order_[depth];
-    const double c = instance_.candidates[candidate].cost;
+    const double c = view_.cost()[candidate];
     // Include branch first: deep good incumbents tighten the bound early.
     // The bound jury is unchanged on this branch, so the session carries
     // straight through.
@@ -232,7 +226,6 @@ class Searcher {
   const BranchBoundOptions& options_;
   BranchBoundStats* stats_;
   std::unique_ptr<IncrementalJqEvaluator> session_;
-  std::vector<std::size_t> session_members_;
   std::vector<std::size_t> order_;
   std::vector<std::size_t> selected_;
   double cost_ = 0.0;

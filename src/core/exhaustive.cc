@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "model/worker_pool_view.h"
@@ -40,13 +41,14 @@ bool Improves(double jq, double cost, std::uint64_t mask,
 /// Sum of selected costs in index order (exactly the accumulation order of
 /// the original sweep, so feasibility decisions are bit-identical), with
 /// the budget short-circuit.
-bool FeasibleCost(const JspInstance& instance, std::uint64_t mask,
-                  double* cost_out) {
+bool FeasibleCost(const WorkerPoolView& view, double budget,
+                  std::uint64_t mask, double* cost_out) {
+  const std::span<const double> cost_col = view.cost();
   double cost = 0.0;
-  for (std::size_t i = 0; i < instance.num_candidates(); ++i) {
+  for (std::size_t i = 0; i < cost_col.size(); ++i) {
     if ((mask >> i) & 1u) {
-      cost += instance.candidates[i].cost;
-      if (cost > instance.budget) return false;
+      cost += cost_col[i];
+      if (cost > budget) return false;
     }
   }
   *cost_out = cost;
@@ -54,12 +56,11 @@ bool FeasibleCost(const JspInstance& instance, std::uint64_t mask,
 }
 
 /// Lemma-1 maximality: false when some unselected worker still fits.
-bool IsMaximal(const JspInstance& instance, std::uint64_t mask, double cost) {
-  for (std::size_t i = 0; i < instance.num_candidates(); ++i) {
-    if (!((mask >> i) & 1u) &&
-        cost + instance.candidates[i].cost <= instance.budget) {
-      return false;
-    }
+bool IsMaximal(const WorkerPoolView& view, double budget, std::uint64_t mask,
+               double cost) {
+  const std::span<const double> cost_col = view.cost();
+  for (std::size_t i = 0; i < cost_col.size(); ++i) {
+    if (!((mask >> i) & 1u) && cost + cost_col[i] <= budget) return false;
   }
   return true;
 }
@@ -75,6 +76,7 @@ std::vector<std::size_t> MaskToIndices(std::uint64_t mask, std::size_t n) {
 /// The original ascending-mask sweep: every candidate jury is materialized
 /// and evaluated from scratch. Kept as the `--no-incremental` reference.
 JspSolution SweepFromScratch(const JspInstance& instance,
+                             const WorkerPoolView& view,
                              const JqObjective& objective, bool monotone,
                              WorkGovernor* governor) {
   const std::size_t n = instance.num_candidates();
@@ -90,13 +92,11 @@ JspSolution SweepFromScratch(const JspInstance& instance,
     // holds only for unlimited solves (see ARCHITECTURE.md).
     if (governor->Tick() != StopReason::kNone) break;
     double cost = 0.0;
-    if (!FeasibleCost(instance, mask, &cost)) continue;
-    if (monotone && !IsMaximal(instance, mask, cost)) continue;
+    if (!FeasibleCost(view, instance.budget, mask, &cost)) continue;
+    if (monotone && !IsMaximal(view, instance.budget, mask, cost)) continue;
     std::vector<std::size_t> selected = MaskToIndices(mask, n);
     Jury candidate;
-    for (std::size_t idx : selected) {
-      candidate.Add(instance.candidates[idx]);
-    }
+    for (std::size_t idx : selected) candidate.Add(view.worker(idx));
     const double jq = objective.Evaluate(candidate, instance.alpha);
     if (Improves(jq, cost, mask, best_mask, best)) {
       best = MakeSolution(instance, std::move(selected), jq);
@@ -121,24 +121,22 @@ void SweepGrayShard(const JspInstance& instance, const WorkerPoolView& view,
   const std::size_t n = instance.num_candidates();
   auto session = objective.StartSession(view, instance.alpha, true);
   std::vector<bool> in_jury(n, false);
-  std::vector<std::size_t> session_members;  // candidate index by position
 
   // Commit the shard's fixed workers in ascending bit order — a pure
   // function of the shard id, so the session history (and its
   // floating-point roundoff) never depends on scheduling.
   for (std::size_t i = 0; i < n; ++i) {
     if ((fixed_mask >> i) & 1u) {
-      session->ScoreAdd(view.worker(i));
+      session->ScoreAdd(i);
       session->Commit();
       in_jury[i] = true;
-      session_members.push_back(i);
     }
   }
 
   const auto consider = [&](std::uint64_t mask) {
     double cost = 0.0;
-    if (!FeasibleCost(instance, mask, &cost)) return;
-    if (monotone && !IsMaximal(instance, mask, cost)) return;
+    if (!FeasibleCost(view, instance.budget, mask, &cost)) return;
+    if (monotone && !IsMaximal(view, instance.budget, mask, cost)) return;
     const double jq = session->current_jq();
     if (Improves(jq, cost, mask, *best_mask, *best)) {
       *best = MakeSolution(instance, MaskToIndices(mask, n), jq);
@@ -162,19 +160,13 @@ void SweepGrayShard(const JspInstance& instance, const WorkerPoolView& view,
     const std::size_t bit = static_cast<std::size_t>(std::countr_zero(k));
     low ^= 1ull << bit;
     if (!in_jury[bit]) {
-      session->ScoreAdd(view.worker(bit));
-      session->Commit();
+      session->ScoreAdd(bit);
       in_jury[bit] = true;
-      session_members.push_back(bit);
     } else {
-      const auto it = std::find(session_members.begin(),
-                                session_members.end(), bit);
-      session->ScoreRemove(
-          static_cast<std::size_t>(it - session_members.begin()));
-      session->Commit();
+      session->ScoreRemove(session->PositionOf(bit));
       in_jury[bit] = false;
-      session_members.erase(it);
     }
+    session->Commit();
     consider(fixed_mask | low);
   }
 }
@@ -285,7 +277,7 @@ Result<JspSolution> SolveExhaustive(const JspInstance& instance,
   if (!options.use_incremental) {
     WorkGovernor governor(options.cancel_token, options.max_work_units);
     JspSolution best =
-        SweepFromScratch(instance, objective, monotone, &governor);
+        SweepFromScratch(instance, view, objective, monotone, &governor);
     if (options.termination != nullptr) {
       options.termination->MergeStrand(governor.reason(),
                                        governor.work_done());

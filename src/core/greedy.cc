@@ -51,7 +51,7 @@ JspSolution FillInOrder(const JspInstance& instance,
     auto session = objective.StartSession(view, instance.alpha, true);
     for (; kept < selected.size(); ++kept) {
       if (governor.Tick() != StopReason::kNone) break;
-      session->ScoreAdd(view.worker(selected[kept]));
+      session->ScoreAdd(selected[kept]);
       session->Commit();
     }
     jq = session->current_jq();
@@ -141,7 +141,7 @@ Result<JspSolution> SolveOddTopK(const JspInstance& instance,
     const double c = view.cost()[idx];
     if (cost + c > instance.budget) continue;
     if (session != nullptr) {
-      session->ScoreAdd(view.worker(idx));
+      session->ScoreAdd(idx);
       session->Commit();
     } else {
       jury.Add(view.worker(idx));
@@ -206,10 +206,6 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
   // the same winner as the serial scan, for any thread count and grain.
   const std::size_t threads =
       std::min(ResolveThreadCount(options.num_threads), n > 0 ? n : 1);
-  // Clone support is probed once, on the still-empty session (a copy of
-  // empty backend state — one small allocation); backends that return
-  // nullptr fall back to the single-session scan.
-  const bool parallel_scan = threads > 1 && session->Clone() != nullptr;
   // Grain feedback per *solve*, not per process: per-item cost differs by
   // orders of magnitude across backends (batched MV vs full-recompute),
   // so a shared tuner would drag every workload toward the last one's
@@ -239,7 +235,7 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
           best_score <= session->current_jq() + kScoreTol) {
         break;  // for MV-like objectives an extension can hurt; stop early
       }
-      session->CommitAdd(view.worker(best_idx), best_score);
+      session->CommitAdd(best_idx, best_score);
       in_jury[best_idx] = 1;
       selected.push_back(best_idx);
       cost += cost_col[best_idx];
@@ -253,7 +249,7 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
     }
     if (eligible_idx.empty()) break;  // nothing fits
     scores.resize(eligible_idx.size());
-    if (parallel_scan && eligible_idx.size() > 1) {
+    if (threads > 1 && eligible_idx.size() > 1) {
       Scheduler::Global()->ParallelForTuned(
           &scan_tuner, 0, eligible_idx.size(),
           [&](std::size_t begin, std::size_t end) {
@@ -287,7 +283,7 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
     // The winner's score is already known: commit it directly instead of
     // re-staging (and re-evaluating) the winning delta.
     best_idx = eligible_idx[best_pos];
-    session->CommitAdd(view.worker(best_idx), best_score);
+    session->CommitAdd(best_idx, best_score);
     in_jury[best_idx] = 1;
     selected.push_back(best_idx);
     cost += cost_col[best_idx];

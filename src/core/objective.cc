@@ -39,18 +39,18 @@ class FullRecomputeEvaluator final : public IncrementalJqEvaluator {
         objective_(objective) {}
 
  protected:
-  double ComputeAdd(const Worker& worker) override {
-    return objective_->Evaluate(MaterializeWith(kNoMember, &worker), alpha());
+  double ComputeAdd(std::size_t in) override {
+    return objective_->Evaluate(MaterializeWith(kNoIndex, in), alpha());
   }
-  double ComputeRemove(std::size_t idx) override {
-    return objective_->Evaluate(MaterializeWith(idx, nullptr), alpha());
+  double ComputeRemove(std::size_t out_pos) override {
+    return objective_->Evaluate(MaterializeWith(out_pos, kNoIndex), alpha());
   }
-  double ComputeSwap(std::size_t out_idx, const Worker& in) override {
-    return objective_->Evaluate(MaterializeWith(out_idx, &in), alpha());
+  double ComputeSwap(std::size_t out_pos, std::size_t in) override {
+    return objective_->Evaluate(MaterializeWith(out_pos, in), alpha());
   }
   void AdoptStaged() override {}
   /// No cached state: committing a pre-scored add is free.
-  void ApplyAdd(const Worker&) override {}
+  void ApplyAdd(std::size_t) override {}
 
  public:
   std::unique_ptr<IncrementalJqEvaluator> Clone() const override {
@@ -73,22 +73,22 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
       : IncrementalJqEvaluator(objective, view, alpha) {}
 
  protected:
-  double ComputeAdd(const Worker& worker) override {
+  double ComputeAdd(std::size_t in) override {
     LoadScratch();
-    AddToScratch(worker.quality);
+    AddToScratch(view().quality()[in]);
     CountIncrementalEvaluation();
     return ScratchScore();
   }
-  double ComputeRemove(std::size_t idx) override {
+  double ComputeRemove(std::size_t out_pos) override {
     LoadScratch();
-    RemoveFromScratch(members()[idx].quality);
+    RemoveFromScratch(MemberQuality(out_pos));
     CountIncrementalEvaluation();
     return ScratchScore();
   }
-  double ComputeSwap(std::size_t out_idx, const Worker& in) override {
+  double ComputeSwap(std::size_t out_pos, std::size_t in) override {
     LoadScratch();
-    RemoveFromScratch(members()[out_idx].quality);
-    AddToScratch(in.quality);
+    RemoveFromScratch(MemberQuality(out_pos));
+    AddToScratch(view().quality()[in]);
     CountIncrementalEvaluation();
     return ScratchScore();
   }
@@ -96,10 +96,11 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
     zeros_t0_ = std::move(scratch_t0_);
     zeros_t1_ = std::move(scratch_t1_);
   }
-  void ApplyAdd(const Worker& worker) override {
+  void ApplyAdd(std::size_t in) override {
     // Same convolution the scratch path runs, minus the scratch copies.
-    zeros_t0_.AddTrial(worker.quality);
-    zeros_t1_.AddTrial(1.0 - worker.quality);
+    const double q = view().quality()[in];
+    zeros_t0_.AddTrial(q);
+    zeros_t1_.AddTrial(1.0 - q);
   }
 
  public:
@@ -158,13 +159,12 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
       return;
     }
     const int zeros_needed = (n - 1) / 2 + 1;
-    const std::vector<double>& committed = member_qualities();
     batch_q0_.resize(count);
     batch_q1_.resize(count);
     batch_tail_.resize(count);
     batch_cdf_.resize(count);
     for (std::size_t j = 0; j < count; ++j) {
-      const double q = committed[member_positions[j]];
+      const double q = MemberQuality(member_positions[j]);
       batch_q0_[j] = q;
       batch_q1_[j] = 1.0 - q;
     }
@@ -188,7 +188,7 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
                       double* scores) override {
     Rollback();
     if (count == 0) return;
-    const double q_out = member_qualities()[out_position];
+    const double q_out = MemberQuality(out_position);
     scratch_t0_ = zeros_t0_;
     scratch_t1_ = zeros_t1_;
     scratch_t0_.RemoveTrial(q_out);
@@ -216,6 +216,10 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
   }
 
  private:
+  double MemberQuality(std::size_t pos) const {
+    return view().quality()[members()[pos]];
+  }
+
   /// MV score of each staged candidate from its tail/cdf pair.
   void BlendScores(std::size_t count, double* scores) const {
     const double a = alpha();
@@ -275,41 +279,42 @@ class IncrementalExactBvEvaluator final : public IncrementalJqEvaluator {
   static constexpr std::size_t kMaxCachedMembers = 20;
 
  protected:
-  double ComputeAdd(const Worker& worker) override {
+  double ComputeAdd(std::size_t in) override {
     const std::size_t new_n = size() + 1;
-    if (new_n > kMaxCachedMembers) return FullScore(kNoMember, &worker);
+    if (new_n > kMaxCachedMembers) return FullScore(kNoIndex, in);
+    const double q = view().quality()[in];
     if (!state_.valid) {
-      FoldMembers(Hypothetical(kNoMember, nullptr), &scratch_);
-      ExtendInPlace(&scratch_, worker.quality);
+      FoldMembers(QualitiesWith(kNoIndex, kNoIndex), &scratch_);
+      ExtendInPlace(&scratch_, q);
     } else {
-      ExtendFrom(state_, worker.quality, &scratch_);
+      ExtendFrom(state_, q, &scratch_);
     }
     CountIncrementalEvaluation();
     return Sweep(scratch_);
   }
-  double ComputeRemove(std::size_t idx) override {
-    if (size() - 1 > kMaxCachedMembers) return FullScore(idx, nullptr);
-    FoldMembers(Hypothetical(idx, nullptr), &scratch_);
+  double ComputeRemove(std::size_t out_pos) override {
+    if (size() - 1 > kMaxCachedMembers) return FullScore(out_pos, kNoIndex);
+    FoldMembers(QualitiesWith(out_pos, kNoIndex), &scratch_);
     CountIncrementalEvaluation();
     return Sweep(scratch_);
   }
-  double ComputeSwap(std::size_t out_idx, const Worker& in) override {
-    if (size() > kMaxCachedMembers) return FullScore(out_idx, &in);
-    FoldMembers(Hypothetical(out_idx, &in), &scratch_);
+  double ComputeSwap(std::size_t out_pos, std::size_t in) override {
+    if (size() > kMaxCachedMembers) return FullScore(out_pos, in);
+    FoldMembers(QualitiesWith(out_pos, in), &scratch_);
     CountIncrementalEvaluation();
     return Sweep(scratch_);
   }
   void AdoptStaged() override { state_ = std::move(scratch_); }
   void DiscardStaged() override { scratch_.valid = false; }
-  void ApplyAdd(const Worker& worker) override {
+  void ApplyAdd(std::size_t in) override {
     scratch_.valid = false;
-    if (size() + 1 > kMaxCachedMembers || !state_.valid) {
+    if (size() > kMaxCachedMembers || !state_.valid) {
       // Past the cache cap (or with no cached table) the next scoring
       // rebuilds from the member list anyway.
       state_.valid = false;
       return;
     }
-    ExtendInPlace(&state_, worker.quality);
+    ExtendInPlace(&state_, view().quality()[in]);
   }
 
  public:
@@ -324,11 +329,6 @@ class IncrementalExactBvEvaluator final : public IncrementalJqEvaluator {
     std::vector<double> p1;  // Pr(V | t = 1)
     bool valid = false;
   };
-
-  std::vector<double> Hypothetical(std::size_t out_idx,
-                                   const Worker* in) const {
-    return MaterializeWith(out_idx, in).qualities();
-  }
 
   /// Builds the enumeration table by folding qualities one at a time;
   /// total work sum_j 2^j = O(2^n).
@@ -375,9 +375,9 @@ class IncrementalExactBvEvaluator final : public IncrementalJqEvaluator {
     return jq;
   }
 
-  double FullScore(std::size_t out_idx, const Worker* in) {
+  double FullScore(std::size_t out_pos, std::size_t in) {
     scratch_.valid = false;
-    const std::vector<double> qs = Hypothetical(out_idx, in);
+    const std::vector<double> qs = QualitiesWith(out_pos, in);
     CountFullEvaluation();
     if (qs.empty()) return EmptyJuryJq(alpha());
     return ExactJqBv(Jury::FromQualities(qs), alpha()).value();
@@ -406,6 +406,7 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
     if (!IsUninformativeAlpha(alpha)) {
       has_prior_ = true;
       prior_q_ = NormalizeQuality(alpha);
+      prior_phi_ = LogOdds(EffectiveQuality(prior_q_));
     }
   }
 
@@ -414,54 +415,41 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
   static constexpr std::int64_t kMaxIncrementalSpan = std::int64_t{1} << 22;
 
  protected:
-  double ComputeAdd(const Worker& worker) override {
-    return Score(kNoMember, &worker);
+  double ComputeAdd(std::size_t in) override { return Score(kNoIndex, in); }
+  double ComputeRemove(std::size_t out_pos) override {
+    return Score(out_pos, kNoIndex);
   }
-  double ComputeRemove(std::size_t idx) override {
-    return Score(idx, nullptr);
-  }
-  double ComputeSwap(std::size_t out_idx, const Worker& in) override {
-    return Score(out_idx, &in);
+  double ComputeSwap(std::size_t out_pos, std::size_t in) override {
+    return Score(out_pos, in);
   }
 
   void AdoptStaged() override {
-    // Mirror the member-list change in the normalized-quality view.
-    if (staged_out_ != kNoMember && staged_has_in_) {
-      norm_q_[staged_out_] = staged_in_q_;  // swap in place
-    } else if (staged_out_ != kNoMember) {
-      norm_q_.erase(norm_q_.begin() + static_cast<std::ptrdiff_t>(staged_out_));
-    } else if (staged_has_in_) {
-      norm_q_.push_back(staged_in_q_);
-    }
-    if (scratch_regular_) {
-      dist_ = std::move(scratch_dist_);
-      if (scratch_rebuilt_ || grid_upper_ != scratch_upper_) {
-        grid_upper_ = scratch_upper_;
-        RefreshBuckets();
-      } else if (staged_out_ != kNoMember && staged_has_in_) {
-        bucket_[staged_out_] = staged_in_bucket_;
-      } else if (staged_out_ != kNoMember) {
-        bucket_.erase(bucket_.begin() +
-                      static_cast<std::ptrdiff_t>(staged_out_));
-      } else if (staged_has_in_) {
-        bucket_.push_back(staged_in_bucket_);
-      }
-      dist_valid_ = true;
-    } else {
+    if (!scratch_regular_) {
       dist_valid_ = false;
+      return;
     }
+    // `members()` already reflects the move; mirror it in the buckets.
+    dist_ = std::move(scratch_dist_);
+    if (scratch_rebuilt_ || grid_upper_ != scratch_upper_) {
+      grid_upper_ = scratch_upper_;
+      RefreshBuckets();
+    } else if (staged_out_ != kNoIndex && staged_has_in_) {
+      bucket_[staged_out_] = staged_in_bucket_;
+    } else if (staged_out_ != kNoIndex) {
+      bucket_.erase(bucket_.begin() + static_cast<std::ptrdiff_t>(staged_out_));
+    } else if (staged_has_in_) {
+      bucket_.push_back(staged_in_bucket_);
+    }
+    dist_valid_ = true;
   }
 
-  void ApplyAdd(const Worker& worker) override {
-    // The in-place mirror of `Score(kNoMember, &worker)` + `AdoptStaged`:
-    // same grid/special-case decisions, same convolution, but applied to
-    // the committed key distribution directly — no scratch copy and no
-    // `PositiveMass` sweep, since the score is already known.
-    const double q = NormalizeQuality(worker.quality);
-    double max_q = has_prior_ ? prior_q_ : 0.0;
-    for (double v : norm_q_) max_q = std::max(max_q, v);
-    max_q = std::max(max_q, q);
-    norm_q_.push_back(q);
+  void ApplyAdd(std::size_t in) override {
+    // The in-place mirror of `Score(kNoIndex, in)` + `AdoptStaged`: same
+    // grid/special-case decisions, same convolution, but applied to the
+    // committed key distribution directly — no scratch copy and no
+    // `PositiveMass` sweep, since the score is already known. `in` is
+    // already the last member.
+    const double max_q = CommittedMaxQuality();
     if (options_.high_quality_cutoff < 1.0 &&
         max_q > options_.high_quality_cutoff) {
       dist_valid_ = false;  // §4.4 shortcut mode: no key state to maintain
@@ -474,19 +462,16 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
     }
     const double delta = upper / static_cast<double>(options_.num_buckets);
     if (dist_valid_ && upper == grid_upper_) {
-      const std::int64_t b = BucketOf(q, delta);
+      const std::int64_t b = BucketFromPhi(view().log_odds()[in], delta);
       if (dist_.span() + b <= kMaxIncrementalSpan) {
-        dist_.Convolve(b, q);
+        dist_.Convolve(b, view().norm_quality()[in]);
         bucket_.push_back(b);
         return;
       }
     }
     // Grid moved or no cached state: rebuild on the new grid (counts as a
     // full evaluation, exactly like the Score rebuild path).
-    dist_.Reset();
-    std::int64_t span = 0;
-    for (double v : norm_q_) span += FoldWorkerInto(&dist_, v, delta);
-    if (has_prior_) span += FoldWorkerInto(&dist_, prior_q_, delta);
+    const std::int64_t span = FoldJury(kNoIndex, kNoIndex, delta, &dist_);
     CountFullEvaluation();
     if (span > kMaxIncrementalSpan) {
       dist_valid_ = false;
@@ -509,8 +494,8 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
   /// (§4.4 shortcut, all-0.5, grid move, span overflow, no cached state)
   /// fall back to the scalar `ScoreAdd` path, which handles — and counts
   /// — them exactly as before. Scores are bit-identical to the scalar
-  /// scan. Normalized qualities and log-odds come straight from the
-  /// view's columns, so no score re-runs the flip or the log.
+  /// scan: both read normalized qualities and log-odds from the view's
+  /// columns.
   void ScoreAddBatch(const std::size_t* pool_indices, std::size_t count,
                      double* scores) override {
     Rollback();
@@ -528,7 +513,7 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
                              &fast_or_special)) {
         // Grid move / invalid cache / oversized span: the scalar path owns
         // these (including their full-evaluation accounting).
-        scores[j] = ScoreAdd(view().worker(idx));
+        scores[j] = ScoreAdd(idx);
         Rollback();
       }
     }
@@ -547,13 +532,14 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
                         std::size_t count, double* scores) override {
     Rollback();
     if (count == 0) return;
+    const std::span<const double> norm = view().norm_quality();
     batch_bs_.clear();
     batch_qs_.clear();
     batch_slot_.clear();
     std::size_t fast_or_special = 0;
     for (std::size_t j = 0; j < count; ++j) {
       const std::size_t pos = member_positions[j];
-      if (norm_q_.size() <= 1) {
+      if (size() <= 1) {
         scores[j] = EmptyJuryJq(alpha());  // removal empties the jury
         ++fast_or_special;
         continue;
@@ -573,7 +559,7 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
       }
       if (dist_valid_ && upper == grid_upper_) {
         batch_bs_.push_back(bucket_[pos]);
-        batch_qs_.push_back(norm_q_[pos]);
+        batch_qs_.push_back(norm[members()[pos]]);
         batch_slot_.push_back(j);
         ++fast_or_special;
         continue;
@@ -627,7 +613,7 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
         if (dist_.span() - out_b + b <= kMaxIncrementalSpan) {
           if (!scratch_ready) {
             swap_dist_ = dist_;
-            swap_dist_.Deconvolve(out_b, norm_q_[out_position]);
+            swap_dist_.Deconvolve(out_b, norm[members()[out_position]]);
             scratch_ready = true;
           }
           batch_bs_.push_back(b);
@@ -637,7 +623,7 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
           continue;
         }
       }
-      scores[j] = ScoreSwap(out_position, view().worker(idx));
+      scores[j] = ScoreSwap(out_position, idx);
       Rollback();
     }
     FlushConvolveBatch(swap_dist_, scores, fast_or_special);
@@ -649,19 +635,16 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
   /// path recomputes it per candidate; `std::max` folds are
   /// order-insensitive for the NaN-free qualities involved, so the hoist
   /// is bit-neutral).
-  double CommittedMaxQuality() const {
-    double max_q = has_prior_ ? prior_q_ : 0.0;
-    for (double v : norm_q_) max_q = std::max(max_q, v);
-    return max_q;
-  }
+  double CommittedMaxQuality() const { return MaxQualityWithout(kNoIndex); }
 
-  /// Same fold with member `out` excluded — the committed part of every
-  /// remove/swap candidate's grid scan.
+  /// Same fold with the member at position `out` excluded — the committed
+  /// part of every remove/swap candidate's grid scan.
   double MaxQualityWithout(std::size_t out) const {
+    const std::span<const double> norm = view().norm_quality();
     double max_q = has_prior_ ? prior_q_ : 0.0;
-    for (std::size_t i = 0; i < norm_q_.size(); ++i) {
+    for (std::size_t i = 0; i < size(); ++i) {
       if (i == out) continue;
-      max_q = std::max(max_q, norm_q_[i]);
+      max_q = std::max(max_q, norm[members()[i]]);
     }
     return max_q;
   }
@@ -738,15 +721,16 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
     }
   }
 
-  double Score(std::size_t out_idx, const Worker* in) {
-    staged_out_ = out_idx;
-    staged_has_in_ = in != nullptr;
-    staged_in_q_ = in != nullptr ? NormalizeQuality(in->quality) : 0.5;
+  double Score(std::size_t out_pos, std::size_t in) {
+    const std::span<const double> norm = view().norm_quality();
+    const bool has_in = in != kNoIndex;
+    staged_out_ = out_pos;
+    staged_has_in_ = has_in;
     scratch_regular_ = false;
     scratch_rebuilt_ = false;
 
     const std::size_t count =
-        norm_q_.size() - (out_idx != kNoMember ? 1 : 0) + (in != nullptr ? 1 : 0);
+        size() - (out_pos != kNoIndex ? 1 : 0) + (has_in ? 1 : 0);
     if (count == 0) {
       // `Evaluate` short-circuits the empty jury before the estimator runs.
       CountIncrementalEvaluation();
@@ -755,12 +739,8 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
 
     // The grid and the special-case modes depend only on the maximum
     // normalized quality of jury + prior (phi is monotone in q).
-    double max_q = has_prior_ ? prior_q_ : 0.0;
-    for (std::size_t i = 0; i < norm_q_.size(); ++i) {
-      if (i == out_idx) continue;
-      max_q = std::max(max_q, norm_q_[i]);
-    }
-    if (in != nullptr) max_q = std::max(max_q, staged_in_q_);
+    double max_q = MaxQualityWithout(out_pos);
+    if (has_in) max_q = std::max(max_q, norm[in]);
 
     // §4.4 escape hatch: a near-perfect juror pins JQ into (cutoff, 1].
     if (options_.high_quality_cutoff < 1.0 &&
@@ -776,23 +756,20 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
     }
     const double delta = upper / static_cast<double>(options_.num_buckets);
     staged_in_bucket_ =
-        in != nullptr ? BucketOf(staged_in_q_, delta) : std::int64_t{0};
+        has_in ? BucketFromPhi(view().log_odds()[in], delta) : 0;
 
     if (dist_valid_ && upper == grid_upper_) {
       // Same grid: the neighbouring jury's key distribution is one
       // (de)convolution away from the committed one.
-      const std::int64_t out_b =
-          out_idx != kNoMember ? bucket_[out_idx] : std::int64_t{0};
+      const std::int64_t out_b = out_pos != kNoIndex ? bucket_[out_pos] : 0;
       const std::int64_t projected =
-          dist_.span() - out_b + (in != nullptr ? staged_in_bucket_ : 0);
+          dist_.span() - out_b + (has_in ? staged_in_bucket_ : 0);
       if (projected <= kMaxIncrementalSpan) {
         scratch_dist_ = dist_;
-        if (out_idx != kNoMember) {
-          scratch_dist_.Deconvolve(out_b, norm_q_[out_idx]);
+        if (out_pos != kNoIndex) {
+          scratch_dist_.Deconvolve(out_b, norm[members()[out_pos]]);
         }
-        if (in != nullptr) {
-          scratch_dist_.Convolve(staged_in_bucket_, staged_in_q_);
-        }
+        if (has_in) scratch_dist_.Convolve(staged_in_bucket_, norm[in]);
         scratch_upper_ = upper;
         scratch_regular_ = true;
         CountIncrementalEvaluation();
@@ -802,19 +779,13 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
 
     // Grid changed (the max-quality member moved) or no valid cached
     // state: rebuild the key distribution from scratch on the new grid.
-    scratch_dist_.Reset();
-    std::int64_t span = 0;
-    for (std::size_t i = 0; i < norm_q_.size(); ++i) {
-      if (i == out_idx) continue;
-      span += FoldWorker(norm_q_[i], delta);
-    }
-    if (in != nullptr) span += FoldWorker(staged_in_q_, delta);
-    if (has_prior_) span += FoldWorker(prior_q_, delta);
+    const std::int64_t span = FoldJury(out_pos, in, delta, &scratch_dist_);
     CountFullEvaluation();
     if (span > kMaxIncrementalSpan) {
       // Oversized dense state: score one-shot and drop the cache.
-      scratch_regular_ = false;
-      return OneShot(out_idx, in);
+      return EstimateJq(Jury::FromQualities(QualitiesWith(out_pos, in)),
+                        alpha(), options_)
+          .value();
     }
     scratch_upper_ = upper;
     scratch_regular_ = true;
@@ -822,52 +793,55 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
     return std::min(scratch_dist_.PositiveMass(), 1.0);
   }
 
-  std::int64_t BucketOf(double norm_q, double delta) const {
-    return BucketFromPhi(LogOdds(EffectiveQuality(norm_q)), delta);
-  }
-
-  /// Bucket of a precomputed log-odds (the view's `log_odds()` column
-  /// stores exactly `LogOdds(EffectiveQuality(norm_q))`, so column-sourced
-  /// buckets are bit-identical to `BucketOf`).
-  std::int64_t BucketFromPhi(double phi, double delta) const {
+  /// Bucket of a log-odds weight on the grid `delta`. Every member and
+  /// candidate weight comes from the view's `log_odds()` column, so the
+  /// scalar and batched paths bucket from the same value.
+  static std::int64_t BucketFromPhi(double phi, double delta) {
     return static_cast<std::int64_t>(std::ceil(phi / delta - 0.5));
   }
 
-  std::int64_t FoldWorker(double norm_q, double delta) {
-    return FoldWorkerInto(&scratch_dist_, norm_q, delta);
-  }
-
-  std::int64_t FoldWorkerInto(BucketKeyDistribution* dist, double norm_q,
-                              double delta) const {
-    const std::int64_t b = BucketOf(norm_q, delta);
-    if (dist->span() + b <= kMaxIncrementalSpan) {
-      dist->Convolve(b, norm_q);
+  /// Rebuilds `dist` on the grid `delta` from the committed members with
+  /// the `(out_pos, in)` move applied — `in` folded last — plus the prior
+  /// pseudo-worker. Workers whose bucket would overflow the span guard are
+  /// skipped; the returned total span tells the caller to give up.
+  std::int64_t FoldJury(std::size_t out_pos, std::size_t in, double delta,
+                        BucketKeyDistribution* dist) const {
+    const std::span<const double> norm = view().norm_quality();
+    const std::span<const double> phi = view().log_odds();
+    const auto fold = [&](double q, double weight) {
+      const std::int64_t b = BucketFromPhi(weight, delta);
+      if (dist->span() + b <= kMaxIncrementalSpan) dist->Convolve(b, q);
+      return b;
+    };
+    dist->Reset();
+    std::int64_t span = 0;
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (i == out_pos) continue;
+      span += fold(norm[members()[i]], phi[members()[i]]);
     }
-    return b;
-  }
-
-  double OneShot(std::size_t out_idx, const Worker* in) const {
-    return EstimateJq(MaterializeWith(out_idx, in), alpha(), options_)
-        .value();
+    if (in != kNoIndex) span += fold(norm[in], phi[in]);
+    if (has_prior_) span += fold(prior_q_, prior_phi_);
+    return span;
   }
 
   void RefreshBuckets() {
     const double delta =
         grid_upper_ / static_cast<double>(options_.num_buckets);
-    bucket_.resize(norm_q_.size());
-    for (std::size_t i = 0; i < norm_q_.size(); ++i) {
-      bucket_[i] = BucketOf(norm_q_[i], delta);
+    const std::span<const double> phi = view().log_odds();
+    bucket_.resize(size());
+    for (std::size_t i = 0; i < size(); ++i) {
+      bucket_[i] = BucketFromPhi(phi[members()[i]], delta);
     }
   }
 
   BucketJqOptions options_;
   bool has_prior_ = false;
   double prior_q_ = 0.5;
+  double prior_phi_ = 0.0;
 
-  // Committed state: normalized member qualities (aligned with members()),
-  // their buckets under the committed grid, and the key distribution of
-  // jury + prior. `dist_valid_` is false in the special-case modes.
-  std::vector<double> norm_q_;
+  // Committed state: the members' buckets under the committed grid
+  // (aligned with members()) and the key distribution of jury + prior.
+  // `dist_valid_` is false in the special-case modes.
   std::vector<std::int64_t> bucket_;
   BucketKeyDistribution dist_;
   bool dist_valid_ = false;
@@ -881,12 +855,11 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
   bool scratch_regular_ = false;
   bool scratch_rebuilt_ = false;
   double scratch_upper_ = 0.0;
-  std::size_t staged_out_ = kNoMember;
+  std::size_t staged_out_ = kNoIndex;
   bool staged_has_in_ = false;
-  double staged_in_q_ = 0.5;
   std::int64_t staged_in_bucket_ = 0;
 
-  // Reusable SoA staging for `ScoreAddBatch`.
+  // Reusable SoA staging for the batched scans.
   std::vector<std::int64_t> batch_bs_;
   std::vector<double> batch_qs_;
   std::vector<std::size_t> batch_slot_;
@@ -905,11 +878,16 @@ IncrementalJqEvaluator::IncrementalJqEvaluator(const JqObjective* objective,
       view_(&view),
       current_jq_(objective->EmptyJq(alpha)) {}
 
-double IncrementalJqEvaluator::ScoreAdd(const Worker& worker) {
+std::size_t IncrementalJqEvaluator::PositionOf(std::size_t in) const {
+  return static_cast<std::size_t>(
+      std::find(members_.begin(), members_.end(), in) - members_.begin());
+}
+
+double IncrementalJqEvaluator::ScoreAdd(std::size_t in) {
+  JURY_CHECK_LT(in, view_->size());
   staged_ = MoveKind::kAdd;
-  staged_idx_ = kNoMember;
-  staged_worker_ = worker;
-  staged_score_ = ComputeAdd(worker);
+  staged_in_ = in;
+  staged_score_ = ComputeAdd(in);
   return staged_score_;
 }
 
@@ -919,7 +897,7 @@ void IncrementalJqEvaluator::ScoreAddBatch(const std::size_t* pool_indices,
   // Reference implementation: the scalar scan loop, so backends without a
   // batched kernel (full-recompute, exact-BV) behave exactly as before.
   for (std::size_t j = 0; j < count; ++j) {
-    scores[j] = ScoreAdd(view_->worker(pool_indices[j]));
+    scores[j] = ScoreAdd(pool_indices[j]);
   }
   Rollback();
 }
@@ -937,50 +915,46 @@ void IncrementalJqEvaluator::ScoreSwapBatch(std::size_t out_position,
                                             std::size_t count,
                                             double* scores) {
   for (std::size_t j = 0; j < count; ++j) {
-    scores[j] = ScoreSwap(out_position, view_->worker(pool_indices[j]));
+    scores[j] = ScoreSwap(out_position, pool_indices[j]);
   }
   Rollback();
 }
 
-double IncrementalJqEvaluator::ScoreRemove(std::size_t idx) {
-  JURY_CHECK_LT(idx, members_.size());
+double IncrementalJqEvaluator::ScoreRemove(std::size_t out_pos) {
+  JURY_CHECK_LT(out_pos, members_.size());
   staged_ = MoveKind::kRemove;
-  staged_idx_ = idx;
-  staged_score_ = ComputeRemove(idx);
+  staged_pos_ = out_pos;
+  staged_score_ = ComputeRemove(out_pos);
   return staged_score_;
 }
 
-double IncrementalJqEvaluator::ScoreSwap(std::size_t out_idx,
-                                         const Worker& in_worker) {
-  JURY_CHECK_LT(out_idx, members_.size());
+double IncrementalJqEvaluator::ScoreSwap(std::size_t out_pos, std::size_t in) {
+  JURY_CHECK_LT(out_pos, members_.size());
+  JURY_CHECK_LT(in, view_->size());
   staged_ = MoveKind::kSwap;
-  staged_idx_ = out_idx;
-  staged_worker_ = in_worker;
-  staged_score_ = ComputeSwap(out_idx, in_worker);
+  staged_pos_ = out_pos;
+  staged_in_ = in;
+  staged_score_ = ComputeSwap(out_pos, in);
   return staged_score_;
 }
 
 void IncrementalJqEvaluator::Commit() {
   JURY_CHECK(staged_ != MoveKind::kNone) << "Commit without a staged move";
-  AdoptStaged();
   switch (staged_) {
     case MoveKind::kAdd:
-      member_quality_.push_back(staged_worker_.quality);
-      members_.push_back(std::move(staged_worker_));
+      members_.push_back(staged_in_);
       break;
     case MoveKind::kRemove:
-      member_quality_.erase(member_quality_.begin() +
-                            static_cast<std::ptrdiff_t>(staged_idx_));
       members_.erase(members_.begin() +
-                     static_cast<std::ptrdiff_t>(staged_idx_));
+                     static_cast<std::ptrdiff_t>(staged_pos_));
       break;
     case MoveKind::kSwap:
-      member_quality_[staged_idx_] = staged_worker_.quality;
-      members_[staged_idx_] = std::move(staged_worker_);
+      members_[staged_pos_] = staged_in_;
       break;
     case MoveKind::kNone:
       break;
   }
+  AdoptStaged();
   current_jq_ = staged_score_;
   staged_ = MoveKind::kNone;
 }
@@ -991,25 +965,41 @@ void IncrementalJqEvaluator::Rollback() {
   staged_ = MoveKind::kNone;
 }
 
-void IncrementalJqEvaluator::CommitAdd(const Worker& worker, double score) {
+void IncrementalJqEvaluator::CommitAdd(std::size_t in, double score) {
+  JURY_CHECK_LT(in, view_->size());
   Rollback();
-  ApplyAdd(worker);
-  member_quality_.push_back(worker.quality);
-  members_.push_back(worker);
+  members_.push_back(in);
+  ApplyAdd(in);
   current_jq_ = score;
 }
 
-Jury IncrementalJqEvaluator::MaterializeWith(std::size_t out_idx,
-                                             const Worker* in) const {
+std::vector<double> IncrementalJqEvaluator::QualitiesWith(
+    std::size_t out_pos, std::size_t in) const {
+  const std::span<const double> quality = view_->quality();
+  std::vector<double> qs;
+  qs.reserve(members_.size() + 1);
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (i != out_pos) {
+      qs.push_back(quality[members_[i]]);
+    } else if (in != kNoIndex) {
+      qs.push_back(quality[in]);  // swap in place
+    }
+  }
+  if (in != kNoIndex && out_pos == kNoIndex) qs.push_back(quality[in]);
+  return qs;
+}
+
+Jury IncrementalJqEvaluator::MaterializeWith(std::size_t out_pos,
+                                             std::size_t in) const {
   Jury jury;
   for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (i == out_idx) {
-      if (in != nullptr) jury.Add(*in);  // swap in place
-      continue;
+    if (i != out_pos) {
+      jury.Add(view_->worker(members_[i]));
+    } else if (in != kNoIndex) {
+      jury.Add(view_->worker(in));  // swap in place
     }
-    jury.Add(members_[i]);
   }
-  if (in != nullptr && out_idx == kNoMember) jury.Add(*in);
+  if (in != kNoIndex && out_pos == kNoIndex) jury.Add(view_->worker(in));
   return jury;
 }
 

@@ -9,7 +9,6 @@
 
 #include "jq/bucket.h"
 #include "model/jury.h"
-#include "model/worker.h"
 #include "util/fault_injection.h"
 
 namespace jury {
@@ -109,13 +108,13 @@ class JqObjective {
   virtual double EmptyJq(double alpha) const { return EmptyJuryJq(alpha); }
 
   /// Opens an evaluation session starting from the empty jury, bound to
-  /// the candidate pool's columnar snapshot: the batched move scans
-  /// (`ScoreAddBatch`/`ScoreRemoveBatch`/`ScoreSwapBatch` over view
-  /// indices) read its contiguous columns. `view` must outlive the
-  /// session; callers build it once per pool. When `incremental` is false
-  /// the session scores every move by materializing the jury and calling
-  /// `Evaluate` — the `--no-incremental` reference path that delta updates
-  /// are asserted bit-equal (within 1e-12) against.
+  /// the candidate pool's columnar snapshot: every move names its
+  /// candidate by view index, and the scalar and batched scores read the
+  /// view's contiguous columns. `view` must outlive the session; callers
+  /// build it once per pool. When `incremental` is false the session
+  /// scores every move by materializing the jury and calling `Evaluate` —
+  /// the `--no-incremental` reference path that delta updates are asserted
+  /// bit-equal (within 1e-12) against.
   std::unique_ptr<IncrementalJqEvaluator> StartSession(
       const WorkerPoolView& view, double alpha,
       bool incremental = true) const;
@@ -154,13 +153,16 @@ class JqObjective {
 
 /// \brief A stateful evaluation session over one growing/shrinking jury.
 ///
-/// The session owns the jury's member list. Solvers *stage* a candidate
-/// move with one of the `Score*` calls — which returns the JQ the jury
-/// would have after the move, computed by an O(n) delta update where the
-/// backend supports it — and then either `Commit()` (adopt the move and its
-/// score) or `Rollback()` (discard it). A subsequent `Score*` call replaces
-/// the staged move, so a solver may scan many candidates and re-stage the
-/// winner before committing.
+/// The session owns the jury's member list — the one copy of the jury,
+/// held as indices into the bound `WorkerPoolView`. Solvers *stage* a
+/// candidate move with one of the `Score*` calls — which returns the JQ the
+/// jury would have after the move, computed by an O(n) delta update where
+/// the backend supports it — and then either `Commit()` (adopt the move and
+/// its score) or `Rollback()` (discard it). A subsequent `Score*` call
+/// replaces the staged move, so a solver may scan many candidates and
+/// re-stage the winner before committing. Every move names its incoming
+/// candidate by view index and its outgoing member by position in
+/// `members()`.
 ///
 /// Scores agree with `JqObjective::Evaluate` on the materialized jury to
 /// within 1e-12 (property-tested); the `incremental=false` session produced
@@ -170,15 +172,12 @@ class IncrementalJqEvaluator {
   virtual ~IncrementalJqEvaluator() = default;
 
   double alpha() const { return alpha_; }
-  /// Committed members, in insertion order (swap replaces in place).
-  const std::vector<Worker>& members() const { return members_; }
-  /// Committed members' qualities as a contiguous column, positionally
-  /// aligned with `members()` and maintained through `Commit`/`CommitAdd`:
-  /// the committed-side half of the columnar story, so batch backends fold
-  /// committed state without re-reading `Worker` structs.
-  const std::vector<double>& member_qualities() const {
-    return member_quality_;
-  }
+  /// Committed members as view indices, in insertion order (swap replaces
+  /// in place).
+  const std::vector<std::size_t>& members() const { return members_; }
+  /// Position of view index `in` in `members()`, or `size()` when `in` is
+  /// not a member.
+  std::size_t PositionOf(std::size_t in) const;
   /// The columnar pool view bound at `StartSession`. Clones share the
   /// parent's view.
   const WorkerPoolView& view() const { return *view_; }
@@ -192,62 +191,59 @@ class IncrementalJqEvaluator {
   /// (bit-identical — it copies the backend's cached state, not a rebuilt
   /// equivalent), so candidates can be sharded across threads without the
   /// winner depending on which thread scored which shard. Clones report
-  /// into the owning objective's (atomic) evaluation counters. Returns
-  /// nullptr for backends without clone support, in which case callers
-  /// must fall back to the serial scan. Any staged move is not cloned;
-  /// clone before staging.
-  virtual std::unique_ptr<IncrementalJqEvaluator> Clone() const {
-    return nullptr;
-  }
+  /// into the owning objective's (atomic) evaluation counters. Any staged
+  /// move is not cloned; clone before staging.
+  virtual std::unique_ptr<IncrementalJqEvaluator> Clone() const = 0;
 
-  /// Commits "add `worker`" when its score is already known — from a
-  /// previous `Score*` on this session or on a `Clone()` — without
+  /// Commits "add view index `in`" when its score is already known — from
+  /// a previous `Score*` on this session or on a `Clone()` — without
   /// re-computing the delta. This is the scan-then-commit fast path: a
   /// candidate scan remembers the staged winner's score and commits it
   /// directly, saving one delta evaluation per round. Discards any staged
-  /// move first. `score` must be the value `ScoreAdd(worker)` would
-  /// return; the backend applies the move to its committed state in place.
-  void CommitAdd(const Worker& worker, double score);
+  /// move first. `score` must be the value `ScoreAdd(in)` would return;
+  /// the backend applies the move to its committed state in place.
+  void CommitAdd(std::size_t in, double score);
 
-  /// JQ of members + `worker`; stages the addition.
-  double ScoreAdd(const Worker& worker);
+  /// JQ of members + view index `in`; stages the addition.
+  double ScoreAdd(std::size_t in);
 
   /// \brief Unified batched move-scan API over the bound view.
   ///
-  /// The index-based triplet below is the one scan surface every solver's
-  /// inner loop runs on: candidates are named by *view indices* (adds,
-  /// swap-ins) or *member positions* (removes, swap-outs), and the MV and
-  /// BV/bucket backends score them through fused structure-of-arrays
-  /// kernels (`PoissonBinomial::EvaluateBatch`/`EvaluateRemoveBatch`,
+  /// The batched triplet below scores a whole scan of the add/remove/swap
+  /// neighbourhood in one call: candidates are named by *view indices*
+  /// (adds, swap-ins) or *member positions* (removes, swap-outs), exactly
+  /// as in the scalar calls, and the MV and BV/bucket backends score them
+  /// through fused structure-of-arrays kernels
+  /// (`PoissonBinomial::EvaluateBatch`/`EvaluateRemoveBatch`,
   /// `BucketKeyDistribution::ConvolvePositiveMassBatch`/
   /// `DeconvolvePositiveMass`) that read the view's contiguous columns
-  /// directly — no per-candidate `Worker` gather, no scratch copies, no
-  /// virtual dispatch per score. All three are bit-identical to the
-  /// corresponding scalar `Score*` loop (EXPECT_EQ-tested), leave no move
-  /// staged, and are pure functions of (committed jury, candidate) — so
-  /// scans can be sharded across threads with any grain without changing
-  /// a single bit. The base implementations loop the scalar calls, which
-  /// is what the full-recompute and exact-BV sessions use. Every score is
-  /// against the *committed* jury, and any previously staged move is
-  /// discarded.
+  /// directly — the same columns the scalar calls read, with no
+  /// per-candidate scratch copies and no virtual dispatch per score. All
+  /// three are bit-identical to the corresponding scalar `Score*` loop
+  /// (EXPECT_EQ-tested), leave no move staged, and are pure functions of
+  /// (committed jury, candidate) — so scans can be sharded across threads
+  /// with any grain without changing a single bit. The base
+  /// implementations loop the scalar calls, which is what the
+  /// full-recompute and exact-BV sessions use. Every score is against the
+  /// *committed* jury, and any previously staged move is discarded.
   ///
-  /// Fills `scores[j]` with `ScoreAdd(view().worker(pool_indices[j]))`.
+  /// Fills `scores[j]` with `ScoreAdd(pool_indices[j])`.
   virtual void ScoreAddBatch(const std::size_t* pool_indices,
                              std::size_t count, double* scores);
   /// Fills `scores[j]` with `ScoreRemove(member_positions[j])`.
   virtual void ScoreRemoveBatch(const std::size_t* member_positions,
                                 std::size_t count, double* scores);
-  /// Fills `scores[j]` with
-  /// `ScoreSwap(out_position, view().worker(pool_indices[j]))` — the
-  /// swap-partner scan of the annealing neighbourhood.
+  /// Fills `scores[j]` with `ScoreSwap(out_position, pool_indices[j])` —
+  /// the swap-partner scan of the annealing neighbourhood.
   virtual void ScoreSwapBatch(std::size_t out_position,
                               const std::size_t* pool_indices,
                               std::size_t count, double* scores);
 
-  /// JQ with member `idx` removed; stages the removal.
-  double ScoreRemove(std::size_t idx);
-  /// JQ with member `out_idx` replaced by `in_worker`; stages the swap.
-  double ScoreSwap(std::size_t out_idx, const Worker& in_worker);
+  /// JQ with the member at position `out_pos` removed; stages the removal.
+  double ScoreRemove(std::size_t out_pos);
+  /// JQ with the member at position `out_pos` replaced by view index
+  /// `in`; stages the swap.
+  double ScoreSwap(std::size_t out_pos, std::size_t in);
   /// Adopts the staged move: the member list and `current_jq` now reflect
   /// it. Requires a staged move.
   void Commit();
@@ -260,33 +256,34 @@ class IncrementalJqEvaluator {
   /// Memberwise copy for `Clone` implementations.
   IncrementalJqEvaluator(const IncrementalJqEvaluator&) = default;
 
-  /// Sentinel for "no member leaves" in `MaterializeWith`.
-  static constexpr std::size_t kNoMember = static_cast<std::size_t>(-1);
+  /// Sentinel of the `(out_pos, in)` move encoding the hooks below share:
+  /// `out_pos == kNoIndex` means no member leaves, `in == kNoIndex` that
+  /// no candidate enters.
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
-  /// Materializes the committed members with a hypothetical move applied:
-  /// `out_idx == kNoMember` with `in` appends (add); a valid `out_idx`
-  /// with `in` replaces in place (swap); a valid `out_idx` without `in`
-  /// skips that member (remove). All backends share this one definition so
-  /// their jury views cannot drift apart.
-  Jury MaterializeWith(std::size_t out_idx, const Worker* in) const;
+  /// Qualities of the committed members with a hypothetical move applied,
+  /// read from the view's quality column: `out_pos == kNoIndex` with `in`
+  /// appends (add); a valid `out_pos` with `in` replaces in place (swap);
+  /// a valid `out_pos` without `in` skips that member (remove).
+  std::vector<double> QualitiesWith(std::size_t out_pos, std::size_t in) const;
+  /// The same hypothetical jury as `Worker` records, for objectives that
+  /// only score through `Evaluate` (requires a view with bound workers).
+  Jury MaterializeWith(std::size_t out_pos, std::size_t in) const;
 
   /// Backend hooks: compute the score of the staged move into scratch
-  /// state. `AdoptStaged` is called by `Commit` *before* the base class
-  /// updates the member list; `DiscardStaged` by `Rollback`.
-  virtual double ComputeAdd(const Worker& worker) = 0;
-  virtual double ComputeRemove(std::size_t idx) = 0;
-  virtual double ComputeSwap(std::size_t out_idx, const Worker& in) = 0;
+  /// state. `Commit` updates the member list *before* it calls
+  /// `AdoptStaged`, so the hook sees the post-move members; `Rollback`
+  /// calls `DiscardStaged`.
+  virtual double ComputeAdd(std::size_t in) = 0;
+  virtual double ComputeRemove(std::size_t out_pos) = 0;
+  virtual double ComputeSwap(std::size_t out_pos, std::size_t in) = 0;
   virtual void AdoptStaged() = 0;
   virtual void DiscardStaged() {}
 
-  /// Backend hook for `CommitAdd`: fold `worker` into the committed cached
-  /// state directly (no scoring, no scratch round-trip). The default
-  /// recomputes via `ComputeAdd` + `AdoptStaged`, which is always correct;
-  /// backends override it with the in-place update.
-  virtual void ApplyAdd(const Worker& worker) {
-    ComputeAdd(worker);
-    AdoptStaged();
-  }
+  /// Backend hook for `CommitAdd`: fold the member just appended to
+  /// `members()` into the committed cached state directly (no scoring, no
+  /// scratch round-trip).
+  virtual void ApplyAdd(std::size_t in) = 0;
 
   /// Instrumentation forwarded to the owning objective's counters.
   void CountFullEvaluation() const;
@@ -311,12 +308,11 @@ class IncrementalJqEvaluator {
   const JqObjective* objective_;
   double alpha_;
   const WorkerPoolView* view_;
-  std::vector<Worker> members_;
-  std::vector<double> member_quality_;  // aligned with members_
+  std::vector<std::size_t> members_;
   double current_jq_;
   MoveKind staged_ = MoveKind::kNone;
-  std::size_t staged_idx_ = 0;
-  Worker staged_worker_;
+  std::size_t staged_pos_ = 0;
+  std::size_t staged_in_ = 0;
   double staged_score_ = 0.0;
 };
 

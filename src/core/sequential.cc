@@ -77,7 +77,7 @@ Result<SequentialOutcome> RunSequentialPolicy(
     if (projected != nullptr) {
       // The grow step: the purchased prefix gains one juror — an O(n)
       // session delta instead of re-scoring the prefix from scratch.
-      projected->ScoreAdd(worker);
+      projected->ScoreAdd(i);
       projected->Commit();
       outcome.projected_jq.push_back(projected->current_jq());
     }

@@ -21,11 +21,10 @@ namespace jury {
 /// columns for the quality, cost, §3.3 flip-normalized quality, and
 /// log-odds `phi(q) = ln(q/(1-q))` of every candidate, plus a stable
 /// index ↔ WorkerId map. Every evaluation session is bound to a view
-/// (`JqObjective::StartSession(view, ...)`) and consumes the columns
-/// directly in its batched move scans; the derived columns are computed
-/// with exactly the session backends' own expressions
-/// (`NormalizeQuality`/`EffectiveQuality`/`LogOdds`), so column-sourced
-/// scores are bit-identical to struct-sourced ones.
+/// (`JqObjective::StartSession(view, ...)`), holds its jury as view
+/// indices, and scores every move — scalar or batched — from the columns,
+/// so the scalar and batched scores of one move are bit-identical by
+/// construction.
 ///
 /// A view comes in two flavours sharing one type:
 ///   - **Owning** (the `span<const Worker>` constructor): the four columns
@@ -35,6 +34,8 @@ namespace jury {
 ///     skips the per-worker `log()` pass entirely. Adopted views may start
 ///     with no `Worker` structs at all; `BindWorkers` attaches them later
 ///     (lazy materialization) for the call sites that need the AoS record.
+///     The delta-updating sessions never do: only the full-recompute
+///     session materializes `Worker`s, to call `Evaluate`.
 ///
 /// The view never owns the workers: it keeps a `std::span` over the
 /// caller's array (a `PoolPlanContext` epoch's candidate table, or a

@@ -149,7 +149,7 @@ TEST(FrontierTest, SelectAddMatchesFullScanArgmaxUnderPruning) {
     EXPECT_EQ(pruned.best_score, full.best_score) << "round " << round;
     excluded[full.best_index] = 1;
     jury_cost += view.cost()[full.best_index];
-    session->CommitAdd(view.worker(full.best_index), full.best_score);
+    session->CommitAdd(full.best_index, full.best_score);
   }
   EXPECT_GT(stats.candidates_scanned, 0u);
   EXPECT_GT(stats.exactness_proofs, 0u) << "pruning never held";

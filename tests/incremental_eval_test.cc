@@ -3,7 +3,10 @@
 // within 1e-12, across all three backends, arbitrary add/remove/swap
 // sequences, rollbacks, and the bucket estimator's special-case modes.
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -18,10 +21,37 @@ namespace {
 
 constexpr double kTol = 1e-12;
 
-Jury MaterializeMembers(const IncrementalJqEvaluator& session) {
+// The scalar moves name their incoming candidate by view index; a `Worker`
+// record is not a move argument.
+template <class In>
+concept ScoreAddTakes =
+    requires(IncrementalJqEvaluator& session, const In& in) {
+      session.ScoreAdd(in);
+    };
+template <class In>
+concept ScoreSwapTakes =
+    requires(IncrementalJqEvaluator& session, const In& in) {
+      session.ScoreSwap(std::size_t{0}, in);
+    };
+template <class In>
+concept CommitAddTakes =
+    requires(IncrementalJqEvaluator& session, const In& in) {
+      session.CommitAdd(in, 0.0);
+    };
+static_assert(ScoreAddTakes<std::size_t> && ScoreSwapTakes<std::size_t> &&
+              CommitAddTakes<std::size_t>);
+static_assert(!ScoreAddTakes<Worker> && !ScoreSwapTakes<Worker> &&
+              !CommitAddTakes<Worker>);
+
+Jury JuryOf(const WorkerPoolView& view,
+            const std::vector<std::size_t>& members) {
   Jury jury;
-  for (const Worker& w : session.members()) jury.Add(w);
+  for (std::size_t i : members) jury.Add(view.worker(i));
   return jury;
+}
+
+Jury MaterializeMembers(const IncrementalJqEvaluator& session) {
+  return JuryOf(session.view(), session.members());
 }
 
 Worker RandomWorker(Rng* rng, int serial, double qlo = 0.05,
@@ -36,13 +66,16 @@ void ChurnAgainstEvaluate(const JqObjective& objective, double alpha,
                           std::uint64_t seed, int steps, double qlo,
                           double qhi, std::size_t max_size) {
   Rng rng(seed);
-  // Every move here is a scalar `Score*` call that takes its worker
-  // directly, and the workers are drawn as the walk goes, so the session
-  // is bound to an empty pool: nothing reads the view.
-  const WorkerPoolView no_pool;
-  auto session = objective.StartSession(no_pool, alpha);
-  std::vector<Worker> shadow;  // mirrors the committed member list
-  int serial = 0;
+  // Each step brings in at most one new worker, so `steps` workers drawn
+  // up front cover the walk; adds and swaps hand them out in pool order.
+  std::vector<Worker> pool;
+  for (int i = 0; i < steps; ++i) {
+    pool.push_back(RandomWorker(&rng, i, qlo, qhi));
+  }
+  const WorkerPoolView view(pool);
+  auto session = objective.StartSession(view, alpha);
+  std::vector<std::size_t> shadow;  // mirrors the committed member list
+  std::size_t next = 0;
 
   ASSERT_NEAR(session->current_jq(), EmptyJuryJq(alpha), kTol);
 
@@ -51,12 +84,11 @@ void ChurnAgainstEvaluate(const JqObjective& objective, double alpha,
         shadow.empty() ? 0 : (shadow.size() >= max_size
                                   ? 1 + rng.UniformInt(2)
                                   : rng.UniformInt(3));
-    std::vector<Worker> hypothetical = shadow;
+    std::vector<std::size_t> hypothetical = shadow;
     double score = 0.0;
     if (move == 0) {  // add
-      const Worker w = RandomWorker(&rng, serial++, qlo, qhi);
-      score = session->ScoreAdd(w);
-      hypothetical.push_back(w);
+      score = session->ScoreAdd(next);
+      hypothetical.push_back(next++);
     } else if (move == 1) {  // remove
       const std::size_t idx =
           rng.UniformInt(static_cast<std::uint64_t>(shadow.size()));
@@ -66,25 +98,25 @@ void ChurnAgainstEvaluate(const JqObjective& objective, double alpha,
     } else {  // swap
       const std::size_t idx =
           rng.UniformInt(static_cast<std::uint64_t>(shadow.size()));
-      const Worker w = RandomWorker(&rng, serial++, qlo, qhi);
-      score = session->ScoreSwap(idx, w);
-      hypothetical[idx] = w;
+      score = session->ScoreSwap(idx, next);
+      hypothetical[idx] = next++;
     }
 
-    Jury jury(hypothetical);
-    ASSERT_NEAR(score, objective.Evaluate(jury, alpha), kTol)
+    ASSERT_NEAR(score, objective.Evaluate(JuryOf(view, hypothetical), alpha),
+                kTol)
         << objective.name() << " seed=" << seed << " step=" << step
         << " move=" << move << " size=" << hypothetical.size();
 
     if (rng.Bernoulli(0.3)) {
       session->Rollback();
       // The committed state must be untouched by the discarded move.
+      ASSERT_EQ(session->members(), shadow);
       ASSERT_NEAR(session->current_jq(),
-                  objective.Evaluate(Jury(shadow), alpha), kTol);
+                  objective.Evaluate(JuryOf(view, shadow), alpha), kTol);
     } else {
       session->Commit();
       shadow = std::move(hypothetical);
-      ASSERT_EQ(session->size(), shadow.size());
+      ASSERT_EQ(session->members(), shadow);
       ASSERT_NEAR(session->current_jq(),
                   objective.Evaluate(MaterializeMembers(*session), alpha),
                   kTol)
@@ -121,13 +153,13 @@ TEST(IncrementalEvalTest, BucketBvShortcutAndDegenerateModes) {
                                     Worker("solid", 0.8, 0.0)};
   const WorkerPoolView view(pool);
   auto session = objective.StartSession(view, 0.5);
-  session->ScoreAdd(view.worker(0));
+  session->ScoreAdd(0);
   session->Commit();
   EXPECT_NEAR(session->current_jq(), 0.5, kTol);  // all-0.5 mode
-  session->ScoreAdd(view.worker(1));
+  session->ScoreAdd(1);
   session->Commit();
   EXPECT_NEAR(session->current_jq(), 0.999, kTol);  // shortcut mode
-  session->ScoreAdd(view.worker(2));
+  session->ScoreAdd(2);
   session->Commit();
   EXPECT_NEAR(session->current_jq(), 0.999, kTol);  // still shortcut
   session->ScoreRemove(1);  // drop "sharp": back to the regular DP
@@ -153,7 +185,7 @@ TEST(IncrementalEvalTest, ExactBvBeyondCacheCapFallsBackCorrectly) {
   // Grow past the 2^n cache cap (20 members) and make sure scores stay
   // correct through the enumeration fallback and the rebuild on shrink.
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    session->ScoreAdd(view.worker(i));
+    session->ScoreAdd(i);
     session->Commit();
   }
   EXPECT_NEAR(session->current_jq(),
@@ -192,9 +224,9 @@ TEST(IncrementalEvalTest, FullRecomputeSessionIsEvaluateVerbatim) {
     const WorkerPoolView view(pool);
     auto session = objective->StartSession(view, 0.5, /*incremental=*/false);
     std::vector<Worker> shadow;
-    for (const Worker& w : pool) {
-      const double score = session->ScoreAdd(w);
-      shadow.push_back(w);
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const double score = session->ScoreAdd(i);
+      shadow.push_back(pool[i]);
       // Bit-equal, not just near: the fallback session *is* Evaluate.
       ASSERT_EQ(score, objective->Evaluate(Jury(shadow), 0.5));
       session->Commit();
@@ -208,11 +240,10 @@ TEST(IncrementalEvalTest, RestagingReplacesThePendingMove) {
                                     Worker("b", 0.6, 0.0)};
   const WorkerPoolView view(pool);
   auto session = objective.StartSession(view, 0.5);
-  session->ScoreAdd(view.worker(0));
-  session->ScoreAdd(view.worker(1));  // replaces the staged move
+  session->ScoreAdd(0);
+  session->ScoreAdd(1);  // replaces the staged move
   session->Commit();
-  ASSERT_EQ(session->size(), 1u);
-  EXPECT_EQ(session->members()[0].id, "b");
+  EXPECT_EQ(session->members(), std::vector<std::size_t>{1});
   EXPECT_NEAR(session->current_jq(), 0.6, kTol);
 }
 
@@ -221,23 +252,22 @@ TEST(IncrementalEvalTest, CountersSplitFullAndIncremental) {
   objective.ResetEvaluationCounters();
   const std::vector<Worker> pool = {Worker("w", 0.7, 0.0)};
   const WorkerPoolView view(pool);
-  const Worker& w = view.worker(0);
   auto session = objective.StartSession(view, 0.5);
-  session->ScoreAdd(w);
+  session->ScoreAdd(0);
   session->Commit();
-  session->ScoreAdd(w);
+  session->ScoreAdd(0);
   session->Rollback();
   EXPECT_EQ(objective.evaluation_counters().incremental, 2u);
   EXPECT_EQ(objective.evaluation_counters().full, 0u);
 
   Jury jury;
-  jury.Add(w);
+  jury.Add(pool[0]);
   objective.Evaluate(jury, 0.5);
   EXPECT_EQ(objective.evaluation_counters().full, 1u);
   EXPECT_EQ(objective.evaluations(), 3u);  // legacy total
 
   auto reference = objective.StartSession(view, 0.5, /*incremental=*/false);
-  reference->ScoreAdd(w);
+  reference->ScoreAdd(0);
   EXPECT_EQ(objective.evaluation_counters().full, 2u);
   EXPECT_EQ(objective.evaluation_counters().incremental, 2u);
 }
@@ -270,7 +300,7 @@ void UnifiedScanMatchesScalar(const JqObjective& objective, double alpha,
     std::vector<double> scalar(ids.size());
     objective.ResetEvaluationCounters();
     for (std::size_t j = 0; j < ids.size(); ++j) {
-      scalar[j] = session->ScoreAdd(view.worker(ids[j]));
+      scalar[j] = session->ScoreAdd(ids[j]);
       session->Rollback();
     }
     const EvaluationCounters scalar_adds = objective.evaluation_counters();
@@ -324,7 +354,7 @@ void UnifiedScanMatchesScalar(const JqObjective& objective, double alpha,
         std::vector<double> sw_scalar(ids.size());
         objective.ResetEvaluationCounters();
         for (std::size_t j = 0; j < ids.size(); ++j) {
-          sw_scalar[j] = session->ScoreSwap(out_pos, view.worker(ids[j]));
+          sw_scalar[j] = session->ScoreSwap(out_pos, ids[j]);
           session->Rollback();
         }
         const EvaluationCounters scalar_sw = objective.evaluation_counters();
@@ -345,7 +375,7 @@ void UnifiedScanMatchesScalar(const JqObjective& objective, double alpha,
     EXPECT_FALSE(session->has_staged_move());
     // Grow through a batch-scored winner, as the solvers do.
     const std::size_t winner = static_cast<std::size_t>(committed);
-    session->CommitAdd(view.worker(winner), batched[winner]);
+    session->CommitAdd(winner, batched[winner]);
     EXPECT_EQ(session->current_jq(), batched[winner]);
   }
 }
@@ -375,7 +405,7 @@ TEST(IncrementalEvalTest, UnifiedScanMatchesScalarFullRecompute) {
                            41033);
 }
 
-TEST(IncrementalEvalTest, MemberQualityColumnTracksMembers) {
+TEST(IncrementalEvalTest, MemberIndicesTrackMoves) {
   const MajorityObjective objective;
   Rng rng(41041);
   std::vector<Worker> pool;
@@ -383,20 +413,16 @@ TEST(IncrementalEvalTest, MemberQualityColumnTracksMembers) {
   const WorkerPoolView view(pool);
   auto session = objective.StartSession(view, 0.5);
   for (std::size_t i = 0; i < 6; ++i) {
-    session->ScoreAdd(view.worker(i));
+    session->ScoreAdd(i);
     session->Commit();
   }
-  session->ScoreSwap(2, view.worker(7));
+  session->ScoreSwap(2, 7);
   session->Commit();
   session->ScoreRemove(0);
   session->Commit();
-  session->CommitAdd(view.worker(6), session->ScoreAdd(view.worker(6)));
-  ASSERT_EQ(session->member_qualities().size(), session->members().size());
-  for (std::size_t pos = 0; pos < session->size(); ++pos) {
-    EXPECT_EQ(session->member_qualities()[pos],
-              session->members()[pos].quality)
-        << pos;
-  }
+  session->CommitAdd(6, session->ScoreAdd(6));
+  EXPECT_EQ(session->members(),
+            (std::vector<std::size_t>{1, 7, 3, 4, 5, 6}));
 }
 
 TEST(IncrementalEvalTest, ScoreAddBatchOnClonesMatchesParent) {
@@ -411,7 +437,7 @@ TEST(IncrementalEvalTest, ScoreAddBatchOnClonesMatchesParent) {
   const WorkerPoolView view(pool);
   auto session = objective.StartSession(view, 0.5);
   for (std::size_t i = 0; i < 5; ++i) {
-    session->ScoreAdd(view.worker(i));
+    session->ScoreAdd(i);
     session->Commit();
   }
   std::vector<std::size_t> ids;
@@ -424,6 +450,126 @@ TEST(IncrementalEvalTest, ScoreAddBatchOnClonesMatchesParent) {
   clone->ScoreAddBatch(ids.data(), ids.size(), cloned.data());
   for (std::size_t j = 0; j < ids.size(); ++j) {
     EXPECT_EQ(cloned[j], parent[j]) << "j=" << j;
+  }
+}
+
+/// Every scalar and batched add/remove/swap score of the committed jury's
+/// neighbourhood over candidates `ins` (view indices), as one flat list.
+/// Leaves nothing staged.
+std::vector<double> NeighbourhoodScores(IncrementalJqEvaluator& session,
+                                        const std::vector<std::size_t>& ins) {
+  std::vector<double> scores;
+  std::vector<double> batch(std::max(ins.size(), session.size()));
+  const auto append_batch = [&](std::size_t count) {
+    scores.insert(scores.end(), batch.begin(),
+                  batch.begin() + static_cast<std::ptrdiff_t>(count));
+  };
+  for (std::size_t in : ins) {
+    scores.push_back(session.ScoreAdd(in));
+    session.Rollback();
+  }
+  session.ScoreAddBatch(ins.data(), ins.size(), batch.data());
+  append_batch(ins.size());
+  std::vector<std::size_t> positions(session.size());
+  std::iota(positions.begin(), positions.end(), std::size_t{0});
+  for (std::size_t pos : positions) {
+    scores.push_back(session.ScoreRemove(pos));
+    session.Rollback();
+    for (std::size_t in : ins) {
+      scores.push_back(session.ScoreSwap(pos, in));
+      session.Rollback();
+    }
+    session.ScoreSwapBatch(pos, ins.data(), ins.size(), batch.data());
+    append_batch(ins.size());
+  }
+  session.ScoreRemoveBatch(positions.data(), positions.size(), batch.data());
+  append_batch(positions.size());
+  return scores;
+}
+
+TEST(IncrementalEvalTest, IncrementalSessionsReadOnlyViewColumns) {
+  // Sessions name candidates by view index and score from the view's
+  // columns, so a view adopted from bare columns — no `Worker` records
+  // bound — drives every delta-updating backend to the same bits as an
+  // owning view of the same pool.
+  Rng rng(41051);
+  std::vector<Worker> pool;
+  for (int j = 0; j < 24; ++j) {
+    pool.push_back(RandomWorker(&rng, j, 0.55, 0.9));
+  }
+  pool.push_back(Worker("hq", 0.995, 0.0));  // 24: §4.4 shortcut
+  pool.push_back(Worker("coin", 0.5, 0.0));  // 25
+  pool.push_back(Worker("flip", 0.2, 0.0));  // 26
+  const WorkerPoolView owning(pool);
+  const auto copy = [](std::span<const double> column) {
+    return std::vector<double>(column.begin(), column.end());
+  };
+  const std::vector<double> quality = copy(owning.quality());
+  const std::vector<double> cost = copy(owning.cost());
+  const std::vector<double> norm = copy(owning.norm_quality());
+  const std::vector<double> phi = copy(owning.log_odds());
+  const WorkerPoolView columns =
+      WorkerPoolView::FromColumns(quality, cost, norm, phi);
+  ASSERT_FALSE(columns.workers_bound());
+
+  const std::vector<std::size_t> scan = {6, 7, 8, 24, 25, 26};
+  const BucketBvObjective bucket;
+  const MajorityObjective majority;
+  const ExactBvObjective exact;
+  for (const JqObjective* objective :
+       std::vector<const JqObjective*>{&bucket, &majority, &exact}) {
+    SCOPED_TRACE(objective->name());
+    const auto by_struct = objective->StartSession(owning, 0.6);
+    const auto by_column = objective->StartSession(columns, 0.6);
+    // Runs `op` on both sessions: same result, same committed state.
+    const auto both = [&](const auto& op) {
+      EXPECT_EQ(op(*by_struct), op(*by_column));
+      EXPECT_EQ(by_struct->current_jq(), by_column->current_jq());
+      EXPECT_EQ(by_struct->members(), by_column->members());
+    };
+    // Grows the jury by `in`, committing through `Commit` and `CommitAdd`
+    // in turn.
+    const auto add = [](std::size_t in) {
+      return [in](IncrementalJqEvaluator& session) {
+        const double score = session.ScoreAdd(in);
+        if (in % 2 == 0) {
+          session.Commit();
+        } else {
+          session.CommitAdd(in, score);
+        }
+        return score;
+      };
+    };
+    for (std::size_t in = 0; in < 6; ++in) both(add(in));
+    both([&](IncrementalJqEvaluator& session) {
+      return NeighbourhoodScores(session, scan);
+    });
+    both([&](IncrementalJqEvaluator& session) {
+      return NeighbourhoodScores(*session.Clone(), scan);
+    });
+    both([](IncrementalJqEvaluator& session) {
+      const double score = session.ScoreSwap(1, 26);
+      session.Commit();
+      return score;
+    });
+    both([](IncrementalJqEvaluator& session) {
+      const double score = session.ScoreRemove(0);
+      session.Commit();
+      return score;
+    });
+    // The 21st member is scored past the exact-BV cache cap, by full
+    // enumeration; removals then fold back under it.
+    for (std::size_t in = 6; in < 22; ++in) both(add(in));
+    ASSERT_EQ(by_column->size(), 21u);
+    both([](IncrementalJqEvaluator& session) {
+      const std::vector<std::size_t> positions = {0, 20};
+      std::vector<double> scores(positions.size());
+      session.ScoreRemoveBatch(positions.data(), positions.size(),
+                               scores.data());
+      scores.push_back(session.ScoreRemove(20));
+      session.Commit();
+      return scores;
+    });
   }
 }
 

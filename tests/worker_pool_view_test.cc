@@ -30,9 +30,10 @@ TEST(WorkerPoolViewTest, ColumnsMatchStructFields) {
 }
 
 TEST(WorkerPoolViewTest, DerivedColumnsAreBackendExpressionsVerbatim) {
-  // The bucket backend buckets by LogOdds(EffectiveQuality(norm_q)); the
-  // columns must hold exactly those doubles or column-sourced scores
-  // would drift from struct-sourced ones.
+  // Sessions read these columns where `EstimateJq` and the bucket
+  // backend's prior pseudo-worker run LogOdds(EffectiveQuality(norm_q));
+  // the columns must hold exactly those doubles or session scores would
+  // drift from the one-shot estimator's.
   Rng rng(5503);
   std::vector<Worker> pool = RandomPool(&rng, 40, 0.0, 1.0, 0.0, 1.0);
   pool.push_back(Worker("half", 0.5, 0.0));
