@@ -1,6 +1,6 @@
 // E17 — ablation: the §4.4 error bound vs measured error across bucket
-// counts, and dense-vs-sparse backend timing. This is the design-choice
-// study DESIGN.md calls out for Algorithm 1.
+// counts. This is the design-choice study DESIGN.md calls out for
+// Algorithm 1.
 
 #include <cmath>
 #include <iostream>
@@ -10,7 +10,6 @@
 #include "jq/exact.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 namespace jury {
 namespace {
@@ -51,43 +50,11 @@ void BoundTightness(int reps) {
                "observed.\n";
 }
 
-void BackendTiming(int reps) {
-  std::cout << "\n--- Dense vs sparse backend (seconds per JQ evaluation) "
-               "---\n";
-  Table table({"n", "dense", "sparse", "sparse+noprune"});
-  for (int n : {50, 100, 200, 400}) {
-    Rng rng(static_cast<std::uint64_t>(n) * 13 + 3);
-    std::vector<double> qs;
-    for (int i = 0; i < n; ++i) {
-      qs.push_back(rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01,
-                                         0.99));
-    }
-    const Jury jury = Jury::FromQualities(qs);
-    auto time_it = [&](const BucketJqOptions& options) {
-      Timer timer;
-      for (int rep = 0; rep < reps; ++rep) {
-        (void)EstimateJq(jury, 0.5, options).value();
-      }
-      return timer.ElapsedSeconds() / reps;
-    };
-    BucketJqOptions dense;
-    dense.backend = BucketBackend::kDense;
-    BucketJqOptions sparse;
-    sparse.backend = BucketBackend::kSparse;
-    BucketJqOptions noprune = sparse;
-    noprune.enable_pruning = false;
-    table.AddRow({std::to_string(n), Format(time_it(dense), 5),
-                  Format(time_it(sparse), 5), Format(time_it(noprune), 5)});
-  }
-  std::cout << table.ToString();
-}
-
 void Run() {
   const int reps = static_cast<int>(bench::Reps(100));
-  bench::PrintHeader("Ablation — bucket count, error bound, and backend",
+  bench::PrintHeader("Ablation — bucket count and error bound",
                      "Design-choice study for Algorithm 1 (DESIGN.md E17).");
   BoundTightness(reps);
-  BackendTiming(std::max(1, reps / 10));
 }
 
 }  // namespace

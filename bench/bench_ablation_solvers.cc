@@ -248,7 +248,8 @@ int RunSolveManyThroughput(bench::ThreadScalingReport* report) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     Timer t_batch;
-    const auto reports = context.SolveMany(requests, threads).value();
+    const auto reports =
+        context.SolveMany(requests, {.num_threads = threads}).value();
     const double secs = t_batch.ElapsedSeconds();
     bool identical = true;
     for (std::size_t i = 0; i < batch; ++i) {

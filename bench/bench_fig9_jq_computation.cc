@@ -100,7 +100,6 @@ void Fig9d(int reps) {
     for (int rep = 0; rep < reps; ++rep) {
       const Jury jury = SampleJury(&rng, n, 0.7, 0.22360679774997896);
       BucketJqOptions pruned;
-      pruned.backend = BucketBackend::kSparse;
       BucketJqOptions unpruned = pruned;
       unpruned.enable_pruning = false;
       Timer t1;

@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks of the JQ kernels: the bucketed
-// Algorithm-1 estimator (backend x pruning x n), the exact MV
+// Algorithm-1 estimator (pruning x n), the exact MV
 // Poisson-binomial DP, the 2^n exact enumerator, and the SA solver.
 
 #include <benchmark/benchmark.h>
@@ -39,27 +39,15 @@ void CommitPrefix(IncrementalJqEvaluator* session, std::size_t count) {
 void BM_EstimateJqDense(benchmark::State& state) {
   const Jury jury = MakeJury(static_cast<int>(state.range(0)));
   BucketJqOptions options;
-  options.backend = BucketBackend::kDense;
   for (auto _ : state) {
     benchmark::DoNotOptimize(EstimateJq(jury, 0.5, options).value());
   }
 }
 BENCHMARK(BM_EstimateJqDense)->Arg(10)->Arg(50)->Arg(100)->Arg(200)->Arg(500);
 
-void BM_EstimateJqSparse(benchmark::State& state) {
-  const Jury jury = MakeJury(static_cast<int>(state.range(0)));
-  BucketJqOptions options;
-  options.backend = BucketBackend::kSparse;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EstimateJq(jury, 0.5, options).value());
-  }
-}
-BENCHMARK(BM_EstimateJqSparse)->Arg(10)->Arg(50)->Arg(100)->Arg(200)->Arg(500);
-
 void BM_EstimateJqNoPruning(benchmark::State& state) {
   const Jury jury = MakeJury(static_cast<int>(state.range(0)));
   BucketJqOptions options;
-  options.backend = BucketBackend::kSparse;
   options.enable_pruning = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(EstimateJq(jury, 0.5, options).value());

@@ -90,32 +90,16 @@ Status UnknownKey(const std::string& path, const std::string& key) {
   return Status::InvalidArgument(path + ": unknown key " + Json::Quote(key));
 }
 
-// -- The two frontier knobs shared by every frontier-capable solver's
-// -- options (greedy family, annealing polish, branch-and-bound
-// -- ordering). Bound here so the binders stay in sync; the runtime-only
-// -- `sharded_pool` / `frontier_stats` pointers have no wire form.
-
-Status BindFrontierKey(const Json& value, const std::string& field,
-                       const std::string& key, SolverOptions* out,
-                       bool* handled) {
-  *handled = true;
-  if (key == "frontier_k") {
-    return GetSizeField(value, field, &out->frontier_k);
-  }
-  if (key == "frontier_exact") {
-    return GetBoolField(value, field, &out->frontier_exact);
-  }
-  *handled = false;
-  return Status::OK();
-}
-
-/// Writer mirror: emitted only when non-default, so frontier-free dumps —
+/// `frontier_k`, the one frontier knob every frontier-capable solver's
+/// options share (greedy family, annealing polish, branch-and-bound
+/// ordering), is emitted only when non-default, so frontier-free dumps —
 /// every golden fixture among them — keep their historical byte layout.
+/// The runtime-only `sharded_pool` / `frontier_stats` pointers have no
+/// wire form.
 void FrontierToJson(const SolverOptions& options, Json* doc) {
   if (options.frontier_k != 0) {
     doc->Set("frontier_k", static_cast<std::uint64_t>(options.frontier_k));
   }
-  if (!options.frontier_exact) doc->Set("frontier_exact", false);
 }
 
 // -- Per-struct binders. Each overlays the document onto an
@@ -130,17 +114,6 @@ Status BindBucket(const Json& doc, const std::string& path,
       JURY_RETURN_NOT_OK(GetIntField(value, field, &out->num_buckets));
     } else if (key == "enable_pruning") {
       JURY_RETURN_NOT_OK(GetBoolField(value, field, &out->enable_pruning));
-    } else if (key == "backend") {
-      std::string backend;
-      JURY_RETURN_NOT_OK(GetStringField(value, field, &backend));
-      if (backend == "dense") {
-        out->backend = BucketBackend::kDense;
-      } else if (backend == "sparse") {
-        out->backend = BucketBackend::kSparse;
-      } else {
-        return Status::InvalidArgument(field +
-                                       " must be \"dense\" or \"sparse\"");
-      }
     } else if (key == "high_quality_cutoff") {
       JURY_RETURN_NOT_OK(
           GetDoubleField(value, field, &out->high_quality_cutoff));
@@ -165,9 +138,6 @@ Status BindAnnealing(const Json& doc, const std::string& path,
       JURY_RETURN_NOT_OK(GetDoubleField(value, field, &out->epsilon));
     } else if (key == "cooling_factor") {
       JURY_RETURN_NOT_OK(GetDoubleField(value, field, &out->cooling_factor));
-    } else if (key == "trust_monotone_adds") {
-      JURY_RETURN_NOT_OK(
-          GetBoolField(value, field, &out->trust_monotone_adds));
     } else if (key == "return_best_seen") {
       JURY_RETURN_NOT_OK(GetBoolField(value, field, &out->return_best_seen));
     } else if (key == "removal_probability") {
@@ -179,10 +149,10 @@ Status BindAnnealing(const Json& doc, const std::string& path,
       JURY_RETURN_NOT_OK(GetSizeField(value, field, &out->max_polish_moves));
     } else if (key == "num_restarts") {
       JURY_RETURN_NOT_OK(GetSizeField(value, field, &out->num_restarts));
+    } else if (key == "frontier_k") {
+      JURY_RETURN_NOT_OK(GetSizeField(value, field, &out->frontier_k));
     } else {
-      bool handled = false;
-      JURY_RETURN_NOT_OK(BindFrontierKey(value, field, key, out, &handled));
-      if (!handled) return UnknownKey(path, key);
+      return UnknownKey(path, key);
     }
   }
   return Status::OK();
@@ -197,10 +167,10 @@ Status BindGreedy(const Json& doc, const std::string& path,
       JURY_RETURN_NOT_OK(GetSizeField(value, field, &out->num_threads));
     } else if (key == "use_incremental") {
       JURY_RETURN_NOT_OK(GetBoolField(value, field, &out->use_incremental));
+    } else if (key == "frontier_k") {
+      JURY_RETURN_NOT_OK(GetSizeField(value, field, &out->frontier_k));
     } else {
-      bool handled = false;
-      JURY_RETURN_NOT_OK(BindFrontierKey(value, field, key, out, &handled));
-      if (!handled) return UnknownKey(path, key);
+      return UnknownKey(path, key);
     }
   }
   return Status::OK();
@@ -233,13 +203,10 @@ Status BindBranchBound(const Json& doc, const std::string& path,
       JURY_RETURN_NOT_OK(GetSizeField(value, field, &out->max_nodes));
     } else if (key == "use_incremental") {
       JURY_RETURN_NOT_OK(GetBoolField(value, field, &out->use_incremental));
-    } else if (key == "order_by_marginal_gain") {
-      JURY_RETURN_NOT_OK(
-          GetBoolField(value, field, &out->order_by_marginal_gain));
+    } else if (key == "frontier_k") {
+      JURY_RETURN_NOT_OK(GetSizeField(value, field, &out->frontier_k));
     } else {
-      bool handled = false;
-      JURY_RETURN_NOT_OK(BindFrontierKey(value, field, key, out, &handled));
-      if (!handled) return UnknownKey(path, key);
+      return UnknownKey(path, key);
     }
   }
   return Status::OK();
@@ -319,8 +286,6 @@ Status BindTuning(const Json& doc, const std::string& path,
 
 Json BucketToJson(const BucketJqOptions& options) {
   return Json::Object()
-      .Set("backend",
-           options.backend == BucketBackend::kDense ? "dense" : "sparse")
       .Set("enable_pruning", options.enable_pruning)
       .Set("high_quality_cutoff", options.high_quality_cutoff)
       .Set("num_buckets", options.num_buckets);
@@ -339,7 +304,6 @@ Json AnnealingToJson(const AnnealingOptions& options) {
                       static_cast<std::uint64_t>(options.num_threads))
                  .Set("removal_probability", options.removal_probability)
                  .Set("return_best_seen", options.return_best_seen)
-                 .Set("trust_monotone_adds", options.trust_monotone_adds)
                  .Set("use_incremental", options.use_incremental);
   FrontierToJson(options, &doc);
   return doc;
@@ -365,7 +329,6 @@ Json ExhaustiveToJson(const ExhaustiveOptions& options) {
 Json BranchBoundToJson(const BranchBoundOptions& options) {
   Json doc = Json::Object()
                  .Set("max_nodes", static_cast<std::uint64_t>(options.max_nodes))
-                 .Set("order_by_marginal_gain", options.order_by_marginal_gain)
                  .Set("use_incremental", options.use_incremental);
   FrontierToJson(options, &doc);
   return doc;

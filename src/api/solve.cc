@@ -197,10 +197,6 @@ PoolPlanContext& PoolPlanContext::operator=(PoolPlanContext&&) noexcept =
     default;
 PoolPlanContext::~PoolPlanContext() = default;
 
-Result<PoolPlanContext> PoolPlanContext::Plan(std::vector<Worker> candidates) {
-  return Plan(std::move(candidates), PlanOptions{});
-}
-
 Result<PoolPlanContext> PoolPlanContext::Plan(std::vector<Worker> candidates,
                                               const PlanOptions& options) {
   if (!options.assume_validated) {
@@ -539,10 +535,13 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
   const std::size_t threads =
       std::min(ResolveThreadCount(options.num_threads), count);
   SubmitBatch* const raw = batch.get();
-  if (threads <= 1) {
+  if (threads <= 1 || Scheduler::Global()->num_threads() == 1) {
     // Serial: solve inline at submission (the futures return ready).
     // Mirrors `GlobalParallelFor`'s structural invariant — a serial
-    // caller never touches, or lazily spawns, the global scheduler.
+    // caller never touches, or lazily spawns, the global scheduler. A
+    // scheduler with no worker threads (JURYOPT_THREADS=1) would leave
+    // the claim tasks below queued with nothing to run them, so a
+    // parallel request solves inline there too.
     ScopedStatePin pin(this, raw->state);
     for (std::size_t i = 0; i < count; ++i) {
       raw->Publish(i, raw->SolveWithRetry(i));
@@ -586,13 +585,6 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
     // whole queue, so the batch still completes.
   }
   return futures;
-}
-
-Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
-    std::span<const SolveRequest> requests, std::size_t num_threads) {
-  SolveManyOptions options;
-  options.num_threads = num_threads;
-  return SolveMany(requests, options);
 }
 
 Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(

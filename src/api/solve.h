@@ -222,16 +222,16 @@ struct RetryStats {
   std::uint64_t retries = 0;
 };
 
-/// \brief Knobs of the batched `SolveMany` overload.
+/// \brief Knobs of `PoolPlanContext::SolveMany`.
 struct SolveManyOptions {
   /// Worker count for the fan-out (0 resolves via JURYOPT_THREADS,
-  /// 1 = serial) — same meaning as the legacy overload's parameter.
+  /// 1 = serial), as in `SubmitOptions::num_threads`.
   std::size_t num_threads = 0;
   /// Per-request retry discipline (default: one attempt, no retries).
   /// A request that succeeds on attempt k > 1 reports
   /// `stats["attempts"] = k`; single-attempt reports are unchanged, so
   /// retry-free batches stay byte-identical to serial solves.
-  RetryPolicy retry;
+  RetryPolicy retry = {};
   /// When non-null, receives the batch's aggregate attempt counts.
   RetryStats* retry_stats = nullptr;
 };
@@ -255,7 +255,9 @@ struct SubmitOptions {
   /// Concurrency of the fan-out (0 resolves via JURYOPT_THREADS). <= 1
   /// solves every request inline *during submission* (the returned
   /// futures are already resolved) — the serial path never touches, or
-  /// lazily spawns, the global scheduler, same as `SolveMany`.
+  /// lazily spawns, the global scheduler, same as `SolveMany`. A larger
+  /// value also solves inline when the process scheduler has no worker
+  /// threads (JURYOPT_THREADS=1): nothing would run the claim tasks.
   std::size_t num_threads = 0;
   /// Per-request retry discipline, as in `SolveManyOptions`.
   RetryPolicy retry;
@@ -332,13 +334,11 @@ class JspSolver {
 class PoolPlanContext {
  public:
   /// Validates the pool (every worker's quality/cost ranges) and builds
-  /// the plan. InvalidArgument on a bad worker.
-  static Result<PoolPlanContext> Plan(std::vector<Worker> candidates);
-  /// The knobbed overload: `options.assume_validated` skips the
-  /// per-worker validation pass (the pool must come from a source that
-  /// already validated it — `LoadWorkersCsv` does).
+  /// the plan. InvalidArgument on a bad worker. `options.assume_validated`
+  /// skips the per-worker validation pass (the pool must come from a
+  /// source that already validated it — `LoadWorkersCsv` does).
   static Result<PoolPlanContext> Plan(std::vector<Worker> candidates,
-                                      const PlanOptions& options);
+                                      const PlanOptions& options = {});
 
   /// Plans directly from a pool snapshot file: maps the columns read-only
   /// and adopts them as the plan's `WorkerPoolView` — no per-worker
@@ -391,22 +391,18 @@ class PoolPlanContext {
   Result<SolveReport> Solve(const SolveRequest& request);
 
   /// Solves a batch, fanned across the process-wide scheduler
-  /// (`num_threads` = 0 resolves via JURYOPT_THREADS, 1 = serial).
-  /// Requests are independent — each draws only from its own seeded rng —
-  /// so report `i` is bit-identical to `Solve(requests[i])` for any
-  /// thread count and any batch order (property-tested). On error the
-  /// whole batch fails with the lowest-index request's status.
-  Result<std::vector<SolveReport>> SolveMany(
-      std::span<const SolveRequest> requests, std::size_t num_threads = 0);
-
-  /// The knobbed overload: same fan-out and same bit-identity contract,
-  /// plus per-request retries. The legacy overload above is exactly
-  /// `SolveMany(requests, {.num_threads = n})`.
+  /// (`options.num_threads` = 0 resolves via JURYOPT_THREADS, 1 = serial),
+  /// with per-request retries per `options.retry`. Requests are
+  /// independent — each draws only from its own seeded rng — so report
+  /// `i` is bit-identical to `Solve(requests[i])` for any thread count
+  /// and any batch order (property-tested). On error the whole batch
+  /// fails with the lowest-index request's status.
   /// Implemented as `SubmitMany` + an in-order wait — the blocking
   /// special case of the async path, sharing its claim loop, retry
   /// discipline, and epoch lease.
   Result<std::vector<SolveReport>> SolveMany(
-      std::span<const SolveRequest> requests, const SolveManyOptions& options);
+      std::span<const SolveRequest> requests,
+      const SolveManyOptions& options = {});
 
   /// \brief Async submission: schedules the batch on the process-wide
   /// work-stealing scheduler and returns one future per request,

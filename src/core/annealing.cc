@@ -180,7 +180,7 @@ JspSolution PolishNeighbourhood(const JspInstance& instance,
   // Frontier pre-selection applies to the adds pass (the only pass whose
   // candidates are "add this worker", which is what the monotone key
   // bounds). The adds run first in each scan, so the banded incumbent
-  // starts from -inf exactly as in the full pass and the exact-mode pick
+  // starts from -inf exactly as in the full pass and the frontier pick
   // reproduces the incumbent the full adds loop would leave behind,
   // bit for bit; removals and swaps then proceed unchanged. Polish runs
   // per chain, possibly concurrently, so the stats stay chain-local and
@@ -191,7 +191,6 @@ JspSolution PolishNeighbourhood(const JspInstance& instance,
                      options.frontier_k, &frontier_key);
   FrontierOptions frontier_options;
   frontier_options.k = options.frontier_k;
-  frontier_options.exact = options.frontier_exact;
   FrontierScanStats frontier_stats;
 
   enum class Kind { kNone, kAdd, kRemove, kSwap };
@@ -221,7 +220,7 @@ JspSolution PolishNeighbourhood(const JspInstance& instance,
 
     // Adds: one batched pass over every affordable unselected candidate —
     // or, with a sharded pool wired, the frontier's slate-plus-guard
-    // subset, whose banded argmax equals the full pass's (exact mode).
+    // subset, whose banded argmax equals the full pass's.
     if (use_frontier) {
       const FrontierPick pick = FrontierSelectAdd(
           *session, *options.sharded_pool, frontier_key, selected, cost,
@@ -327,8 +326,10 @@ JspSolution RunChain(const JspInstance& instance, const WorkerPoolView& view,
   const std::span<const double> cost_col = view.cost();
   SearchState state(instance, view, objective, options.use_incremental,
                     stats);
-  const bool blind_adds =
-      options.trust_monotone_adds && objective.monotone_in_size();
+  // Algorithm 3 accepts "add a worker if it fits" unconditionally, which
+  // Lemma 1 justifies for monotone objectives (BV); MV's additions go
+  // through the Boltzmann acceptance test like any other move.
+  const bool blind_adds = objective.monotone_in_size();
 
   bool stop = false;
   for (double temperature = options.initial_temperature;

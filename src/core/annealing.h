@@ -19,11 +19,6 @@ struct AnnealingOptions : SolverOptions {
   double epsilon = 1e-8;
   /// Geometric cooling T <- T * cooling_factor (the paper halves).
   double cooling_factor = 0.5;
-  /// When true, "add a worker if it fits" is accepted unconditionally, as in
-  /// Algorithm 3 (justified by Lemma 1). Only sound for monotone objectives;
-  /// for MV the solver evaluates the addition like any other move. When
-  /// false, additions always go through the Boltzmann acceptance test.
-  bool trust_monotone_adds = true;
   /// Return the best jury seen rather than the final one. The paper's
   /// Algorithm 3 returns the final state; keeping the incumbent is a common
   /// SA refinement, benchmarked in `bench_ablation_solvers`.

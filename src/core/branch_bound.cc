@@ -29,8 +29,15 @@ class Searcher {
     const std::size_t n = instance.num_candidates();
     order_.resize(n);
     std::iota(order_.begin(), order_.end(), std::size_t{0});
+    // Candidates are ordered by their batched single-worker marginal
+    // scores against the empty jury. For BV that is flip-normalized
+    // strength (sub-0.5 workers are as informative as their mirror
+    // image), which tightens the include-first search order. The ordering
+    // scan always runs on the delta-update session (it is a heuristic, not
+    // a score), so the search order, and hence the returned jury, is
+    // identical between the incremental and full-recompute paths.
     ShardedWorkerPool::KeyColumn frontier_key{};
-    if (options.order_by_marginal_gain && n > 0 &&
+    if (n > 0 &&
         FrontierUsable(options.sharded_pool, &view_, objective,
                        options.frontier_k, &frontier_key)) {
       // Frontier ordering (lossy by construction — the ordering is a
@@ -68,12 +75,9 @@ class Searcher {
                          if (scanned[a]) return gains[a] > gains[b];
                          return keys[a] > keys[b];
                        });
-    } else if (options.order_by_marginal_gain && n > 0) {
-      // Candidate ordering through the unified batched scan: every
-      // single-worker marginal score in one contiguous `ScoreAddBatch`
-      // pass against the empty jury. Always the delta-update session —
-      // the ordering is a deterministic heuristic shared by both
-      // evaluation paths (see BranchBoundOptions).
+    } else if (n > 0) {
+      // Every single-worker marginal score in one contiguous
+      // `ScoreAddBatch` pass.
       std::vector<double> gains(n);
       const auto scan =
           objective.StartSession(view_, instance.alpha, /*incremental=*/true);
@@ -81,12 +85,6 @@ class Searcher {
       std::stable_sort(order_.begin(), order_.end(),
                        [&](std::size_t a, std::size_t b) {
                          return gains[a] > gains[b];
-                       });
-    } else {
-      const std::span<const double> quality = view_.quality();
-      std::stable_sort(order_.begin(), order_.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return quality[a] > quality[b];
                        });
     }
     best_jq_ = objective.EmptyJq(instance.alpha);

@@ -24,16 +24,6 @@ struct BranchBoundOptions : SolverOptions {
   /// costs O(n) instead of an O(n^2) from-scratch evaluation. Disable to
   /// recover the original per-node evaluation.
   bool use_incremental = true;
-  /// Order candidates by their batched single-worker marginal scores (one
-  /// `ScoreAddBatch` over the whole pool against the empty jury) instead
-  /// of raw quality. For BV this sorts by *flip-normalized* strength —
-  /// sub-0.5 workers are as informative as their mirror image — which
-  /// tightens the include-first search order; for the >= 0.5 pools of the
-  /// paper's experiments the two orders coincide. The ordering scan always
-  /// runs on the delta-update session (it is a heuristic, not a score), so
-  /// the search order — and hence the returned jury — is identical
-  /// between the incremental and full-recompute evaluation paths.
-  bool order_by_marginal_gain = true;
 
   /// Rejects a zero node budget (which would ResourceExhaust every solve
   /// at the root). Called at every solve entry.
@@ -49,7 +39,9 @@ struct BranchBoundStats {
 /// \brief Exact JSP for monotone objectives by depth-first branch and
 /// bound, usually far faster than the 2^N sweep:
 ///
-///  * candidates are ordered by decreasing quality;
+///  * candidates are ordered by decreasing single-worker marginal score
+///    (one batched `ScoreAddBatch` against the empty jury; with a sharded
+///    pool wired, the frontier's slate first and its key order after);
 ///  * at each node the solver branches on including/excluding the next
 ///    worker, skipping unaffordable inclusions (budget pruning);
 ///  * Lemma 1 gives the bound: the JQ of the current selection plus ALL

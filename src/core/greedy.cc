@@ -182,8 +182,8 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
   // pool over this exact view is wired in and the objective declares a
   // monotone score key, each round scores the per-shard top-k slates plus
   // whatever the bound guard demands, instead of every eligible
-  // candidate. In exact mode the pick is bit-identical to the full scan
-  // below (property-tested), so the round structure — and therefore the
+  // candidate. The pick is bit-identical to the full scan below
+  // (property-tested), so the round structure — and therefore the
   // work-unit accounting and the returned jury — is unchanged.
   ShardedWorkerPool::KeyColumn frontier_key{};
   const bool use_frontier =
@@ -191,7 +191,6 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
                      options.frontier_k, &frontier_key);
   FrontierOptions frontier_options;
   frontier_options.k = options.frontier_k;
-  frontier_options.exact = options.frontier_exact;
   FrontierScanStats frontier_stats;
 
   // Scan machinery: each round gathers the affordable candidate indices

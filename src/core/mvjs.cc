@@ -17,7 +17,6 @@ Result<JspSolution> SolveMvjs(const JspInstance& instance,
   // Both phases run serially, but each gets its own TerminationInfo so
   // the merge below is explicit and ordered (annealing, then top-k).
   AnnealingOptions annealing = options.annealing;
-  annealing.trust_monotone_adds = false;  // MV is not monotone in size
   annealing.use_incremental &= options.use_incremental;
   annealing.cancel_token = options.cancel_token;
   annealing.max_work_units = options.max_work_units;

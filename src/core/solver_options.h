@@ -69,13 +69,6 @@ struct SolverOptions {
   /// fall back to the full scan.
   std::size_t frontier_k = 0;
 
-  /// With `frontier_k` active: keep refining with the admissible
-  /// upper-bound guard until the selection is *provably* bit-identical
-  /// to the full scan (the default; worst case degrades to the full
-  /// scan). False opts into the lossy mode — slate candidates only,
-  /// bounded quality gap, no exactness proof.
-  bool frontier_exact = true;
-
   /// Shard summaries for the frontier (model/sharded_pool.h), built over
   /// the same `WorkerPoolView` the solver scans. Runtime-only wiring —
   /// `PoolPlanContext` owns the pool and its adapters set this; the

@@ -43,8 +43,8 @@ struct BucketedWorker {
   double quality = 0.5;
 };
 
-/// Threshold above which the dense backend would allocate an unreasonable
-/// array; we fall back to the sparse backend instead.
+/// Key-space size (2*span+1) above which the flat array would be
+/// unreasonably large; `EstimateJq` falls back to the hash-map sweep.
 constexpr std::int64_t kDenseKeySpanLimit = 1 << 24;
 
 /// Accumulates the final sweep (steps 21-25 of Algorithm 1): probability at
@@ -205,7 +205,8 @@ double RunDense(const std::vector<BucketedWorker>& ws,
              : RunDenseWindowed<false>(ws, aggregate, pruning, nullptr);
 }
 
-/// One Algorithm-1 pass over the sparse (hash map) key representation.
+/// One Algorithm-1 pass over a hash map keyed by the integer bucket key:
+/// the fallback for key spaces too large for the flat array.
 double RunSparse(const std::vector<BucketedWorker>& ws,
                  const std::vector<std::int64_t>& aggregate, bool pruning,
                  BucketJqStats* stats) {
@@ -439,12 +440,8 @@ Result<double> EstimateJq(const Jury& jury, double alpha,
     stats->error_bound = BucketErrorBound(n, delta);
   }
 
-  BucketBackend backend = options.backend;
-  if (backend == BucketBackend::kDense && 2 * span + 1 > kDenseKeySpanLimit) {
-    backend = BucketBackend::kSparse;  // avoid an oversized flat array
-  }
   const double jq_hat =
-      backend == BucketBackend::kDense
+      2 * span + 1 <= kDenseKeySpanLimit
           ? RunDense(ws, aggregate, options.enable_pruning, stats)
           : RunSparse(ws, aggregate, options.enable_pruning, stats);
   // Guard against floating-point drift just above 1.

@@ -10,16 +10,6 @@
 
 namespace jury {
 
-/// \brief Backend for the Algorithm-1 key map.
-enum class BucketBackend {
-  /// Flat array indexed by key + offset. Fastest at the paper's default
-  /// bucket counts; memory O(sum of buckets).
-  kDense,
-  /// Hash map keyed by the integer bucket key. Pays off when pruning keeps
-  /// the reachable key set sparse (large n, aggressive budgets).
-  kSparse,
-};
-
 /// \brief Tuning knobs for `EstimateJq` (Algorithm 1 + Algorithm 2).
 struct BucketJqOptions {
   /// Total number of buckets the range [0, max phi(q_i)] is divided into
@@ -34,8 +24,6 @@ struct BucketJqOptions {
 
   /// Enables the Algorithm-2 sign-settled early termination.
   bool enable_pruning = true;
-
-  BucketBackend backend = BucketBackend::kDense;
 
   /// §4.4 escape hatch: when some normalized quality exceeds this cutoff,
   /// phi(q) is huge and JQ in (cutoff, 1], so `EstimateJq` just returns the

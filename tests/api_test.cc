@@ -233,7 +233,7 @@ TEST(SolveManyTest, OrderAndThreadCountInvariant) {
   }
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    auto batch = context.SolveMany(requests, threads);
+    auto batch = context.SolveMany(requests, {.num_threads = threads});
     ASSERT_TRUE(batch.ok()) << batch.status();
     ASSERT_EQ(batch.value().size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -249,7 +249,7 @@ TEST(SolveManyTest, OrderAndThreadCountInvariant) {
   shuffle_rng.Shuffle(&order);
   std::vector<SolveRequest> shuffled;
   for (const std::size_t idx : order) shuffled.push_back(requests[idx]);
-  auto batch = context.SolveMany(shuffled, 8);
+  auto batch = context.SolveMany(shuffled, {.num_threads = 8});
   ASSERT_TRUE(batch.ok()) << batch.status();
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(batch.value()[i].solution, expected[order[i]])
@@ -267,7 +267,7 @@ TEST(SolveManyTest, FailsWithTheLowestIndexError) {
   requests[1].budget = 10.0;
   requests[2].solver = "greedy-quality";
   requests[2].budget = -1.0;  // also invalid, but later in the batch
-  const auto result = context.SolveMany(requests, 8);
+  const auto result = context.SolveMany(requests, {.num_threads = 8});
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
@@ -740,6 +740,13 @@ TEST(RequestJsonTest, RoundTripsThroughJson) {
   EXPECT_EQ(reparsed.value().rng_seed, 424242u);
   EXPECT_TRUE(reparsed.value().collect_process_stats);
   EXPECT_EQ(reparsed.value().tuning.annealing.num_restarts, 4u);
+
+  // No deleted knob survives in the canonical form (the result-cache key).
+  const std::string canonical = SolveRequest{}.ToJson();
+  for (const char* name : {"backend", "trust_monotone_adds",
+                           "order_by_marginal_gain", "frontier_exact"}) {
+    EXPECT_EQ(canonical.find(name), std::string::npos) << name;
+  }
 }
 
 TEST(RequestJsonTest, StrictBindingErrors) {
@@ -763,6 +770,35 @@ TEST(RequestJsonTest, StrictBindingErrors) {
                "out of range");
   expect_error(R"({"tuning":{"annealing":{"warp_speed":9}}})",
                "unknown key");
+  // Deleted knobs are unknown keys on every wire path that once set them.
+  expect_error(R"({"tuning":{"bucket":{"backend":"sparse"}}})",
+               R"(request.tuning.bucket: unknown key "backend")");
+  expect_error(R"({"tuning":{"optjs":{"bucket":{"backend":"dense"}}}})",
+               R"(request.tuning.optjs.bucket: unknown key "backend")");
+  expect_error(
+      R"({"tuning":{"annealing":{"trust_monotone_adds":true}}})",
+      R"(request.tuning.annealing: unknown key "trust_monotone_adds")");
+  expect_error(
+      R"({"tuning":{"optjs":{"annealing":{"trust_monotone_adds":true}}}})",
+      R"(request.tuning.optjs.annealing: unknown key "trust_monotone_adds")");
+  expect_error(
+      R"({"tuning":{"mvjs":{"annealing":{"trust_monotone_adds":false}}}})",
+      R"(request.tuning.mvjs.annealing: unknown key "trust_monotone_adds")");
+  expect_error(
+      R"({"tuning":{"branch_bound":{"order_by_marginal_gain":true}}})",
+      R"(request.tuning.branch_bound: unknown key "order_by_marginal_gain")");
+  expect_error(R"({"tuning":{"annealing":{"frontier_exact":true}}})",
+               R"(request.tuning.annealing: unknown key "frontier_exact")");
+  expect_error(R"({"tuning":{"greedy":{"frontier_exact":false}}})",
+               R"(request.tuning.greedy: unknown key "frontier_exact")");
+  expect_error(R"({"tuning":{"branch_bound":{"frontier_exact":true}}})",
+               R"(request.tuning.branch_bound: unknown key "frontier_exact")");
+  expect_error(
+      R"({"tuning":{"optjs":{"annealing":{"frontier_exact":true}}}})",
+      R"(request.tuning.optjs.annealing: unknown key "frontier_exact")");
+  expect_error(
+      R"({"tuning":{"mvjs":{"annealing":{"frontier_exact":true}}}})",
+      R"(request.tuning.mvjs.annealing: unknown key "frontier_exact")");
   expect_error(R"([1,2,3])", "request must be an object");
   expect_error("not json at all", "JSON parse error");
 

@@ -62,7 +62,8 @@ Result<std::vector<JspSolution>> RunWorkload() {
   std::vector<JspSolution> solutions;
   auto planned = api::PoolPlanContext::Plan(TestPool());
   JURY_RETURN_NOT_OK(planned.status());
-  auto reports = planned.value().SolveMany(WorkloadRequests(), 4);
+  auto reports =
+      planned.value().SolveMany(WorkloadRequests(), {.num_threads = 4});
   JURY_RETURN_NOT_OK(reports.status());
   for (const api::SolveReport& report : reports.value()) {
     solutions.push_back(report.solution);

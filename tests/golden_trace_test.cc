@@ -140,7 +140,6 @@ std::vector<Fixture> Fixtures() {
       request.rng_seed = 5;
       request.tuning.objective = "bv-bucket";
       request.tuning.bucket.num_buckets = 200;
-      request.tuning.bucket.backend = BucketBackend::kSparse;
       objectives.requests.push_back(request);
     }
     fixtures.push_back(std::move(objectives));

@@ -121,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.3, 0.5, 0.8),
                        ::testing::Values(1, 2)));
 
-/// Pruning and backend choice are pure optimizations: results identical.
+/// Pruning is a pure optimization: results identical.
 class BucketEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -137,23 +137,39 @@ TEST_P(BucketEquivalenceTest, PruningDoesNotChangeTheEstimate) {
               EstimateJq(jury, 0.5, without).value(), 1e-10);
 }
 
-TEST_P(BucketEquivalenceTest, DenseAndSparseBackendsAgree) {
-  const auto [n, seed] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed) * 1299709 +
-          static_cast<std::uint64_t>(n));
-  const Jury jury = RandomJury(&rng, n, 0.5, 0.97);
-  BucketJqOptions dense = {};
-  dense.backend = BucketBackend::kDense;
-  BucketJqOptions sparse = {};
-  sparse.backend = BucketBackend::kSparse;
-  EXPECT_NEAR(EstimateJq(jury, 0.5, dense).value(),
-              EstimateJq(jury, 0.5, sparse).value(), 1e-10);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BucketEquivalenceTest,
     ::testing::Combine(::testing::Values(1, 2, 4, 7, 11, 15),
                        ::testing::Values(1, 2, 3)));
+
+/// Key spaces wider than the flat array's limit (2*span+1 > 2^24) fall
+/// back to the hash-map sweep. At the largest bucket count `Validate`
+/// allows, both juries take it, and the §4.4 guarantees still hold.
+TEST(BucketJqTest, SparseFallbackUnderestimatesWithinBound) {
+  constexpr double kMixed[] = {0.95, 0.9, 0.85, 0.8};
+  std::vector<double> mixed;
+  for (int i = 0; i < 14; ++i) mixed.push_back(kMixed[i % 4]);
+  for (const Jury& jury : {Jury::FromQualities(std::vector<double>(15, 0.98)),
+                           Jury::FromQualities(mixed)}) {
+    BucketJqOptions options;
+    options.num_buckets = BucketJqOptions::kMaxBuckets;
+    BucketJqStats stats;
+    const double estimate = EstimateJq(jury, 0.5, options, &stats).value();
+    ASSERT_FALSE(stats.high_quality_shortcut);
+
+    std::int64_t span = 0;
+    for (double q : jury.qualities()) {
+      span += static_cast<std::int64_t>(
+          std::ceil(LogOdds(EffectiveQuality(q)) / stats.delta - 0.5));
+    }
+    EXPECT_GT(2 * span + 1, std::int64_t{1} << 24)
+        << "jury of " << jury.size() << " must take the sparse fallback";
+
+    const double exact = ExactJqBv(jury, 0.5).value();
+    EXPECT_LE(estimate, exact + 1e-12) << "estimate must not exceed JQ";
+    EXPECT_LE(exact, estimate + stats.error_bound + 1e-12);
+  }
+}
 
 TEST(BucketJqTest, ErrorShrinksWithMoreBuckets) {
   Rng rng(99);
@@ -215,7 +231,6 @@ TEST(BucketJqTest, PruningReducesWork) {
   Rng rng(109);
   const Jury jury = RandomJury(&rng, 60, 0.55, 0.95);
   BucketJqOptions pruned;
-  pruned.backend = BucketBackend::kSparse;
   BucketJqOptions unpruned = pruned;
   unpruned.enable_pruning = false;
   BucketJqStats with_stats, without_stats;

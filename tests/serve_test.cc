@@ -257,9 +257,9 @@ TEST(ContextCacheTest, HitIsByteIdenticalToColdSolve) {
 
     const api::SolveRequest request = BaseRequest();
     // Cold and hit both go through the batched path at `num_threads`.
-    auto cold = context.SolveMany({&request, 1}, num_threads);
+    auto cold = context.SolveMany({&request, 1}, {.num_threads = num_threads});
     ASSERT_TRUE(cold.ok());
-    auto hit = context.SolveMany({&request, 1}, num_threads);
+    auto hit = context.SolveMany({&request, 1}, {.num_threads = num_threads});
     ASSERT_TRUE(hit.ok());
     ASSERT_EQ(context.result_cache()->stats().hits, 1u);
     ExpectHitReplaysCold(cold.value()[0], hit.value()[0]);
