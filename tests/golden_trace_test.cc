@@ -145,6 +145,73 @@ std::vector<Fixture> Fixtures() {
     fixtures.push_back(std::move(objectives));
   }
 
+  {
+    // Every solver's `use_incremental = false` reference path: the
+    // from-scratch `JqObjective::Evaluate` scoring the delta-updating
+    // sessions are checked against. No other fixture runs these paths.
+    Fixture reference;
+    reference.name = "reference_paths";
+    for (const char* solver :
+         {"greedy-quality", "greedy-value", "greedy-mg", "odd-top-k"}) {
+      SolveRequest request;
+      request.solver = solver;
+      request.budget = 8.0;
+      request.alpha = 0.4;
+      request.tuning.greedy.use_incremental = false;
+      reference.requests.push_back(request);
+    }
+    for (const char* objective : {"bv-exact", "mv-exact"}) {
+      SolveRequest request;
+      request.solver = "greedy-mg";
+      request.budget = 6.0;
+      request.alpha = 0.45;
+      request.tuning.objective = objective;
+      request.tuning.greedy.use_incremental = false;
+      reference.requests.push_back(request);
+    }
+    {
+      SolveRequest request;
+      request.solver = "exhaustive";  // the ascending-mask sweep
+      request.budget = 6.0;
+      request.tuning.exhaustive.use_incremental = false;
+      reference.requests.push_back(request);
+    }
+    {
+      SolveRequest request;
+      request.solver = "branch-bound";
+      request.budget = 9.0;
+      request.alpha = 0.55;
+      request.tuning.branch_bound.use_incremental = false;
+      reference.requests.push_back(request);
+    }
+    {
+      SolveRequest request;
+      request.solver = "annealing";
+      request.budget = 7.0;
+      request.rng_seed = 11;
+      request.tuning.annealing.use_incremental = false;
+      reference.requests.push_back(request);
+    }
+    for (const std::size_t threshold : {std::size_t{12}, std::size_t{0}}) {
+      SolveRequest request;
+      request.solver = "optjs";
+      request.budget = 8.0;
+      request.rng_seed = 99;
+      request.tuning.optjs.exhaustive_threshold = threshold;
+      request.tuning.optjs.use_incremental = false;
+      reference.requests.push_back(request);
+    }
+    {
+      SolveRequest request;
+      request.solver = "mvjs";
+      request.budget = 5.0;
+      request.rng_seed = 7;
+      request.tuning.mvjs.use_incremental = false;
+      reference.requests.push_back(request);
+    }
+    fixtures.push_back(std::move(reference));
+  }
+
   return fixtures;
 }
 
