@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "api/registry.h"
@@ -17,7 +15,6 @@
 #include "serve/serve_stats.h"
 #include "util/fault_injection.h"
 #include "util/json.h"
-#include "util/rng.h"
 #include "util/scheduler.h"
 #include "util/stats_registry.h"
 
@@ -42,25 +39,6 @@ StatsRegistry::Counter& g_solves_deadline_exceeded =
     RegisterStatsCounter("api.solves_deadline_exceeded");
 StatsRegistry::Counter& g_solves_cancelled =
     RegisterStatsCounter("api.solves_cancelled");
-StatsRegistry::Counter& g_retries = RegisterStatsCounter("api.retries");
-
-/// Sleeps out the policy's backoff before retry `retry_number` (1-based).
-/// The jitter stream is derived from (rng_seed, retry number), never from
-/// wall clock, so a replayed batch sleeps the same schedule.
-void BackoffBeforeRetry(const SolveRequest& request,
-                        std::size_t retry_number,
-                        const RetryPolicy& policy) {
-  if (policy.backoff_base_ms <= 0.0) return;
-  const std::size_t shift = std::min<std::size_t>(retry_number - 1, 20);
-  const double exponential_ms =
-      policy.backoff_base_ms *
-      static_cast<double>(std::uint64_t{1} << shift);
-  Rng jitter(request.rng_seed ^
-             (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(retry_number)));
-  const double factor = 0.5 + jitter.Uniform();  // [0.5, 1.5)
-  std::this_thread::sleep_for(
-      std::chrono::duration<double, std::milli>(exponential_ms * factor));
-}
 
 }  // namespace
 
@@ -267,7 +245,6 @@ void PoolPlanContext::EnsureWorkers(PoolState* state) const {
   std::call_once(state->workers_once, [state] {
     if (state->snapshot == nullptr) return;  // workers carried already
     state->candidates = state->snapshot->MaterializeWorkers();
-    state->view.BindWorkers(state->candidates);
   });
 }
 
@@ -421,8 +398,8 @@ Result<SolveReport> PoolPlanContext::Solve(const SolveRequest& request) {
 }
 
 /// \brief Shared state of one `SubmitMany` call: the copied requests, the
-/// per-request result slots, the claim counter the worker tasks pull
-/// from, and the batch-wide retry totals.
+/// per-request result slots, and the claim counter the worker tasks pull
+/// from.
 /// Kept alive by the futures (shared_ptr); worker tasks hold only raw
 /// pointers, which is safe because `group` — declared last, so destroyed
 /// first — waits out every task before any other member dies.
@@ -432,12 +409,8 @@ struct SubmitBatch {
   /// against it, so churn mid-batch cannot fail or tear in-flight work.
   PoolState* state = nullptr;
   std::vector<SolveRequest> requests;
-  RetryPolicy retry;
-  std::size_t max_attempts = 1;
   std::function<void(std::size_t)> on_complete;
   std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> total_attempts{0};
-  std::atomic<std::uint64_t> total_retries{0};
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<std::optional<Result<SolveReport>>> results;  // guarded by mutex
@@ -445,34 +418,10 @@ struct SubmitBatch {
   /// (which reads the fields above through raw `this`) before they die.
   std::optional<TaskGroup> group;
 
-  /// Per-request retry loop. Only `kResourceExhausted` — the transient
-  /// class (injected faults, node budgets) — is retried; anything else
-  /// is final on the first attempt. Retries run inline on the same task,
-  /// in attempt order, so the batch's bit-identity contract is
-  /// untouched: each attempt is a full fresh solve from the request's
-  /// own seed.
-  Result<SolveReport> SolveWithRetry(std::size_t i) {
-    const SolveRequest& request = requests[i];
+  /// Solves request `i` once; every failure is its `Status`.
+  Result<SolveReport> SolveOne(std::size_t i) {
     try {
-      for (std::size_t attempt = 1;; ++attempt) {
-        total_attempts.fetch_add(1, std::memory_order_relaxed);
-        Result<SolveReport> result = context->Solve(request);
-        if (result.ok()) {
-          // Surfaced only when a retry actually happened, so retry-free
-          // reports stay byte-identical to their serial solves.
-          if (attempt > 1) {
-            result.value().stats["attempts"] = static_cast<double>(attempt);
-          }
-          return result;
-        }
-        if (attempt >= max_attempts ||
-            result.status().code() != StatusCode::kResourceExhausted) {
-          return result;
-        }
-        total_retries.fetch_add(1, std::memory_order_relaxed);
-        g_retries.Increment();
-        BackoffBeforeRetry(request, attempt, retry);
-      }
+      return context->Solve(requests[i]);
     } catch (const std::exception& error) {
       // A task that dies without publishing would hang its future; fold
       // any escaped exception into the result instead.
@@ -521,8 +470,6 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
   batch->context = this;
   batch->state = CurrentState();
   batch->requests.assign(requests.begin(), requests.end());
-  batch->retry = options.retry;
-  batch->max_attempts = std::max<std::size_t>(options.retry.max_attempts, 1);
   batch->on_complete = options.on_complete;
   batch->results.resize(count);
   std::vector<SolveFuture> futures;
@@ -544,7 +491,7 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
     // parallel request solves inline there too.
     ScopedStatePin pin(this, raw->state);
     for (std::size_t i = 0; i < count; ++i) {
-      raw->Publish(i, raw->SolveWithRetry(i));
+      raw->Publish(i, raw->SolveOne(i));
     }
     return futures;
   }
@@ -566,7 +513,7 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
           const std::size_t i =
               raw->next.fetch_add(1, std::memory_order_relaxed);
           if (i >= raw->requests.size()) break;
-          raw->Publish(i, raw->SolveWithRetry(i));
+          raw->Publish(i, raw->SolveOne(i));
         }
       });
       ++spawned;
@@ -574,7 +521,7 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
   } catch (const FaultInjectedError& error) {
     if (spawned == 0) {
       // No worker exists to drain the queue: resolve every future with
-      // the same transient, retryable status an in-solve fault maps to.
+      // the same transient status an in-solve fault maps to.
       for (;;) {
         const std::size_t i = raw->next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) break;
@@ -591,7 +538,6 @@ Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
     std::span<const SolveRequest> requests, const SolveManyOptions& options) {
   SubmitOptions submit;
   submit.num_threads = options.num_threads;
-  submit.retry = options.retry;
   std::vector<SolveFuture> futures = SubmitMany(requests, submit);
   // Take in index order, draining every future before returning, so the
   // batch error contract holds: the lowest-index failure wins, and no
@@ -599,8 +545,6 @@ Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
   std::optional<Status> first_error;
   std::vector<SolveReport> reports;
   reports.reserve(futures.size());
-  const std::shared_ptr<SubmitBatch> batch =
-      futures.empty() ? nullptr : futures.front().batch_;
   for (SolveFuture& future : futures) {
     Result<SolveReport> result = future.Take();
     if (!result.ok()) {
@@ -610,12 +554,6 @@ Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
     if (!first_error.has_value()) {
       reports.push_back(std::move(result).value());
     }
-  }
-  if (batch != nullptr && options.retry_stats != nullptr) {
-    options.retry_stats->attempts =
-        batch->total_attempts.load(std::memory_order_relaxed);
-    options.retry_stats->retries =
-        batch->total_retries.load(std::memory_order_relaxed);
   }
   if (first_error.has_value()) return *first_error;
   return reports;

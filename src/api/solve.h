@@ -196,44 +196,11 @@ struct SolveReport {
   std::string ToJson() const;
 };
 
-/// \brief Retry discipline for `SolveMany`: how many attempts each
-/// request gets and how attempts back off. Only transient failures —
-/// `kResourceExhausted`, the class that injected faults and exhausted
-/// node budgets surface as — are retried: deterministic failures
-/// (InvalidArgument, NotFound) would fail identically again, and anytime
-/// terminations (deadline, cancel, work limit) are successful reports,
-/// never errors.
-struct RetryPolicy {
-  /// Attempts per request, including the first. 1 = no retries.
-  std::size_t max_attempts = 1;
-  /// Backoff before retry k (k = 1 for the first retry):
-  /// `backoff_base_ms * 2^(k-1)`, scaled by a jitter factor in [0.5, 1.5)
-  /// drawn from a stream derived from (request rng_seed, attempt) — a
-  /// replayed batch sleeps the same schedule, while colliding requests
-  /// decorrelate. 0 = retry immediately.
-  double backoff_base_ms = 0.0;
-};
-
-/// \brief Aggregate retry accounting for one `SolveMany` batch.
-struct RetryStats {
-  /// Total solve attempts across the batch (>= the request count).
-  std::uint64_t attempts = 0;
-  /// Attempts beyond each request's first.
-  std::uint64_t retries = 0;
-};
-
 /// \brief Knobs of `PoolPlanContext::SolveMany`.
 struct SolveManyOptions {
   /// Worker count for the fan-out (0 resolves via JURYOPT_THREADS,
   /// 1 = serial), as in `SubmitOptions::num_threads`.
   std::size_t num_threads = 0;
-  /// Per-request retry discipline (default: one attempt, no retries).
-  /// A request that succeeds on attempt k > 1 reports
-  /// `stats["attempts"] = k`; single-attempt reports are unchanged, so
-  /// retry-free batches stay byte-identical to serial solves.
-  RetryPolicy retry = {};
-  /// When non-null, receives the batch's aggregate attempt counts.
-  RetryStats* retry_stats = nullptr;
 };
 
 /// \brief One in-place worker mutation of `PoolPlanContext::ApplyPoolDelta`
@@ -259,8 +226,6 @@ struct SubmitOptions {
   /// value also solves inline when the process scheduler has no worker
   /// threads (JURYOPT_THREADS=1): nothing would run the claim tasks.
   std::size_t num_threads = 0;
-  /// Per-request retry discipline, as in `SolveManyOptions`.
-  RetryPolicy retry;
   /// Invoked once per request, with its batch index, right after its
   /// result becomes ready — from whichever scheduler thread finished it,
   /// with no lock held. The serving loop uses this to kick its event-loop
@@ -346,8 +311,9 @@ class PoolPlanContext {
   /// column recomputation, so a million-worker pool plans in the time it
   /// takes to checksum the mapping. `Worker` structs are materialized
   /// lazily, on the first call site that needs the AoS record
-  /// (`candidates()` / `AcquireInstance`); solves that only touch the
-  /// columns never pay for them.
+  /// (`candidates()` / `AcquireInstance`). Every registry solver leases
+  /// an instance, so the first solve on the epoch pays for them; planning,
+  /// `view()` and `sharded_pool()` do not.
   static Result<PoolPlanContext> PlanFromSnapshot(
       const std::string& path, const PlanOptions& options = {});
   /// Same, adopting an already-loaded snapshot (moves it in; the context
@@ -392,14 +358,15 @@ class PoolPlanContext {
 
   /// Solves a batch, fanned across the process-wide scheduler
   /// (`options.num_threads` = 0 resolves via JURYOPT_THREADS, 1 = serial),
-  /// with per-request retries per `options.retry`. Requests are
-  /// independent — each draws only from its own seeded rng — so report
-  /// `i` is bit-identical to `Solve(requests[i])` for any thread count
-  /// and any batch order (property-tested). On error the whole batch
-  /// fails with the lowest-index request's status.
-  /// Implemented as `SubmitMany` + an in-order wait — the blocking
-  /// special case of the async path, sharing its claim loop, retry
-  /// discipline, and epoch lease.
+  /// one attempt per request. Requests are independent — each draws only
+  /// from its own seeded rng — so report `i` is bit-identical to
+  /// `Solve(requests[i])` for any thread count and any batch order
+  /// (property-tested). On error the whole batch fails with the
+  /// lowest-index request's status; `kResourceExhausted` (an injected
+  /// fault, an exhausted node budget) is the transient class a caller may
+  /// resubmit on. Implemented as `SubmitMany` + an in-order wait — the
+  /// blocking special case of the async path, sharing its claim loop and
+  /// epoch lease.
   Result<std::vector<SolveReport>> SolveMany(
       std::span<const SolveRequest> requests,
       const SolveManyOptions& options = {});
@@ -489,9 +456,9 @@ class PoolPlanContext {
   /// on this thread for this context (a solve in flight), else the
   /// newest epoch.
   PoolState* CurrentState() const;
-  /// Materializes `state`'s workers from its snapshot (no-op for memory
-  /// and churned states) and binds them onto its view. Thread-safe, once
-  /// per state.
+  /// Materializes `state`'s candidate table from its snapshot (no-op for
+  /// memory and churned states), for leases and `candidates()`; the view
+  /// never needs it. Thread-safe, once per state.
   void EnsureWorkers(PoolState* state) const;
 
   PlanOptions plan_options_;

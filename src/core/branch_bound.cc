@@ -118,12 +118,6 @@ class Searcher {
   const WorkGovernor& governor() const { return governor_; }
 
  private:
-  double Evaluate(const std::vector<std::size_t>& selected) const {
-    Jury jury;
-    for (std::size_t idx : selected) jury.Add(view_.worker(idx));
-    return objective_.Evaluate(jury, instance_.alpha);
-  }
-
   void Offer(double jq) {
     if (jq > best_jq_ + kTieTol ||
         (jq > best_jq_ - kTieTol && cost_ < best_cost_)) {
@@ -142,7 +136,7 @@ class Searcher {
     for (std::size_t d = depth; d < order_.size(); ++d) {
       optimistic.push_back(order_[d]);
     }
-    return Evaluate(optimistic);
+    return objective_.Evaluate(view_, optimistic, instance_.alpha);
   }
 
   void SessionRemove(std::size_t candidate) {
@@ -180,7 +174,7 @@ class Searcher {
       } else if (session_ != nullptr) {
         leaf_jq = session_->current_jq();  // suffix is empty here
       } else {
-        leaf_jq = Evaluate(selected_);
+        leaf_jq = objective_.Evaluate(view_, selected_, instance_.alpha);
       }
       Offer(leaf_jq);
       return Status::OK();

@@ -73,8 +73,8 @@ std::vector<std::size_t> MaskToIndices(std::uint64_t mask, std::size_t n) {
   return selected;
 }
 
-/// The original ascending-mask sweep: every candidate jury is materialized
-/// and evaluated from scratch. Kept as the `--no-incremental` reference.
+/// The original ascending-mask sweep: every candidate jury is evaluated
+/// from scratch. Kept as the `--no-incremental` reference.
 JspSolution SweepFromScratch(const JspInstance& instance,
                              const WorkerPoolView& view,
                              const JqObjective& objective, bool monotone,
@@ -95,9 +95,7 @@ JspSolution SweepFromScratch(const JspInstance& instance,
     if (!FeasibleCost(view, instance.budget, mask, &cost)) continue;
     if (monotone && !IsMaximal(view, instance.budget, mask, cost)) continue;
     std::vector<std::size_t> selected = MaskToIndices(mask, n);
-    Jury candidate;
-    for (std::size_t idx : selected) candidate.Add(view.worker(idx));
-    const double jq = objective.Evaluate(candidate, instance.alpha);
+    const double jq = objective.Evaluate(view, selected, instance.alpha);
     if (Improves(jq, cost, mask, best_mask, best)) {
       best = MakeSolution(instance, std::move(selected), jq);
       best_mask = mask;

@@ -45,26 +45,25 @@ JspSolution FillInOrder(const JspInstance& instance,
   // dominates the cost; the selection pass above is score-free). Both
   // evaluation paths truncate after the same count, so the incremental
   // and reference juries stay identical under `max_work_units`.
-  double jq;
+  auto session = options.use_incremental
+                     ? objective.StartSession(view, instance.alpha, true)
+                     : nullptr;
   std::size_t kept = 0;
-  if (options.use_incremental) {
-    auto session = objective.StartSession(view, instance.alpha, true);
-    for (; kept < selected.size(); ++kept) {
-      if (governor.Tick() != StopReason::kNone) break;
+  for (; kept < selected.size(); ++kept) {
+    if (governor.Tick() != StopReason::kNone) break;
+    if (session != nullptr) {
       session->ScoreAdd(selected[kept]);
       session->Commit();
     }
-    jq = session->current_jq();
-  } else {
-    Jury jury;
-    for (; kept < selected.size(); ++kept) {
-      if (governor.Tick() != StopReason::kNone) break;
-      jury.Add(view.worker(selected[kept]));
-    }
-    jq = jury.empty() ? objective.EmptyJq(instance.alpha)
-                      : objective.Evaluate(jury, instance.alpha);
   }
   selected.resize(kept);
+  double jq;
+  if (session != nullptr) {
+    jq = session->current_jq();
+  } else {
+    jq = selected.empty() ? objective.EmptyJq(instance.alpha)
+                          : objective.Evaluate(view, selected, instance.alpha);
+  }
   if (options.termination != nullptr) {
     options.termination->MergeStrand(governor.reason(), governor.work_done());
   }
@@ -133,7 +132,6 @@ Result<JspSolution> SolveOddTopK(const JspInstance& instance,
   auto session = options.use_incremental
                      ? objective.StartSession(view, instance.alpha, true)
                      : nullptr;
-  Jury jury;
   std::vector<std::size_t> selected;
   double cost = 0.0;
   for (std::size_t idx : order) {
@@ -143,15 +141,14 @@ Result<JspSolution> SolveOddTopK(const JspInstance& instance,
     if (session != nullptr) {
       session->ScoreAdd(idx);
       session->Commit();
-    } else {
-      jury.Add(view.worker(idx));
     }
     selected.push_back(idx);
     cost += c;
     if (selected.size() % 2 == 1) {
-      const double jq = session != nullptr
-                            ? session->current_jq()
-                            : objective.Evaluate(jury, instance.alpha);
+      const double jq =
+          session != nullptr
+              ? session->current_jq()
+              : objective.Evaluate(view, selected, instance.alpha);
       if (jq > best.jq + kScoreTol) {
         best = MakeSolution(instance, selected, jq);
       }

@@ -25,9 +25,19 @@ namespace {
 /// exactly this value (see model/worker.h).
 double NormalizeQuality(double q) { return NormalizedQuality(q); }
 
+/// The qualities of `members` (view indices), in member order.
+std::vector<double> QualitiesOf(const WorkerPoolView& view,
+                                std::span<const std::size_t> members) {
+  const std::span<const double> quality = view.quality();
+  std::vector<double> qs;
+  qs.reserve(members.size());
+  for (std::size_t i : members) qs.push_back(quality[i]);
+  return qs;
+}
+
 // ---------------------------------------------------------------------------
 // Full-recompute session: the `--no-incremental` reference path. Scores every
-// staged move by materializing the jury and calling `Evaluate`, so it is the
+// staged move by calling `Evaluate` on the moved member list, so it is the
 // old stateless behavior verbatim (and counts as full evaluations through
 // `Evaluate` itself).
 // ---------------------------------------------------------------------------
@@ -40,13 +50,14 @@ class FullRecomputeEvaluator final : public IncrementalJqEvaluator {
 
  protected:
   double ComputeAdd(std::size_t in) override {
-    return objective_->Evaluate(MaterializeWith(kNoIndex, in), alpha());
+    return objective_->Evaluate(view(), MembersWith(kNoIndex, in), alpha());
   }
   double ComputeRemove(std::size_t out_pos) override {
-    return objective_->Evaluate(MaterializeWith(out_pos, kNoIndex), alpha());
+    return objective_->Evaluate(view(), MembersWith(out_pos, kNoIndex),
+                                alpha());
   }
   double ComputeSwap(std::size_t out_pos, std::size_t in) override {
-    return objective_->Evaluate(MaterializeWith(out_pos, in), alpha());
+    return objective_->Evaluate(view(), MembersWith(out_pos, in), alpha());
   }
   void AdoptStaged() override {}
   /// No cached state: committing a pre-scored add is free.
@@ -973,34 +984,24 @@ void IncrementalJqEvaluator::CommitAdd(std::size_t in, double score) {
   current_jq_ = score;
 }
 
-std::vector<double> IncrementalJqEvaluator::QualitiesWith(
+std::vector<std::size_t> IncrementalJqEvaluator::MembersWith(
     std::size_t out_pos, std::size_t in) const {
-  const std::span<const double> quality = view_->quality();
-  std::vector<double> qs;
-  qs.reserve(members_.size() + 1);
+  std::vector<std::size_t> moved;
+  moved.reserve(members_.size() + 1);
   for (std::size_t i = 0; i < members_.size(); ++i) {
     if (i != out_pos) {
-      qs.push_back(quality[members_[i]]);
+      moved.push_back(members_[i]);
     } else if (in != kNoIndex) {
-      qs.push_back(quality[in]);  // swap in place
+      moved.push_back(in);  // swap in place
     }
   }
-  if (in != kNoIndex && out_pos == kNoIndex) qs.push_back(quality[in]);
-  return qs;
+  if (in != kNoIndex && out_pos == kNoIndex) moved.push_back(in);
+  return moved;
 }
 
-Jury IncrementalJqEvaluator::MaterializeWith(std::size_t out_pos,
-                                             std::size_t in) const {
-  Jury jury;
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (i != out_pos) {
-      jury.Add(view_->worker(members_[i]));
-    } else if (in != kNoIndex) {
-      jury.Add(view_->worker(in));  // swap in place
-    }
-  }
-  if (in != kNoIndex && out_pos == kNoIndex) jury.Add(view_->worker(in));
-  return jury;
+std::vector<double> IncrementalJqEvaluator::QualitiesWith(
+    std::size_t out_pos, std::size_t in) const {
+  return QualitiesOf(*view_, MembersWith(out_pos, in));
 }
 
 namespace {
@@ -1077,32 +1078,42 @@ MajorityObjective::StartIncrementalSession(const WorkerPoolView& view,
 }
 
 // --------------------------------------------------------------- one-shots
+//
+// The binary estimators read nothing but the members' qualities, so each
+// one-shot scores the anonymous jury of those qualities.
 
-double BucketBvObjective::Evaluate(const Jury& candidate_jury,
+double BucketBvObjective::Evaluate(const WorkerPoolView& view,
+                                   std::span<const std::size_t> members,
                                    double alpha) const {
   CountEvaluation();
-  if (candidate_jury.empty()) return EmptyJuryJq(alpha);
-  return EstimateJq(candidate_jury, alpha, options_).value();
+  if (members.empty()) return EmptyJuryJq(alpha);
+  return EstimateJq(Jury::FromQualities(QualitiesOf(view, members)), alpha,
+                    options_)
+      .value();
 }
 
 std::size_t ExactBvObjective::max_jury_size() const {
   return kMaxExactJurySize;
 }
 
-double ExactBvObjective::Evaluate(const Jury& candidate_jury,
+double ExactBvObjective::Evaluate(const WorkerPoolView& view,
+                                  std::span<const std::size_t> members,
                                   double alpha) const {
   CountEvaluation();
-  if (candidate_jury.empty()) return EmptyJuryJq(alpha);
+  if (members.empty()) return EmptyJuryJq(alpha);
   // Infallible past the boundary: the pool was checked against
   // max_jury_size() before solving, and alpha at request validation.
-  return ExactJqBv(candidate_jury, alpha).value();
+  return ExactJqBv(Jury::FromQualities(QualitiesOf(view, members)), alpha)
+      .value();
 }
 
-double MajorityObjective::Evaluate(const Jury& candidate_jury,
+double MajorityObjective::Evaluate(const WorkerPoolView& view,
+                                   std::span<const std::size_t> members,
                                    double alpha) const {
   CountEvaluation();
-  if (candidate_jury.empty()) return EmptyJuryJq(alpha);
-  return MajorityJq(candidate_jury, alpha).value();
+  if (members.empty()) return EmptyJuryJq(alpha);
+  return MajorityJq(Jury::FromQualities(QualitiesOf(view, members)), alpha)
+      .value();
 }
 
 }  // namespace jury

@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "jq/bucket.h"
-#include "model/jury.h"
 #include "util/fault_injection.h"
 
 namespace jury {
@@ -52,7 +52,8 @@ struct EvaluationCounters {
 /// exactly how §7 argues the annealing heuristic generalizes.
 ///
 /// Two-level API:
-///  * `Evaluate` — stateless one-shot scoring of an arbitrary jury;
+///  * `Evaluate` — stateless one-shot scoring of an arbitrary jury of
+///    view indices;
 ///  * `StartSession` — an `IncrementalJqEvaluator` over a candidate pool's
 ///    view that scores the add/remove/swap neighbourhood of a growing
 ///    jury via O(n) delta updates, which is how the solvers explore
@@ -80,9 +81,12 @@ class JqObjective {
     return ScoreMonotoneKey::kNone;
   }
 
-  /// JQ estimate of `candidate_jury` under prior `alpha`. Must accept the
-  /// empty jury (returning `EmptyJq(alpha)`).
-  virtual double Evaluate(const Jury& candidate_jury, double alpha) const = 0;
+  /// JQ estimate under prior `alpha` of the jury `members`, named by
+  /// index into `view` (the same vocabulary as a session's `members()`).
+  /// Must accept the empty jury (returning `EmptyJq(alpha)`).
+  virtual double Evaluate(const WorkerPoolView& view,
+                          std::span<const std::size_t> members,
+                          double alpha) const = 0;
 
   /// Whether JQ never decreases when a worker is added (Lemma 1). True for
   /// BV; false for MV (an even-sized extension can hurt). Solvers use this
@@ -112,8 +116,8 @@ class JqObjective {
   /// candidate by view index, and the scalar and batched scores read the
   /// view's contiguous columns. `view` must outlive the session; callers
   /// build it once per pool. When `incremental` is false the session
-  /// scores every move by materializing the jury and calling `Evaluate` —
-  /// the `--no-incremental` reference path that delta updates are asserted
+  /// scores every move by calling `Evaluate` on the moved jury — the
+  /// `--no-incremental` reference path that delta updates are asserted
   /// bit-equal (within 1e-12) against.
   std::unique_ptr<IncrementalJqEvaluator> StartSession(
       const WorkerPoolView& view, double alpha,
@@ -164,7 +168,7 @@ class JqObjective {
 /// candidate by view index and its outgoing member by position in
 /// `members()`.
 ///
-/// Scores agree with `JqObjective::Evaluate` on the materialized jury to
+/// Scores agree with `JqObjective::Evaluate` on the same member list to
 /// within 1e-12 (property-tested); the `incremental=false` session produced
 /// by `StartSession` is exactly `Evaluate` under the hood.
 class IncrementalJqEvaluator {
@@ -261,14 +265,15 @@ class IncrementalJqEvaluator {
   /// no candidate enters.
   static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
-  /// Qualities of the committed members with a hypothetical move applied,
-  /// read from the view's quality column: `out_pos == kNoIndex` with `in`
-  /// appends (add); a valid `out_pos` with `in` replaces in place (swap);
-  /// a valid `out_pos` without `in` skips that member (remove).
+  /// The committed members with a hypothetical move applied, as view
+  /// indices: `out_pos == kNoIndex` with `in` appends (add); a valid
+  /// `out_pos` with `in` replaces in place (swap); a valid `out_pos`
+  /// without `in` skips that member (remove).
+  std::vector<std::size_t> MembersWith(std::size_t out_pos,
+                                       std::size_t in) const;
+  /// The same hypothetical jury's qualities, read from the view's quality
+  /// column.
   std::vector<double> QualitiesWith(std::size_t out_pos, std::size_t in) const;
-  /// The same hypothetical jury as `Worker` records, for objectives that
-  /// only score through `Evaluate` (requires a view with bound workers).
-  Jury MaterializeWith(std::size_t out_pos, std::size_t in) const;
 
   /// Backend hooks: compute the score of the staged move into scratch
   /// state. `Commit` updates the member list *before* it calls
@@ -324,7 +329,9 @@ class BucketBvObjective final : public JqObjective {
   explicit BucketBvObjective(BucketJqOptions options = {})
       : options_(options) {}
   std::string name() const override { return "BV/bucket"; }
-  double Evaluate(const Jury& candidate_jury, double alpha) const override;
+  double Evaluate(const WorkerPoolView& view,
+                  std::span<const std::size_t> members,
+                  double alpha) const override;
   bool monotone_in_size() const override { return true; }
   ScoreMonotoneKey score_monotone_key() const override {
     return ScoreMonotoneKey::kNormQuality;
@@ -346,7 +353,9 @@ class BucketBvObjective final : public JqObjective {
 class ExactBvObjective final : public JqObjective {
  public:
   std::string name() const override { return "BV/exact"; }
-  double Evaluate(const Jury& candidate_jury, double alpha) const override;
+  double Evaluate(const WorkerPoolView& view,
+                  std::span<const std::size_t> members,
+                  double alpha) const override;
   bool monotone_in_size() const override { return true; }
   ScoreMonotoneKey score_monotone_key() const override {
     return ScoreMonotoneKey::kNormQuality;
@@ -367,7 +376,9 @@ class ExactBvObjective final : public JqObjective {
 class MajorityObjective final : public JqObjective {
  public:
   std::string name() const override { return "MV/exact"; }
-  double Evaluate(const Jury& candidate_jury, double alpha) const override;
+  double Evaluate(const WorkerPoolView& view,
+                  std::span<const std::size_t> members,
+                  double alpha) const override;
   bool monotone_in_size() const override { return false; }
   ScoreMonotoneKey score_monotone_key() const override {
     return ScoreMonotoneKey::kQuality;

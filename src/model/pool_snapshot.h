@@ -113,7 +113,8 @@ class PoolSnapshot {
 
   /// Materializes full `Worker` structs (copies the id strings). The
   /// columns stay authoritative; this exists for call sites that need the
-  /// struct form (CLI id printing, CommitAdd fast paths).
+  /// struct form (CLI id printing, the candidate table a solve's
+  /// `JspInstance` borrows).
   std::vector<Worker> MaterializeWorkers() const;
 
  private:

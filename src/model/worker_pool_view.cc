@@ -5,8 +5,7 @@
 
 namespace jury {
 
-WorkerPoolView::WorkerPoolView(std::span<const Worker> workers)
-    : workers_(workers) {
+WorkerPoolView::WorkerPoolView(std::span<const Worker> workers) {
   const std::size_t n = workers.size();
   owned_quality_.resize(n);
   owned_cost_.resize(n);
@@ -45,8 +44,7 @@ WorkerPoolView WorkerPoolView::FromColumns(std::span<const double> quality,
 }
 
 WorkerPoolView::WorkerPoolView(const WorkerPoolView& other)
-    : workers_(other.workers_),
-      quality_(other.quality_),
+    : quality_(other.quality_),
       cost_(other.cost_),
       norm_quality_(other.norm_quality_),
       log_odds_(other.log_odds_),
@@ -67,20 +65,6 @@ WorkerPoolView& WorkerPoolView::operator=(const WorkerPoolView& other) {
     *this = WorkerPoolView(other);  // copy-construct, then move-assign
   }
   return *this;
-}
-
-void WorkerPoolView::BindWorkers(std::span<const Worker> workers) {
-  JURY_CHECK(workers.size() == size())
-      << "BindWorkers: " << workers.size() << " structs for " << size()
-      << " columns";
-  workers_ = workers;
-}
-
-std::size_t WorkerPoolView::IndexOf(std::string_view id) const {
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (workers_[i].id == id) return i;
-  }
-  return kNotFound;
 }
 
 }  // namespace jury

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,14 +26,14 @@ double EmptyMcJq(const McPrior& prior) {
 /// heuristic regards computing JQ as a black box", so the multi-class
 /// problem is solved by the *same* solver drivers as the binary one —
 /// this adapter is the black box. It presents `EstimateMcJq` behind the
-/// binary `JqObjective` interface: the binary solvers see placeholder
-/// `Worker`s whose ids index the real `McWorker`s (and whose costs are
-/// the per-solve cost column the feasibility tests read), and every
-/// evaluation maps the jury back to confusion-matrix workers. Before
-/// this adapter, multiclass/jsp.cc carried a copy-pasted mirror of the
-/// SA loop and the exhaustive sweep; now both delegate to core/, so
-/// solver improvements (batched polish, Lemma-1 pruning, Gray-code
-/// sharding) reach the multi-class workload for free.
+/// binary `JqObjective` interface: the binary solvers see one placeholder
+/// `Worker` per candidate (whose costs are the per-solve cost column the
+/// feasibility tests read), so a jury's view indices are candidate
+/// indices, and every evaluation maps them straight to the real
+/// `McWorker`s. Before this adapter, multiclass/jsp.cc carried a
+/// copy-pasted mirror of the SA loop and the exhaustive sweep; now both
+/// delegate to core/, so solver improvements (batched polish, Lemma-1
+/// pruning, Gray-code sharding) reach the multi-class workload for free.
 ///
 /// There is no incremental backend (the tuple-key DP has no cheap
 /// deconvolution yet — see ROADMAP), so sessions fall back to the
@@ -54,17 +55,15 @@ class McJqObjectiveAdapter final : public JqObjective {
   /// drivers call `objective.EmptyJq` instead of `EmptyJuryJq`.
   double EmptyJq(double /*alpha*/) const override { return empty_jq_; }
 
-  double Evaluate(const Jury& candidate_jury, double /*alpha*/) const override {
+  double Evaluate(const WorkerPoolView& /*view*/,
+                  std::span<const std::size_t> members,
+                  double /*alpha*/) const override {
     CountEvaluation();
-    if (candidate_jury.empty()) return empty_jq_;
+    if (members.empty()) return empty_jq_;
     McJury mc_jury;
-    for (const Worker& worker : candidate_jury.workers()) {
-      // Placeholder ids are the decimal candidate indices (see
-      // MakeBinaryInstance); juries only ever hold workers from there.
-      const std::size_t idx = static_cast<std::size_t>(
-          std::stoull(worker.id));
-      JURY_CHECK_LT(idx, instance_.candidates.size());
-      mc_jury.Add(instance_.candidates[idx]);
+    for (std::size_t i : members) {
+      JURY_CHECK_LT(i, instance_.candidates.size());
+      mc_jury.Add(instance_.candidates[i]);
     }
     return EstimateMcJq(mc_jury, instance_.prior, bucket_).value();
   }
@@ -75,9 +74,10 @@ class McJqObjectiveAdapter final : public JqObjective {
   double empty_jq_;
 };
 
-/// Placeholder workers for the binary drivers: id = candidate index, cost
-/// = the real cost (the column every affordability test reads), quality =
-/// a neutral 0.5 the adapter never consults. The binary instance's alpha
+/// Placeholder workers for the binary drivers, one per candidate in order:
+/// id = candidate index, cost = the real cost (the column every
+/// affordability test reads), quality = a neutral 0.5 the adapter never
+/// consults. The binary instance's alpha
 /// is a neutral 0.5 too — the adapter overrides everything
 /// alpha-dependent.
 std::vector<Worker> PlaceholderWorkers(const McJspInstance& instance) {

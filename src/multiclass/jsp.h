@@ -43,10 +43,11 @@ struct McAnnealingOptions {
 ///
 /// Since the unified-solve-API redesign this *is* the binary solver: the
 /// multi-class objective is adapted behind the `JqObjective` interface
-/// (placeholder workers carrying the per-solve cost column, ids indexing
-/// the real `McWorker`s) and the shared `SolveAnnealing` driver runs the
-/// schedule — including its rng-free batched best-improvement polish —
-/// instead of the copy-pasted mirror this file used to carry.
+/// (one placeholder worker per candidate, carrying the per-solve cost
+/// column, so view indices are candidate indices) and the shared
+/// `SolveAnnealing` driver runs the schedule — including its rng-free
+/// batched best-improvement polish — instead of the copy-pasted mirror
+/// this file used to carry.
 Result<McJspSolution> SolveMcAnnealing(const McJspInstance& instance, Rng* rng,
                                        const McAnnealingOptions& options = {});
 

@@ -46,6 +46,7 @@ void CloseFd(int* fd) {
 int HttpStatusFor(const Status& status) {
   switch (status.code()) {
     case StatusCode::kInvalidArgument:
+    case StatusCode::kOutOfRange:  // the request is too large for the pool
       return 400;
     case StatusCode::kNotFound:
       return 404;

@@ -61,9 +61,10 @@ struct ServeOptions {
 ///  * `POST /solve`   -> `SolveRequest` JSON in, `SolveReport` JSON out
 ///
 /// Error mapping (JSON envelope `{"error":{"code":...,"message":...}}`):
-/// parse/validation failures -> 400, unknown solver -> 404, load shed or
-/// resource exhaustion -> 503, deadline (when `deadline_as_504`) -> 504,
-/// anything else -> 500. Malformed wire bytes and oversized requests are
+/// parse/validation failures and requests too large for the pool (the
+/// exhaustive and exact-JQ size guards' OutOfRange) -> 400, unknown
+/// solver -> 404, load shed or resource exhaustion -> 503, deadline (when
+/// `deadline_as_504`) -> 504, anything else -> 500. Malformed wire bytes and oversized requests are
 /// answered (400/413/431), never fatal — the robustness suite drives
 /// this with the fuzz corpora.
 ///

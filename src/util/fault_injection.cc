@@ -14,7 +14,7 @@ StatsRegistry::Counter& g_faults_injected =
 
 void FaultSite::Fire() {
   // Disarm first so the drain path (a nested region finishing its other
-  // shards, a retry attempt) does not re-fire the same trigger.
+  // shards, a resubmitted solve) does not re-fire the same trigger.
   armed_.store(false, std::memory_order_relaxed);
   g_faults_injected.Increment();
   throw FaultInjectedError(name_);

@@ -3,9 +3,7 @@
 // representative API workload is driven through it. The contract under
 // test: an injected fault surfaces as a clean `ResourceExhausted` Status
 // at the solve boundary — never an abort, never a wedged scheduler — and
-// the very next run is bit-identical to the no-fault baseline. On top of
-// that, `SolveMany`'s retry policy turns a transient injected fault into
-// a success, while deterministic failures are never retried.
+// the very next run is bit-identical to the no-fault baseline.
 
 #include <algorithm>
 #include <cstdint>
@@ -136,58 +134,6 @@ TEST(FaultInjectionTest, InjectedCountAdvancesWhenAFaultFires) {
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(injector.injected_count(), before + 1);
-}
-
-TEST(FaultInjectionTest, SolveManyRetriesTransientInjectedFaults) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault injection compiled out";
-  auto context = api::PoolPlanContext::Plan(TestPool()).value();
-  const std::vector<api::SolveRequest> requests = WorkloadRequests();
-
-  api::SolveManyOptions options;
-  options.num_threads = 1;  // serial: the faulted request is deterministic
-  options.retry.max_attempts = 2;
-  api::RetryStats stats;
-  options.retry_stats = &stats;
-
-  // The second instance lease (request #2's first attempt) fails; its
-  // retry re-leases and succeeds, so the batch as a whole succeeds.
-  FaultInjector::Global().Arm("plan.lease_instance", 2);
-  auto reports = context.SolveMany(requests, options);
-  FaultInjector::Global().Disarm();
-  ASSERT_TRUE(reports.ok()) << reports.status();
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.attempts, requests.size() + 1);
-  // The retried report owns up to its second attempt; first-try reports
-  // keep their historical stats layout.
-  std::size_t with_attempts = 0;
-  for (const api::SolveReport& report : reports.value()) {
-    const auto it = report.stats.find("attempts");
-    if (it != report.stats.end()) {
-      ++with_attempts;
-      EXPECT_EQ(it->second, 2.0);
-    }
-  }
-  EXPECT_EQ(with_attempts, 1u);
-}
-
-TEST(FaultInjectionTest, DeterministicFailuresAreNeverRetried) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault injection compiled out";
-  auto context = api::PoolPlanContext::Plan(TestPool()).value();
-  api::SolveRequest request;
-  request.solver = "no-such-solver";
-  request.budget = 0.5;
-
-  api::SolveManyOptions options;
-  options.num_threads = 1;
-  options.retry.max_attempts = 5;
-  api::RetryStats stats;
-  options.retry_stats = &stats;
-  auto reports =
-      context.SolveMany(std::vector<api::SolveRequest>{request}, options);
-  ASSERT_FALSE(reports.ok());
-  EXPECT_EQ(reports.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(stats.attempts, 1u);
-  EXPECT_EQ(stats.retries, 0u);
 }
 
 TEST(FaultInjectionTest, CompiledOutBuildsStillLink) {

@@ -1,5 +1,5 @@
 // Property tests for the IncrementalJqEvaluator sessions: every staged
-// score must agree with a from-scratch `Evaluate` of the materialized jury
+// score must agree with a from-scratch `Evaluate` of the same member list
 // within 1e-12, across all three backends, arbitrary add/remove/swap
 // sequences, rollbacks, and the bucket estimator's special-case modes.
 
@@ -42,17 +42,6 @@ static_assert(ScoreAddTakes<std::size_t> && ScoreSwapTakes<std::size_t> &&
               CommitAddTakes<std::size_t>);
 static_assert(!ScoreAddTakes<Worker> && !ScoreSwapTakes<Worker> &&
               !CommitAddTakes<Worker>);
-
-Jury JuryOf(const WorkerPoolView& view,
-            const std::vector<std::size_t>& members) {
-  Jury jury;
-  for (std::size_t i : members) jury.Add(view.worker(i));
-  return jury;
-}
-
-Jury MaterializeMembers(const IncrementalJqEvaluator& session) {
-  return JuryOf(session.view(), session.members());
-}
 
 Worker RandomWorker(Rng* rng, int serial, double qlo = 0.05,
                     double qhi = 0.95) {
@@ -102,8 +91,7 @@ void ChurnAgainstEvaluate(const JqObjective& objective, double alpha,
       hypothetical[idx] = next++;
     }
 
-    ASSERT_NEAR(score, objective.Evaluate(JuryOf(view, hypothetical), alpha),
-                kTol)
+    ASSERT_NEAR(score, objective.Evaluate(view, hypothetical, alpha), kTol)
         << objective.name() << " seed=" << seed << " step=" << step
         << " move=" << move << " size=" << hypothetical.size();
 
@@ -112,14 +100,13 @@ void ChurnAgainstEvaluate(const JqObjective& objective, double alpha,
       // The committed state must be untouched by the discarded move.
       ASSERT_EQ(session->members(), shadow);
       ASSERT_NEAR(session->current_jq(),
-                  objective.Evaluate(JuryOf(view, shadow), alpha), kTol);
+                  objective.Evaluate(view, shadow, alpha), kTol);
     } else {
       session->Commit();
       shadow = std::move(hypothetical);
       ASSERT_EQ(session->members(), shadow);
       ASSERT_NEAR(session->current_jq(),
-                  objective.Evaluate(MaterializeMembers(*session), alpha),
-                  kTol)
+                  objective.Evaluate(view, session->members(), alpha), kTol)
           << objective.name() << " seed=" << seed << " step=" << step;
     }
   }
@@ -165,7 +152,7 @@ TEST(IncrementalEvalTest, BucketBvShortcutAndDegenerateModes) {
   session->ScoreRemove(1);  // drop "sharp": back to the regular DP
   session->Commit();
   EXPECT_NEAR(session->current_jq(),
-              objective.Evaluate(MaterializeMembers(*session), 0.5), kTol);
+              objective.Evaluate(view, session->members(), 0.5), kTol);
 }
 
 TEST(IncrementalEvalTest, ExactBvChurnMatchesEvaluate) {
@@ -189,14 +176,14 @@ TEST(IncrementalEvalTest, ExactBvBeyondCacheCapFallsBackCorrectly) {
     session->Commit();
   }
   EXPECT_NEAR(session->current_jq(),
-              objective.Evaluate(MaterializeMembers(*session), 0.5), kTol);
+              objective.Evaluate(view, session->members(), 0.5), kTol);
   // Shrink back under the cap: the cache must rebuild transparently.
   session->ScoreRemove(0);
   session->Commit();
   session->ScoreRemove(0);
   session->Commit();
   EXPECT_NEAR(session->current_jq(),
-              objective.Evaluate(MaterializeMembers(*session), 0.5), kTol);
+              objective.Evaluate(view, session->members(), 0.5), kTol);
 }
 
 TEST(IncrementalEvalTest, MajorityChurnMatchesEvaluate) {
@@ -223,12 +210,12 @@ TEST(IncrementalEvalTest, FullRecomputeSessionIsEvaluateVerbatim) {
     }
     const WorkerPoolView view(pool);
     auto session = objective->StartSession(view, 0.5, /*incremental=*/false);
-    std::vector<Worker> shadow;
+    std::vector<std::size_t> shadow;
     for (std::size_t i = 0; i < pool.size(); ++i) {
       const double score = session->ScoreAdd(i);
-      shadow.push_back(pool[i]);
+      shadow.push_back(i);
       // Bit-equal, not just near: the fallback session *is* Evaluate.
-      ASSERT_EQ(score, objective->Evaluate(Jury(shadow), 0.5));
+      ASSERT_EQ(score, objective->Evaluate(view, shadow, 0.5));
       session->Commit();
     }
   }
@@ -260,9 +247,7 @@ TEST(IncrementalEvalTest, CountersSplitFullAndIncremental) {
   EXPECT_EQ(objective.evaluation_counters().incremental, 2u);
   EXPECT_EQ(objective.evaluation_counters().full, 0u);
 
-  Jury jury;
-  jury.Add(pool[0]);
-  objective.Evaluate(jury, 0.5);
+  objective.Evaluate(view, std::vector<std::size_t>{0}, 0.5);
   EXPECT_EQ(objective.evaluation_counters().full, 1u);
   EXPECT_EQ(objective.evaluations(), 3u);  // legacy total
 
@@ -311,7 +296,7 @@ void UnifiedScanMatchesScalar(const JqObjective& objective, double alpha,
     for (std::size_t j = 0; j < ids.size(); ++j) {
       EXPECT_EQ(batched[j], scalar[j])
           << objective.name() << " add committed=" << committed
-          << " j=" << j << " (" << view.worker(ids[j]).id << ")";
+          << " j=" << j << " (" << pool[ids[j]].id << ")";
     }
     EXPECT_EQ(batch_adds.total(), scalar_adds.total())
         << objective.name() << " add counters, committed=" << committed;
@@ -489,9 +474,9 @@ std::vector<double> NeighbourhoodScores(IncrementalJqEvaluator& session,
 
 TEST(IncrementalEvalTest, IncrementalSessionsReadOnlyViewColumns) {
   // Sessions name candidates by view index and score from the view's
-  // columns, so a view adopted from bare columns — no `Worker` records
-  // bound — drives every delta-updating backend to the same bits as an
-  // owning view of the same pool.
+  // columns, so a view adopted from bare columns drives every backend —
+  // the delta-updating ones and the full-recompute session alike — to
+  // the same bits as an owning view of the same pool.
   Rng rng(41051);
   std::vector<Worker> pool;
   for (int j = 0; j < 24; ++j) {
@@ -510,7 +495,6 @@ TEST(IncrementalEvalTest, IncrementalSessionsReadOnlyViewColumns) {
   const std::vector<double> phi = copy(owning.log_odds());
   const WorkerPoolView columns =
       WorkerPoolView::FromColumns(quality, cost, norm, phi);
-  ASSERT_FALSE(columns.workers_bound());
 
   const std::vector<std::size_t> scan = {6, 7, 8, 24, 25, 26};
   const BucketBvObjective bucket;
@@ -518,58 +502,66 @@ TEST(IncrementalEvalTest, IncrementalSessionsReadOnlyViewColumns) {
   const ExactBvObjective exact;
   for (const JqObjective* objective :
        std::vector<const JqObjective*>{&bucket, &majority, &exact}) {
-    SCOPED_TRACE(objective->name());
-    const auto by_struct = objective->StartSession(owning, 0.6);
-    const auto by_column = objective->StartSession(columns, 0.6);
-    // Runs `op` on both sessions: same result, same committed state.
-    const auto both = [&](const auto& op) {
-      EXPECT_EQ(op(*by_struct), op(*by_column));
-      EXPECT_EQ(by_struct->current_jq(), by_column->current_jq());
-      EXPECT_EQ(by_struct->members(), by_column->members());
-    };
-    // Grows the jury by `in`, committing through `Commit` and `CommitAdd`
-    // in turn.
-    const auto add = [](std::size_t in) {
-      return [in](IncrementalJqEvaluator& session) {
-        const double score = session.ScoreAdd(in);
-        if (in % 2 == 0) {
-          session.Commit();
-        } else {
-          session.CommitAdd(in, score);
-        }
-        return score;
+    for (const bool incremental : {true, false}) {
+      SCOPED_TRACE(objective->name() +
+                   (incremental ? "" : " (full recompute)"));
+      const auto by_struct =
+          objective->StartSession(owning, 0.6, incremental);
+      const auto by_column =
+          objective->StartSession(columns, 0.6, incremental);
+      // Runs `op` on both sessions: same result, same committed state.
+      const auto both = [&](const auto& op) {
+        EXPECT_EQ(op(*by_struct), op(*by_column));
+        EXPECT_EQ(by_struct->current_jq(), by_column->current_jq());
+        EXPECT_EQ(by_struct->members(), by_column->members());
       };
-    };
-    for (std::size_t in = 0; in < 6; ++in) both(add(in));
-    both([&](IncrementalJqEvaluator& session) {
-      return NeighbourhoodScores(session, scan);
-    });
-    both([&](IncrementalJqEvaluator& session) {
-      return NeighbourhoodScores(*session.Clone(), scan);
-    });
-    both([](IncrementalJqEvaluator& session) {
-      const double score = session.ScoreSwap(1, 26);
-      session.Commit();
-      return score;
-    });
-    both([](IncrementalJqEvaluator& session) {
-      const double score = session.ScoreRemove(0);
-      session.Commit();
-      return score;
-    });
-    // The 21st member is scored past the exact-BV cache cap, by full
-    // enumeration; removals then fold back under it.
-    for (std::size_t in = 6; in < 22; ++in) both(add(in));
-    ASSERT_EQ(by_column->size(), 21u);
-    both([](IncrementalJqEvaluator& session) {
-      const std::vector<std::size_t> positions = {0, 20};
-      std::vector<double> scores(positions.size());
-      session.ScoreRemoveBatch(positions.data(), positions.size(),
-                               scores.data());
-      scores.push_back(session.ScoreRemove(20));
-      session.Commit();
-      return scores;
-    });
+      // Grows the jury by `in`, committing through `Commit` and
+      // `CommitAdd` in turn.
+      const auto add = [](std::size_t in) {
+        return [in](IncrementalJqEvaluator& session) {
+          const double score = session.ScoreAdd(in);
+          if (in % 2 == 0) {
+            session.Commit();
+          } else {
+            session.CommitAdd(in, score);
+          }
+          return score;
+        };
+      };
+      for (std::size_t in = 0; in < 6; ++in) both(add(in));
+      both([&](IncrementalJqEvaluator& session) {
+        return NeighbourhoodScores(session, scan);
+      });
+      // The full-recompute session enumerates every exact-BV score from
+      // scratch, so it skips the 21-member stretch below.
+      if (!incremental) continue;
+      both([&](IncrementalJqEvaluator& session) {
+        return NeighbourhoodScores(*session.Clone(), scan);
+      });
+      both([](IncrementalJqEvaluator& session) {
+        const double score = session.ScoreSwap(1, 26);
+        session.Commit();
+        return score;
+      });
+      both([](IncrementalJqEvaluator& session) {
+        const double score = session.ScoreRemove(0);
+        session.Commit();
+        return score;
+      });
+      // The 21st member is scored past the exact-BV cache cap, by full
+      // enumeration; removals then fold back under it.
+      for (std::size_t in = 6; in < 22; ++in) both(add(in));
+      ASSERT_EQ(by_column->size(), 21u);
+      both([](IncrementalJqEvaluator& session) {
+        const std::vector<std::size_t> positions = {0, 20};
+        std::vector<double> scores(positions.size());
+        session.ScoreRemoveBatch(positions.data(), positions.size(),
+                                 scores.data());
+        scores.push_back(session.ScoreRemove(20));
+        session.Commit();
+        return scores;
+      });
+    }
   }
 }
 

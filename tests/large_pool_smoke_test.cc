@@ -90,8 +90,8 @@ TEST(LargePoolSmokeTest, SnapshotRoundTripAndFrontierSolve) {
   FrontierScanStats stats;
   frontier_options.frontier_stats = &stats;
   JspInstance snapshot_instance;
-  // Materializes the snapshot's AoS records and binds them to the view
-  // (solvers commit winners through `view.worker(i)`).
+  // Materializes the snapshot's AoS records for the instance
+  // (`MakeSolution` sums the winner's cost from `instance.candidates`).
   snapshot_instance.candidates = plan.value().candidates();
   snapshot_instance.budget = instance.budget;
   snapshot_instance.alpha = instance.alpha;

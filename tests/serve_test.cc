@@ -591,6 +591,14 @@ TEST_F(JuryServerTest, StructuredErrorsNeverKillTheProcess) {
       "POST", "/solve", "{\"solver\":\"no-such-solver\",\"budget\":1.0}");
   EXPECT_EQ(solver_status, 404);
   EXPECT_NE(solver_body.find("\"error\""), std::string::npos);
+  // A request too large for this 24-worker pool is the client's to fix:
+  // the exhaustive guard's OutOfRange answers 400, not 500.
+  auto [size_status, size_body] = client.RoundTrip(
+      "POST", "/solve", "{\"solver\":\"exhaustive\",\"budget\":1.0}");
+  EXPECT_EQ(size_status, 400);
+  EXPECT_NE(size_body.find("exhaustive JSP guarded to N <= 22, got N = 24"),
+            std::string::npos)
+      << size_body;
   auto [route_status, route_body] = client.RoundTrip("GET", "/nope");
   EXPECT_EQ(route_status, 404);
   auto [method_status, method_body] = client.RoundTrip("DELETE", "/solve");

@@ -1,7 +1,6 @@
 // Async-submission tests: `PoolPlanContext::SubmitMany` futures must be
 // byte-identical to blocking solves for any thread count and any Take
-// order, dropping futures must be safe, and retry options must ride
-// through.
+// order, and dropping futures must be safe.
 
 #include <algorithm>
 #include <atomic>

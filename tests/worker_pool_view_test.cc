@@ -1,7 +1,6 @@
 // Tests for the columnar worker-pool view: column values must equal the
 // per-worker expressions the evaluation backends run (bit-for-bit, since
-// sessions substitute the columns for the struct reads), and the id map
-// must resolve like a linear scan.
+// sessions substitute the columns for the struct reads).
 
 #include <vector>
 
@@ -14,7 +13,6 @@
 namespace jury {
 namespace {
 
-using jury::testing::Figure1Workers;
 using jury::testing::RandomPool;
 
 TEST(WorkerPoolViewTest, ColumnsMatchStructFields) {
@@ -25,7 +23,6 @@ TEST(WorkerPoolViewTest, ColumnsMatchStructFields) {
   for (std::size_t i = 0; i < pool.size(); ++i) {
     EXPECT_EQ(view.quality()[i], pool[i].quality) << i;
     EXPECT_EQ(view.cost()[i], pool[i].cost) << i;
-    EXPECT_EQ(&view.worker(i), &pool[i]) << "non-owning span aliasing";
   }
 }
 
@@ -48,21 +45,10 @@ TEST(WorkerPoolViewTest, DerivedColumnsAreBackendExpressionsVerbatim) {
   }
 }
 
-TEST(WorkerPoolViewTest, IdMapResolvesFirstOccurrence) {
-  std::vector<Worker> pool = Figure1Workers();
-  pool.push_back(Worker("C", 0.99, 1.0));  // duplicate id, later index
-  const WorkerPoolView view(pool);
-  EXPECT_EQ(view.IndexOf("A"), 0u);
-  EXPECT_EQ(view.IndexOf("G"), 6u);
-  EXPECT_EQ(view.IndexOf("C"), 2u) << "first occurrence wins";
-  EXPECT_EQ(view.IndexOf("nope"), WorkerPoolView::kNotFound);
-}
-
 TEST(WorkerPoolViewTest, EmptyPool) {
   const WorkerPoolView view{std::span<const Worker>{}};
   EXPECT_TRUE(view.empty());
   EXPECT_EQ(view.size(), 0u);
-  EXPECT_EQ(view.IndexOf("x"), WorkerPoolView::kNotFound);
 }
 
 }  // namespace
