@@ -44,7 +44,11 @@ struct BucketedWorker {
 };
 
 /// Key-space size (2*span+1) above which the flat array would be
-/// unreasonably large; `EstimateJq` falls back to the hash-map sweep.
+/// unreasonably large; `EstimateJq` falls back to the hash-map sweep. It
+/// stays in key units although the dense sweep stores one slot per two
+/// keys: moving it would move juries between the hash map's
+/// iteration-order sums and the dense sweep's ascending ones, which
+/// changes low-order bits of JQ-hat.
 constexpr std::int64_t kDenseKeySpanLimit = 1 << 24;
 
 /// Accumulates the final sweep (steps 21-25 of Algorithm 1): probability at
@@ -66,33 +70,33 @@ class JqAccumulator {
   double jq_ = 0.0;
 };
 
-/// Writes `nxt[s] = cur[s-b]*q + cur[s+b]*(1-q)` for every s in
+/// Writes `nxt[j] = cur[j-c]*q + cur[j+d]*(1-q)` for every slot j in
 /// [from, to], with both sources inside the live range. Returns the
 /// number of nonzero entries written when `kCount`, else 0.
 template <bool kCount>
 std::size_t GatherBoth(const double* __restrict cur, double* __restrict nxt,
-                       std::int64_t from, std::int64_t to, std::int64_t b,
-                       double q) {
+                       std::int64_t from, std::int64_t to, std::int64_t c,
+                       std::int64_t d, double q) {
   const double down = 1.0 - q;
   std::size_t nonzero = 0;
-  for (std::int64_t s = from; s <= to; ++s) {
-    const double v = cur[s - b] * q + cur[s + b] * down;
-    nxt[s] = v;
+  for (std::int64_t j = from; j <= to; ++j) {
+    const double v = cur[j - c] * q + cur[j + d] * down;
+    nxt[j] = v;
     if constexpr (kCount) nonzero += v > 0.0;
   }
   return nonzero;
 }
 
-/// `nxt[s] = cur[s + shift] * weight` for every s in [from, to]: the
+/// `nxt[j] = cur[j + shift] * weight` for every slot j in [from, to]: the
 /// window's edges, where only one source is live.
 template <bool kCount>
 std::size_t GatherOne(const double* __restrict cur, double* __restrict nxt,
                       std::int64_t from, std::int64_t to, std::int64_t shift,
                       double weight) {
   std::size_t nonzero = 0;
-  for (std::int64_t s = from; s <= to; ++s) {
-    const double v = cur[s + shift] * weight;
-    nxt[s] = v;
+  for (std::int64_t j = from; j <= to; ++j) {
+    const double v = cur[j + shift] * weight;
+    nxt[j] = v;
     if constexpr (kCount) nonzero += v > 0.0;
   }
   return nonzero;
@@ -100,22 +104,35 @@ std::size_t GatherOne(const double* __restrict cur, double* __restrict nxt,
 
 /// One Algorithm-1 pass over the dense (flat array) key representation.
 ///
-/// Each step gathers the next distribution over the live key window only:
-/// `nxt[s] = cur[s-b]*q + cur[s+b]*(1-q)`, where a source outside the
-/// support or settled by Algorithm 2 reads as zero. Reported JQ bits
-/// depend on this equalling a zero-fill-then-scatter sweep bit for bit,
-/// and it does: a scatter adds `prob*q` from source s-b before
-/// `prob*(1-q)` from source s+b into a zeroed entry and skips zero
-/// sources, and `0.0 + x == x`. That needs unfused multiply-adds, so this
-/// file must not be built with -mfma or -ffast-math. Settled positive
-/// keys join the JQ sum step by step in ascending key order, and the
-/// final sweep runs ascending, for the same reason.
+/// Every step adds ±b_i to every key, so after i steps each reachable key
+/// has the parity p of the prefix bucket sum P_i; the other parity holds
+/// exact zeros. The buffers store only the live parity: key k sits in
+/// slot j = (k - p)/2. A step with bucket b moves key 2j + p to
+/// 2j + p ± b, which in the next parity's slots is j + c up and j - d
+/// down, with c = floor((p + b)/2) and d = b - c. So the step gathers
+/// `nxt[j] = cur[j-c]*q + cur[j+d]*(1-q)` over the live slot window,
+/// where a source outside the support or settled by Algorithm 2 reads as
+/// zero (b = 0 gives c = d = 0, the identity step).
+///
+/// Reported JQ bits depend on this equalling a zero-fill-then-scatter
+/// sweep over all keys bit for bit, and it does. A scatter adds `prob*q`
+/// from key k-b before `prob*(1-q)` from key k+b into a zeroed entry and
+/// skips zero sources, and `0.0 + x == x`, so a one-source edge value is
+/// the scatter's too. An off-parity key's sources are off-parity, so it
+/// stays an exact zero, and skipping it drops no term: every `> 0.0`
+/// test, and with it both `BucketJqStats` counters, sees the same values.
+/// That needs unfused multiply-adds, which the top-level CMakeLists.txt
+/// pins with -ffp-contract=off; -ffast-math would break it too. Settled
+/// positive keys join the JQ sum step by step in ascending key order, and
+/// the final sweep runs ascending, for the same reason.
 ///
 /// Workers arrive sorted by decreasing bucket. After i steps every key
-/// lies in [-P_i, P_i] (P_i the prefix bucket sum), and under pruning
-/// step i expands only keys in [-R_i, R_i] (R_i = aggregate[i]), so it
-/// writes within ±(min(P_i, R_i) + b_i). The buffers are sized by the
-/// widest such window, at most span/2 + max bucket, instead of 2*span+1.
+/// lies in [-P_i, P_i], and under pruning step i expands only keys in
+/// [-R_i, R_i] (R_i = aggregate[i]), rounded inward to the live parity,
+/// so it writes within ±(min(P_i, R_i) + b_i). With w the widest such
+/// half-width, at most span/2 + max bucket, the buffers hold slots
+/// [-(w/2 + 1), w/2 + 1]: at most w + 3 doubles each, where one entry
+/// per key would take 2w + 1.
 ///
 /// `kCount` fills the stats counters. Counting stops the gather loops
 /// from vectorizing (about 2x slower), so only callers with stats pay it.
@@ -134,13 +151,15 @@ double RunDenseWindowed(const std::vector<BucketedWorker>& ws,
   // Only entries inside the current support [lo, hi] are ever read, and
   // each step writes its whole new support, so neither buffer is
   // zero-filled: a fill would add a write pass over both per call.
-  const std::size_t size = static_cast<std::size_t>(2 * width + 1);
+  const std::int64_t half = width / 2 + 1;
+  const std::size_t size = static_cast<std::size_t>(2 * half + 1);
   const auto cur_buf = std::make_unique_for_overwrite<double[]>(size);
   const auto nxt_buf = std::make_unique_for_overwrite<double[]>(size);
-  double* cur = cur_buf.get() + width;  // cur[key], key in [-width, width]
-  double* nxt = nxt_buf.get() + width;
+  double* cur = cur_buf.get() + half;  // cur[j] holds key 2j + parity
+  double* nxt = nxt_buf.get() + half;
   cur[0] = 1.0;
-  std::int64_t lo = 0;
+  std::int64_t parity = 0;
+  std::int64_t lo = 0;  // support, in slots
   std::int64_t hi = 0;
   // Nonzero entries of `cur`: the keys this step expands. Counted while
   // the previous step wrote them, so stats cost no extra sweep.
@@ -150,49 +169,53 @@ double RunDenseWindowed(const std::vector<BucketedWorker>& ws,
   for (std::size_t i = 0; i < ws.size(); ++i) {
     const std::int64_t b = ws[i].bucket;
     const double q = ws[i].quality;
-    const std::int64_t remaining = aggregate[i];
     if constexpr (kCount) stats->keys_expanded += nonzero;
-    // Live sources [from, to]; outside it, Algorithm 2 has settled the
-    // sign: positive keys join the JQ sum, negative keys are dropped.
+    // Live source slots [from, to]; outside it, Algorithm 2 has settled
+    // the sign: positive keys join the JQ sum, negative keys are dropped.
     std::int64_t from = lo;
     std::int64_t to = hi;
     if (pruning) {
-      from = std::max(lo, -remaining);
-      to = std::min(hi, remaining);
+      // Keys of the live parity in [-R_i, R_i] are slots [-h, h - parity].
+      const std::int64_t h = (aggregate[i] + parity) / 2;
+      from = std::max(lo, -h);
+      to = std::min(hi, h - parity);
       if constexpr (kCount) {
-        for (std::int64_t key = lo; key < from && key <= hi; ++key) {
-          stats->keys_pruned += cur[key] > 0.0;
+        for (std::int64_t j = lo; j < from && j <= hi; ++j) {
+          stats->keys_pruned += cur[j] > 0.0;
         }
       }
-      for (std::int64_t key = std::max(lo, remaining + 1); key <= hi; ++key) {
-        if (cur[key] > 0.0) {
-          acc.AddSettledPositive(cur[key]);
+      for (std::int64_t j = std::max(lo, h - parity + 1); j <= hi; ++j) {
+        if (cur[j] > 0.0) {
+          acc.AddSettledPositive(cur[j]);
           if constexpr (kCount) ++stats->keys_pruned;
         }
       }
     }
     if (from > to) return acc.value();  // every key has settled
-    // New support [from - b, to + b]. Source s-b is live for
-    // s >= from + b, source s+b for s <= to - b.
-    const std::int64_t up_from = from + b;
-    const std::int64_t down_to = to - b;
+    // New support [from - d, to + c]. Source j-c is live for
+    // j >= from + c, source j+d for j <= to - d.
+    const std::int64_t c = (parity + b) / 2;
+    const std::int64_t d = b - c;
+    const std::int64_t up_from = from + c;
+    const std::int64_t down_to = to - d;
     nonzero = 0;
     if (up_from <= down_to) {
-      nonzero += GatherOne<kCount>(cur, nxt, from - b, up_from - 1, b,
+      nonzero += GatherOne<kCount>(cur, nxt, from - d, up_from - 1, d,
                                    1.0 - q);
-      nonzero += GatherBoth<kCount>(cur, nxt, up_from, down_to, b, q);
-      nonzero += GatherOne<kCount>(cur, nxt, down_to + 1, to + b, -b, q);
+      nonzero += GatherBoth<kCount>(cur, nxt, up_from, down_to, c, d, q);
+      nonzero += GatherOne<kCount>(cur, nxt, down_to + 1, to + c, -c, q);
     } else {
-      nonzero += GatherOne<kCount>(cur, nxt, from - b, down_to, b, 1.0 - q);
+      nonzero += GatherOne<kCount>(cur, nxt, from - d, down_to, d, 1.0 - q);
       std::fill(nxt + down_to + 1, nxt + up_from, 0.0);
-      nonzero += GatherOne<kCount>(cur, nxt, up_from, to + b, -b, q);
+      nonzero += GatherOne<kCount>(cur, nxt, up_from, to + c, -c, q);
     }
-    lo = from - b;
-    hi = to + b;
+    lo = from - d;
+    hi = to + c;
+    parity = (parity + b) & 1;
     std::swap(cur, nxt);
   }
-  for (std::int64_t key = std::max<std::int64_t>(lo, 0); key <= hi; ++key) {
-    if (cur[key] > 0.0) acc.AddFinal(key, cur[key]);
+  for (std::int64_t j = std::max<std::int64_t>(lo, 0); j <= hi; ++j) {
+    if (cur[j] > 0.0) acc.AddFinal(2 * j + parity, cur[j]);
   }
   return acc.value();
 }

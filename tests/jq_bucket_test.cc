@@ -320,6 +320,7 @@ TEST(BucketJqTest, MixedExtremeAndWeakWorkers) {
 struct ScatterResult {
   double jq = 0.0;
   BucketJqStats stats;
+  std::vector<std::int64_t> buckets;  // in sweep order, decreasing
 };
 
 ScatterResult ScatterReferenceJq(const Jury& jury, double alpha,
@@ -362,6 +363,7 @@ ScatterResult ScatterReferenceJq(const Jury& jury, double alpha,
   std::sort(ws.begin(), ws.end(), [](const auto& a, const auto& b) {
     return a.bucket > b.bucket;
   });
+  for (const Bucketed& w : ws) out.buckets.push_back(w.bucket);
   std::vector<std::int64_t> aggregate(ws.size(), 0);
   std::int64_t span = 0;
   for (std::size_t i = ws.size(); i > 0; --i) {
@@ -494,8 +496,43 @@ TEST(BucketJqTest, DenseSweepMatchesScatterReference) {
       qs.push_back(
           pool_rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99));
     }
-    ExpectMatchesScatter(Jury::FromQualities(qs), 0.4,
-                         SweepOptions(200 * (n + 1), n != 90));
+    for (bool pruning : {true, false}) {
+      ExpectMatchesScatter(Jury::FromQualities(qs), 0.4,
+                           SweepOptions(200 * (n + 1), pruning));
+    }
+  }
+
+  // Every bucket odd, so the live key parity flips at every step:
+  // identical qualities (the prior's included) all land on bucket
+  // num_buckets.
+  for (int n : {1, 2, 5, 16}) {
+    const Jury jury = Jury::FromQualities(std::vector<double>(n, 0.8));
+    for (double alpha : {0.5, 0.8}) {
+      for (int num_buckets : {7, 333}) {
+        for (bool pruning : {true, false}) {
+          const ScatterResult odd = ExpectMatchesScatter(
+              jury, alpha, SweepOptions(num_buckets, pruning));
+          EXPECT_EQ(odd.buckets,
+                    std::vector<std::int64_t>(alpha == 0.5 ? n : n + 1,
+                                              num_buckets));
+        }
+      }
+    }
+  }
+
+  // Pruning bounds of the other parity than the live keys, so both ends
+  // of the live window round inward: after the bucket-5 juror the keys
+  // are ±5 and R_1 = 4 + 2 = 6; after the bucket-4 juror they are ±1 and
+  // ±9 and R_2 = 2, which settles ±9.
+  for (bool pruning : {true, false}) {
+    const ScatterResult inward = ExpectMatchesScatter(
+        Jury::FromQualities({0.9, 0.853, 0.7066}), 0.5,
+        SweepOptions(5, pruning));
+    EXPECT_EQ(inward.buckets, (std::vector<std::int64_t>{5, 4, 2}));
+    if (pruning) {
+      EXPECT_EQ(inward.stats.keys_expanded, 7u);
+      EXPECT_EQ(inward.stats.keys_pruned, 2u);
+    }
   }
 
   // b == 0 workers trail the sort, where R_i == 0 and only key 0 stays
