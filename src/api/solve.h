@@ -400,8 +400,9 @@ class PoolPlanContext {
   /// and the epoch counter bumps (`serve.epoch_bumps`). In-flight solves
   /// and leases keep the epoch they started on; the result cache keeps
   /// old-epoch entries keyed by their epoch (new-epoch lookups miss and
-  /// re-solve; stale entries age out via LRU) — churn invalidates only
-  /// what changed. Concurrent `ApplyPoolDelta` calls serialize.
+  /// re-solve; stale entries age out through eviction) — churn
+  /// invalidates only what changed. Concurrent `ApplyPoolDelta` calls
+  /// serialize.
   Status ApplyPoolDelta(std::span<const PoolDeltaUpdate> updates);
 
   /// The pool's current data epoch (0 at plan time, +1 per

@@ -423,6 +423,9 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
 
   /// Key-span guard: past this the dense delta state would be larger than
   /// the one-shot estimator's own dense limit; score via `EstimateJq`.
+  /// It stays in key units although the session pmf stores one slot per
+  /// two keys: moving it would move juries between the session and the
+  /// one-shot `EstimateJq` path, which changes `evaluations` counters.
   static constexpr std::int64_t kMaxIncrementalSpan = std::int64_t{1} << 22;
 
  protected:

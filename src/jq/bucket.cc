@@ -276,19 +276,28 @@ void BucketKeyDistribution::Reset() {
 void BucketKeyDistribution::Convolve(std::int64_t b, double q) {
   JURY_CHECK_GE(b, 0);
   if (b == 0) return;  // +0 and -0 coincide: exact identity
-  const std::int64_t new_span = span_ + b;
-  // `assign` reuses the scratch buffer's capacity: per-move convolutions
-  // stop allocating once the session has seen its largest span.
-  scratch_.assign(static_cast<std::size_t>(2 * new_span + 1), 0.0);
-  for (std::int64_t key = -span_; key <= span_; ++key) {
-    const double prob = pmf_[static_cast<std::size_t>(key + span_)];
-    if (prob == 0.0) continue;
-    scratch_[static_cast<std::size_t>(key + b + new_span)] += prob * q;
-    scratch_[static_cast<std::size_t>(key - b + new_span)] +=
-        prob * (1.0 - q);
+  const std::int64_t s = span_;
+  const std::int64_t ns = s + b;
+  // Key 2i - ns of the result gathers key 2i - ns - b (slot i - b) moved
+  // up and key 2i - ns + b (slot i) moved down: g[i] = f[i-b]*q +
+  // f[i]*(1-q), with one-source loops where the other slot lies outside
+  // [0, s]. Every slot is written, so only the gap between the two
+  // one-source ranges (b > s + 1) is zero-filled; `resize` reuses the
+  // scratch capacity once the session has seen its largest span.
+  scratch_.resize(static_cast<std::size_t>(ns + 1));
+  const double* f = pmf_.data();
+  double* g = scratch_.data();
+  if (b <= s) {
+    GatherOne<false>(f, g, 0, b - 1, 0, 1.0 - q);
+    GatherBoth<false>(f, g, b, s, b, 0, q);
+    GatherOne<false>(f, g, s + 1, ns, -b, q);
+  } else {
+    GatherOne<false>(f, g, 0, s, 0, 1.0 - q);
+    std::fill(g + s + 1, g + b, 0.0);
+    GatherOne<false>(f, g, b, ns, -b, q);
   }
   pmf_.swap(scratch_);
-  span_ = new_span;
+  span_ = ns;
 }
 
 void BucketKeyDistribution::Deconvolve(std::int64_t b, double q) {
@@ -298,28 +307,27 @@ void BucketKeyDistribution::Deconvolve(std::int64_t b, double q) {
   JURY_CHECK(q >= 0.5 && q <= 1.0)
       << "Deconvolve requires a normalized quality, got " << q;
   const std::int64_t ns = span_ - b;
-  // Every entry is written exactly once (descending j only reads entries
-  // written earlier in the pass), so a resize without zeroing suffices.
-  scratch_.resize(static_cast<std::size_t>(2 * ns + 1));
-  for (std::int64_t j = ns; j >= -ns; --j) {
-    const double above =
-        (j + 2 * b <= ns) ? scratch_[static_cast<std::size_t>(j + 2 * b + ns)]
-                          : 0.0;
-    scratch_[static_cast<std::size_t>(j + ns)] =
-        (pmf_[static_cast<std::size_t>(j + b + span_)] - (1.0 - q) * above) /
-        q;
-  }
+  // Descending slots only read slots written earlier in the pass, so a
+  // resize without zeroing suffices.
+  scratch_.resize(static_cast<std::size_t>(ns + 1));
+  const double* f = pmf_.data();
+  double* g = scratch_.data();
+  const double omq = 1.0 - q;
+  // The top b slots have no slot b above them; `f - omq * 0.0 == f`
+  // exactly, so dividing alone is the recurrence's value there. Split
+  // off, the rest of the loop is branch-free.
+  const std::int64_t below_top = std::max<std::int64_t>(ns - b, -1);
+  std::int64_t i = ns;
+  for (; i > below_top; --i) g[i] = f[i + b] / q;
+  for (; i >= 0; --i) g[i] = (f[i + b] - omq * g[i + b]) / q;
   pmf_.swap(scratch_);
   span_ = ns;
 }
 
 double BucketKeyDistribution::PositiveMass() const {
-  // Canonical interleaved accumulation (simd_kernels_inl.h): 0.5 * g[0]
-  // plus eight interleaved partial sums over the positive keys. One fixed
-  // order shared by every mass consumer — the fused batch kernels at
-  // every dispatch level sum in exactly this order, which is what lets
-  // the AVX2 variant carry the eight chains in two 4-lane accumulators
-  // and still be bit-identical to this function.
+  // The canonical four-chain order (simd_kernels_inl.h) that every mass
+  // consumer shares, so the fused batch kernels at every dispatch level
+  // are bit-identical to this function.
   return simd::internal::CommittedMass(pmf_.data(), span_);
 }
 
@@ -327,13 +335,13 @@ void BucketKeyDistribution::ConvolvePositiveMassBatch(const std::int64_t* bs,
                                                       const double* qs,
                                                       std::size_t count,
                                                       double* out) const {
-  // Keys outside [-span_, span_] read as zero, which the kernel's
-  // segmented/masked loops encode branch-free. For new key s the convolved
-  // entry is g[s] = f[s-b]*q + f[s+b]*(1-q), built in exactly that order
-  // by Convolve's ascending scatter, and PositiveMass accumulates 0.5*g[0]
-  // then g[1..new_span] ascending — the dispatched `convolve_mass` kernel
-  // (scalar reference or AVX2; see simd_dispatch.h) replicates this term
-  // for term, so the fused result is bit-identical to the scalar
+  // Slots outside [0, span_] read as zero, which the kernel's zero-padded
+  // staging encodes branch-free. Slot i of the convolution is
+  // g[i] = f[i-b]*q + f[i]*(1-q), built in exactly that order by
+  // Convolve's gather, and PositiveMass sums 0.5*g[key 0] plus the four
+  // canonical chains — the dispatched `convolve_mass` kernel (scalar
+  // reference or AVX2; see simd_dispatch.h) replicates this term for
+  // term, so the fused result is bit-identical to the scalar
   // copy-convolve-sweep at every level.
   for (std::size_t j = 0; j < count; ++j) {
     JURY_CHECK_GE(bs[j], 0);

@@ -82,6 +82,15 @@ Result<double> EstimateJq(const Jury& jury, double alpha,
 /// This is what makes the incremental BV/bucket evaluator's per-move cost
 /// O(n) instead of O(n^2): a solver move touches one worker, so the key
 /// distribution of the neighbouring jury is one (de)convolution away.
+///
+/// Every fold adds ±b to every key, so once the folded buckets sum to the
+/// span s, every reachable key has the parity of s and the other parity
+/// holds exact zeros. The pmf stores only the live parity: slot i holds
+/// key 2i - s, s + 1 doubles for keys [-s, s]. Each stored value, and
+/// each term of every mass, is what a zero-filled table over all 2s + 1
+/// keys with a scatter `Convolve` would hold and sum, in the same order,
+/// so masses are bit-identical to that layout (tests/jq_bucket_test.cc
+/// pins it against a full-key reference).
 class BucketKeyDistribution {
  public:
   BucketKeyDistribution() { Reset(); }
@@ -106,20 +115,22 @@ class BucketKeyDistribution {
   /// Folds in a worker with bucket `b >= 0` and normalized quality
   /// `q in [0.5, 1]`: the key moves +b with probability q and -b with
   /// probability 1-q. `b == 0` is an exact no-op (the two shifts coincide).
+  /// Gathers slot i of the result as `f[i-b]*q + f[i]*(1-q)`.
   void Convolve(std::int64_t b, double q);
 
   /// Inverse of `Convolve` for a worker previously folded in. Runs the
-  /// backward recurrence `g[j] = (f[j+b] - (1-q) g[j+2b]) / q` from the top
-  /// key down; the homogeneous error gain (1-q)/q never exceeds 1 because
+  /// backward recurrence `g[j] = (f[j+b] - (1-q) g[j+2b]) / q` over keys,
+  /// `g[i] = (f[i+b] - (1-q) g[i+b]) / q` over slots, from the top down;
+  /// the homogeneous error gain (1-q)/q never exceeds 1 because
   /// normalization guarantees q >= 1/2, so roundoff does not amplify.
   void Deconvolve(std::int64_t b, double q);
 
   /// `sum_{key > 0} Pr[key] + 0.5 Pr[key = 0]` — JQ-hat before the
   /// min(., 1) clamp (steps 21-25 of Algorithm 1). Accumulated in the
-  /// canonical eight-chain interleaved order shared by every mass
+  /// canonical four-chain interleaved order shared by every mass
   /// consumer (util/simd_kernels_inl.h), so the fused batch kernels —
-  /// including the AVX2 variant, which carries the eight chains in two
-  /// 4-lane accumulators — are bit-identical to this.
+  /// including the AVX2 variant, which carries the four chains in one
+  /// 4-lane accumulator — are bit-identical to this.
   double PositiveMass() const;
 
   /// \brief Fused batched candidate evaluation — the greedy-scan kernel
@@ -132,15 +143,15 @@ class BucketKeyDistribution {
   ///   out[j] = {copy = *this; copy.Convolve(bs[j], qs[j]);
   ///             copy.PositiveMass()}
   ///
-  /// bit-for-bit (the per-key convolution terms and PositiveMass's
+  /// bit-for-bit (the per-slot convolution terms and PositiveMass's
   /// canonical interleaved summation replicate the scalar pair's
   /// arithmetic exactly). Where the scalar pair runs three O(span) memory
-  /// passes per candidate (copy the pmf, scatter the convolution, re-read
+  /// passes per candidate (copy the pmf, gather the convolution, re-read
   /// for the mass sweep), the fused kernel runs one read-only pass over
-  /// contiguous storage per candidate — no scratch copy, no allocation,
-  /// no per-candidate dispatch. Runs on the runtime-dispatched
-  /// `convolve_mass` kernel (util/simd_dispatch.h): scalar reference or
-  /// AVX2, bit-identical either way.
+  /// the positive half of contiguous storage per candidate — no scratch
+  /// copy, no allocation, no per-candidate dispatch. Runs on the
+  /// runtime-dispatched `convolve_mass` kernel (util/simd_dispatch.h):
+  /// scalar reference or AVX2, bit-identical either way.
   void ConvolvePositiveMassBatch(const std::int64_t* bs, const double* qs,
                                  std::size_t count, double* out) const;
 
@@ -176,7 +187,7 @@ class BucketKeyDistribution {
   std::int64_t span() const { return span_; }
 
  private:
-  std::vector<double> pmf_;  // size 2*span_+1; index = key + span_
+  std::vector<double> pmf_;  // size span_+1; slot i holds key 2i - span_
   /// Preallocated flat buffer the (de)convolutions write into before
   /// swapping with `pmf_`: per-move updates reuse its capacity instead of
   /// allocating a fresh vector per call.

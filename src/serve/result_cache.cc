@@ -1,5 +1,6 @@
 #include "serve/result_cache.h"
 
+#include <iterator>
 #include <utility>
 
 namespace jury::serve {
@@ -21,11 +22,25 @@ bool ResultCache::Lookup(std::uint64_t epoch, const std::string& request_key,
     ++stats_.misses;
     return false;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
+  RecordHit(it->second);
   ++stats_.hits;
   *report = it->second->report;
   report->stats["cache_hit"] = 1.0;
   return true;
+}
+
+void ResultCache::RecordHit(std::list<Entry>::iterator it) {
+  if (it->hit) {
+    protected_.splice(protected_.begin(), protected_, it);
+    return;
+  }
+  it->hit = true;
+  protected_.splice(protected_.begin(), probation_, it);
+  while (protected_.size() > options_.max_entries / 2) {
+    protected_.back().hit = false;
+    probation_.splice(probation_.begin(), protected_,
+                      std::prev(protected_.end()));
+  }
 }
 
 void ResultCache::Insert(std::uint64_t epoch, const std::string& request_key,
@@ -37,43 +52,48 @@ void ResultCache::Insert(std::uint64_t epoch, const std::string& request_key,
   if (it != index_.end()) {
     it->second->report = report;
     it->second->report.wall_seconds = 0.0;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    std::list<Entry>& segment = it->second->hit ? protected_ : probation_;
+    segment.splice(segment.begin(), segment, it->second);
     return;
   }
-  while (lru_.size() >= options_.max_entries) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
+  while (probation_.size() + protected_.size() >= options_.max_entries) {
+    std::list<Entry>& victims = probation_.empty() ? protected_ : probation_;
+    index_.erase(victims.back().key);
+    victims.pop_back();
     ++stats_.evictions;
   }
-  lru_.push_front(Entry{map_key, epoch, report});
-  lru_.front().report.wall_seconds = 0.0;
-  index_.emplace(std::move(map_key), lru_.begin());
+  probation_.push_front(Entry{map_key, epoch, report});
+  probation_.front().report.wall_seconds = 0.0;
+  index_.emplace(std::move(map_key), probation_.begin());
   ++stats_.insertions;
 }
 
 void ResultCache::InvalidateBefore(std::uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->epoch < epoch) {
-      index_.erase(it->key);
-      it = lru_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
+  for (std::list<Entry>* segment : {&probation_, &protected_}) {
+    for (auto it = segment->begin(); it != segment->end();) {
+      if (it->epoch < epoch) {
+        index_.erase(it->key);
+        it = segment->erase(it);
+        ++stats_.invalidations;
+      } else {
+        ++it;
+      }
     }
   }
 }
 
 void ResultCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  stats_.invalidations += lru_.size();
+  stats_.invalidations += probation_.size() + protected_.size();
   index_.clear();
-  lru_.clear();
+  probation_.clear();
+  protected_.clear();
 }
 
 std::size_t ResultCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
+  return probation_.size() + protected_.size();
 }
 
 ResultCacheStats ResultCache::stats() const {

@@ -12,7 +12,8 @@
 namespace jury::serve {
 
 struct ResultCacheOptions {
-  /// LRU capacity; 0 disables insertion entirely (every lookup misses).
+  /// Capacity in entries; 0 disables insertion entirely (every lookup
+  /// misses).
   std::size_t max_entries = 1024;
 };
 
@@ -24,8 +25,17 @@ struct ResultCacheStats {
   std::uint64_t invalidations = 0;
 };
 
-/// \brief Epoch-keyed LRU of solved reports — the serving layer's result
-/// cache.
+/// \brief Epoch-keyed segmented LRU of solved reports — the serving
+/// layer's result cache.
+///
+/// Eviction: an entry starts on probation and moves to the protected
+/// segment on its first hit; a full cache evicts the least recently used
+/// probationary entry, and only an empty probation evicts a protected
+/// one. The protected segment holds at most half the capacity; overflow
+/// moves its least recently used entry back to the head of probation. So
+/// a stream of one-shot misses (all-distinct cold solves) cycles only the
+/// probationary entries and cannot evict the entries clients keep
+/// hitting.
 ///
 /// The logical key is (pool epoch, budget, alpha, solver name, tuning,
 /// seed, work-unit cap): every field of the request that the solved report
@@ -42,14 +52,14 @@ struct ResultCacheStats {
 /// on churn. A pool-epoch bump therefore invalidates exactly the entries
 /// whose data changed (the new epoch's lookups miss and re-solve) while
 /// in-flight solves on the previous epoch still hit their own entries.
-/// Retired-epoch entries age out through LRU; `InvalidateBefore` drops
-/// them eagerly when a caller wants the memory back.
+/// Retired-epoch entries age out through eviction; `InvalidateBefore`
+/// drops them eagerly when a caller wants the memory back.
 ///
 /// Stored reports have `wall_seconds` zeroed (wall time is excluded from
 /// the cached identity); `Lookup` returns a copy with `stats["cache_hit"]
 /// = 1` so a hit is visible to the client yet deterministic.
 ///
-/// Thread-safe; one mutex over the map and recency list (lookups copy the
+/// Thread-safe; one mutex over the map and recency lists (lookups copy the
 /// report while holding it — reports are small relative to a solve).
 class ResultCache {
  public:
@@ -60,7 +70,8 @@ class ResultCache {
               api::SolveReport* report);
 
   /// Stores `report` under (`epoch`, `request_key`), zeroing
-  /// `wall_seconds` and evicting the least-recently-used entry when full.
+  /// `wall_seconds` and evicting one entry (see the class comment) when
+  /// full.
   /// Overwrites an existing entry (last writer wins; both writers solved
   /// the same deterministic request, so the values agree).
   void Insert(std::uint64_t epoch, const std::string& request_key,
@@ -80,13 +91,19 @@ class ResultCache {
     std::string key;
     std::uint64_t epoch;
     api::SolveReport report;
+    bool hit = false;  // in `protected_` rather than `probation_`
   };
 
   static std::string MapKey(std::uint64_t epoch, const std::string& key);
 
+  /// Moves a hit entry to the head of the protected segment, demoting
+  /// that segment's overflow; caller holds `mutex_`.
+  void RecordHit(std::list<Entry>::iterator it);
+
   ResultCacheOptions options_;
   mutable std::mutex mutex_;
-  std::list<Entry> lru_;  // front = most recent
+  std::list<Entry> probation_;  // not hit since insertion; front = newest
+  std::list<Entry> protected_;  // hit at least once; front = most recent
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   ResultCacheStats stats_;
 };

@@ -171,13 +171,16 @@ class JsonParser {
       : text_(text), options_(options) {}
 
   Result<Json> Parse() {
-    Json value;
-    JURY_RETURN_NOT_OK(ParseValue(0, &value));
+    // Parsing into the result it returns, rather than into a local `Json`
+    // moved into `Result<Json>(T)`, keeps GCC 12 from flagging the
+    // variant move as -Wmaybe-uninitialized.
+    Result<Json> result = Json();
+    JURY_RETURN_NOT_OK(ParseValue(0, &*result));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Fail("trailing characters after JSON document");
     }
-    return value;
+    return result;
   }
 
  private:

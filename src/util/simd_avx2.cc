@@ -51,53 +51,41 @@ void FusedStepAvx2(double a, double b, const double* p, double* acc,
 }
 
 // ---------------------------------------------------------------------------
-// convolve_mass: per candidate, the canonical 8-chain interleaved mass
-// (see simd_kernels_inl.h) with the eight chains in two 4-lane
-// accumulators — two contiguous unaligned loads per 4 keys, no gathers. The batch stages
-// f once into a zero-padded scratch buffer so the per-key bounds checks
-// vanish (out-of-range keys read an exact 0.0, which is what the generic
-// body's checks return), and the loop tail runs the shared scalar chain
-// code — so every candidate reproduces the scalar kernel bit for bit.
+// convolve_mass: per candidate, the canonical four-chain interleaved mass
+// (see simd_kernels_inl.h) with the four chains in one 4-lane accumulator
+// — two contiguous unaligned loads per 4 positive slots, no gathers. The
+// batch stages f once into a zero-padded scratch buffer so the per-slot
+// bounds checks vanish (out-of-range slots read an exact 0.0, which is
+// what the generic body's checks return), and the loop tail runs the
+// shared scalar chain code — so every candidate reproduces the scalar
+// kernel bit for bit.
 // ---------------------------------------------------------------------------
 
-/// Vector body of `ConvolveMassOnePadded`: the canonical eight chains as
-/// two 4-lane accumulators, 8 keys per step.
+/// Vector body of `ConvolveMassOnePadded`: lane r carries chain r.
 double ConvolveMassOneAvx2(const double* center, std::int64_t s,
                            std::int64_t b, double q) {
   const double omq = 1.0 - q;
-  const std::int64_t n = s + b;  // keys 1..n carry mass
-  const double* lo = center + 1 - b;
-  const double* hi = center + 1 + b;
+  const std::int64_t ns = s + b;
+  const std::int64_t first = internal::FirstPositiveSlot(ns);
+  const std::int64_t n = ns + 1 - first;  // positive slots
+  const double* lo = center + first - b;
+  const double* hi = center + first;
   const __m256d vq = _mm256_set1_pd(q);
   const __m256d vomq = _mm256_set1_pd(omq);
-  __m256d vacc_a = _mm256_setzero_pd();  // chains 0..3
-  __m256d vacc_b = _mm256_setzero_pd();  // chains 4..7
-  std::int64_t k = 0;
-  const auto step = [&](std::int64_t at) {
-    const __m256d t1a = _mm256_mul_pd(_mm256_loadu_pd(lo + at), vq);
-    const __m256d t2a = _mm256_mul_pd(_mm256_loadu_pd(hi + at), vomq);
-    vacc_a = _mm256_add_pd(vacc_a, _mm256_add_pd(t1a, t2a));
-    const __m256d t1b = _mm256_mul_pd(_mm256_loadu_pd(lo + at + 4), vq);
-    const __m256d t2b = _mm256_mul_pd(_mm256_loadu_pd(hi + at + 4), vomq);
-    vacc_b = _mm256_add_pd(vacc_b, _mm256_add_pd(t1b, t2b));
-  };
-  // Two canonical 8-key steps per iteration: chain k&7 assignments are
-  // unchanged, the unroll only widens the scheduling window.
-  for (; k + 16 <= n; k += 16) {
-    step(k);
-    step(k + 8);
-  }
-  for (; k + 8 <= n; k += 8) {
-    step(k);
+  __m256d vacc = _mm256_setzero_pd();
+  std::int64_t m = 0;
+  for (; m + 4 <= n; m += 4) {
+    const __m256d t1 = _mm256_mul_pd(_mm256_loadu_pd(lo + m), vq);
+    const __m256d t2 = _mm256_mul_pd(_mm256_loadu_pd(hi + m), vomq);
+    vacc = _mm256_add_pd(vacc, _mm256_add_pd(t1, t2));
   }
   alignas(32) double chains[internal::kMassChains];
-  _mm256_store_pd(chains, vacc_a);
-  _mm256_store_pd(chains + 4, vacc_b);
-  for (; k < n; ++k) {
-    chains[k & 7] += lo[k] * q + hi[k] * omq;
+  _mm256_store_pd(chains, vacc);
+  for (; m < n; ++m) {
+    chains[m & 3] += lo[m] * q + hi[m] * omq;
   }
-  const double g0 = center[-b] * q + center[b] * omq;
-  return 0.5 * g0 + internal::CombineMassChains(chains);
+  return internal::ConvolvedHalfZero(center, ns, b, q) +
+         internal::CombineMassChains(chains);
 }
 
 void ConvolveMassAvx2(const double* f, std::int64_t span,
@@ -110,55 +98,54 @@ void ConvolveMassAvx2(const double* f, std::int64_t span,
 // ---------------------------------------------------------------------------
 // deconvolve_mass: per candidate, the backward recurrence of
 // `DeconvolveMassOneRow` in descending 4-lane blocks — legal whenever
-// 2b >= 4, because an entry only depends on the entry 2b above it, so a
-// block never reads its own writes; each lane runs the identical
-// sub/mul/div sequence the scalar body runs on that element. The mass
-// sweep is the canonical eight chains as two 4-lane accumulators (the
-// structure of `ConvolveMassOneAvx2`, minus the convolution terms).
-// Narrower buckets (b == 1) fall back to the shared scalar body.
+// b >= 4, because a slot only depends on the slot b above it, so a block
+// never reads its own writes; each lane runs the identical sub/mul/div
+// sequence the scalar body runs on that slot. The mass sweep is the
+// canonical four chains in one 4-lane accumulator (the structure of
+// `ConvolveMassOneAvx2`, minus the convolution terms). Narrower buckets
+// (b < 4) fall back to the shared scalar body.
 // ---------------------------------------------------------------------------
 
-/// `internal::CommittedMass` with the eight chains in two 4-lane
-/// accumulators: chain r still takes keys with (key - 1) % 8 == r in
+/// `internal::CommittedMass` with the four chains in one 4-lane
+/// accumulator: lane r still takes the positive slots with m % 4 == r in
 /// ascending order, and the chains combine in the canonical scalar order.
 double MassSweepAvx2(const double* row, std::int64_t ns) {
-  const double* g1 = row + ns + 1;  // key 1
-  __m256d vacc_a = _mm256_setzero_pd();  // chains 0..3
-  __m256d vacc_b = _mm256_setzero_pd();  // chains 4..7
-  std::int64_t k = 0;
-  for (; k + 8 <= ns; k += 8) {
-    vacc_a = _mm256_add_pd(vacc_a, _mm256_loadu_pd(g1 + k));
-    vacc_b = _mm256_add_pd(vacc_b, _mm256_loadu_pd(g1 + k + 4));
+  const std::int64_t first = internal::FirstPositiveSlot(ns);
+  const double* pos = row + first;
+  const std::int64_t n = ns + 1 - first;  // positive slots
+  __m256d vacc = _mm256_setzero_pd();
+  std::int64_t m = 0;
+  for (; m + 4 <= n; m += 4) {
+    vacc = _mm256_add_pd(vacc, _mm256_loadu_pd(pos + m));
   }
   alignas(32) double chains[internal::kMassChains];
-  _mm256_store_pd(chains, vacc_a);
-  _mm256_store_pd(chains + 4, vacc_b);
-  for (; k < ns; ++k) chains[k & 7] += g1[k];
-  return 0.5 * row[static_cast<std::size_t>(ns)] +
-         internal::CombineMassChains(chains);
+  _mm256_store_pd(chains, vacc);
+  for (; m < n; ++m) chains[m & 3] += pos[m];
+  return internal::HalfZeroKey(row, ns) + internal::CombineMassChains(chains);
 }
 
-/// Vector body of `DeconvolveMassOneRow`: same row geometry (driver-zeroed
-/// top-2b pad), descending 4-lane blocks when 2b >= 4.
+/// Vector body of `DeconvolveMassOneRow`: same row geometry (top-b pad
+/// zeroed by the batch), descending 4-lane blocks when b >= 4.
 double DeconvolveMassOneAvx2(const double* f, std::int64_t s, std::int64_t b,
                              double q, double* row) {
   const double omq = 1.0 - q;
   const std::int64_t ns = s - b;
-  std::int64_t idx = 2 * ns;
-  if (2 * b >= static_cast<std::int64_t>(kLanes)) {
+  constexpr std::int64_t kWidth = static_cast<std::int64_t>(kLanes);
+  std::int64_t i = ns;
+  if (b >= kWidth) {
     const __m256d vq = _mm256_set1_pd(q);
     const __m256d vomq = _mm256_set1_pd(omq);
-    for (; idx + 1 >= static_cast<std::int64_t>(kLanes); idx -= kLanes) {
-      const std::int64_t lo = idx - static_cast<std::int64_t>(kLanes) + 1;
-      const __m256d vf = _mm256_loadu_pd(f + lo + 2 * b);
-      const __m256d vr = _mm256_loadu_pd(row + lo + 2 * b);
+    for (; i + 1 >= kWidth; i -= kWidth) {
+      const std::int64_t lo = i - kWidth + 1;
+      const __m256d vf = _mm256_loadu_pd(f + lo + b);
+      const __m256d vr = _mm256_loadu_pd(row + lo + b);
       _mm256_storeu_pd(
           row + lo,
           _mm256_div_pd(_mm256_sub_pd(vf, _mm256_mul_pd(vomq, vr)), vq));
     }
   }
-  for (; idx >= 0; --idx) {
-    row[idx] = (f[idx + 2 * b] - omq * row[idx + 2 * b]) / q;
+  for (; i >= 0; --i) {
+    row[i] = (f[i + b] - omq * row[i + b]) / q;
   }
   return MassSweepAvx2(row, ns);
 }

@@ -43,11 +43,13 @@ enum class Level : int {
 ///    adjacent committed pmf entries hoisted to scalars, `p` the candidate
 ///    probabilities, `acc` the per-candidate cumulative accumulators.
 ///  * `convolve_mass(f, span, bs, qs, count, out)` —
-///    for each candidate `(bs[j] >= 0, qs[j])` against the dense key pmf
-///    `f` (indexed key + span), `out[j]` = the positive mass
-///    `0.5 * g[0] + sum_{key >= 1} g[key]` of
-///    `g[key] = f[key - b] * q + f[key + b] * (1 - q)` (out-of-range reads
-///    as zero), accumulated in ascending key order — exactly
+///    for each candidate `(bs[j] >= 0, qs[j])` against the parity-compact
+///    key pmf `f` (span + 1 slots, slot i holding key 2i - span; see
+///    `BucketKeyDistribution`), `out[j]` = the positive mass
+///    `0.5 * g[key 0] + sum_{key >= 1} g[key]` of the span + b
+///    convolution `g[i] = f[i - b] * q + f[i] * (1 - q)` (slots outside
+///    [0, span] read as zero), accumulated in the canonical four-chain
+///    order of util/simd_kernels_inl.h — exactly
 ///    `{copy; copy.Convolve(b, q); copy.PositiveMass()}` on a
 ///    `BucketKeyDistribution`, term for term. `b == 0` candidates return
 ///    the committed mass verbatim.
@@ -66,17 +68,17 @@ enum class Level : int {
 ///  * `deconvolve_mass(f, span, bs, qs, count, out)` —
 ///    the remove-side twin of `convolve_mass`: for each candidate
 ///    `(bs[j], qs[j])` with `0 <= bs[j] <= span` and, for `bs[j] >= 1`,
-///    `qs[j] in [0.5, 1]`, `out[j]` = the positive mass of the dense key
-///    pmf `f` (2 * span + 1 entries, indexed key + span) with that
-///    worker deconvolved out — exactly `{copy; copy.Deconvolve(b, q);
+///    `qs[j] in [0.5, 1]`, `out[j]` = the positive mass of the
+///    parity-compact key pmf `f` (span + 1 slots) with that worker
+///    deconvolved out — exactly `{copy; copy.Deconvolve(b, q);
 ///    copy.PositiveMass()}` on a `BucketKeyDistribution`: the same
-///    backward recurrence `g[j] = (f[j+b] - (1-q) g[j+2b]) / q` from the
-///    top key down, then the canonical interleaved mass sweep over the
-///    shrunk span. `b == 0` candidates return the committed mass
-///    verbatim. The vector paths spread the recurrence across descending
-///    lane-width blocks — legal because entries 2b apart are the only
-///    dependence, so a block never reads its own writes once
-///    2b >= lane width; narrower buckets run the shared scalar body.
+///    backward recurrence `g[i] = (f[i+b] - (1-q) g[i+b]) / q` over the
+///    span - b + 1 result slots from the top down, then the canonical
+///    mass sweep over the shrunk span. `b == 0` candidates return the
+///    committed mass verbatim. The vector paths spread the recurrence
+///    across descending lane-width blocks — legal because slots b apart
+///    are the only dependence, so a block never reads its own writes
+///    once b >= lane width; narrower buckets run the shared scalar body.
 ///  * `hash_lanes(data, num_strides, lanes)` —
 ///    the pool-snapshot checksum inner loop: for each 64-byte stride `s`
 ///    of `data` and each lane `l in [0, 8)`,

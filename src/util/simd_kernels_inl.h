@@ -17,74 +17,100 @@
 
 namespace jury::simd::internal {
 
-// The canonical positive-mass accumulation order: 0.5 * g[0] plus EIGHT
-// interleaved partial sums over g[1..ns] (chain r takes the keys with
-// (key - 1) % 8 == r), combined pairwise as
-// ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)). Every mass consumer —
+// The key pmf stores one slot per live key: after folding buckets that sum
+// to the span s, every reachable key has the parity of s, so slot i holds
+// key 2i - s (s + 1 slots for keys [-s, s]). Positive keys are slots
+// floor(s/2) + 1 .. s; key 0 is slot s/2 when s is even and is not stored
+// when s is odd.
+//
+// The canonical positive-mass accumulation order: 0.5 * g[key 0] plus FOUR
+// interleaved partial sums over the positive slots (chain r takes the m-th
+// positive slot, m = 0, 1, ..., when m % 4 == r), combined as
+// (c0 + c1) + (c2 + c3). Every mass consumer —
 // `BucketKeyDistribution::PositiveMass`, the fused convolve/deconvolve
-// folds, and both kernel tables — uses exactly this order. Eight chains
-// break the loop-carried add-latency bound (one add per key) that a
-// single running sum imposes, letting the scalar build's autovectorizer
-// and the AVX2 kernel (two 4-lane accumulators, contiguous loads, one
-// independent IEEE chain per lane) both run at load/ALU throughput —
-// while every level still matches the scalar reference bit for bit. The
-// order is a fixed property of the contract, not of the dispatch level.
-inline constexpr std::size_t kMassChains = 8;
+// folds, and both kernel tables — uses exactly this order; the AVX2
+// kernels carry the four chains in one 4-lane accumulator, so every level
+// matches the scalar reference bit for bit.
+//
+// This is the historical eight-chain order over all 2s + 1 keys (chain
+// (key - 1) % 8, combined ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))) with its
+// all-zero chains dropped. Positive keys of the live parity fill chains
+// {0, 2, 4, 6} when s is odd and {1, 3, 5, 7} when s is even, in the
+// same ascending order as chains 0..3 here; the other four chains only
+// ever add the off-parity keys' exact +0.0. A chain starts at +0.0 and is
+// never -0.0, so ((a + 0) + (b + 0)) == a + b, and the odd-span key-0 term
+// 0.5 * (+0.0) adds nothing either: the masses keep their bits.
+inline constexpr std::size_t kMassChains = 4;
 
-/// Combines the eight chain sums in the canonical pairwise order.
-inline double CombineMassChains(const double* s) {
-  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+/// Combines the four chain sums in the canonical order.
+inline double CombineMassChains(const double* c) {
+  return (c[0] + c[1]) + (c[2] + c[3]);
 }
 
-/// Positive mass of the committed key pmf `f` (indexed key + span):
+/// Slot of the smallest positive key of a span-`s` pmf.
+inline std::int64_t FirstPositiveSlot(std::int64_t s) { return s / 2 + 1; }
+
+/// `0.5 * f[key 0]` of a span-`s` pmf; 0.0 when key 0 is off the live
+/// parity (s odd), where the all-key layout held an exact +0.0.
+inline double HalfZeroKey(const double* f, std::int64_t s) {
+  return s % 2 == 0 ? 0.5 * f[s / 2] : 0.0;
+}
+
+/// Positive mass of the committed key pmf `f` (span s, s + 1 slots):
 /// `BucketKeyDistribution::PositiveMass` verbatim.
 inline double CommittedMass(const double* f, std::int64_t s) {
-  const double* g1 = f + s + 1;  // key 1
-  double ch[kMassChains] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  std::int64_t k = 0;
-  for (; k + 8 <= s; k += 8) {
-    ch[0] += g1[k];
-    ch[1] += g1[k + 1];
-    ch[2] += g1[k + 2];
-    ch[3] += g1[k + 3];
-    ch[4] += g1[k + 4];
-    ch[5] += g1[k + 5];
-    ch[6] += g1[k + 6];
-    ch[7] += g1[k + 7];
+  const std::int64_t first = FirstPositiveSlot(s);
+  const double* pos = f + first;
+  const std::int64_t n = s + 1 - first;  // positive slots
+  double ch[kMassChains] = {0.0, 0.0, 0.0, 0.0};
+  std::int64_t m = 0;
+  for (; m + 4 <= n; m += 4) {
+    ch[0] += pos[m];
+    ch[1] += pos[m + 1];
+    ch[2] += pos[m + 2];
+    ch[3] += pos[m + 3];
   }
-  for (; k < s; ++k) ch[k & 7] += g1[k];
-  return 0.5 * f[static_cast<std::size_t>(s)] + CombineMassChains(ch);
+  for (; m < n; ++m) ch[m & 3] += pos[m];
+  return HalfZeroKey(f, s) + CombineMassChains(ch);
+}
+
+/// `0.5 * g[key 0]` of the convolution of span `ns` = s + b, where
+/// g[i] = center[i - b] * q + center[i] * (1 - q); 0.0 when key 0 is off
+/// the live parity (ns odd).
+inline double ConvolvedHalfZero(const double* center, std::int64_t ns,
+                                std::int64_t b, double q) {
+  if (ns % 2 != 0) return 0.0;
+  const std::int64_t z = ns / 2;
+  return 0.5 * (center[z - b] * q + center[z] * (1.0 - q));
 }
 
 /// One candidate of `convolve_mass` over a *zero-padded* pmf: `center`
-/// points at key 0 of a buffer where every index in [-(b), s + 2b] is
-/// readable (committed entries inside [-s, s], exact 0.0 outside — the
-/// padding stands in for the scalar bounds checks; adding a zero term is
-/// bit-neutral for the masses involved). Computes the positive mass of
-/// the convolution with {+b: q, -b: 1-q},
-///   g[key] = center[key - b] * q + center[key + b] * (1 - q),
-/// in the canonical interleaved order. Requires `b >= 1`.
+/// points at slot 0 of a buffer where every slot in [-b, s + b] is
+/// readable (committed slots inside [0, s], exact 0.0 outside — the
+/// padding stands in for the bounds checks; adding a zero term is
+/// bit-neutral for the masses involved). The convolution with
+/// {+b: q, -b: 1-q} has span ns = s + b and slots
+///   g[i] = center[i - b] * q + center[i] * (1 - q),
+/// and this returns its positive mass in the canonical order. Requires
+/// `b >= 1`.
 inline double ConvolveMassOnePadded(const double* center, std::int64_t s,
                                     std::int64_t b, double q) {
   const double omq = 1.0 - q;
-  const std::int64_t n = s + b;  // keys 1..n carry mass
-  const double* lo = center + 1 - b;
-  const double* hi = center + 1 + b;
-  double ch[kMassChains] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  std::int64_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    ch[0] += lo[k] * q + hi[k] * omq;
-    ch[1] += lo[k + 1] * q + hi[k + 1] * omq;
-    ch[2] += lo[k + 2] * q + hi[k + 2] * omq;
-    ch[3] += lo[k + 3] * q + hi[k + 3] * omq;
-    ch[4] += lo[k + 4] * q + hi[k + 4] * omq;
-    ch[5] += lo[k + 5] * q + hi[k + 5] * omq;
-    ch[6] += lo[k + 6] * q + hi[k + 6] * omq;
-    ch[7] += lo[k + 7] * q + hi[k + 7] * omq;
+  const std::int64_t ns = s + b;
+  const std::int64_t first = FirstPositiveSlot(ns);
+  const std::int64_t n = ns + 1 - first;  // positive slots
+  const double* lo = center + first - b;
+  const double* hi = center + first;
+  double ch[kMassChains] = {0.0, 0.0, 0.0, 0.0};
+  std::int64_t m = 0;
+  for (; m + 4 <= n; m += 4) {
+    ch[0] += lo[m] * q + hi[m] * omq;
+    ch[1] += lo[m + 1] * q + hi[m + 1] * omq;
+    ch[2] += lo[m + 2] * q + hi[m + 2] * omq;
+    ch[3] += lo[m + 3] * q + hi[m + 3] * omq;
   }
-  for (; k < n; ++k) ch[k & 7] += lo[k] * q + hi[k] * omq;
-  const double g0 = center[-b] * q + center[b] * omq;
-  return 0.5 * g0 + CombineMassChains(ch);
+  for (; m < n; ++m) ch[m & 3] += lo[m] * q + hi[m] * omq;
+  return ConvolvedHalfZero(center, ns, b, q) + CombineMassChains(ch);
 }
 
 /// Bounds-checked variant for candidates whose bucket is too large to pad
@@ -94,28 +120,29 @@ inline double ConvolveMassOnePadded(const double* center, std::int64_t s,
 inline double ConvolveMassOneGeneric(const double* f, std::int64_t s,
                                      std::int64_t b, double q) {
   const double omq = 1.0 - q;
-  const std::int64_t n = s + b;
-  const auto at = [&](std::int64_t key) {
-    return (key >= -s && key <= s) ? f[static_cast<std::size_t>(key + s)]
-                                   : 0.0;
+  const std::int64_t ns = s + b;
+  const std::int64_t first = FirstPositiveSlot(ns);
+  const auto at = [&](std::int64_t slot) {
+    return (slot >= 0 && slot <= s) ? f[static_cast<std::size_t>(slot)]
+                                    : 0.0;
   };
-  double ch[kMassChains] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  for (std::int64_t k = 0; k < n; ++k) {
-    const std::int64_t key = k + 1;
-    ch[k & 7] += at(key - b) * q + at(key + b) * omq;
+  double ch[kMassChains] = {0.0, 0.0, 0.0, 0.0};
+  for (std::int64_t i = first; i <= ns; ++i) {
+    ch[(i - first) & 3] += at(i - b) * q + at(i) * omq;
   }
-  const double g0 = at(-b) * q + at(b) * omq;
-  return 0.5 * g0 + CombineMassChains(ch);
+  const double half_zero =
+      ns % 2 == 0 ? 0.5 * (at(ns / 2 - b) * q + at(ns / 2) * omq) : 0.0;
+  return half_zero + CombineMassChains(ch);
 }
 
 /// Shared batch driver for the `convolve_mass` kernels: computes the
 /// padding cap, stages `f` once into a zero-padded thread-local buffer
-/// (indices the candidate bodies can form span [-max_b, s + 2 max_b]
-/// around key 0), resolves b == 0 candidates to the lazily-computed
-/// committed mass and over-cap candidates to the bounds-checked generic
-/// body, and routes the rest through `body(center, s, b, q)` — the only
-/// piece that differs between dispatch levels. Keeping the geometry in
-/// one place is what keeps the levels' bit-identity structural.
+/// (the candidate bodies read slots [-max_b, s + max_b]), resolves b == 0
+/// candidates to the lazily-computed committed mass and over-cap
+/// candidates to the bounds-checked generic body, and routes the rest
+/// through `body(center, s, b, q)` — the only piece that differs between
+/// dispatch levels. Keeping the geometry in one place is what keeps the
+/// levels' bit-identity structural.
 template <typename PerCandidate>
 inline void ConvolveMassBatch(const double* f, std::int64_t span,
                               const std::int64_t* bs, const double* qs,
@@ -132,12 +159,11 @@ inline void ConvolveMassBatch(const double* f, std::int64_t span,
   static thread_local std::vector<double> padded;
   const double* center = nullptr;
   if (max_b > 0) {
-    const std::size_t lo_pad = static_cast<std::size_t>(max_b);
-    const std::size_t hi_pad = static_cast<std::size_t>(2 * max_b);
-    const std::size_t committed_len = static_cast<std::size_t>(2 * s + 1);
-    padded.assign(lo_pad + committed_len + hi_pad, 0.0);
-    std::copy(f, f + committed_len, padded.data() + lo_pad);
-    center = padded.data() + lo_pad + static_cast<std::size_t>(s);
+    const std::size_t pad = static_cast<std::size_t>(max_b);
+    const std::size_t committed_len = static_cast<std::size_t>(s + 1);
+    padded.assign(pad + committed_len + pad, 0.0);
+    std::copy(f, f + committed_len, padded.data() + pad);
+    center = padded.data() + pad;
   }
   bool have_committed = false;
   double committed_mass = 0.0;  // lazy: only b == 0 candidates need it
@@ -160,45 +186,45 @@ inline void ConvolveMassBatch(const double* f, std::int64_t span,
 
 /// One candidate of `deconvolve_mass` over a zero-padded row buffer:
 /// removes the worker `(b >= 1, q in [0.5, 1])` from the committed key pmf
-/// `f` (2s + 1 entries) by the backward recurrence of
+/// `f` (span s, s + 1 slots) by the backward recurrence of
 /// `BucketKeyDistribution::Deconvolve` and returns the positive mass of
-/// the shrunk (span s - b) result — `{copy; copy.Deconvolve(b, q);
+/// the shrunk (span ns = s - b) result — `{copy; copy.Deconvolve(b, q);
 /// copy.PositiveMass()}` bit for bit.
 ///
-/// `row` must hold 2s + 1 entries with the top 2b zeroed by the driver.
-/// In 0-based indices (idx = j + ns, ns = s - b) the recurrence reads
-///   row[idx] = (f[idx + 2b] - (1 - q) * row[idx + 2b]) / q
-/// descending from idx = 2ns: the `above` term of the bounds-checked
-/// original lands in the zeroed pad whenever idx + 2b > 2ns, and
-/// subtracting `(1 - q) * 0.0` is the exact arithmetic the branch's
-/// `above = 0.0` produces — the padding replaces the branch bit-neutrally.
-/// Entries exactly 2b apart are the row's only dependence, which is what
-/// lets the vector bodies run descending lane-width blocks (legal once
-/// 2b >= lane width) over the very same element arithmetic.
+/// `row` must hold s + 1 slots with the top b (slots ns + 1 .. s) zeroed
+/// by `DeconvolveMassBatch`. The recurrence reads
+///   row[i] = (f[i + b] - (1 - q) * row[i + b]) / q
+/// descending from i = ns: for the top b slots `row[i + b]` is the zeroed
+/// pad, and subtracting `(1 - q) * 0.0` is an exact identity, so these
+/// slots equal `Deconvolve`'s `f[i + b] / q` and the pad replaces its
+/// split loop bit-neutrally. Slots exactly b apart are the row's only
+/// dependence, which is what lets the vector bodies run descending
+/// lane-width blocks (legal once b >= lane width) over the very same
+/// element arithmetic.
 inline double DeconvolveMassOneRow(const double* f, std::int64_t s,
                                    std::int64_t b, double q, double* row) {
   const double omq = 1.0 - q;
   const std::int64_t ns = s - b;
-  for (std::int64_t idx = 2 * ns; idx >= 0; --idx) {
-    row[idx] = (f[idx + 2 * b] - omq * row[idx + 2 * b]) / q;
+  for (std::int64_t i = ns; i >= 0; --i) {
+    row[i] = (f[i + b] - omq * row[i + b]) / q;
   }
   return CommittedMass(row, ns);
 }
 
 /// Shared batch driver for the `deconvolve_mass` kernels: stages one
-/// thread-local row buffer of fixed length 2 span + 1, zeroes each
-/// candidate's top-2b pad, resolves b == 0 candidates to the
-/// lazily-computed committed mass (Deconvolve(0, q) is an exact no-op),
-/// and routes the rest through `body(f, s, b, q, row)` — the only piece
-/// that differs between dispatch levels. Candidates must satisfy
-/// `0 <= bs[j] <= span` (checked by the `BucketKeyDistribution` wrappers).
+/// thread-local row buffer of span + 1 slots, zeroes each candidate's
+/// top-b pad, resolves b == 0 candidates to the lazily-computed committed
+/// mass (Deconvolve(0, q) is an exact no-op), and routes the rest through
+/// `body(f, s, b, q, row)` — the only piece that differs between dispatch
+/// levels. Candidates must satisfy `0 <= bs[j] <= span` (checked by the
+/// `BucketKeyDistribution` wrappers).
 template <typename PerCandidate>
 inline void DeconvolveMassBatch(const double* f, std::int64_t span,
                                 const std::int64_t* bs, const double* qs,
                                 std::size_t count, double* out,
                                 const PerCandidate& body) {
   static thread_local std::vector<double> row;
-  row.resize(static_cast<std::size_t>(2 * span + 1));
+  row.resize(static_cast<std::size_t>(span + 1));
   bool have_committed = false;
   double committed_mass = 0.0;  // lazy: only b == 0 candidates need it
   for (std::size_t j = 0; j < count; ++j) {
@@ -212,7 +238,7 @@ inline void DeconvolveMassBatch(const double* f, std::int64_t span,
       continue;
     }
     const std::int64_t ns = span - b;
-    std::fill(row.data() + 2 * ns + 1, row.data() + 2 * span + 1, 0.0);
+    std::fill(row.data() + ns + 1, row.data() + span + 1, 0.0);
     out[j] = body(f, span, b, qs[j], row.data());
   }
 }

@@ -17,6 +17,7 @@
 #include "test_util.h"
 #include "util/math.h"
 #include "util/rng.h"
+#include "util/simd_dispatch.h"
 
 namespace jury {
 namespace {
@@ -601,6 +602,218 @@ TEST(BucketKeyDistributionBatchTest, FusedMassMatchesCopyConvolveSweep) {
           << "committed=" << committed << " j=" << j << " b=" << bs[j];
     }
   }
+}
+
+/// An all-key key distribution, as a bit-level reference: 2*span+1
+/// entries indexed key + span, a zero-fill scatter `Convolve`, a branchy
+/// `Deconvolve` and an eight-chain positive mass. The parity-compact
+/// `BucketKeyDistribution` must reproduce every mass of it bit for bit.
+class FullKeyReference {
+ public:
+  std::int64_t span() const { return span_; }
+
+  void Convolve(std::int64_t b, double q) {
+    if (b == 0) return;
+    const std::int64_t new_span = span_ + b;
+    scratch_.assign(static_cast<std::size_t>(2 * new_span + 1), 0.0);
+    for (std::int64_t key = -span_; key <= span_; ++key) {
+      const double prob = pmf_[static_cast<std::size_t>(key + span_)];
+      if (prob == 0.0) continue;
+      scratch_[static_cast<std::size_t>(key + b + new_span)] += prob * q;
+      scratch_[static_cast<std::size_t>(key - b + new_span)] +=
+          prob * (1.0 - q);
+    }
+    pmf_.swap(scratch_);
+    span_ = new_span;
+  }
+
+  void Deconvolve(std::int64_t b, double q) {
+    if (b == 0) return;
+    const std::int64_t ns = span_ - b;
+    scratch_.resize(static_cast<std::size_t>(2 * ns + 1));
+    for (std::int64_t j = ns; j >= -ns; --j) {
+      const double above =
+          (j + 2 * b <= ns)
+              ? scratch_[static_cast<std::size_t>(j + 2 * b + ns)]
+              : 0.0;
+      scratch_[static_cast<std::size_t>(j + ns)] =
+          (pmf_[static_cast<std::size_t>(j + b + span_)] -
+           (1.0 - q) * above) /
+          q;
+    }
+    pmf_.swap(scratch_);
+    span_ = ns;
+  }
+
+  /// 0.5 * f[key 0] plus eight chains over keys 1..span (chain
+  /// (key - 1) % 8), combined ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)).
+  double PositiveMass() const {
+    const std::int64_t s = span_;
+    const double* g1 = pmf_.data() + s + 1;
+    double ch[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    std::int64_t k = 0;
+    for (; k + 8 <= s; k += 8) {
+      for (int r = 0; r < 8; ++r) ch[r] += g1[k + r];
+    }
+    for (; k < s; ++k) ch[k & 7] += g1[k];
+    return 0.5 * pmf_[static_cast<std::size_t>(s)] +
+           (((ch[0] + ch[1]) + (ch[2] + ch[3])) +
+            ((ch[4] + ch[5]) + (ch[6] + ch[7])));
+  }
+
+  double ConvolvedMass(std::int64_t b, double q) const {
+    FullKeyReference copy = *this;
+    copy.Convolve(b, q);
+    return copy.PositiveMass();
+  }
+
+  double DeconvolvedMass(std::int64_t b, double q) const {
+    FullKeyReference copy = *this;
+    copy.Deconvolve(b, q);
+    return copy.PositiveMass();
+  }
+
+ private:
+  std::vector<double> pmf_{1.0};
+  std::vector<double> scratch_;
+  std::int64_t span_ = 0;
+};
+
+struct FoldedWorker {
+  std::int64_t bucket = 0;
+  double quality = 0.5;
+};
+
+/// Normalized qualities with both edges of [0.5, 1] weighted in.
+double ReferenceQuality(Rng& rng) {
+  switch (rng.UniformInt(4)) {
+    case 0:
+      return 0.5;
+    case 1:
+      return 1.0;
+    default:
+      return rng.Uniform(0.5, 1.0);
+  }
+}
+
+/// Asserts the committed mass and every fused add/remove candidate mass
+/// equal the full-key reference bit for bit at each level in `levels`.
+void ExpectMatchesFullKey(const BucketKeyDistribution& dist,
+                          const FullKeyReference& ref,
+                          const std::vector<FoldedWorker>& folded,
+                          const std::vector<simd::Level>& levels, Rng& rng) {
+  ASSERT_EQ(dist.span(), ref.span());
+  const std::int64_t s = ref.span();
+  // Add candidates: the no-op, the sub-block buckets, the span edges,
+  // the zero gap, ordinary buckets, and one past the padding cap.
+  std::vector<std::int64_t> bs = {0, 1, 2, 3, s, s + 1, s + 2,
+                                  s + 3 + static_cast<std::int64_t>(
+                                              rng.UniformInt(9)),
+                                  4 + static_cast<std::int64_t>(
+                                          rng.UniformInt(40)),
+                                  2 * s + 65 + static_cast<std::int64_t>(
+                                                   rng.UniformInt(7))};
+  std::vector<double> qs;
+  for (std::size_t j = 0; j < bs.size(); ++j) {
+    qs.push_back(ReferenceQuality(rng));
+  }
+  // Remove candidates: every folded worker plus the b == 0 no-op.
+  std::vector<std::int64_t> rbs = {0};
+  std::vector<double> rqs = {0.75};
+  for (const FoldedWorker& w : folded) {
+    rbs.push_back(w.bucket);
+    rqs.push_back(w.quality);
+  }
+  const std::uint64_t committed = Bits(ref.PositiveMass());
+  for (const simd::Level level : levels) {
+    ASSERT_TRUE(simd::SetLevel(level));
+    SCOPED_TRACE(::testing::Message() << simd::LevelName(level)
+                                      << " span=" << s);
+    EXPECT_EQ(Bits(dist.PositiveMass()), committed);
+    std::vector<double> out(bs.size());
+    dist.ConvolvePositiveMassBatch(bs.data(), qs.data(), bs.size(),
+                                   out.data());
+    for (std::size_t j = 0; j < bs.size(); ++j) {
+      EXPECT_EQ(Bits(out[j]), Bits(ref.ConvolvedMass(bs[j], qs[j])))
+          << "add b=" << bs[j] << " q=" << qs[j];
+    }
+    std::vector<double> rout(rbs.size());
+    dist.DeconvolvePositiveMassBatch(rbs.data(), rqs.data(), rbs.size(),
+                                     rout.data());
+    for (std::size_t j = 0; j < rbs.size(); ++j) {
+      EXPECT_EQ(Bits(rout[j]), Bits(ref.DeconvolvedMass(rbs[j], rqs[j])))
+          << "remove b=" << rbs[j] << " q=" << rqs[j];
+    }
+  }
+}
+
+TEST(BucketKeyDistributionTest, MatchesFullKeyScatterReference) {
+  // Seeded fold/removal sequences through the parity-compact distribution
+  // and the all-key reference: after every step the committed mass and
+  // every fused candidate mass must keep the historical bits at every
+  // available SIMD level. Folds mix b = 0, sub-block buckets 1..3, the
+  // span edges b = span and b = span + 1, the zero gap b > span + 1 and
+  // ordinary buckets, with q = 0.5 and q = 1 weighted in.
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  const simd::Level previous = simd::ActiveLevel();
+  Rng rng(6151);
+  int even_spans = 0;
+  int odd_spans = 0;
+  int gap_folds = 0;
+  int removals = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    BucketKeyDistribution dist;
+    FullKeyReference ref;
+    std::vector<FoldedWorker> folded;
+    for (int step = 0; step < 30; ++step) {
+      const std::int64_t s = ref.span();
+      if (!folded.empty() && rng.Bernoulli(0.3)) {
+        const std::size_t pick = rng.UniformInt(folded.size());
+        const FoldedWorker w = folded[pick];
+        folded.erase(folded.begin() + static_cast<std::ptrdiff_t>(pick));
+        dist.Deconvolve(w.bucket, w.quality);
+        ref.Deconvolve(w.bucket, w.quality);
+        ++removals;
+      } else {
+        std::int64_t b = 0;
+        switch (rng.UniformInt(6)) {
+          case 0:
+            b = static_cast<std::int64_t>(rng.UniformInt(4));  // 0..3
+            break;
+          case 1:
+            b = s < 60 ? s + static_cast<std::int64_t>(rng.UniformInt(2))
+                       : 1;  // span edges while the span is small
+            break;
+          case 2:
+            if (s < 60) {
+              b = s + 2 + static_cast<std::int64_t>(rng.UniformInt(9));
+              ++gap_folds;
+            } else {
+              b = 2;
+            }
+            break;
+          default:
+            b = 1 + static_cast<std::int64_t>(rng.UniformInt(40));
+            break;
+        }
+        const double q = ReferenceQuality(rng);
+        dist.Convolve(b, q);
+        ref.Convolve(b, q);
+        folded.push_back({b, q});
+      }
+      (ref.span() % 2 == 0 ? even_spans : odd_spans) += 1;
+      ExpectMatchesFullKey(dist, ref, folded, levels, rng);
+      if (::testing::Test::HasFailure()) break;
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  simd::SetLevel(previous);
+  if (::testing::Test::HasFailure()) return;
+  EXPECT_GT(even_spans, 50);
+  EXPECT_GT(odd_spans, 50);
+  EXPECT_GT(gap_folds, 10);
+  EXPECT_GT(removals, 50);
 }
 
 TEST(ApplyPriorTest, UninformativePriorIsIdentity) {

@@ -124,7 +124,7 @@ TEST(PoolSnapshotTest, EverySingleBitFlipIsRejected) {
   std::vector<std::byte> corrupted = bytes;
   for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
-      corrupted[byte] = bytes[byte] ^ std::byte{1u << bit};
+      corrupted[byte] = bytes[byte] ^ static_cast<std::byte>(1u << bit);
       auto result = PoolSnapshot::FromBytes(corrupted.data(), corrupted.size());
       EXPECT_FALSE(result.ok()) << "byte " << byte << " bit " << bit;
       corrupted[byte] = bytes[byte];

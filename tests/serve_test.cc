@@ -200,6 +200,43 @@ TEST(ResultCacheTest, LruEvictsOldest) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
+TEST(ResultCacheTest, OneShotMissesDoNotEvictHitEntries) {
+  // A stream of distinct inserts (all-distinct cold solves) cycles only
+  // the entries never hit; an entry with a hit outlives it. A plain LRU
+  // evicts "hot" on the fourth insert.
+  serve::ResultCache cache({.max_entries = 4});
+  cache.Insert(0, "hot", FakeReport("hot"));
+  api::SolveReport out;
+  ASSERT_TRUE(cache.Lookup(0, "hot", &out));
+  for (int i = 0; i < 10; ++i) {
+    cache.Insert(0, "cold" + std::to_string(i), FakeReport("cold"));
+  }
+  EXPECT_TRUE(cache.Lookup(0, "hot", &out));
+  EXPECT_TRUE(cache.Lookup(0, "cold9", &out));
+  EXPECT_FALSE(cache.Lookup(0, "cold6", &out));
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.stats().evictions, 7u);
+}
+
+TEST(ResultCacheTest, ProtectedSegmentHoldsHalfTheCapacity) {
+  // When every entry gets hit, the least recently hit one past half the
+  // capacity goes back on probation, so new entries still find room.
+  serve::ResultCache cache({.max_entries = 4});
+  api::SolveReport out;
+  for (const char* key : {"a", "b", "c"}) {
+    cache.Insert(0, key, FakeReport(key));
+    ASSERT_TRUE(cache.Lookup(0, key, &out));
+  }
+  cache.Insert(0, "d", FakeReport("d"));
+  cache.Insert(0, "e", FakeReport("e"));  // evicts "a", back on probation
+  EXPECT_FALSE(cache.Lookup(0, "a", &out));
+  EXPECT_TRUE(cache.Lookup(0, "b", &out));
+  EXPECT_TRUE(cache.Lookup(0, "c", &out));
+  EXPECT_TRUE(cache.Lookup(0, "d", &out));
+  EXPECT_TRUE(cache.Lookup(0, "e", &out));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
 TEST(ResultCacheTest, InvalidateBeforeDropsStaleEpochs) {
   serve::ResultCache cache({.max_entries = 8});
   cache.Insert(0, "a", FakeReport("a"));
