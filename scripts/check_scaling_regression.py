@@ -36,9 +36,12 @@ cutoff:
   * `snapshot` rows: `speedup_vs_csv` — planning from an mmap-ed
     snapshot must keep beating a CSV re-parse.
 
-Both ratios compare two code paths inside one process on one core, so
-unlike the thread-scaling gates they are NOT skipped for single-core
-baselines — a 1-core recorder measures them fine. A baseline row whose
+Both ratios compare two code paths inside one process on one core:
+bench_pool runs the frontier solve serially and pins the full scan to
+`num_threads = 1`, so a multi-core runner cannot inflate the full
+scan's side of the ratio. Unlike the thread-scaling gates they are
+therefore NOT skipped for single-core baselines — a 1-core recorder
+measures them fine. A baseline row whose
 `n` is missing from the fresh artifact is skipped with a notice rather
 than failed: JURY_BENCH_FAST runs legitimately drop the million-worker
 rows.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
+#include <span>
 
 #include "util/stats_registry.h"
 
@@ -17,44 +17,73 @@ StatsRegistry::Counter& g_exactness_proofs =
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTol = kScoreEquivalenceTol;
 
-enum class ShardState : unsigned char {
-  kSkipped,   // min_cost > max_cost: no eligible member at all
-  kSlate,     // slate prefix scanned; non-slate members may be pruned
-  kExpanded,  // every eligible member scanned
-};
-
 /// One scan's working set: scanned view indices ascending, scores aligned.
 struct ScanSet {
   std::vector<std::size_t> indices;
   std::vector<double> scores;
 };
 
-/// Batch-scores `fresh` (ascending) and merges it into `set`, keeping the
-/// ascending-index order.
+/// The exactness guard's witnesses, binned once per scan. `fences` holds
+/// the distinct fence keys of the slate-pruned shards, ascending (they
+/// are fixed once the slate pass ends). A scored candidate lands once, in
+/// the bin of the largest fence key <= its key; below every fence it
+/// witnesses nothing. Each bin keeps its minimum score.
+///
+/// A candidate witnesses fence key `fences[b]` (key >= it) exactly when
+/// it sits in bin b or above, so fence(s) — the minimum score over the
+/// scanned candidates with key >= s's fence key — is the running minimum
+/// of the bins from the top down to s's. `min` is exact and ignores the
+/// order it sees its inputs in (a zero's sign aside, which compares
+/// equal), so each fence, and with it each expansion decision, does not
+/// depend on the order candidates were scored or binned in.
+struct FenceBins {
+  std::vector<double> fences;
+  std::vector<double> min_score;  // +inf while a bin is empty
+
+  std::size_t BinOf(double fence_key) const {
+    return std::lower_bound(fences.begin(), fences.end(), fence_key) -
+           fences.begin();
+  }
+
+  void Add(double key, double score) {
+    const auto above = std::upper_bound(fences.begin(), fences.end(), key);
+    if (above == fences.begin()) return;
+    double& slot = min_score[above - fences.begin() - 1];
+    slot = std::min(slot, score);
+  }
+};
+
+/// Batch-scores `fresh` (ascending, disjoint from `set`), bins the new
+/// scores when `bins` is set, and merges them into `set` from the back in
+/// one linear pass, keeping the ascending-index order.
 void ScoreAndMerge(IncrementalJqEvaluator& session,
-                   std::vector<std::size_t> fresh, ScanSet* set) {
+                   std::span<const double> keys,
+                   const std::vector<std::size_t>& fresh, FenceBins* bins,
+                   ScanSet* set) {
   if (fresh.empty()) return;
   std::vector<double> fresh_scores(fresh.size());
   session.ScoreAddBatch(fresh.data(), fresh.size(), fresh_scores.data());
-  set->indices.insert(set->indices.end(), fresh.begin(), fresh.end());
-  set->scores.insert(set->scores.end(), fresh_scores.begin(),
-                     fresh_scores.end());
-  // Both halves are ascending; inplace_merge cannot carry the scores
-  // along, so sort a permutation instead (the sets are frontier-sized).
-  std::vector<std::size_t> perm(set->indices.size());
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  std::stable_sort(perm.begin(), perm.end(),
-                   [set](std::size_t a, std::size_t b) {
-                     return set->indices[a] < set->indices[b];
-                   });
-  std::vector<std::size_t> merged_idx(perm.size());
-  std::vector<double> merged_scores(perm.size());
-  for (std::size_t j = 0; j < perm.size(); ++j) {
-    merged_idx[j] = set->indices[perm[j]];
-    merged_scores[j] = set->scores[perm[j]];
+  if (bins != nullptr) {
+    for (std::size_t j = 0; j < fresh.size(); ++j) {
+      bins->Add(keys[fresh[j]], fresh_scores[j]);
+    }
   }
-  set->indices = std::move(merged_idx);
-  set->scores = std::move(merged_scores);
+  std::size_t i = set->indices.size();
+  std::size_t j = fresh.size();
+  set->indices.resize(i + j);
+  set->scores.resize(i + j);
+  while (j > 0) {
+    const std::size_t out = i + j - 1;
+    if (i > 0 && set->indices[i - 1] > fresh[j - 1]) {
+      --i;
+      set->indices[out] = set->indices[i];
+      set->scores[out] = set->scores[i];
+    } else {
+      --j;
+      set->indices[out] = fresh[j];
+      set->scores[out] = fresh_scores[j];
+    }
+  }
 }
 
 }  // namespace
@@ -72,55 +101,60 @@ FrontierScanResult FrontierScanAdds(IncrementalJqEvaluator& session,
   const std::size_t k = std::max<std::size_t>(1, options.k);
   if (stats != nullptr) stats->scans++;
 
-  std::vector<ShardState> state(num_shards, ShardState::kSlate);
-  // Upper bound on every pruned (eligible, unscanned) key of the shard;
-  // -inf once nothing is pruned.
-  std::vector<double> fence_key(num_shards, -kInf);
-
   // Exactly the affordability expression of the solvers' full scans
   // (`jury_cost + cost[i] > budget` excludes), so the eligible sets — and
   // therefore the bit-identity argument — match to the last rounding.
+  // Addition is monotone, so `jury_cost + min_cost > budget` implies
+  // every member of the shard fails it: such a shard is skipped whole.
   const auto eligible = [&](std::size_t i) {
     return !excluded[i] && !(jury_cost + cost[i] > budget);
   };
+  const auto skipped = [&](const ShardedWorkerPool::Shard& shard) {
+    return jury_cost + shard.min_cost > budget;
+  };
 
+  // A slate-pruned shard: its slate prefix is scanned and every member
+  // beyond it has key <= `fence_key` (the slate is key-descending).
+  struct Pruned {
+    std::size_t shard;
+    double fence_key;
+    std::size_t bin = 0;
+  };
+  std::vector<Pruned> pruned;
   ScanSet set;
   std::vector<std::size_t> fresh;
   for (std::size_t s = 0; s < num_shards; ++s) {
     const ShardedWorkerPool::Shard& shard = pool.shard(s);
-    // Addition is monotone, so `jury_cost + min_cost > budget` implies
-    // every member fails the affordability test above: skip the shard.
-    if (jury_cost + shard.min_cost > budget) {
-      state[s] = ShardState::kSkipped;
-      continue;
-    }
+    if (skipped(shard)) continue;
     const std::vector<std::size_t>& slate = pool.slate(shard, key);
     const std::size_t prefix = std::min(k, slate.size());
+    // Shards partition the index space in order, so sorting each shard's
+    // share sorts the whole batch.
+    const std::size_t first = fresh.size();
     for (std::size_t j = 0; j < prefix; ++j) {
       if (eligible(slate[j])) fresh.push_back(slate[j]);
     }
-    // Pruned members (beyond the scanned prefix) all have key <= the
-    // prefix's smallest key — the slate is key-descending.
-    fence_key[s] = prefix < shard.population() ? keys[slate[prefix - 1]]
-                                               : -kInf;
+    std::sort(fresh.begin() + first, fresh.end());
+    if (prefix < shard.population()) {
+      pruned.push_back({s, keys[slate[prefix - 1]]});
+    }
   }
-  std::sort(fresh.begin(), fresh.end());
-  ScoreAndMerge(session, std::move(fresh), &set);
 
   if (!options.exact) {
+    ScoreAndMerge(session, keys, fresh, nullptr, &set);
     // Lossy mode skips the guard — but "no eligible candidate" must stay
     // a truthful answer, so an empty slate scan still expands before the
     // caller concludes the round is over.
     if (set.indices.empty()) {
       std::vector<std::size_t> all;
       for (std::size_t s = 0; s < num_shards; ++s) {
-        if (state[s] == ShardState::kSkipped) continue;
         const ShardedWorkerPool::Shard& shard = pool.shard(s);
+        if (skipped(shard)) continue;
         for (std::size_t i = shard.begin; i < shard.end; ++i) {
           if (eligible(i)) all.push_back(i);
         }
       }
-      ScoreAndMerge(session, std::move(all), &set);
+      ScoreAndMerge(session, keys, all, nullptr, &set);
     }
     if (stats != nullptr) stats->candidates_scanned += set.indices.size();
     FrontierScanResult result;
@@ -130,93 +164,73 @@ FrontierScanResult FrontierScanAdds(IncrementalJqEvaluator& session,
     return result;
   }
 
+  FenceBins bins;
+  for (const Pruned& p : pruned) bins.fences.push_back(p.fence_key);
+  std::sort(bins.fences.begin(), bins.fences.end());
+  bins.fences.erase(std::unique(bins.fences.begin(), bins.fences.end()),
+                    bins.fences.end());
+  bins.min_score.assign(bins.fences.size(), kInf);
+  for (Pruned& p : pruned) p.bin = bins.BinOf(p.fence_key);
+  ScoreAndMerge(session, keys, fresh, &bins, &set);
+
   // Exact refinement: re-check every still-pruned shard against the
   // current scanned set; expand the ones the bound cannot fence; repeat.
   // Each pass expands at least one shard, so this terminates — in the
-  // worst case with the full scan itself.
-  std::vector<double> key_desc;
-  std::vector<double> prefix_min;
-  std::vector<std::size_t> order;
-  while (true) {
-    bool any_pruned = false;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      any_pruned |= state[s] == ShardState::kSlate && fence_key[s] > -kInf;
-    }
-    if (!any_pruned) break;
-
-    // fence(s): the tightest scanned witness for shard s — the minimum
-    // score over scanned candidates with key >= fence_key[s]. Sorting the
-    // scanned set key-descending turns each lookup into a binary search
-    // over a prefix-min array.
-    const std::size_t count = set.indices.size();
-    order.resize(count);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&set, keys](std::size_t a, std::size_t b) {
-                return keys[set.indices[a]] > keys[set.indices[b]];
-              });
-    key_desc.resize(count);
-    prefix_min.resize(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      key_desc[j] = keys[set.indices[order[j]]];
-      const double score = set.scores[order[j]];
-      prefix_min[j] = j == 0 ? score : std::min(prefix_min[j - 1], score);
+  // worst case with the full scan itself. One pass costs O(bins +
+  // scanned) for the fences and `rb_entry`, plus the expanded shards'
+  // rows and an O(log bins) binning of each new score.
+  std::vector<double> fence_of_bin(bins.fences.size());
+  std::vector<Pruned> still_pruned;
+  std::vector<std::size_t> seen;
+  std::vector<std::size_t> grow;
+  while (!pruned.empty()) {
+    double below = kInf;
+    for (std::size_t b = bins.fences.size(); b-- > 0;) {
+      below = std::min(below, bins.min_score[b]);
+      fence_of_bin[b] = below;
     }
 
     // rb_entry(s): the banded incumbent the scanned-only argmax holds on
-    // reaching the shard's first index.
-    std::vector<double> rb_entry(num_shards, -kInf);
+    // reaching the shard's first index; `pruned` is shard-ascending.
     double running = -kInf;
     std::size_t cursor = 0;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      const std::size_t begin = pool.shard(s).begin;
-      while (cursor < count && set.indices[cursor] < begin) {
+    still_pruned.clear();
+    grow.clear();
+    for (const Pruned& p : pruned) {
+      const ShardedWorkerPool::Shard& shard = pool.shard(p.shard);
+      while (cursor < set.indices.size() && set.indices[cursor] < shard.begin) {
         if (set.scores[cursor] > running + kTol) running = set.scores[cursor];
         cursor++;
       }
-      rb_entry[s] = running;
+      if (fence_of_bin[p.bin] <= running + kTol / 2) {
+        still_pruned.push_back(p);
+        continue;
+      }
+      // Expand: the shard's already-scanned members are its eligible
+      // slate-prefix entries; a sorted walk skips exactly those.
+      const std::vector<std::size_t>& slate = pool.slate(shard, key);
+      const std::size_t prefix = std::min(k, slate.size());
+      seen.assign(slate.begin(), slate.begin() + prefix);
+      std::sort(seen.begin(), seen.end());
+      auto next_seen = seen.begin();
+      for (std::size_t i = shard.begin; i < shard.end; ++i) {
+        if (next_seen != seen.end() && *next_seen == i) {
+          ++next_seen;
+          continue;
+        }
+        if (eligible(i)) grow.push_back(i);
+      }
+      if (stats != nullptr) stats->shards_expanded++;
     }
-
-    std::vector<std::size_t> expand;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (state[s] != ShardState::kSlate || fence_key[s] == -kInf) continue;
-      // Last key-desc position with key >= fence_key[s] (keys equal to the
-      // fence still dominate every pruned member).
-      const auto split = std::lower_bound(
-          key_desc.begin(), key_desc.end(), fence_key[s],
-          [](double lhs, double threshold) { return lhs >= threshold; });
-      const std::size_t witnesses =
-          static_cast<std::size_t>(split - key_desc.begin());
-      const double fence = witnesses == 0 ? kInf : prefix_min[witnesses - 1];
-      if (!(fence <= rb_entry[s] + kTol / 2)) expand.push_back(s);
-    }
-    if (expand.empty()) {
+    if (still_pruned.size() == pruned.size()) {
       // Guard holds everywhere with at least one shard still pruned: the
       // scanned set provably reproduces the full scan, and the proof
       // spared real work.
       if (stats != nullptr) stats->exactness_proofs++;
       break;
     }
-
-    std::vector<std::size_t> grow;
-    for (const std::size_t s : expand) {
-      const ShardedWorkerPool::Shard& shard = pool.shard(s);
-      // The shard's already-scanned members are its eligible slate-prefix
-      // entries; skip exactly those (the prefix is tiny).
-      const std::vector<std::size_t>& slate = pool.slate(shard, key);
-      const std::size_t prefix = std::min(k, slate.size());
-      std::vector<std::size_t> seen(slate.begin(), slate.begin() + prefix);
-      std::sort(seen.begin(), seen.end());
-      for (std::size_t i = shard.begin; i < shard.end; ++i) {
-        if (!eligible(i)) continue;
-        if (std::binary_search(seen.begin(), seen.end(), i)) continue;
-        grow.push_back(i);
-      }
-      state[s] = ShardState::kExpanded;
-      fence_key[s] = -kInf;
-      if (stats != nullptr) stats->shards_expanded++;
-    }
-    ScoreAndMerge(session, std::move(grow), &set);
+    pruned.swap(still_pruned);
+    ScoreAndMerge(session, keys, grow, &bins, &set);
   }
 
   if (stats != nullptr) stats->candidates_scanned += set.indices.size();

@@ -71,15 +71,15 @@ struct FrontierScanResult {
 /// the last rounding. A shard with `jury_cost + min_cost > budget` is
 /// skipped whole.
 ///
-/// Exactness rule (the refinement the ISSUE's "bound-guarded exactness"
-/// names): solvers pick winners with the banded first-wins argmax — a
-/// later candidate only displaces the incumbent when it scores more than
-/// `kScoreEquivalenceTol` higher. For a pruned (unscanned) candidate `p`
-/// of shard `s`, monotonicity in `key` bounds `score(p) <= fence_s`,
+/// Exactness rule: solvers pick winners with the banded first-wins argmax
+/// — a later candidate only displaces the incumbent when it scores more
+/// than `kScoreEquivalenceTol` higher. For a pruned (unscanned) candidate
+/// `p` of shard `s`, monotonicity in `key` bounds `score(p) <= fence_s`,
 /// where `fence_s` is the score of any *scanned* eligible candidate whose
-/// key is >= the shard's fence key (scores depend only on the key and the
-/// committed jury, not on which shard the candidate sits in, so any
-/// scanned witness fences the shard). The guard accepts shard `s` when
+/// key is >= the shard's fence key, the key of its scanned slate prefix's
+/// last member (scores depend only on the key and the committed jury,
+/// not on which shard the candidate sits in, so any scanned witness
+/// fences the shard). The guard accepts shard `s` when
 ///
 ///     fence_s <= rb_entry(s) + kScoreEquivalenceTol / 2,
 ///

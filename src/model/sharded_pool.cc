@@ -1,7 +1,6 @@
 #include "model/sharded_pool.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/check.h"
@@ -15,11 +14,10 @@ StatsRegistry::Counter& g_shard_rebuilds = RegisterStatsCounter("pool.shard_rebu
 
 /// Fills `slate` with the top-min(k, end-begin) indices of [begin, end) by
 /// `keys`, key-descending with ascending-index ties (i.e. the stable
-/// descending order), and returns the fence: the slate's smallest key when
-/// candidates were pruned, -infinity when the slate covers the range.
-double BuildSlate(std::span<const double> keys, std::size_t begin,
-                  std::size_t end, std::size_t k,
-                  std::vector<std::size_t>* slate) {
+/// descending order).
+void BuildSlate(std::span<const double> keys, std::size_t begin,
+                std::size_t end, std::size_t k,
+                std::vector<std::size_t>* slate) {
   const std::size_t population = end - begin;
   slate->resize(population);
   for (std::size_t i = 0; i < population; ++i) (*slate)[i] = begin + i;
@@ -31,10 +29,9 @@ double BuildSlate(std::span<const double> keys, std::size_t begin,
     std::partial_sort(slate->begin(), slate->begin() + k, slate->end(),
                       key_desc);
     slate->resize(k);
-    return keys[slate->back()];
+  } else {
+    std::sort(slate->begin(), slate->end(), key_desc);
   }
-  std::sort(slate->begin(), slate->end(), key_desc);
-  return -std::numeric_limits<double>::infinity();
 }
 
 }  // namespace
@@ -82,27 +79,15 @@ void ShardedWorkerPool::ApplyDelta(std::span<const std::size_t> changed) {
 
 void ShardedWorkerPool::RebuildShard(std::size_t s) {
   Shard& shard = shards_[s];
-  const std::span<const double> quality = view_->quality();
   const std::span<const double> cost = view_->cost();
-
   shard.min_cost = std::numeric_limits<double>::infinity();
-  shard.max_cost = -std::numeric_limits<double>::infinity();
-  shard.quality_histogram.fill(0);
   for (std::size_t i = shard.begin; i < shard.end; ++i) {
     shard.min_cost = std::min(shard.min_cost, cost[i]);
-    shard.max_cost = std::max(shard.max_cost, cost[i]);
-    // quality is validated into [0, 1]; the cast clamps 1.0 into the top
-    // bin.
-    const std::size_t bin = std::min<std::size_t>(
-        kHistogramBins - 1,
-        static_cast<std::size_t>(quality[i] * kHistogramBins));
-    shard.quality_histogram[bin]++;
   }
-  shard.fence_norm_quality =
-      BuildSlate(view_->norm_quality(), shard.begin, shard.end,
-                 options_.slate_k, &shard.top_by_norm_quality);
-  shard.fence_quality = BuildSlate(quality, shard.begin, shard.end,
-                                   options_.slate_k, &shard.top_by_quality);
+  BuildSlate(view_->norm_quality(), shard.begin, shard.end, options_.slate_k,
+             &shard.top_by_norm_quality);
+  BuildSlate(view_->quality(), shard.begin, shard.end, options_.slate_k,
+             &shard.top_by_quality);
 }
 
 }  // namespace jury

@@ -1,7 +1,6 @@
 #ifndef JURYOPT_MODEL_SHARDED_POOL_H_
 #define JURYOPT_MODEL_SHARDED_POOL_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -32,21 +31,16 @@ struct ShardedPoolOptions {
 /// re-orders or copies columns; its summaries are just precomputed
 /// aggregates over its contiguous slice:
 ///
-///   - **cost bounds** (`min_cost`, `max_cost`): a shard whose `min_cost`
-///     exceeds the remaining budget holds no eligible candidate and is
-///     skipped whole.
-///   - **quality histogram** (16 equal-width bins over [0, 1]): a coarse
-///     shape summary for diagnostics and slate sizing.
+///   - **min_cost**: a shard with `jury_cost + min_cost > budget` holds no
+///     eligible candidate and is skipped whole.
 ///   - **top-k slates** by the two monotone score keys
 ///     (`JqObjective::ScoreMonotoneKey`): indices sorted by normalized
 ///     quality (BV objectives, paper Lemma 2) and by raw quality (MV),
 ///     descending, ties broken by ascending index (stable). The slate is
-///     the admissible frontier: for a monotone objective, every pruned
-///     (non-slate) worker's marginal gain is bounded by the gain of any
-///     scanned worker with key >= the shard's fence key.
-///   - **fence keys**: the smallest key in each full slate. Every non-slate
-///     member of the shard has key <= the fence, which is what the
-///     frontier's exactness proof leans on.
+///     the admissible frontier: every non-slate member of the shard has
+///     key <= the key of any slate member, so for a monotone objective
+///     its marginal gain is bounded by the gain of any scanned worker
+///     with key >= the scanned prefix's last key (the frontier's fence).
 ///   - **epoch tag**: bumped each time the shard is rebuilt, so cached
 ///     per-shard artifacts can detect staleness after churn.
 ///
@@ -59,29 +53,19 @@ struct ShardedPoolOptions {
 /// `pool.shard_rebuilds` once per rebuilt shard.
 class ShardedWorkerPool {
  public:
-  /// Which precomputed slate/fence a consumer wants. Mirrors
+  /// Which precomputed slate a consumer wants. Mirrors
   /// `JqObjective::ScoreMonotoneKey` (minus `kNone`).
   enum class KeyColumn { kNormQuality, kQuality };
-
-  static constexpr std::size_t kHistogramBins = 16;
 
   struct Shard {
     std::size_t begin = 0;
     std::size_t end = 0;
     std::uint64_t epoch = 0;
     double min_cost = 0.0;
-    double max_cost = 0.0;
-    std::array<std::uint32_t, kHistogramBins> quality_histogram{};
     /// View indices, key-descending, ties index-ascending. Length
     /// min(slate_k, end - begin).
     std::vector<std::size_t> top_by_norm_quality;
     std::vector<std::size_t> top_by_quality;
-    /// Smallest key in the corresponding full slate when the slate is a
-    /// strict subset of the shard (an upper bound on every pruned member's
-    /// key); -infinity when the slate covers the whole shard (nothing is
-    /// ever pruned).
-    double fence_norm_quality = 0.0;
-    double fence_quality = 0.0;
 
     std::size_t population() const { return end - begin; }
   };
@@ -117,10 +101,6 @@ class ShardedWorkerPool {
                                         KeyColumn key) const {
     return key == KeyColumn::kNormQuality ? shard.top_by_norm_quality
                                           : shard.top_by_quality;
-  }
-  double fence(const Shard& shard, KeyColumn key) const {
-    return key == KeyColumn::kNormQuality ? shard.fence_norm_quality
-                                          : shard.fence_quality;
   }
   /// The key column the slates of `key` are ordered by.
   std::span<const double> keys(KeyColumn key) const {

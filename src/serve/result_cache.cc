@@ -46,7 +46,7 @@ void ResultCache::RecordHit(std::list<Entry>::iterator it) {
 void ResultCache::Insert(std::uint64_t epoch, const std::string& request_key,
                          const api::SolveReport& report) {
   if (options_.max_entries == 0) return;
-  const std::string map_key = MapKey(epoch, request_key);
+  std::string map_key = MapKey(epoch, request_key);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(map_key);
   if (it != index_.end()) {
@@ -62,9 +62,9 @@ void ResultCache::Insert(std::uint64_t epoch, const std::string& request_key,
     victims.pop_back();
     ++stats_.evictions;
   }
-  probation_.push_front(Entry{map_key, epoch, report});
+  probation_.push_front(Entry{std::move(map_key), epoch, report});
   probation_.front().report.wall_seconds = 0.0;
-  index_.emplace(std::move(map_key), probation_.begin());
+  index_.emplace(probation_.front().key, probation_.begin());
   ++stats_.insertions;
 }
 

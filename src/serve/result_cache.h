@@ -5,6 +5,7 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "api/solve.h"
@@ -104,7 +105,10 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::list<Entry> probation_;  // not hit since insertion; front = newest
   std::list<Entry> protected_;  // hit at least once; front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  // Keyed by views of the list nodes' own `Entry::key`, so each key is
+  // stored once. Nodes never move (`splice` relinks them), and every
+  // index entry is erased before its node.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
   ResultCacheStats stats_;
 };
 

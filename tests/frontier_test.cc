@@ -5,7 +5,13 @@
 // lossy consumers (annealing polish ordering, branch-and-bound ordering)
 // must stay within their documented quality contracts.
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -220,6 +226,344 @@ TEST(FrontierTest, BranchBoundOrderingKeepsOptimality) {
   ASSERT_TRUE(ordered.ok());
   EXPECT_NEAR(ordered.value().jq, plain.value().jq, 1e-9);
   EXPECT_LE(ordered.value().cost, instance.budget);
+}
+
+// ---------------------------------------------------------------------------
+// The proof's bookkeeping, pinned to a reference. `reference::ScanAdds` is
+// FrontierScanAdds as it stood with a key sort of the whole scanned set per
+// refinement pass, a permutation stable_sort per merge and a binary_search
+// per slate member, kept verbatim. The library's fence bins, linear merges
+// and sorted slate walks must reproduce it bit for bit: same indices, same
+// score bits, same proof flag, same stats.
+
+namespace reference {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kTol = kScoreEquivalenceTol;
+
+enum class ShardState : unsigned char {
+  kSkipped,   // jury_cost + min_cost > budget: no eligible member
+  kSlate,     // slate prefix scanned; non-slate members may be pruned
+  kExpanded,  // every eligible member scanned
+};
+
+/// One scan's working set: scanned view indices ascending, scores aligned.
+struct ScanSet {
+  std::vector<std::size_t> indices;
+  std::vector<double> scores;
+};
+
+/// Batch-scores `fresh` (ascending) and merges it into `set`, keeping the
+/// ascending-index order.
+void ScoreAndMerge(IncrementalJqEvaluator& session,
+                   std::vector<std::size_t> fresh, ScanSet* set) {
+  if (fresh.empty()) return;
+  std::vector<double> fresh_scores(fresh.size());
+  session.ScoreAddBatch(fresh.data(), fresh.size(), fresh_scores.data());
+  set->indices.insert(set->indices.end(), fresh.begin(), fresh.end());
+  set->scores.insert(set->scores.end(), fresh_scores.begin(),
+                     fresh_scores.end());
+  // Both halves are ascending; inplace_merge cannot carry the scores
+  // along, so sort a permutation instead (the sets are frontier-sized).
+  std::vector<std::size_t> perm(set->indices.size());
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  std::stable_sort(perm.begin(), perm.end(),
+                   [set](std::size_t a, std::size_t b) {
+                     return set->indices[a] < set->indices[b];
+                   });
+  std::vector<std::size_t> merged_idx(perm.size());
+  std::vector<double> merged_scores(perm.size());
+  for (std::size_t j = 0; j < perm.size(); ++j) {
+    merged_idx[j] = set->indices[perm[j]];
+    merged_scores[j] = set->scores[perm[j]];
+  }
+  set->indices = std::move(merged_idx);
+  set->scores = std::move(merged_scores);
+}
+
+FrontierScanResult ScanAdds(IncrementalJqEvaluator& session,
+                            const ShardedWorkerPool& pool,
+                            ShardedWorkerPool::KeyColumn key,
+                            const std::vector<char>& excluded,
+                            double jury_cost, double budget,
+                            const FrontierOptions& options,
+                            FrontierScanStats* stats) {
+  const std::span<const double> cost = pool.view().cost();
+  const std::span<const double> keys = pool.keys(key);
+  const std::size_t num_shards = pool.num_shards();
+  const std::size_t k = std::max<std::size_t>(1, options.k);
+  if (stats != nullptr) stats->scans++;
+
+  std::vector<ShardState> state(num_shards, ShardState::kSlate);
+  // Upper bound on every pruned (eligible, unscanned) key of the shard;
+  // -inf once nothing is pruned.
+  std::vector<double> fence_key(num_shards, -kInf);
+
+  // Exactly the affordability expression of the solvers' full scans
+  // (`jury_cost + cost[i] > budget` excludes), so the eligible sets — and
+  // therefore the bit-identity argument — match to the last rounding.
+  const auto eligible = [&](std::size_t i) {
+    return !excluded[i] && !(jury_cost + cost[i] > budget);
+  };
+
+  ScanSet set;
+  std::vector<std::size_t> fresh;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const ShardedWorkerPool::Shard& shard = pool.shard(s);
+    // Addition is monotone, so `jury_cost + min_cost > budget` implies
+    // every member fails the affordability test above: skip the shard.
+    if (jury_cost + shard.min_cost > budget) {
+      state[s] = ShardState::kSkipped;
+      continue;
+    }
+    const std::vector<std::size_t>& slate = pool.slate(shard, key);
+    const std::size_t prefix = std::min(k, slate.size());
+    for (std::size_t j = 0; j < prefix; ++j) {
+      if (eligible(slate[j])) fresh.push_back(slate[j]);
+    }
+    // Pruned members (beyond the scanned prefix) all have key <= the
+    // prefix's smallest key — the slate is key-descending.
+    fence_key[s] = prefix < shard.population() ? keys[slate[prefix - 1]]
+                                               : -kInf;
+  }
+  std::sort(fresh.begin(), fresh.end());
+  ScoreAndMerge(session, std::move(fresh), &set);
+
+  if (!options.exact) {
+    // Lossy mode skips the guard — but "no eligible candidate" must stay
+    // a truthful answer, so an empty slate scan still expands before the
+    // caller concludes the round is over.
+    if (set.indices.empty()) {
+      std::vector<std::size_t> all;
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        if (state[s] == ShardState::kSkipped) continue;
+        const ShardedWorkerPool::Shard& shard = pool.shard(s);
+        for (std::size_t i = shard.begin; i < shard.end; ++i) {
+          if (eligible(i)) all.push_back(i);
+        }
+      }
+      ScoreAndMerge(session, std::move(all), &set);
+    }
+    if (stats != nullptr) stats->candidates_scanned += set.indices.size();
+    FrontierScanResult result;
+    result.indices = std::move(set.indices);
+    result.scores = std::move(set.scores);
+    result.exact_proven = false;
+    return result;
+  }
+
+  // Exact refinement: re-check every still-pruned shard against the
+  // current scanned set; expand the ones the bound cannot fence; repeat.
+  // Each pass expands at least one shard, so this terminates — in the
+  // worst case with the full scan itself.
+  std::vector<double> key_desc;
+  std::vector<double> prefix_min;
+  std::vector<std::size_t> order;
+  while (true) {
+    bool any_pruned = false;
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      any_pruned |= state[s] == ShardState::kSlate && fence_key[s] > -kInf;
+    }
+    if (!any_pruned) break;
+
+    // fence(s): the tightest scanned witness for shard s — the minimum
+    // score over scanned candidates with key >= fence_key[s]. Sorting the
+    // scanned set key-descending turns each lookup into a binary search
+    // over a prefix-min array.
+    const std::size_t count = set.indices.size();
+    order.resize(count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&set, keys](std::size_t a, std::size_t b) {
+                return keys[set.indices[a]] > keys[set.indices[b]];
+              });
+    key_desc.resize(count);
+    prefix_min.resize(count);
+    for (std::size_t j = 0; j < count; ++j) {
+      key_desc[j] = keys[set.indices[order[j]]];
+      const double score = set.scores[order[j]];
+      prefix_min[j] = j == 0 ? score : std::min(prefix_min[j - 1], score);
+    }
+
+    // rb_entry(s): the banded incumbent the scanned-only argmax holds on
+    // reaching the shard's first index.
+    std::vector<double> rb_entry(num_shards, -kInf);
+    double running = -kInf;
+    std::size_t cursor = 0;
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      const std::size_t begin = pool.shard(s).begin;
+      while (cursor < count && set.indices[cursor] < begin) {
+        if (set.scores[cursor] > running + kTol) running = set.scores[cursor];
+        cursor++;
+      }
+      rb_entry[s] = running;
+    }
+
+    std::vector<std::size_t> expand;
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      if (state[s] != ShardState::kSlate || fence_key[s] == -kInf) continue;
+      // Last key-desc position with key >= fence_key[s] (keys equal to the
+      // fence still dominate every pruned member).
+      const auto split = std::lower_bound(
+          key_desc.begin(), key_desc.end(), fence_key[s],
+          [](double lhs, double threshold) { return lhs >= threshold; });
+      const std::size_t witnesses =
+          static_cast<std::size_t>(split - key_desc.begin());
+      const double fence = witnesses == 0 ? kInf : prefix_min[witnesses - 1];
+      if (!(fence <= rb_entry[s] + kTol / 2)) expand.push_back(s);
+    }
+    if (expand.empty()) {
+      // Guard holds everywhere with at least one shard still pruned: the
+      // scanned set provably reproduces the full scan, and the proof
+      // spared real work.
+      if (stats != nullptr) stats->exactness_proofs++;
+      break;
+    }
+
+    std::vector<std::size_t> grow;
+    for (const std::size_t s : expand) {
+      const ShardedWorkerPool::Shard& shard = pool.shard(s);
+      // The shard's already-scanned members are its eligible slate-prefix
+      // entries; skip exactly those (the prefix is tiny).
+      const std::vector<std::size_t>& slate = pool.slate(shard, key);
+      const std::size_t prefix = std::min(k, slate.size());
+      std::vector<std::size_t> seen(slate.begin(), slate.begin() + prefix);
+      std::sort(seen.begin(), seen.end());
+      for (std::size_t i = shard.begin; i < shard.end; ++i) {
+        if (!eligible(i)) continue;
+        if (std::binary_search(seen.begin(), seen.end(), i)) continue;
+        grow.push_back(i);
+      }
+      state[s] = ShardState::kExpanded;
+      fence_key[s] = -kInf;
+      if (stats != nullptr) stats->shards_expanded++;
+    }
+    ScoreAndMerge(session, std::move(grow), &set);
+  }
+
+  if (stats != nullptr) stats->candidates_scanned += set.indices.size();
+  FrontierScanResult result;
+  result.indices = std::move(set.indices);
+  result.scores = std::move(set.scores);
+  result.exact_proven = true;
+  return result;
+}
+
+}  // namespace reference
+
+enum class QualityShape { kContinuous, kFewDistinct, kHalfDuplicated };
+
+/// Pools whose keys tie at fence values (few distinct qualities, half the
+/// pool duplicating the other half) as well as continuous ones. Every
+/// third shard costs 1.0 more, so a budget under that skips it whole.
+std::vector<Worker> ShapedPool(Rng* rng, int n, QualityShape shape,
+                               std::size_t shard_size) {
+  std::vector<Worker> workers = RandomPool(rng, n, 0.0, 1.0, 0.01, 0.3);
+  constexpr double kFew[] = {0.2, 0.55, 0.7, 0.85, 0.95};
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    if (shape == QualityShape::kFewDistinct) {
+      workers[i].quality = kFew[rng->UniformInt(5)];
+    } else if (shape == QualityShape::kHalfDuplicated && i % 2 == 1) {
+      workers[i].quality = workers[rng->UniformInt(i)].quality;
+    }
+    if ((i / shard_size) % 3 == 2) workers[i].cost += 1.0;
+  }
+  return workers;
+}
+
+std::vector<std::uint64_t> ScoreBits(const std::vector<double>& scores) {
+  std::vector<std::uint64_t> bits;
+  for (const double score : scores) {
+    bits.push_back(std::bit_cast<std::uint64_t>(score));
+  }
+  return bits;
+}
+
+TEST(FrontierTest, ScanMatchesSortBasedReference) {
+  Rng rng(8809);
+  const BucketBvObjective bv{BucketJqOptions{}};
+  const MajorityObjective mv;
+  int scans = 0;
+  FrontierScanStats total;
+  for (const QualityShape shape :
+       {QualityShape::kContinuous, QualityShape::kFewDistinct,
+        QualityShape::kHalfDuplicated}) {
+    for (const std::size_t shard_size :
+         {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{64},
+          std::size_t{1024}}) {
+      const int n = shard_size == 1024
+                        ? 1500 + static_cast<int>(rng.UniformInt(1200))
+                        : 40 + static_cast<int>(rng.UniformInt(400));
+      const std::vector<Worker> workers =
+          ShapedPool(&rng, n, shape, shard_size);
+      const WorkerPoolView view(workers);
+      for (int pool_rep = 0; pool_rep < 4; ++pool_rep) {
+        ShardedPoolOptions pool_options;
+        pool_options.shard_size = shard_size;
+        pool_options.slate_k = 1 + rng.UniformInt(64);
+        const ShardedWorkerPool pool(&view, pool_options);
+        for (int rep = 0; rep < 18; ++rep) {
+          const JqObjective& objective =
+              rng.Bernoulli(0.5) ? static_cast<const JqObjective&>(bv) : mv;
+          ShardedWorkerPool::KeyColumn key{};
+          ASSERT_TRUE(FrontierKeyColumn(objective.score_monotone_key(), &key));
+          FrontierOptions options;
+          options.k = 1 + rng.UniformInt(70);
+          options.exact = rng.Bernoulli(0.75);
+
+          auto session = objective.StartSession(view, 0.5, true);
+          std::vector<char> excluded(view.size(), 0);
+          double jury_cost = 0.0;
+          const std::size_t members = rng.UniformInt(6);
+          for (std::size_t m = 0; m < members; ++m) {
+            const std::size_t in = rng.UniformInt(view.size());
+            if (excluded[in]) continue;
+            session->CommitAdd(in, session->ScoreAdd(in));
+            excluded[in] = 1;
+            jury_cost += view.cost()[in];
+          }
+          for (std::size_t i = 0; i < view.size(); ++i) {
+            if (rng.Bernoulli(0.05)) excluded[i] = 1;
+          }
+          const double budget = jury_cost + rng.Uniform(0.0, 1.4);
+
+          FrontierScanStats want_stats;
+          FrontierScanStats got_stats;
+          const FrontierScanResult want =
+              reference::ScanAdds(*session, pool, key, excluded, jury_cost,
+                                  budget, options, &want_stats);
+          const FrontierScanResult got =
+              FrontierScanAdds(*session, pool, key, excluded, jury_cost,
+                               budget, options, &got_stats);
+          const std::string where =
+              "scan " + std::to_string(scans) + " shard_size=" +
+              std::to_string(shard_size) + " slate_k=" +
+              std::to_string(pool_options.slate_k) + " k=" +
+              std::to_string(options.k) + " exact=" +
+              std::to_string(options.exact) + " " + objective.name();
+          ASSERT_EQ(got.indices, want.indices) << where;
+          ASSERT_EQ(ScoreBits(got.scores), ScoreBits(want.scores)) << where;
+          ASSERT_EQ(got.exact_proven, want.exact_proven) << where;
+          ASSERT_EQ(got_stats.scans, want_stats.scans) << where;
+          ASSERT_EQ(got_stats.candidates_scanned,
+                    want_stats.candidates_scanned)
+              << where;
+          ASSERT_EQ(got_stats.exactness_proofs, want_stats.exactness_proofs)
+              << where;
+          ASSERT_EQ(got_stats.shards_expanded, want_stats.shards_expanded)
+              << where;
+          total.exactness_proofs += got_stats.exactness_proofs;
+          total.shards_expanded += got_stats.shards_expanded;
+          scans++;
+        }
+      }
+    }
+  }
+  EXPECT_GE(scans, 1000);
+  // The refinement must have done real work both ways: some scans proved
+  // with shards left pruned, some had to expand.
+  EXPECT_GT(total.exactness_proofs, 0u);
+  EXPECT_GT(total.shards_expanded, 0u);
 }
 
 }  // namespace

@@ -251,6 +251,61 @@ TEST(ResultCacheTest, InvalidateBeforeDropsStaleEpochs) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+TEST(ResultCacheTest, ChurnKeepsIndexAndEntriesInStep) {
+  // The index keys are views of the list nodes' own keys. This churns
+  // every path that links, relinks or drops a node — inserts, hits,
+  // evictions, same-key overwrites, the same keys re-inserted under a new
+  // epoch, InvalidateBefore — and checks each hit against the last write
+  // of its (epoch, key). A view left dangling by any path reads freed
+  // memory, which ASAN reports. Keys are long enough to live on the heap.
+  constexpr std::size_t kCapacity = 16;
+  serve::ResultCache cache({.max_entries = kCapacity});
+  std::map<std::pair<std::uint64_t, std::string>, std::string> last_write;
+  Rng rng(20261018);
+  std::uint64_t epoch = 0;
+  std::uint64_t live_from = 0;  // epochs below were invalidated
+  api::SolveReport out;
+  for (int op = 0; op < 4000; ++op) {
+    const std::string key =
+        std::string(48, 'k') + std::to_string(rng.UniformInt(40));
+    const std::uint64_t at = live_from + rng.UniformInt(epoch - live_from + 1);
+    const std::uint64_t action = rng.UniformInt(16);
+    if (action < 6) {
+      const std::string tag = "r" + std::to_string(op);
+      cache.Insert(at, key, FakeReport(tag));
+      last_write[{at, key}] = tag;
+    } else if (action < 14) {
+      if (cache.Lookup(at, key, &out)) {
+        ASSERT_EQ(last_write.count({at, key}), 1u) << "op " << op;
+        EXPECT_EQ(out.solver, last_write.at({at, key})) << "op " << op;
+      }
+    } else if (action == 14) {
+      ++epoch;
+    } else {
+      cache.InvalidateBefore(epoch);
+      live_from = epoch;
+      for (const auto& [written, tag] : last_write) {
+        if (written.first < live_from) {
+          EXPECT_FALSE(cache.Lookup(written.first, written.second, &out))
+              << "op " << op;
+        }
+      }
+      std::erase_if(last_write, [live_from](const auto& item) {
+        return item.first.first < live_from;
+      });
+    }
+    ASSERT_LE(cache.size(), kCapacity);
+    const serve::ResultCacheStats stats = cache.stats();
+    ASSERT_EQ(stats.insertions - stats.evictions - stats.invalidations,
+              cache.size())
+        << "op " << op;
+  }
+  const serve::ResultCacheStats stats = cache.stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
+}
+
 TEST(ResultCacheTest, ZeroCapacityDisablesInsertion) {
   serve::ResultCache cache({.max_entries = 0});
   cache.Insert(0, "k", FakeReport("x"));
