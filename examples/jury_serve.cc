@@ -1,6 +1,7 @@
 // jury_serve: the serving-layer HTTP/JSON endpoint — one long-lived
-// `PoolPlanContext` answering a stream of jury-selection queries over a
-// blocking-socket epoll loop (`serve::JuryServer`).
+// `PoolPlanContext` answering a stream of jury-selection queries from a
+// single-threaded epoll loop that solves each request inline
+// (`serve::JuryServer`).
 //
 // Usage:
 //   ./build/jury_serve [workers.csv] [flags]
@@ -10,8 +11,6 @@
 //                       port is printed either way)
 //   --host=H            listen address (default 127.0.0.1)
 //   --cache-entries=N   result-cache capacity (default 1024; 0 disables)
-//   --max-inflight=N    admission-control cap; beyond it /solve sheds
-//                       with 503 (default 64; 0 = unlimited)
 //   --deadline-ms=D     default per-request deadline; expired solves
 //                       answer 504 with the partial report embedded
 //   --pool-snapshot=PATH  plan from a binary pool snapshot instead of CSV
@@ -22,8 +21,8 @@
 // SolveReport JSON out — the same wire shape as `SolveRequest::ToJson`).
 //
 // Prints exactly one `listening on HOST:PORT` line to stdout once bound
-// (scripts wait for it), serves until SIGTERM/SIGINT, then drains
-// in-flight requests and exits 0.
+// (scripts wait for it), serves until SIGTERM/SIGINT, then flushes the
+// replies still queued and exits 0.
 //
 // Robustness contract (enforced by scripts/cli_robustness_test.sh):
 // malformed request bodies, unknown solvers, and oversized JSON all get
@@ -101,11 +100,6 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("bad --cache-entries value");
       }
       args.options.cache_entries = static_cast<std::size_t>(uint_value);
-    } else if (arg.rfind("--max-inflight=", 0) == 0) {
-      if (!ParseUint(value_of("--max-inflight="), &uint_value)) {
-        return Status::InvalidArgument("bad --max-inflight value");
-      }
-      args.options.max_inflight = static_cast<std::size_t>(uint_value);
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
       if (!ParseDouble(value_of("--deadline-ms="), &double_value) ||
           double_value < 0.0) {

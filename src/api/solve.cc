@@ -1,11 +1,9 @@
 #include "api/solve.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
+#include <exception>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "api/registry.h"
@@ -126,11 +124,11 @@ namespace {
 /// every plan accessor (`view()`, `AcquireInstance`, `sharded_pool`, ...)
 /// on this thread must read, so one solve — whose registry adapter calls
 /// those accessors one by one — observes a single consistent epoch even
-/// while `ApplyPoolDelta` publishes a newer one. `SubmitMany` worker
-/// tasks pin their batch's leased epoch; `Solve` re-pins whatever it
-/// resolved, which also covers nested scheduler threads that join a
-/// solve's inner parallel regions through its bound view/instance (those
-/// never call the accessors themselves).
+/// while `ApplyPoolDelta` publishes a newer one. `SolveMany` shards pin
+/// their batch's epoch; `Solve` re-pins whatever it resolved, which also
+/// covers nested scheduler threads that join a solve's inner parallel
+/// regions through its bound view/instance (those never call the
+/// accessors themselves).
 thread_local std::vector<std::pair<const PoolPlanContext*, PoolState*>>
     t_state_pins;
 
@@ -397,165 +395,47 @@ Result<SolveReport> PoolPlanContext::Solve(const SolveRequest& request) {
   return result;
 }
 
-/// \brief Shared state of one `SubmitMany` call: the copied requests, the
-/// per-request result slots, and the claim counter the worker tasks pull
-/// from.
-/// Kept alive by the futures (shared_ptr); worker tasks hold only raw
-/// pointers, which is safe because `group` — declared last, so destroyed
-/// first — waits out every task before any other member dies.
-struct SubmitBatch {
-  PoolPlanContext* context = nullptr;
-  /// The epoch leased at submission; every request of the batch solves
-  /// against it, so churn mid-batch cannot fail or tear in-flight work.
-  PoolState* state = nullptr;
-  std::vector<SolveRequest> requests;
-  std::function<void(std::size_t)> on_complete;
-  std::atomic<std::size_t> next{0};
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<std::optional<Result<SolveReport>>> results;  // guarded by mutex
-  /// LAST member: its destructor drains every outstanding worker task
-  /// (which reads the fields above through raw `this`) before they die.
-  std::optional<TaskGroup> group;
-
-  /// Solves request `i` once; every failure is its `Status`.
-  Result<SolveReport> SolveOne(std::size_t i) {
-    try {
-      return context->Solve(requests[i]);
-    } catch (const std::exception& error) {
-      // A task that dies without publishing would hang its future; fold
-      // any escaped exception into the result instead.
-      return Status::Internal(error.what());
-    }
-  }
-
-  void Publish(std::size_t i, Result<SolveReport> result) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      results[i].emplace(std::move(result));
-    }
-    cv.notify_all();
-    if (on_complete) on_complete(i);
-  }
-};
-
-SolveFuture::SolveFuture(std::shared_ptr<SubmitBatch> batch, std::size_t index)
-    : batch_(std::move(batch)), index_(index) {}
-SolveFuture::SolveFuture(SolveFuture&&) noexcept = default;
-SolveFuture& SolveFuture::operator=(SolveFuture&&) noexcept = default;
-SolveFuture::~SolveFuture() = default;
-
-bool SolveFuture::Ready() const {
-  std::lock_guard<std::mutex> lock(batch_->mutex);
-  return batch_->results[index_].has_value();
-}
-
-void SolveFuture::Wait() const {
-  std::unique_lock<std::mutex> lock(batch_->mutex);
-  batch_->cv.wait(lock,
-                  [&] { return batch_->results[index_].has_value(); });
-}
-
-Result<SolveReport> SolveFuture::Take() {
-  std::unique_lock<std::mutex> lock(batch_->mutex);
-  batch_->cv.wait(lock,
-                  [&] { return batch_->results[index_].has_value(); });
-  return std::move(*batch_->results[index_]);
-}
-
-std::vector<SolveFuture> PoolPlanContext::SubmitMany(
-    std::span<const SolveRequest> requests, const SubmitOptions& options) {
-  const std::size_t count = requests.size();
-  auto batch = std::make_shared<SubmitBatch>();
-  batch->context = this;
-  batch->state = CurrentState();
-  batch->requests.assign(requests.begin(), requests.end());
-  batch->on_complete = options.on_complete;
-  batch->results.resize(count);
-  std::vector<SolveFuture> futures;
-  futures.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    futures.push_back(SolveFuture(batch, i));
-  }
-  if (count == 0) return futures;
-
-  const std::size_t threads =
-      std::min(ResolveThreadCount(options.num_threads), count);
-  SubmitBatch* const raw = batch.get();
-  if (threads <= 1 || Scheduler::Global()->num_threads() == 1) {
-    // Serial: solve inline at submission (the futures return ready).
-    // Mirrors `GlobalParallelFor`'s structural invariant — a serial
-    // caller never touches, or lazily spawns, the global scheduler. A
-    // scheduler with no worker threads (JURYOPT_THREADS=1) would leave
-    // the claim tasks below queued with nothing to run them, so a
-    // parallel request solves inline there too.
-    ScopedStatePin pin(this, raw->state);
-    for (std::size_t i = 0; i < count; ++i) {
-      raw->Publish(i, raw->SolveOne(i));
-    }
-    return futures;
-  }
-
-  // Claim-loop fan-out: min(threads, count) worker tasks pull request
-  // indices from one shared counter, so heterogeneous batches balance
-  // (a batch can mix exhaustive solves with greedy ones) and a request's
-  // own nested regions fan out further on the same scheduler. Every
-  // request runs the same code path as a serial `Solve`, reading only
-  // its own seeded rng, so the futures are a pure function of the
-  // request list — for any thread count and completion order.
-  batch->group.emplace();
-  std::size_t spawned = 0;
-  try {
-    for (std::size_t t = 0; t < threads; ++t) {
-      batch->group->Run([raw] {
-        ScopedStatePin pin(raw->context, raw->state);
-        for (;;) {
-          const std::size_t i =
-              raw->next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= raw->requests.size()) break;
-          raw->Publish(i, raw->SolveOne(i));
-        }
-      });
-      ++spawned;
-    }
-  } catch (const FaultInjectedError& error) {
-    if (spawned == 0) {
-      // No worker exists to drain the queue: resolve every future with
-      // the same transient status an in-solve fault maps to.
-      for (;;) {
-        const std::size_t i = raw->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) break;
-        raw->Publish(i, Status::ResourceExhausted(error.what()));
-      }
-    }
-    // spawned > 0: degraded parallelism — the live workers drain the
-    // whole queue, so the batch still completes.
-  }
-  return futures;
-}
-
 Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
     std::span<const SolveRequest> requests, const SolveManyOptions& options) {
-  SubmitOptions submit;
-  submit.num_threads = options.num_threads;
-  std::vector<SolveFuture> futures = SubmitMany(requests, submit);
-  // Take in index order, draining every future before returning, so the
-  // batch error contract holds: the lowest-index failure wins, and no
-  // task is abandoned mid-solve.
-  std::optional<Status> first_error;
-  std::vector<SolveReport> reports;
-  reports.reserve(futures.size());
-  for (SolveFuture& future : futures) {
-    Result<SolveReport> result = future.Take();
-    if (!result.ok()) {
-      if (!first_error.has_value()) first_error = result.status();
-      continue;
+  const std::size_t count = requests.size();
+  if (count == 0) return std::vector<SolveReport>{};
+  // Every request solves against the epoch current at the call, so churn
+  // mid-batch cannot fail or tear it.
+  PoolState* const state = CurrentState();
+  std::vector<SolveReport> reports(count);
+  std::vector<Status> errors(count);
+  // Grain 1: requests are claimed one at a time, so a batch mixing
+  // exhaustive solves with greedy ones balances, and a request's own
+  // nested regions fan out further on the same scheduler. Each request
+  // runs the same code path as a serial `Solve`, reading only its own
+  // seeded rng, so the reports are a pure function of the request list.
+  const auto solve_shard = [&](std::size_t begin, std::size_t end) {
+    ScopedStatePin pin(this, state);
+    for (std::size_t i = begin; i < end; ++i) {
+      try {
+        Result<SolveReport> result = Solve(requests[i]);
+        if (result.ok()) {
+          reports[i] = std::move(result).value();
+        } else {
+          errors[i] = result.status();
+        }
+      } catch (const std::exception& error) {
+        errors[i] = Status::Internal(error.what());
+      }
     }
-    if (!first_error.has_value()) {
-      reports.push_back(std::move(result).value());
-    }
+  };
+  try {
+    Scheduler::GlobalParallelFor(
+        0, count, 1, solve_shard,
+        std::min(ResolveThreadCount(options.num_threads), count));
+  } catch (const FaultInjectedError& error) {
+    // A task spawn failed: the same transient status an in-solve fault
+    // maps to.
+    return Status::ResourceExhausted(error.what());
   }
-  if (first_error.has_value()) return *first_error;
+  for (const Status& error : errors) {
+    if (!error.ok()) return error;
+  }
   return reports;
 }
 

@@ -2,7 +2,6 @@
 #define JURYOPT_API_SOLVE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -199,7 +198,7 @@ struct SolveReport {
 /// \brief Knobs of `PoolPlanContext::SolveMany`.
 struct SolveManyOptions {
   /// Worker count for the fan-out (0 resolves via JURYOPT_THREADS,
-  /// 1 = serial), as in `SubmitOptions::num_threads`.
+  /// 1 = serial).
   std::size_t num_threads = 0;
 };
 
@@ -217,55 +216,9 @@ struct PoolDeltaUpdate {
   double cost = 0.0;
 };
 
-/// \brief Knobs of `PoolPlanContext::SubmitMany`.
-struct SubmitOptions {
-  /// Concurrency of the fan-out (0 resolves via JURYOPT_THREADS). <= 1
-  /// solves every request inline *during submission* (the returned
-  /// futures are already resolved) — the serial path never touches, or
-  /// lazily spawns, the global scheduler, same as `SolveMany`. A larger
-  /// value also solves inline when the process scheduler has no worker
-  /// threads (JURYOPT_THREADS=1): nothing would run the claim tasks.
-  std::size_t num_threads = 0;
-  /// Invoked once per request, with its batch index, right after its
-  /// result becomes ready — from whichever scheduler thread finished it,
-  /// with no lock held. The serving loop uses this to kick its event-loop
-  /// wakeup fd. Must not block for long and must not call back into the
-  /// submitting context's `SubmitMany`/`SolveMany`.
-  std::function<void(std::size_t)> on_complete;
-};
-
-struct SubmitBatch;  // private to solve.cc
-struct PoolState;    // one pool epoch's immutable plan; private to solve.cc
+struct PoolState;  // one pool epoch's immutable plan; private to solve.cc
 
 class PoolPlanContext;
-
-/// \brief Handle to one request of a `SubmitMany` batch. Movable,
-/// share-nothing with other futures of the batch except the batch itself
-/// (kept alive until the last future is gone; dropping futures without
-/// taking them is safe — outstanding solves finish and are discarded).
-/// The submitting context must outlive the batch's futures.
-class SolveFuture {
- public:
-  SolveFuture(SolveFuture&&) noexcept;
-  SolveFuture& operator=(SolveFuture&&) noexcept;
-  SolveFuture(const SolveFuture&) = delete;
-  SolveFuture& operator=(const SolveFuture&) = delete;
-  ~SolveFuture();
-
-  /// True once the result is ready (never blocks).
-  bool Ready() const;
-  /// Blocks until the result is ready.
-  void Wait() const;
-  /// Blocks until ready and moves the result out. Call at most once.
-  Result<SolveReport> Take();
-
- private:
-  friend class PoolPlanContext;
-  SolveFuture(std::shared_ptr<SubmitBatch> batch, std::size_t index);
-
-  std::shared_ptr<SubmitBatch> batch_;
-  std::size_t index_ = 0;
-};
 
 /// \brief The common solver interface behind the registry: one virtual
 /// `Solve` over (planned pool, request). Implementations are stateless
@@ -358,36 +311,21 @@ class PoolPlanContext {
 
   /// Solves a batch, fanned across the process-wide scheduler
   /// (`options.num_threads` = 0 resolves via JURYOPT_THREADS, 1 = serial),
-  /// one attempt per request. Requests are independent — each draws only
-  /// from its own seeded rng — so report `i` is bit-identical to
-  /// `Solve(requests[i])` for any thread count and any batch order
-  /// (property-tested). On error the whole batch fails with the
-  /// lowest-index request's status; `kResourceExhausted` (an injected
-  /// fault, an exhausted node budget) is the transient class a caller may
-  /// resubmit on. Implemented as `SubmitMany` + an in-order wait — the
-  /// blocking special case of the async path, sharing its claim loop and
-  /// epoch lease.
+  /// one attempt per request, claimed one request at a time so a batch
+  /// mixing heavy and light solves balances. Requests are independent —
+  /// each draws only from its own seeded rng — so report `i` is
+  /// bit-identical to `Solve(requests[i])` for any thread count and any
+  /// batch order (property-tested). The whole batch solves against the
+  /// pool epoch current at the call: a concurrent `ApplyPoolDelta`
+  /// re-plans later calls without perturbing this one. On error the whole
+  /// batch fails with the lowest-index request's status (an exception
+  /// escaping a solve is that request's `kInternal`);
+  /// `kResourceExhausted` (an injected fault, a failed task spawn, an
+  /// exhausted node budget) is the transient class a caller may resubmit
+  /// on.
   Result<std::vector<SolveReport>> SolveMany(
       std::span<const SolveRequest> requests,
       const SolveManyOptions& options = {});
-
-  /// \brief Async submission: schedules the batch on the process-wide
-  /// work-stealing scheduler and returns one future per request,
-  /// immediately. Report `i` is bit-identical to `Solve(requests[i])`
-  /// for any thread count and any completion/Take order — each request
-  /// draws only from its own seeded rng, exactly as in `SolveMany`.
-  ///
-  /// The whole batch leases the pool epoch current at submission: a
-  /// concurrent `ApplyPoolDelta` re-plans *later* submissions without
-  /// perturbing (or failing) anything in flight. Requests are claimed
-  /// dynamically by min(num_threads, count) worker tasks; deadline,
-  /// cancel-token, and work-unit semantics are per-request, unchanged
-  /// from `Solve`. If spawning the very first worker task fails (fault
-  /// injection, thread exhaustion), every future resolves to
-  /// `kResourceExhausted`; a partial spawn failure just degrades
-  /// parallelism — the batch still completes.
-  std::vector<SolveFuture> SubmitMany(std::span<const SolveRequest> requests,
-                                      const SubmitOptions& options = {});
 
   /// \brief Applies worker churn — re-estimated qualities/costs — as a new
   /// pool epoch. InvalidArgument (and no epoch change) on an out-of-range

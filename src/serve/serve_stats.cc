@@ -1,7 +1,5 @@
 #include "serve/serve_stats.h"
 
-#include <atomic>
-
 namespace jury::serve {
 namespace {
 
@@ -9,34 +7,14 @@ StatsRegistry::Counter& g_requests = RegisterStatsCounter("serve.requests");
 StatsRegistry::Counter& g_cache_hits = RegisterStatsCounter("serve.cache_hits");
 StatsRegistry::Counter& g_cache_misses =
     RegisterStatsCounter("serve.cache_misses");
-StatsRegistry::Counter& g_shed = RegisterStatsCounter("serve.shed");
 StatsRegistry::Counter& g_epoch_bumps =
     RegisterStatsCounter("serve.epoch_bumps");
-
-std::atomic<std::int64_t> g_inflight{0};
-
-std::uint64_t InflightGauge() {
-  const std::int64_t v = g_inflight.load(std::memory_order_relaxed);
-  return v > 0 ? static_cast<std::uint64_t>(v) : 0;
-}
-
-[[maybe_unused]] const bool g_gauge_registered = [] {
-  StatsRegistry::Global().RegisterGauge("serve.inflight", &InflightGauge);
-  return true;
-}();
 
 }  // namespace
 
 StatsRegistry::Counter& ServeRequests() { return g_requests; }
 StatsRegistry::Counter& ServeCacheHits() { return g_cache_hits; }
 StatsRegistry::Counter& ServeCacheMisses() { return g_cache_misses; }
-StatsRegistry::Counter& ServeShed() { return g_shed; }
 StatsRegistry::Counter& ServeEpochBumps() { return g_epoch_bumps; }
-
-std::uint64_t ServeInflight() { return InflightGauge(); }
-
-void ServeInflightAdd(std::int64_t delta) {
-  g_inflight.fetch_add(delta, std::memory_order_relaxed);
-}
 
 }  // namespace jury::serve

@@ -1,8 +1,6 @@
 #ifndef JURYOPT_SERVE_SERVE_STATS_H_
 #define JURYOPT_SERVE_SERVE_STATS_H_
 
-#include <cstdint>
-
 #include "util/stats_registry.h"
 
 namespace jury::serve {
@@ -24,23 +22,8 @@ StatsRegistry::Counter& ServeRequests();
 StatsRegistry::Counter& ServeCacheHits();
 /// Cacheable solves that missed (and then populated) the cache.
 StatsRegistry::Counter& ServeCacheMisses();
-/// Requests rejected by the server's admission control (503, load shed).
-StatsRegistry::Counter& ServeShed();
 /// Pool-epoch bumps from `PoolPlanContext::ApplyPoolDelta`.
 StatsRegistry::Counter& ServeEpochBumps();
-
-/// The `serve.inflight` gauge: requests currently being solved on behalf of
-/// the serving layer. RAII-bump via `ScopedInflight`.
-std::uint64_t ServeInflight();
-void ServeInflightAdd(std::int64_t delta);
-
-class ScopedInflight {
- public:
-  ScopedInflight() { ServeInflightAdd(1); }
-  ~ScopedInflight() { ServeInflightAdd(-1); }
-  ScopedInflight(const ScopedInflight&) = delete;
-  ScopedInflight& operator=(const ScopedInflight&) = delete;
-};
 
 }  // namespace jury::serve
 

@@ -11,7 +11,7 @@
 
 #include <cerrno>
 #include <cstring>
-#include <span>
+#include <exception>
 #include <utility>
 
 #include "serve/result_cache.h"
@@ -26,11 +26,10 @@ namespace {
 constexpr std::size_t kReadChunk = 16 * 1024;
 constexpr int kMaxEpollEvents = 64;
 
-// epoll tags of the three non-connection fds; connection ids count up
+// epoll tags of the two non-connection fds; connection ids count up
 // from 1 and can never reach these.
 constexpr std::uint64_t kListenTag = ~std::uint64_t{0};
 constexpr std::uint64_t kShutdownTag = ~std::uint64_t{0} - 1;
-constexpr std::uint64_t kCompletionTag = ~std::uint64_t{0} - 2;
 
 Status Errno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
@@ -86,7 +85,6 @@ JuryServer::~JuryServer() {
   for (auto& [id, conn] : connections_) CloseFd(&conn.fd);
   connections_.clear();
   CloseFd(&listen_fd_);
-  CloseFd(&completion_fd_);
   CloseFd(&shutdown_fd_);
   CloseFd(&epoll_fd_);
 }
@@ -99,8 +97,7 @@ Status JuryServer::Start() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) return Errno("epoll_create1");
   shutdown_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  completion_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (shutdown_fd_ < 0 || completion_fd_ < 0) return Errno("eventfd");
+  if (shutdown_fd_ < 0) return Errno("eventfd");
   JURY_RETURN_NOT_OK(Listen());
 
   epoll_event event{};
@@ -112,10 +109,6 @@ Status JuryServer::Start() {
   event.data.u64 = kShutdownTag;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, shutdown_fd_, &event) != 0) {
     return Errno("epoll_ctl(shutdown)");
-  }
-  event.data.u64 = kCompletionTag;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, completion_fd_, &event) != 0) {
-    return Errno("epoll_ctl(completion)");
   }
   return Status::OK();
 }
@@ -158,7 +151,6 @@ void JuryServer::Shutdown() {
 }
 
 bool JuryServer::DrainComplete() const {
-  if (!pending_.empty()) return false;
   for (const auto& [id, conn] : connections_) {
     if (conn.outbuf_sent < conn.outbuf.size()) return false;
   }
@@ -169,15 +161,12 @@ Status JuryServer::Run() {
   if (epoll_fd_ < 0) return Status::FailedPrecondition("Start() first");
   epoll_event events[kMaxEpollEvents];
   while (true) {
-    DrainCompletions();
     if (Draining()) {
       // Idle keep-alive connections hold nothing we owe them; close them
-      // so the drain converges on in-flight work only.
+      // so the drain converges on unsent responses only.
       std::vector<std::uint64_t> idle;
       for (const auto& [id, conn] : connections_) {
-        if (!conn.awaiting_solve && conn.outbuf_sent >= conn.outbuf.size()) {
-          idle.push_back(id);
-        }
+        if (conn.outbuf_sent >= conn.outbuf.size()) idle.push_back(id);
       }
       for (std::uint64_t id : idle) CloseConnection(id);
       if (DrainComplete()) break;
@@ -200,11 +189,6 @@ Status JuryServer::Run() {
           ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
           CloseFd(&listen_fd_);
         }
-      } else if (tag == kCompletionTag) {
-        std::uint64_t value = 0;
-        while (::read(completion_fd_, &value, sizeof(value)) > 0) {
-        }
-        DrainCompletions();
       } else {
         const std::uint64_t conn_id = tag;
         if (connections_.count(conn_id) == 0) continue;  // closed mid-batch
@@ -253,7 +237,7 @@ void JuryServer::UpdateInterest(std::uint64_t conn_id) {
   Connection& conn = it->second;
   epoll_event event{};
   event.data.u64 = conn_id;
-  if (!conn.awaiting_solve && !conn.close_after_write) event.events |= EPOLLIN;
+  if (!conn.close_after_write) event.events |= EPOLLIN;
   if (conn.outbuf_sent < conn.outbuf.size()) event.events |= EPOLLOUT;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &event);
 }
@@ -264,8 +248,6 @@ void JuryServer::CloseConnection(std::uint64_t conn_id) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
   CloseFd(&it->second.fd);
   connections_.erase(it);
-  // A pending solve for this connection keeps running; its completion
-  // finds the connection gone and discards the report.
 }
 
 void JuryServer::HandleReadable(std::uint64_t conn_id) {
@@ -289,7 +271,7 @@ void JuryServer::HandleReadable(std::uint64_t conn_id) {
   if (connections_.count(conn_id) == 0) return;
   Connection& c = connections_.at(conn_id);
   if (peer_closed) {
-    if (c.outbuf_sent >= c.outbuf.size() && !c.awaiting_solve) {
+    if (c.outbuf_sent >= c.outbuf.size()) {
       CloseConnection(conn_id);
       return;
     }
@@ -299,13 +281,11 @@ void JuryServer::HandleReadable(std::uint64_t conn_id) {
 }
 
 void JuryServer::ParseBuffered(std::uint64_t conn_id) {
-  // One request at a time per connection: a submitted solve stops the
-  // loop with reads disarmed, and whatever the client pipelined behind it
-  // stays in `inbuf` until `FinishSolve` queues the response and resumes
-  // here.
+  // Each request is answered (its response queued) before the next one
+  // is parsed, so pipelined requests are answered in order.
   while (connections_.count(conn_id) != 0) {
     Connection& c = connections_.at(conn_id);
-    if (c.inbuf.empty() || c.awaiting_solve || c.close_after_write) break;
+    if (c.inbuf.empty() || c.close_after_write) break;
     const std::size_t consumed = c.parser.Feed(c.inbuf);
     c.inbuf.erase(0, consumed);
     if (c.parser.failed()) {
@@ -355,7 +335,7 @@ void JuryServer::Dispatch(std::uint64_t conn_id) {
     return;
   }
   if (request.method == "POST" && request.target == "/solve") {
-    SubmitSolve(conn_id, request);
+    HandleSolve(conn_id, request);
     return;
   }
   if (request.target == "/healthz" || request.target == "/stats" ||
@@ -367,7 +347,7 @@ void JuryServer::Dispatch(std::uint64_t conn_id) {
   QueueError(conn_id, 404, "no such route: " + request.target, keep_alive);
 }
 
-void JuryServer::SubmitSolve(std::uint64_t conn_id,
+void JuryServer::HandleSolve(std::uint64_t conn_id,
                              const HttpRequest& http_request) {
   const bool keep_alive = WantsKeepAlive(http_request);
   auto parsed = api::SolveRequest::FromJsonText(http_request.body);
@@ -381,76 +361,24 @@ void JuryServer::SubmitSolve(std::uint64_t conn_id,
     QueueError(conn_id, 400, valid.message(), keep_alive);
     return;
   }
-  if (options_.max_inflight > 0 && pending_.size() >= options_.max_inflight) {
-    ServeShed().Increment();
-    QueueError(conn_id, 503, "server at capacity; retry later", keep_alive);
-    return;
-  }
-
   if (request.deadline_ms == 0.0 && options_.default_deadline_ms > 0.0) {
     request.deadline_ms = options_.default_deadline_ms;
   }
 
-  ServeInflightAdd(1);
-  api::SubmitOptions submit;
-  const int completion_fd = completion_fd_;
-  std::mutex* completed_mutex = &completed_mutex_;
-  std::deque<std::uint64_t>* completed = &completed_;
-  submit.on_complete = [completion_fd, completed_mutex, completed,
-                        conn_id](std::size_t) {
-    {
-      std::lock_guard<std::mutex> lock(*completed_mutex);
-      completed->push_back(conn_id);
+  Result<api::SolveReport> result = [&]() -> Result<api::SolveReport> {
+    try {
+      return context_->Solve(request);
+    } catch (const std::exception& error) {
+      // The loop outlives any one request: an escaped exception is a 500.
+      return Status::Internal(error.what());
     }
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(completion_fd, &one, sizeof(one));
-  };
-
-  // A one-request batch solves inline: the future is ready on return.
-  std::vector<api::SolveFuture> futures =
-      context_->SubmitMany(std::span<const api::SolveRequest>(&request, 1),
-                           submit);
-  Connection& conn = connections_.at(conn_id);
-  conn.awaiting_solve = true;
-  conn.close_after_write = conn.close_after_write || !keep_alive;
-  pending_.emplace(conn_id, std::move(futures.front()));
-  UpdateInterest(conn_id);
-}
-
-void JuryServer::DrainCompletions() {
-  while (true) {
-    std::uint64_t conn_id = 0;
-    {
-      std::lock_guard<std::mutex> lock(completed_mutex_);
-      if (completed_.empty()) return;
-      conn_id = completed_.front();
-      completed_.pop_front();
-    }
-    FinishSolve(conn_id);
-  }
-}
-
-void JuryServer::FinishSolve(std::uint64_t conn_id) {
-  auto pending_it = pending_.find(conn_id);
-  if (pending_it == pending_.end()) return;
-  api::SolveFuture future = std::move(pending_it->second);
-  pending_.erase(pending_it);
-  ServeInflightAdd(-1);
-
-  Result<api::SolveReport> result = future.Take();
-
-  auto conn_it = connections_.find(conn_id);
-  if (conn_it == connections_.end()) return;  // client went away; discard
-  Connection& conn = conn_it->second;
-  conn.awaiting_solve = false;
-  const bool keep_alive = !conn.close_after_write;
-
+  }();
   int status = 200;
   std::string body;
   if (!result.ok()) {
     status = HttpStatusFor(result.status());
     body = ErrorBody(status, result.status().message());
-  } else if (options_.deadline_as_504 && result.value().terminated_early &&
+  } else if (result.value().terminated_early &&
              result.value().termination_reason == "deadline") {
     // 504-style error, but the anytime jury is still in the envelope —
     // a caller that wants the partial result can take it.
@@ -464,8 +392,6 @@ void JuryServer::FinishSolve(std::uint64_t conn_id) {
     body = result.value().ToJson();
   }
   QueueResponse(conn_id, status, body, keep_alive);
-  // Requests the client pipelined behind this solve run now, in order.
-  ParseBuffered(conn_id);
 }
 
 void JuryServer::QueueError(std::uint64_t conn_id, int status,

@@ -3,9 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -23,9 +20,6 @@ struct ServeOptions {
   std::string host = "127.0.0.1";
   /// Listen port; 0 binds an ephemeral port (read it back via `port()`).
   int port = 0;
-  /// Admission control: when this many solves are already in flight, new
-  /// `/solve` requests are shed with a 503 (`serve.shed`). 0 = unlimited.
-  std::size_t max_inflight = 64;
   /// `EnableResultCache` capacity applied to the context at `Start` when
   /// the context has no cache yet. 0 leaves caching off.
   std::size_t cache_entries = 1024;
@@ -36,24 +30,20 @@ struct ServeOptions {
   /// result cache by design, so a default deadline trades cacheability
   /// for bounded tail latency.
   double default_deadline_ms = 0.0;
-  /// Map deadline-terminated solves to a 504 JSON error instead of a 200
-  /// anytime report. The 504 body still embeds the partial report.
-  bool deadline_as_504 = true;
 };
 
-/// \brief The serving layer's HTTP endpoint: a single-threaded
-/// epoll/eventfd loop speaking the existing `SolveRequest` JSON binding
-/// over `PoolPlanContext::SubmitMany`.
+/// \brief The serving layer's HTTP endpoint: a single-threaded epoll
+/// loop speaking the existing `SolveRequest` JSON binding over
+/// `PoolPlanContext::Solve`.
 ///
 /// Design: the event loop owns all connection state, and each
-/// `POST /solve` becomes a one-request `SubmitMany` batch whose
-/// `on_complete` hook kicks an eventfd; the loop writes the response when
-/// the completion drains. A one-request batch solves inline during
-/// submission, so every solve runs on the loop thread, and requests that
-/// arrive meanwhile (cache hits included) wait for it. Parallelism
-/// inside a solve (OPTJS's fallbacks, parallel scans) still fans out on
-/// the process work-stealing scheduler. The server adds no locking on
-/// the solve path.
+/// `POST /solve` is solved inline on the loop thread; its response is
+/// queued (and written as far as the socket takes it) as soon as the
+/// solve returns. One solve runs at a time, and requests that arrive
+/// meanwhile (cache hits included) wait for it. Parallelism inside a
+/// solve (OPTJS's fallbacks, parallel scans) still fans out on the
+/// process work-stealing scheduler. The server adds no locking on the
+/// solve path.
 ///
 /// Routes:
 ///  * `GET /healthz`  -> `{"ok":true}`
@@ -63,14 +53,15 @@ struct ServeOptions {
 /// Error mapping (JSON envelope `{"error":{"code":...,"message":...}}`):
 /// parse/validation failures and requests too large for the pool (the
 /// exhaustive and exact-JQ size guards' OutOfRange) -> 400, unknown
-/// solver -> 404, load shed or resource exhaustion -> 503, deadline (when
-/// `deadline_as_504`) -> 504, anything else -> 500. Malformed wire bytes and oversized requests are
-/// answered (400/413/431), never fatal — the robustness suite drives
-/// this with the fuzz corpora.
+/// solver -> 404, resource exhaustion -> 503, an expired deadline -> 504
+/// (the body embeds the anytime report), anything else -> 500 (an
+/// exception escaping a solve included). Malformed wire bytes and
+/// oversized requests are answered (400/413/431), never fatal — the
+/// robustness suite drives this with the fuzz corpora.
 ///
 /// `Shutdown()` is async-signal-safe (one `write` to an eventfd): the
-/// loop stops accepting, finishes every in-flight solve, flushes every
-/// response, then returns from `Run` (graceful drain).
+/// loop stops accepting, flushes every queued response, then returns
+/// from `Run` (graceful drain).
 class JuryServer {
  public:
   /// The context must outlive the server. Does not take ownership.
@@ -97,30 +88,25 @@ class JuryServer {
   struct Connection {
     int fd = -1;
     HttpParser parser;
-    /// Received bytes not yet parsed: requests pipelined behind a
-    /// `/solve` wait here until that solve's response is queued.
+    /// Received bytes not yet parsed: a partial request, or requests
+    /// pipelined behind the one being answered.
     std::string inbuf;
     std::string outbuf;
     std::size_t outbuf_sent = 0;
     bool close_after_write = false;
-    /// A solve is in flight for this connection: reads are paused (one
-    /// request at a time per connection) until its completion drains.
-    bool awaiting_solve = false;
   };
 
   Status Listen();
   void AcceptNew();
   void HandleReadable(std::uint64_t conn_id);
-  /// Parses and dispatches buffered requests until the buffer runs dry,
-  /// a solve is submitted, or the connection is closing.
+  /// Parses and dispatches buffered requests, in order, until the buffer
+  /// runs dry or the connection is closing.
   void ParseBuffered(std::uint64_t conn_id);
   void HandleWritable(std::uint64_t conn_id);
-  /// Routes one complete request; may enqueue a response or submit a
-  /// solve (pausing reads until it completes).
+  /// Routes one complete request and queues its response.
   void Dispatch(std::uint64_t conn_id);
-  void SubmitSolve(std::uint64_t conn_id, const HttpRequest& http_request);
-  void DrainCompletions();
-  void FinishSolve(std::uint64_t conn_id);
+  /// `POST /solve`: parses, validates and solves the request inline.
+  void HandleSolve(std::uint64_t conn_id, const HttpRequest& http_request);
   void QueueResponse(std::uint64_t conn_id, int status,
                      const std::string& body, bool keep_alive);
   void QueueError(std::uint64_t conn_id, int status,
@@ -135,19 +121,12 @@ class JuryServer {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int shutdown_fd_ = -1;    // eventfd: Shutdown() -> loop wakeup
-  int completion_fd_ = -1;  // eventfd: solver thread -> loop wakeup
+  int shutdown_fd_ = -1;  // eventfd: Shutdown() -> loop wakeup
   int bound_port_ = 0;
   bool shutdown_requested_ = false;
 
   std::uint64_t next_conn_id_ = 1;
   std::unordered_map<std::uint64_t, Connection> connections_;
-  /// The in-flight solve of each connection awaiting one.
-  std::unordered_map<std::uint64_t, api::SolveFuture> pending_;
-
-  /// Completions crossing from scheduler threads to the loop.
-  std::mutex completed_mutex_;
-  std::deque<std::uint64_t> completed_;
 };
 
 }  // namespace jury::serve

@@ -257,6 +257,51 @@ TEST(SolveManyTest, OrderAndThreadCountInvariant) {
   }
 }
 
+/// Report bytes, not just juries: a batch report equals its serial
+/// `Solve` byte for byte, wall clock aside (the one timing-dependent
+/// field), over a mix of deterministic and stochastic solvers.
+TEST(SolveManyTest, ReportBytesMatchSerialSolvesAcrossThreadCounts) {
+  Rng rng(20150323);
+  auto context =
+      PoolPlanContext::Plan(RandomPool(&rng, 32, 0.55, 0.9, 0.05, 0.6))
+          .value();
+  const char* solvers[] = {"optjs", "annealing", "greedy-value", "mvjs"};
+  std::vector<SolveRequest> requests;
+  for (std::size_t i = 0; i < 12; ++i) {
+    SolveRequest request;
+    request.solver = solvers[i % 4];
+    request.budget = 1.0 + 0.15 * static_cast<double>(i);
+    request.alpha = 0.35 + 0.02 * static_cast<double>(i % 8);
+    request.rng_seed = 1000 + i;
+    requests.push_back(request);
+  }
+  const auto canonical = [](SolveReport report) {
+    report.wall_seconds = 0.0;
+    return report.ToJson();
+  };
+  std::vector<std::string> expected;
+  for (const SolveRequest& request : requests) {
+    auto report = context.Solve(request);
+    ASSERT_TRUE(report.ok()) << request.solver << ": " << report.status();
+    expected.push_back(canonical(report.value()));
+  }
+
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    auto batch = context.SolveMany(requests, {.num_threads = threads});
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_EQ(batch.value().size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(canonical(batch.value()[i]), expected[i])
+          << "request " << i << " at " << threads << " threads";
+    }
+  }
+
+  auto empty = context.SolveMany({}, {.num_threads = 8});
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty.value().empty());
+}
+
 TEST(SolveManyTest, FailsWithTheLowestIndexError) {
   auto context =
       PoolPlanContext::Plan(jury::testing::Figure1Workers()).value();

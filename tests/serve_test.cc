@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -503,8 +504,8 @@ TEST(PoolDeltaTest, InFlightSolvesSurviveChurn) {
   ASSERT_TRUE(planned.ok());
   api::PoolPlanContext context = std::move(planned).value();
 
-  // A batch of annealing requests (slow enough to still be in flight
-  // when the delta lands), submitted async...
+  // A batch of annealing requests, slow enough to still be in flight
+  // when the delta lands.
   std::vector<api::SolveRequest> requests;
   for (int i = 0; i < 6; ++i) {
     api::SolveRequest request = BaseRequest(1.0 + 0.1 * i);
@@ -525,21 +526,33 @@ TEST(PoolDeltaTest, InFlightSolvesSurviveChurn) {
     expected.push_back(canonical(report.value()));
   }
 
-  api::SubmitOptions submit;
-  submit.num_threads = 4;
-  std::vector<api::SolveFuture> futures = context.SubmitMany(requests, submit);
-  // Churn lands while the batch runs. In-flight requests keep their
-  // leased epoch: every future must succeed AND match the pre-churn
-  // reports bit for bit.
-  const api::PoolDeltaUpdate update{0, 0.93, 0.02};
-  ASSERT_TRUE(context.ApplyPoolDelta({&update, 1}).ok());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    auto report = futures[i].Take();
-    ASSERT_TRUE(report.ok()) << "in-flight request " << i
-                             << " failed across churn: " << report.status();
-    EXPECT_EQ(canonical(report.value()), expected[i]) << "request " << i;
+  // Churn lands while the batch runs: only once a lease has been taken,
+  // so the batch has pinned its epoch before the delta publishes a new
+  // one. In-flight requests keep that epoch: every report must succeed
+  // AND match the pre-churn reports bit for bit.
+  const StatsRegistry::Counter& leased =
+      RegisterStatsCounter("plan.instances_leased");
+  const std::uint64_t leased_before = leased.value();
+  std::optional<Result<std::vector<api::SolveReport>>> batch;
+  std::atomic<bool> finished{false};
+  std::thread solver([&] {
+    batch = context.SolveMany(requests, {.num_threads = 4});
+    finished = true;
+  });
+  while (leased.value() == leased_before && !finished) {
+    std::this_thread::yield();
   }
-  // New submissions see the new epoch.
+  const api::PoolDeltaUpdate update{0, 0.93, 0.02};
+  const Status churned = context.ApplyPoolDelta({&update, 1});
+  solver.join();
+  ASSERT_TRUE(churned.ok()) << churned;
+  ASSERT_TRUE(batch->ok()) << "in-flight batch failed across churn: "
+                           << batch->status();
+  ASSERT_EQ(batch->value().size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(canonical(batch->value()[i]), expected[i]) << "request " << i;
+  }
+  // New calls see the new epoch.
   EXPECT_EQ(context.pool_epoch(), 1u);
   auto fresh = context.Solve(requests[0]);
   ASSERT_TRUE(fresh.ok());
@@ -628,13 +641,14 @@ class TestClient {
 
 class JuryServerTest : public ::testing::Test {
  protected:
+  /// The options the fixture's server starts with.
+  virtual serve::ServeOptions Options() const { return {}; }
+
   void SetUp() override {
     auto planned = api::PoolPlanContext::Plan(TestPool());
     ASSERT_TRUE(planned.ok());
     context_.emplace(std::move(planned).value());
-    serve::ServeOptions options;
-    options.max_inflight = 8;
-    server_.emplace(&*context_, options);
+    server_.emplace(&*context_, Options());
     ASSERT_TRUE(server_->Start().ok());
     thread_ = std::thread([this] { EXPECT_TRUE(server_->Run().ok()); });
   }
@@ -751,6 +765,62 @@ TEST_F(JuryServerTest, PipelinedSolvesAreAnsweredInOrder) {
   // The connection is still usable afterwards.
   auto [health_status, health_body] = client.RoundTrip("GET", "/healthz");
   EXPECT_EQ(health_status, 200);
+}
+
+TEST_F(JuryServerTest, SolvesFromManyConnectionsAreAllAnswered) {
+  // A slow solve holds the loop while 16 other connections each send one
+  // quick solve. Nothing here overloads the server — one solve runs at a
+  // time — so every reply must be a 200, none a 503.
+  constexpr int kQuick = 16;
+  TestClient slow(server_->port());
+  ASSERT_TRUE(slow.connected());
+  std::vector<std::unique_ptr<TestClient>> quick;
+  for (int i = 0; i < kQuick; ++i) {
+    quick.push_back(std::make_unique<TestClient>(server_->port()));
+    ASSERT_TRUE(quick.back()->connected());
+  }
+  api::SolveRequest slow_request = BaseRequest();
+  slow_request.solver = "annealing";
+  slow_request.tuning.annealing.num_restarts = 64;
+  slow_request.tuning.annealing.num_threads = 1;
+  ASSERT_TRUE(
+      slow.Send(FormatRequest("POST", "/solve", slow_request.ToJson())));
+  for (int i = 0; i < kQuick; ++i) {
+    api::SolveRequest request = BaseRequest(0.5 + 0.1 * i);
+    request.solver = "greedy-quality";
+    ASSERT_TRUE(
+        quick[i]->Send(FormatRequest("POST", "/solve", request.ToJson())));
+  }
+  auto [slow_status, slow_body] = slow.ReadResponse();
+  EXPECT_EQ(slow_status, 200) << slow_body;
+  for (int i = 0; i < kQuick; ++i) {
+    auto [status, body] = quick[i]->ReadResponse();
+    EXPECT_EQ(status, 200) << "connection " << i << ": " << body;
+  }
+}
+
+class JuryServerDeadlineTest : public JuryServerTest {
+ protected:
+  serve::ServeOptions Options() const override {
+    serve::ServeOptions options;
+    options.default_deadline_ms = 1e-3;
+    return options;
+  }
+};
+
+TEST_F(JuryServerDeadlineTest, ExpiredDefaultDeadlineAnswers504WithTheReport) {
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  api::SolveRequest request = BaseRequest();
+  request.solver = "annealing";
+  auto [status, body] = client.RoundTrip("POST", "/solve", request.ToJson());
+  EXPECT_EQ(status, 504) << body;
+  EXPECT_NE(body.find("\"code\":504"), std::string::npos) << body;
+  // The anytime jury rides along in the error envelope.
+  EXPECT_NE(body.find("\"report\":{"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"termination_reason\":\"deadline\""),
+            std::string::npos)
+      << body;
 }
 
 }  // namespace
