@@ -63,14 +63,12 @@ class SolveControls {
 /// reached its 2^n guard; this is the boundary where that became a
 /// recoverable Status instead.
 Result<std::unique_ptr<JqObjective>> MakeCheckedObjective(
-    const PoolPlanContext& context, const SolveRequest& request) {
+    const PoolPlanContext::InstanceLease& lease, const SolveRequest& request) {
   std::unique_ptr<JqObjective> objective;
   JURY_ASSIGN_OR_RETURN(objective, MakeObjective(request.tuning));
-  // `num_candidates()` (the column length), not `candidates().size()`: the
-  // cap check must not force a snapshot plan to materialize its structs.
-  if (context.num_candidates() > objective->max_jury_size()) {
+  if (lease.view().size() > objective->max_jury_size()) {
     return Status::InvalidArgument(
-        "pool of " + std::to_string(context.num_candidates()) +
+        "pool of " + std::to_string(lease.view().size()) +
         " workers exceeds the '" + request.tuning.objective +
         "' objective's jury cap of " +
         std::to_string(objective->max_jury_size()) +
@@ -79,13 +77,14 @@ Result<std::unique_ptr<JqObjective>> MakeCheckedObjective(
   return objective;
 }
 
-/// Wires the plan's sharded summary index onto a solve that opted into
-/// frontier pre-selection (`frontier_k > 0` in its tuning). The pool is
-/// built lazily, once per context, and shared read-only; requests that
+/// Wires the leased epoch's sharded summary index onto a solve that opted
+/// into frontier pre-selection (`frontier_k > 0` in its tuning). The pool
+/// is built lazily, once per epoch, and shared read-only; requests that
 /// never set `frontier_k` never trigger the build.
-void ArmFrontier(SolverOptions& options, const PoolPlanContext& context) {
+void ArmFrontier(SolverOptions& options,
+                 const PoolPlanContext::InstanceLease& lease) {
   if (options.frontier_k > 0) {
-    options.sharded_pool = context.sharded_pool();
+    options.sharded_pool = lease.sharded_pool();
   }
 }
 
@@ -131,21 +130,20 @@ std::map<std::string, double> FlattenAnnealingStats(
 class AnnealingSolver final : public JspSolver {
  public:
   std::string name() const override { return "annealing"; }
-  Result<SolveReport> Solve(PoolPlanContext& context,
+  Result<SolveReport> Solve(PoolPlanContext::InstanceLease& lease,
                             const SolveRequest& request) const override {
     std::unique_ptr<JqObjective> objective;
-    JURY_ASSIGN_OR_RETURN(objective, MakeCheckedObjective(context, request));
-    auto lease = context.AcquireInstance(request.budget, request.alpha);
+    JURY_ASSIGN_OR_RETURN(objective, MakeCheckedObjective(lease, request));
     Rng rng(request.rng_seed);
     AnnealingStats stats;
     AnnealingOptions annealing = request.tuning.annealing;
     SolveControls controls(request);
     controls.Arm(annealing);
-    ArmFrontier(annealing, context);
+    ArmFrontier(annealing, lease);
     Timer timer;
     JspSolution solution;
     JURY_ASSIGN_OR_RETURN(
-        solution, SolveAnnealing(lease.instance(), context.view(), *objective,
+        solution, SolveAnnealing(lease.instance(), lease.view(), *objective,
                                  &rng, annealing, &stats));
     return FinishReport(name(), std::move(solution), *objective,
                         timer.ElapsedSeconds(), FlattenAnnealingStats(stats),
@@ -156,18 +154,17 @@ class AnnealingSolver final : public JspSolver {
 class ExhaustiveSolver final : public JspSolver {
  public:
   std::string name() const override { return "exhaustive"; }
-  Result<SolveReport> Solve(PoolPlanContext& context,
+  Result<SolveReport> Solve(PoolPlanContext::InstanceLease& lease,
                             const SolveRequest& request) const override {
     std::unique_ptr<JqObjective> objective;
-    JURY_ASSIGN_OR_RETURN(objective, MakeCheckedObjective(context, request));
-    auto lease = context.AcquireInstance(request.budget, request.alpha);
+    JURY_ASSIGN_OR_RETURN(objective, MakeCheckedObjective(lease, request));
     ExhaustiveOptions exhaustive = request.tuning.exhaustive;
     SolveControls controls(request);
     controls.Arm(exhaustive);
     Timer timer;
     JspSolution solution;
     JURY_ASSIGN_OR_RETURN(
-        solution, SolveExhaustive(lease.instance(), context.view(),
+        solution, SolveExhaustive(lease.instance(), lease.view(),
                                   *objective, exhaustive));
     return FinishReport(name(), std::move(solution), *objective,
                         timer.ElapsedSeconds(), {}, controls);
@@ -177,21 +174,20 @@ class ExhaustiveSolver final : public JspSolver {
 class BranchBoundSolver final : public JspSolver {
  public:
   std::string name() const override { return "branch-bound"; }
-  Result<SolveReport> Solve(PoolPlanContext& context,
+  Result<SolveReport> Solve(PoolPlanContext::InstanceLease& lease,
                             const SolveRequest& request) const override {
     std::unique_ptr<JqObjective> objective;
-    JURY_ASSIGN_OR_RETURN(objective, MakeCheckedObjective(context, request));
-    auto lease = context.AcquireInstance(request.budget, request.alpha);
+    JURY_ASSIGN_OR_RETURN(objective, MakeCheckedObjective(lease, request));
     BranchBoundStats stats;
     BranchBoundOptions branch_bound = request.tuning.branch_bound;
     SolveControls controls(request);
     controls.Arm(branch_bound);
-    ArmFrontier(branch_bound, context);
+    ArmFrontier(branch_bound, lease);
     Timer timer;
     JspSolution solution;
     JURY_ASSIGN_OR_RETURN(
         solution,
-        SolveBranchAndBound(lease.instance(), context.view(), *objective,
+        SolveBranchAndBound(lease.instance(), lease.view(), *objective,
                             branch_bound, &stats));
     return FinishReport(
         name(), std::move(solution), *objective, timer.ElapsedSeconds(),
@@ -217,19 +213,18 @@ class GreedyFamilySolver final : public JspSolver {
       : name_(std::move(name)), entry_(entry) {}
 
   std::string name() const override { return name_; }
-  Result<SolveReport> Solve(PoolPlanContext& context,
+  Result<SolveReport> Solve(PoolPlanContext::InstanceLease& lease,
                             const SolveRequest& request) const override {
     std::unique_ptr<JqObjective> objective;
-    JURY_ASSIGN_OR_RETURN(objective, MakeCheckedObjective(context, request));
-    auto lease = context.AcquireInstance(request.budget, request.alpha);
+    JURY_ASSIGN_OR_RETURN(objective, MakeCheckedObjective(lease, request));
     GreedyOptions greedy = request.tuning.greedy;
     SolveControls controls(request);
     controls.Arm(greedy);
-    ArmFrontier(greedy, context);
+    ArmFrontier(greedy, lease);
     Timer timer;
     JspSolution solution;
     JURY_ASSIGN_OR_RETURN(solution,
-                          entry_(lease.instance(), context.view(), *objective,
+                          entry_(lease.instance(), lease.view(), *objective,
                                  greedy));
     return FinishReport(name_, std::move(solution), *objective,
                         timer.ElapsedSeconds(), {}, controls);
@@ -249,11 +244,10 @@ class GreedyFamilySolver final : public JspSolver {
 class OptjsSolver final : public JspSolver {
  public:
   std::string name() const override { return "optjs"; }
-  Result<SolveReport> Solve(PoolPlanContext& context,
+  Result<SolveReport> Solve(PoolPlanContext::InstanceLease& lease,
                             const SolveRequest& request) const override {
     OptjsOptions options = request.tuning.optjs;
     const BucketBvObjective objective(options.bucket);
-    auto lease = context.AcquireInstance(request.budget, request.alpha);
     Rng rng(request.rng_seed);
     AnnealingStats stats;
     bool used_shortcut = false;
@@ -262,7 +256,7 @@ class OptjsSolver final : public JspSolver {
     Timer timer;
     JspSolution solution;
     JURY_ASSIGN_OR_RETURN(
-        solution, SolveOptjs(lease.instance(), context.view(), objective,
+        solution, SolveOptjs(lease.instance(), lease.view(), objective,
                              &rng, options, &stats, &used_shortcut));
     std::map<std::string, double> flat = FlattenAnnealingStats(stats);
     flat["used_exhaustive_shortcut"] = used_shortcut ? 1.0 : 0.0;
@@ -274,10 +268,9 @@ class OptjsSolver final : public JspSolver {
 class MvjsSolver final : public JspSolver {
  public:
   std::string name() const override { return "mvjs"; }
-  Result<SolveReport> Solve(PoolPlanContext& context,
+  Result<SolveReport> Solve(PoolPlanContext::InstanceLease& lease,
                             const SolveRequest& request) const override {
     const MajorityObjective objective;
-    auto lease = context.AcquireInstance(request.budget, request.alpha);
     Rng rng(request.rng_seed);
     AnnealingStats stats;
     MvjsOptions mvjs = request.tuning.mvjs;
@@ -286,7 +279,7 @@ class MvjsSolver final : public JspSolver {
     Timer timer;
     JspSolution solution;
     JURY_ASSIGN_OR_RETURN(
-        solution, SolveMvjs(lease.instance(), context.view(), objective,
+        solution, SolveMvjs(lease.instance(), lease.view(), objective,
                             &rng, mvjs, &stats));
     return FinishReport(name(), std::move(solution), objective,
                         timer.ElapsedSeconds(), FlattenAnnealingStats(stats),

@@ -29,6 +29,8 @@ StatsRegistry::Counter& g_contexts_planned =
     RegisterStatsCounter("plan.contexts_planned");
 StatsRegistry::Counter& g_instances_leased =
     RegisterStatsCounter("plan.instances_leased");
+StatsRegistry::Counter& g_epochs_freed =
+    RegisterStatsCounter("plan.epochs_freed");
 StatsRegistry::Counter& g_requests_solved =
     RegisterStatsCounter("api.requests_solved");
 StatsRegistry::Counter& g_request_errors =
@@ -37,6 +39,14 @@ StatsRegistry::Counter& g_solves_deadline_exceeded =
     RegisterStatsCounter("api.solves_deadline_exceeded");
 StatsRegistry::Counter& g_solves_cancelled =
     RegisterStatsCounter("api.solves_cancelled");
+
+/// The plan's shard knobs, 0 meaning the `ShardedPoolOptions` default.
+ShardedPoolOptions ShardOptions(const PlanOptions& options) {
+  ShardedPoolOptions shards;
+  if (options.shard_size > 0) shards.shard_size = options.shard_size;
+  if (options.slate_k > 0) shards.slate_k = options.slate_k;
+  return shards;
+}
 
 }  // namespace
 
@@ -88,28 +98,46 @@ std::string SolveReport::ToJson() const {
 
 /// \brief One pool epoch's immutable plan: the candidate table, its
 /// columnar view, and the lazily built sharded summary index. Epoch 0 is
-/// built at plan time; `ApplyPoolDelta` appends a new state per churn
-/// batch. States are heap-pinned (shared_ptr in the arena) and retired
-/// states are kept alive for the context's lifetime, so a reference
-/// obtained from any epoch — a `view()` held by an in-flight solve, a
-/// lease's candidate span — can never dangle.
+/// built at plan time; `ApplyPoolDelta` builds a new state per churn
+/// batch and swaps it in as the context's current epoch. States are
+/// shared by the context (while current) and by every lease taken on
+/// them, so a retired epoch lives exactly as long as its last lease.
 struct PoolState {
+  ~PoolState() { g_epochs_freed.Increment(); }
+
+  /// Snapshot states materialize `candidates` lazily, once (no-op for
+  /// memory and churned states); the view never needs them.
+  const std::vector<Worker>& Workers() {
+    std::call_once(workers_once, [this] {
+      if (snapshot != nullptr) candidates = snapshot->MaterializeWorkers();
+    });
+    return candidates;
+  }
+
+  const ShardedWorkerPool* ShardedPool() {
+    std::lock_guard<std::mutex> lock(pool_mutex);
+    if (pool == nullptr) {
+      pool = std::make_unique<ShardedWorkerPool>(&view, shard_options);
+    }
+    return pool.get();
+  }
+
   std::uint64_t epoch = 0;
   /// Owner of the mapped columns for a snapshot-born epoch 0 (its view
   /// adopts them). Null for memory plans and every churned state.
   std::unique_ptr<PoolSnapshot> snapshot;
   std::vector<Worker> candidates;
   WorkerPoolView view;
-  /// Snapshot states materialize `candidates` lazily, once.
+  ShardedPoolOptions shard_options;
   std::once_flag workers_once;
   std::mutex pool_mutex;
   std::unique_ptr<ShardedWorkerPool> pool;  // lazy; guarded by pool_mutex
 };
 
 struct PoolPlanContext::Arena {
-  /// Guards `states`; `states.back()` is the current epoch. Push-only.
+  /// Guards `current`, which `ApplyPoolDelta` swaps.
   std::mutex state_mutex;
-  std::vector<std::shared_ptr<PoolState>> states;
+  std::shared_ptr<PoolState> current;
   /// Serializes `ApplyPoolDelta` (epoch construction is copy-heavy; two
   /// racing churn batches must see each other's updates).
   std::mutex churn_mutex;
@@ -118,51 +146,27 @@ struct PoolPlanContext::Arena {
   bool from_snapshot = false;
 };
 
-namespace {
-
-/// Epoch pins: the innermost entry for a context names the `PoolState`
-/// every plan accessor (`view()`, `AcquireInstance`, `sharded_pool`, ...)
-/// on this thread must read, so one solve — whose registry adapter calls
-/// those accessors one by one — observes a single consistent epoch even
-/// while `ApplyPoolDelta` publishes a newer one. `SolveMany` shards pin
-/// their batch's epoch; `Solve` re-pins whatever it resolved, which also
-/// covers nested scheduler threads that join a solve's inner parallel
-/// regions through its bound view/instance (those never call the
-/// accessors themselves).
-thread_local std::vector<std::pair<const PoolPlanContext*, PoolState*>>
-    t_state_pins;
-
-class ScopedStatePin {
- public:
-  ScopedStatePin(const PoolPlanContext* context, PoolState* state) {
-    t_state_pins.emplace_back(context, state);
-  }
-  ~ScopedStatePin() { t_state_pins.pop_back(); }
-  ScopedStatePin(const ScopedStatePin&) = delete;
-  ScopedStatePin& operator=(const ScopedStatePin&) = delete;
-};
-
-}  // namespace
-
 PoolPlanContext::PoolPlanContext(std::vector<Worker> candidates,
                                  const PlanOptions& options)
-    : plan_options_(options), arena_(std::make_unique<Arena>()) {
+    : arena_(std::make_unique<Arena>()) {
   auto state = std::make_shared<PoolState>();
   state->candidates = std::move(candidates);
   state->view = WorkerPoolView(state->candidates);
-  arena_->states.push_back(std::move(state));
+  state->shard_options = ShardOptions(options);
+  arena_->current = std::move(state);
 }
 
 PoolPlanContext::PoolPlanContext(std::unique_ptr<PoolSnapshot> snapshot,
                                  const PlanOptions& options)
-    : plan_options_(options), arena_(std::make_unique<Arena>()) {
+    : arena_(std::make_unique<Arena>()) {
   auto state = std::make_shared<PoolState>();
   state->snapshot = std::move(snapshot);
   state->view = WorkerPoolView::FromColumns(
       state->snapshot->quality(), state->snapshot->cost(),
       state->snapshot->norm_quality(), state->snapshot->log_odds());
+  state->shard_options = ShardOptions(options);
   arena_->from_snapshot = true;
-  arena_->states.push_back(std::move(state));
+  arena_->current = std::move(state);
 }
 
 // Out of line so `Arena` is complete where unique_ptr needs it. Moves are
@@ -199,18 +203,15 @@ Result<PoolPlanContext> PoolPlanContext::PlanFromSnapshot(
                          options);
 }
 
-PoolState* PoolPlanContext::CurrentState() const {
-  for (auto it = t_state_pins.rbegin(); it != t_state_pins.rend(); ++it) {
-    if (it->first == this) return it->second;
-  }
+std::shared_ptr<PoolState> PoolPlanContext::CurrentState() const {
   std::lock_guard<std::mutex> lock(arena_->state_mutex);
-  return arena_->states.back().get();
+  return arena_->current;
 }
 
+// The accessors' temporary reference dies at the end of the call; the
+// context's own reference keeps the state alive until the next delta.
 const std::vector<Worker>& PoolPlanContext::candidates() const {
-  PoolState* const state = CurrentState();
-  EnsureWorkers(state);
-  return state->candidates;
+  return CurrentState()->Workers();
 }
 
 std::size_t PoolPlanContext::num_candidates() const {
@@ -239,56 +240,36 @@ serve::ResultCache* PoolPlanContext::result_cache() const {
   return arena_->cache.get();
 }
 
-void PoolPlanContext::EnsureWorkers(PoolState* state) const {
-  std::call_once(state->workers_once, [state] {
-    if (state->snapshot == nullptr) return;  // workers carried already
-    state->candidates = state->snapshot->MaterializeWorkers();
-  });
-}
-
 const ShardedWorkerPool* PoolPlanContext::sharded_pool() const {
-  PoolState* const state = CurrentState();
-  std::lock_guard<std::mutex> lock(state->pool_mutex);
-  if (state->pool == nullptr) {
-    ShardedPoolOptions options;
-    if (plan_options_.shard_size > 0) {
-      options.shard_size = plan_options_.shard_size;
-    }
-    if (plan_options_.slate_k > 0) options.slate_k = plan_options_.slate_k;
-    state->pool = std::make_unique<ShardedWorkerPool>(&state->view, options);
-  }
-  return state->pool.get();
+  return CurrentState()->ShardedPool();
 }
 
 Status PoolPlanContext::ApplyPoolDelta(
     std::span<const PoolDeltaUpdate> updates) {
   std::lock_guard<std::mutex> churn(arena_->churn_mutex);
-  PoolState* const current = [&] {
-    std::lock_guard<std::mutex> lock(arena_->state_mutex);
-    return arena_->states.back().get();
-  }();
+  const std::shared_ptr<PoolState> current = CurrentState();
   // Churned states carry materialized workers (the new candidate table is
   // a copy), so snapshot plans materialize at their first churn.
-  EnsureWorkers(current);
-
-  auto next = std::make_shared<PoolState>();
-  next->epoch = current->epoch + 1;
-  next->candidates = current->candidates;
+  std::vector<Worker> candidates = current->Workers();
   std::vector<std::size_t> changed;
   changed.reserve(updates.size());
   for (const PoolDeltaUpdate& update : updates) {
-    if (update.index >= next->candidates.size()) {
+    if (update.index >= candidates.size()) {
       return Status::InvalidArgument(
           "PoolDeltaUpdate.index out of range: " +
           std::to_string(update.index) + " >= " +
-          std::to_string(next->candidates.size()));
+          std::to_string(candidates.size()));
     }
-    Worker& worker = next->candidates[update.index];
+    Worker& worker = candidates[update.index];
     worker.quality = update.quality;
     worker.cost = update.cost;
     JURY_RETURN_NOT_OK(ValidateWorker(worker));
     changed.push_back(update.index);
   }
+  auto next = std::make_shared<PoolState>();
+  next->epoch = current->epoch + 1;
+  next->candidates = std::move(candidates);
+  next->shard_options = current->shard_options;
   // The owning view recomputes the derived columns with the session
   // backends' own expressions, so unchanged workers' columns are
   // bit-identical to the previous epoch's (snapshot-born included).
@@ -308,31 +289,42 @@ Status PoolPlanContext::ApplyPoolDelta(
   }
   serve::ServeEpochBumps().Increment();
   std::lock_guard<std::mutex> lock(arena_->state_mutex);
-  arena_->states.push_back(std::move(next));
+  arena_->current = std::move(next);
+  // `current` is released after `lock`: the retired epoch, unless a lease
+  // still reads it, is freed outside the state mutex.
   return Status::OK();
+}
+
+PoolPlanContext::InstanceLease::InstanceLease(std::shared_ptr<PoolState> state,
+                                              double budget, double alpha)
+    : state_(std::move(state)) {
+  // The fault hook stands in for a lease failing to materialize a
+  // snapshot plan's workers.
+  JURY_FAULT_POINT("plan.lease_instance");
+  instance_ = JspInstance{
+      .candidates = state_->Workers(), .budget = budget, .alpha = alpha};
+  g_instances_leased.Increment();
+}
+
+const WorkerPoolView& PoolPlanContext::InstanceLease::view() const {
+  return state_->view;
+}
+
+const ShardedWorkerPool* PoolPlanContext::InstanceLease::sharded_pool() const {
+  return state_->ShardedPool();
 }
 
 PoolPlanContext::InstanceLease PoolPlanContext::AcquireInstance(double budget,
                                                                 double alpha) {
-  // The fault hook stands in for a lease failing to materialize a
-  // snapshot plan's workers.
-  JURY_FAULT_POINT("plan.lease_instance");
-  PoolState* const state = CurrentState();
-  EnsureWorkers(state);  // snapshot plans materialize structs on first lease
-  g_instances_leased.Increment();
-  return InstanceLease(JspInstance{
-      .candidates = state->candidates, .budget = budget, .alpha = alpha});
+  return InstanceLease(CurrentState(), budget, alpha);
 }
 
 Result<SolveReport> PoolPlanContext::Solve(const SolveRequest& request) {
-  // Pin the epoch for the whole solve: the registry adapter reads
-  // `view()`, `AcquireInstance`, and `sharded_pool()` as separate calls,
-  // and a concurrent `ApplyPoolDelta` between them must not tear the
-  // request across two epochs. (Re-pinning a batch-pinned state is a
-  // harmless duplicate.)
-  PoolState* const state = CurrentState();
-  ScopedStatePin pin(this, state);
+  return SolveOn(CurrentState(), request);
+}
 
+Result<SolveReport> PoolPlanContext::SolveOn(
+    const std::shared_ptr<PoolState>& state, const SolveRequest& request) {
   // Result cache (opt-in): only requests whose execution is a pure
   // function of (epoch, request) participate — a wall-clock deadline, a
   // live cancel token, or a process-cumulative stats snapshot makes the
@@ -360,7 +352,8 @@ Result<SolveReport> PoolPlanContext::Solve(const SolveRequest& request) {
       JURY_RETURN_NOT_OK(request.Validate());
       const JspSolver* solver = nullptr;
       JURY_ASSIGN_OR_RETURN(solver, FindSolver(request.solver));
-      return solver->Solve(*this, request);
+      InstanceLease lease(state, request.budget, request.alpha);
+      return solver->Solve(lease, request);
     } catch (const FaultInjectedError& error) {
       // The one place injected faults are converted: whatever site fired
       // — on this thread or rethrown from a drained parallel region —
@@ -401,7 +394,7 @@ Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
   if (count == 0) return std::vector<SolveReport>{};
   // Every request solves against the epoch current at the call, so churn
   // mid-batch cannot fail or tear it.
-  PoolState* const state = CurrentState();
+  const std::shared_ptr<PoolState> state = CurrentState();
   std::vector<SolveReport> reports(count);
   std::vector<Status> errors(count);
   // Grain 1: requests are claimed one at a time, so a batch mixing
@@ -410,10 +403,9 @@ Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
   // runs the same code path as a serial `Solve`, reading only its own
   // seeded rng, so the reports are a pure function of the request list.
   const auto solve_shard = [&](std::size_t begin, std::size_t end) {
-    ScopedStatePin pin(this, state);
     for (std::size_t i = begin; i < end; ++i) {
       try {
-        Result<SolveReport> result = Solve(requests[i]);
+        Result<SolveReport> result = SolveOn(state, requests[i]);
         if (result.ok()) {
           reports[i] = std::move(result).value();
         } else {

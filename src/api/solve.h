@@ -218,21 +218,6 @@ struct PoolDeltaUpdate {
 
 struct PoolState;  // one pool epoch's immutable plan; private to solve.cc
 
-class PoolPlanContext;
-
-/// \brief The common solver interface behind the registry: one virtual
-/// `Solve` over (planned pool, request). Implementations are stateless
-/// adapters around the core `Solve*` free functions, called on the plan's
-/// view, so a registry solve is bit-identical to the direct call.
-class JspSolver {
- public:
-  virtual ~JspSolver() = default;
-  /// The stable registry name ("annealing", "optjs", ...).
-  virtual std::string name() const = 0;
-  virtual Result<SolveReport> Solve(PoolPlanContext& context,
-                                    const SolveRequest& request) const = 0;
-};
-
 /// \brief A long-lived planning context for one candidate pool — the
 /// serving-layer shape of the paper's Fig. 1 system: one crowd worker
 /// pool answering a *stream* of jury-selection queries with varying
@@ -248,7 +233,9 @@ class JspSolver {
 /// `Solve` runs one request; `SolveMany` fans a batch across the
 /// process-wide scheduler, each request bit-identical to its serial
 /// solve. The context is safe for concurrent `Solve` calls (epochs are
-/// immutable once published).
+/// immutable once published). Each solve reads its epoch through the
+/// `InstanceLease` it takes, and a retired epoch is freed when its last
+/// lease goes.
 class PoolPlanContext {
  public:
   /// Validates the pool (every worker's quality/cost ranges) and builds
@@ -282,27 +269,24 @@ class PoolPlanContext {
   PoolPlanContext(const PoolPlanContext&) = delete;
   PoolPlanContext& operator=(const PoolPlanContext&) = delete;
 
+  // The accessors below read the current epoch. The references and
+  // pointers they return stay valid until the next `ApplyPoolDelta`; a
+  // reader that must outlive one holds an `InstanceLease` instead.
+
   /// The pool's AoS records. For a snapshot plan this materializes the
   /// structs on first use (thread-safe, once); prefer `num_candidates()` /
-  /// `view()` when only sizes or columns are needed. Epoch-aware: inside
-  /// a solve these read the solve's pinned epoch, outside they read the
-  /// current one (see `ApplyPoolDelta`).
+  /// `view()` when only sizes or columns are needed.
   const std::vector<Worker>& candidates() const;
   /// Pool size without materializing workers (column length).
   std::size_t num_candidates() const;
-  /// The pool's columnar snapshot, shared read-only by every solve. The
-  /// reference stays valid for the context's lifetime (epochs retire but
-  /// never die), though after an `ApplyPoolDelta` a fresh call returns
-  /// the new epoch's view.
+  /// The pool's columnar snapshot, shared read-only by every solve.
   const WorkerPoolView& view() const;
   /// Where the pool came from: "memory" (in-process workers, CSV included)
   /// or "snapshot" (mapped `PoolSnapshot`).
   const char* pool_source() const;
 
-  /// The plan's sharded summary index over `view()`, built lazily on
-  /// first use (thread-safe, once) and shared read-only by every solve.
-  /// Solver adapters wire it into `SolverOptions::sharded_pool` when a
-  /// request opts into frontier pre-selection (`frontier_k > 0`).
+  /// The sharded summary index over `view()`, built lazily on first use
+  /// (thread-safe, once per epoch) and shared read-only by every solve.
   const ShardedWorkerPool* sharded_pool() const;
 
   /// Solves one request: validates its scalars, resolves the solver by
@@ -336,15 +320,16 @@ class PoolPlanContext {
   /// built) is *rebased* — copied shard summaries, then `ApplyDelta` over
   /// exactly the changed indices, so only touched shards pay a rebuild —
   /// and the epoch counter bumps (`serve.epoch_bumps`). In-flight solves
-  /// and leases keep the epoch they started on; the result cache keeps
-  /// old-epoch entries keyed by their epoch (new-epoch lookups miss and
-  /// re-solve; stale entries age out through eviction) — churn
+  /// and leases keep the epoch they started on, and the retired epoch is
+  /// freed when the last of them goes (`plan.epochs_freed`). The result
+  /// cache keeps old-epoch entries keyed by their epoch (new-epoch lookups
+  /// miss and re-solve; stale entries age out through eviction) — churn
   /// invalidates only what changed. Concurrent `ApplyPoolDelta` calls
   /// serialize.
   Status ApplyPoolDelta(std::span<const PoolDeltaUpdate> updates);
 
   /// The pool's current data epoch (0 at plan time, +1 per
-  /// `ApplyPoolDelta`). Inside a solve, the solve's leased epoch.
+  /// `ApplyPoolDelta`).
   std::uint64_t pool_epoch() const;
 
   /// Enables the epoch-keyed result cache (`serve::ResultCache`) for this
@@ -359,29 +344,38 @@ class PoolPlanContext {
   /// The enabled cache (nullptr when disabled). Thread-safe for stats.
   serve::ResultCache* result_cache() const;
 
-  /// \brief One request's instance, held by value: the leased epoch's
-  /// candidate table (borrowed, never copied) and the request's budget
-  /// and alpha. Epochs are never mutated and live as long as the context,
-  /// so a lease taken before an `ApplyPoolDelta` keeps reading the old
-  /// epoch's workers.
+  /// \brief One request's hold on a pool epoch: it shares ownership of the
+  /// epoch it was taken from and carries the request's budget and alpha.
+  /// Everything read through it — the instance (a span over the epoch's
+  /// candidate table, never a copy), the view, the sharded index — is
+  /// that one epoch's, however many `ApplyPoolDelta` calls land while it
+  /// is held; a retired epoch is freed when its last lease goes.
   class InstanceLease {
    public:
     InstanceLease(InstanceLease&&) noexcept = default;
 
     JspInstance& instance() { return instance_; }
     const JspInstance& instance() const { return instance_; }
+    /// The leased epoch's columnar view.
+    const WorkerPoolView& view() const;
+    /// The leased epoch's sharded summary index, built lazily on first use
+    /// (thread-safe, once per epoch). Solver adapters wire it into
+    /// `SolverOptions::sharded_pool` when a request opts into frontier
+    /// pre-selection (`frontier_k > 0`).
+    const ShardedWorkerPool* sharded_pool() const;
 
    private:
     friend class PoolPlanContext;
-    explicit InstanceLease(const JspInstance& instance)
-        : instance_(instance) {}
+    InstanceLease(std::shared_ptr<PoolState> state, double budget,
+                  double alpha);
 
+    std::shared_ptr<PoolState> state_;
     JspInstance instance_;
   };
 
-  /// The current (or pinned) epoch's instance with the request's scalars
-  /// stamped on. O(1): materializes a snapshot plan's workers on the
-  /// first lease, then only points at them.
+  /// A lease on the current epoch with the request's scalars stamped on.
+  /// O(1): materializes a snapshot plan's workers on the first lease, then
+  /// only points at them.
   InstanceLease AcquireInstance(double budget, double alpha);
 
  private:
@@ -391,21 +385,30 @@ class PoolPlanContext {
   PoolPlanContext(std::unique_ptr<PoolSnapshot> snapshot,
                   const PlanOptions& options);
 
-  /// The epoch state this caller should read: the innermost state pinned
-  /// on this thread for this context (a solve in flight), else the
-  /// newest epoch.
-  PoolState* CurrentState() const;
-  /// Materializes `state`'s candidate table from its snapshot (no-op for
-  /// memory and churned states), for leases and `candidates()`; the view
-  /// never needs it. Thread-safe, once per state.
-  void EnsureWorkers(PoolState* state) const;
+  /// A new reference on the current epoch.
+  std::shared_ptr<PoolState> CurrentState() const;
+  /// One request against `state`, the epoch its `Solve` or `SolveMany`
+  /// call resolved: cache lookup, validation, lease, solve.
+  Result<SolveReport> SolveOn(const std::shared_ptr<PoolState>& state,
+                              const SolveRequest& request);
 
-  PlanOptions plan_options_;
-  /// Everything mutable lives behind this pointer — the epoch states
-  /// (each owning its candidates/view/sharded pool, retired epochs kept
-  /// alive so in-flight readers never dangle) and the optional result
-  /// cache — so the context keeps its defaulted moves.
+  /// Everything mutable lives behind this pointer — the current epoch and
+  /// the optional result cache — so the context keeps its defaulted moves.
   std::unique_ptr<Arena> arena_;
+};
+
+/// \brief The common solver interface behind the registry: one virtual
+/// `Solve` over (leased epoch, request). Implementations are stateless
+/// adapters around the core `Solve*` free functions, called on the
+/// lease's instance and view, so a registry solve is bit-identical to the
+/// direct call.
+class JspSolver {
+ public:
+  virtual ~JspSolver() = default;
+  /// The stable registry name ("annealing", "optjs", ...).
+  virtual std::string name() const = 0;
+  virtual Result<SolveReport> Solve(PoolPlanContext::InstanceLease& lease,
+                                    const SolveRequest& request) const = 0;
 };
 
 }  // namespace jury::api

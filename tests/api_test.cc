@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <map>
@@ -29,6 +30,8 @@
 #include "core/mvjs.h"
 #include "core/optjs.h"
 #include "gtest/gtest.h"
+#include "model/pool_snapshot.h"
+#include "model/sharded_pool.h"
 #include "test_util.h"
 #include "util/rng.h"
 #include "util/stats_registry.h"
@@ -483,6 +486,45 @@ TEST(PlanContextTest, LeaseKeepsItsEpochAcrossPoolDeltas) {
   EXPECT_EQ(after.instance().candidates.data(), context.candidates().data());
   EXPECT_NE(after.instance().candidates.data(), old_table);
   EXPECT_EQ(after.instance().candidates[0].quality, 0.99);
+  // The view and the sharded index come from the lease's epoch too.
+  EXPECT_EQ(before.view().quality()[0], old_worker.quality);
+  EXPECT_EQ(before.sharded_pool()->view().quality()[0], old_worker.quality);
+  EXPECT_EQ(after.view().quality()[0], 0.99);
+  EXPECT_EQ(after.sharded_pool()->view().quality()[0], 0.99);
+}
+
+TEST(PlanContextTest, ExactObjectiveRejectsPoolsOverItsJuryCap) {
+  const std::size_t cap = ExactBvObjective().max_jury_size();
+  Rng rng(2515);
+  const std::vector<Worker> workers =
+      RandomPool(&rng, static_cast<int>(cap) + 1, 0.5, 0.95, 0.05, 0.5);
+  const std::string path = ::testing::TempDir() + "juryopt_jury_cap.snap";
+  ASSERT_TRUE(
+      PoolSnapshot::Write(path, workers, WorkerPoolView(workers)).ok());
+  auto snapshot_plan = PoolPlanContext::PlanFromSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(snapshot_plan.ok()) << snapshot_plan.status();
+  auto memory_plan = PoolPlanContext::Plan(workers);
+  ASSERT_TRUE(memory_plan.ok()) << memory_plan.status();
+
+  const std::string cap_error =
+      "exceeds the 'bv-exact' objective's jury cap of " + std::to_string(cap);
+  for (PoolPlanContext* context :
+       {&memory_plan.value(), &snapshot_plan.value()}) {
+    for (const char* solver :
+         {"annealing", "exhaustive", "greedy-mg", "branch-bound"}) {
+      SolveRequest request;
+      request.solver = solver;
+      request.budget = 2.0;
+      request.tuning.objective = "bv-exact";
+      const auto result = context->Solve(request);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << context->pool_source() << " " << solver;
+      EXPECT_NE(result.status().message().find(cap_error), std::string::npos)
+          << context->pool_source() << " " << solver << ": "
+          << result.status();
+    }
+  }
 }
 
 TEST(PlanContextTest, ZeroBudgetReturnsTheEmptyJury) {

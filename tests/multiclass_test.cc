@@ -12,7 +12,6 @@
 #include "multiclass/jq_exact.h"
 #include "multiclass/jsp.h"
 #include "multiclass/model.h"
-#include "multiclass/multilabel.h"
 #include "multiclass/spammer.h"
 #include "util/rng.h"
 
@@ -296,60 +295,6 @@ TEST(DecomposeTest, PerfectWorkerProjectsToPerfectBinaryWorkers) {
   for (const auto& p : projections) {
     EXPECT_NEAR(p.workers[0].quality, 1.0, 1e-9);
   }
-}
-
-// ------------------------------------------------------------ Multilabel
-
-TEST(MultiLabelTest, PlansOneSelectionPerLabel) {
-  Rng rng(47);
-  McJury candidates;
-  for (int i = 0; i < 10; ++i) {
-    candidates.Add({"c" + std::to_string(i), RandomConfusion(&rng, 3),
-                    rng.Uniform(0.05, 0.3)});
-  }
-  Rng solver_rng(11);
-  const auto plan =
-      PlanMultiLabelSelection(candidates, {0.5, 0.3, 0.2}, 0.5, &solver_rng)
-          .value();
-  ASSERT_EQ(plan.selections.size(), 3u);
-  double cost = 0.0;
-  for (const auto& sel : plan.selections) {
-    EXPECT_LE(sel.cost, 0.5 + 1e-12);
-    EXPECT_GE(sel.jq, 0.5);
-    cost += sel.cost;
-    // Selected indices refer to the original pool.
-    for (std::size_t idx : sel.selected) EXPECT_LT(idx, 10u);
-  }
-  EXPECT_NEAR(plan.total_cost, cost, 1e-12);
-}
-
-TEST(MultiLabelTest, ConfidentPriorLabelsNeedLessQuality) {
-  // A near-certain label ("is it label 0?" with prior 0.9) starts at JQ
-  // 0.9 from the prior alone; its plan should never fall below that.
-  Rng rng(53);
-  McJury candidates;
-  for (int i = 0; i < 8; ++i) {
-    candidates.Add({"c" + std::to_string(i), RandomConfusion(&rng, 3),
-                    rng.Uniform(0.1, 0.4)});
-  }
-  Rng solver_rng(13);
-  const auto plan =
-      PlanMultiLabelSelection(candidates, {0.9, 0.05, 0.05}, 0.3,
-                              &solver_rng)
-          .value();
-  EXPECT_GE(plan.selections[0].jq, 0.9 - 1e-9);
-  // And the rare labels also benefit from their confident priors.
-  EXPECT_GE(plan.selections[1].jq, 0.95 - 1e-9);
-}
-
-TEST(MultiLabelTest, RejectsNegativeBudget) {
-  Rng rng(59);
-  McJury candidates;
-  candidates.Add({"c", RandomConfusion(&rng, 2), 0.1});
-  Rng solver_rng(1);
-  EXPECT_FALSE(PlanMultiLabelSelection(candidates, UniformMcPrior(2), -1.0,
-                                       &solver_rng)
-                   .ok());
 }
 
 // ------------------------------------------------------------------ JSP

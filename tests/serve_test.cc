@@ -11,6 +11,7 @@
 //    collide in the cache;
 //  * `ApplyPoolDelta` re-plans new requests without failing anything in
 //    flight, and rebuilds only the shards it touched;
+//  * a retired epoch is freed when its last lease goes, and not before;
 //  * malformed wire bytes get structured HTTP errors, never an abort.
 
 #include <arpa/inet.h>
@@ -556,6 +557,75 @@ TEST(PoolDeltaTest, InFlightSolvesSurviveChurn) {
   EXPECT_EQ(context.pool_epoch(), 1u);
   auto fresh = context.Solve(requests[0]);
   ASSERT_TRUE(fresh.ok());
+}
+
+TEST(PoolDeltaTest, RetiredEpochsAreFreedByTheirLastLease) {
+  api::PlanOptions plan_options;
+  plan_options.shard_size = 32;
+  auto planned = api::PoolPlanContext::Plan(TestPool(256), plan_options);
+  ASSERT_TRUE(planned.ok());
+  api::PoolPlanContext context = std::move(planned).value();
+  ASSERT_NE(context.sharded_pool(), nullptr);  // deltas rebase the index
+
+  const StatsRegistry::Counter& freed =
+      RegisterStatsCounter("plan.epochs_freed");
+  const StatsRegistry::Counter& leased =
+      RegisterStatsCounter("plan.instances_leased");
+  const std::uint64_t freed_before = freed.value();
+  std::optional<api::PoolPlanContext::InstanceLease> epoch0(
+      context.AcquireInstance(1.5, 0.4));
+  const Worker worker0 = epoch0->instance().candidates[0];
+  const std::uint64_t leased_before = leased.value();
+
+  std::vector<api::SolveRequest> requests;
+  for (int i = 0; i < 3; ++i) {
+    api::SolveRequest greedy = BaseRequest(1.0 + 0.25 * i);
+    greedy.solver = "greedy-mg";
+    greedy.tuning.greedy.frontier_k = 8;
+    requests.push_back(greedy);
+    api::SolveRequest annealing = BaseRequest(1.0 + 0.25 * i);
+    annealing.solver = "annealing";
+    annealing.rng_seed = 300 + static_cast<std::uint64_t>(i);
+    requests.push_back(annealing);
+  }
+  std::atomic<bool> churning{true};
+  std::atomic<int> failed_batches{0};
+  std::thread solver([&] {
+    do {
+      if (!context.SolveMany(requests, {.num_threads = 4}).ok()) {
+        ++failed_batches;
+      }
+    } while (churning);
+  });
+  while (leased.value() == leased_before && failed_batches == 0) {
+    std::this_thread::yield();
+  }
+  // 100 epochs; each re-estimates worker 0 and one worker elsewhere, so
+  // every delta rebuilds a shard or two of the rebased index.
+  Status churned;
+  double last_quality = worker0.quality;
+  for (std::size_t delta = 0; delta < 100 && churned.ok(); ++delta) {
+    last_quality = 0.6 + 0.003 * static_cast<double>(delta);
+    const api::PoolDeltaUpdate updates[] = {
+        {0, last_quality, worker0.cost},
+        {1 + (delta * 37) % 255, 0.7, 0.2}};
+    churned = context.ApplyPoolDelta({updates, 2});
+  }
+  churning = false;
+  solver.join();
+  ASSERT_TRUE(churned.ok()) << churned;
+  EXPECT_EQ(failed_batches.load(), 0);
+  EXPECT_EQ(context.pool_epoch(), 100u);
+
+  // Epochs 1..99 died with their last batch; epoch 0 lives on in the
+  // lease, which still reads its workers and columns.
+  EXPECT_EQ(freed.value() - freed_before, 99u);
+  EXPECT_EQ(epoch0->instance().candidates[0], worker0);
+  EXPECT_EQ(epoch0->view().quality()[0], worker0.quality);
+  EXPECT_EQ(epoch0->sharded_pool()->view().quality()[0], worker0.quality);
+  EXPECT_EQ(context.view().quality()[0], last_quality);
+  epoch0.reset();
+  EXPECT_EQ(freed.value() - freed_before, 100u);
 }
 
 // ---------------------------------------------------------------------------
