@@ -46,12 +46,12 @@ void Run() {
       const int truth = crowd::SampleTruth(0.5, &rng);
 
       // --- Static: select once, buy the whole jury, aggregate with BV.
+      const WorkerPoolView view(pool);
       JspInstance instance;
-      instance.candidates = pool;
+      instance.pool = &view;
       instance.budget = budget;
       instance.alpha = 0.5;
       Rng solver_rng = rng.Fork();
-      const WorkerPoolView view(instance.candidates);
       const auto solution =
           SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
       const Jury jury = solution.ToJury(instance);

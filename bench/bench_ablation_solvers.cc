@@ -155,12 +155,12 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
     std::vector<std::vector<std::size_t>> cold_juries;
     Timer t_cold;
     for (std::size_t i = 0; i < workload.requests; ++i) {
-      JspInstance instance;
-      instance.candidates = pool;
-      instance.budget = budgets[i];
-      instance.alpha = 0.5;
-      if (!instance.Validate().ok()) ++violations;
-      const WorkerPoolView view(instance.candidates);
+      for (const Worker& worker : pool) {
+        if (!ValidateWorker(worker).ok()) ++violations;
+      }
+      const WorkerPoolView view(pool);
+      const JspInstance instance{
+          .pool = &view, .budget = budgets[i], .alpha = 0.5};
       const auto solution =
           workload.solver == "greedy-quality"
               ? SolveGreedyByQuality(instance, view, objective).value()
@@ -298,17 +298,14 @@ void RunIncrementalAblation() {
     for (int rep = 0; rep < reps; ++rep) {
       Rng pool_rng = rng.Fork();
       const std::vector<Worker> pool = bench::PaperPool(&pool_rng, n, 0.7);
-      JspInstance instance;
-      instance.candidates = pool;
-      instance.budget = 1.0;
-      instance.alpha = 0.5;
       const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(rep);
 
       objective.ResetEvaluationCounters();
       {
         Rng sa_rng(seed);
         Timer t;
-        const WorkerPoolView view(instance.candidates);
+        const WorkerPoolView view(pool);
+        const JspInstance instance{.pool = &view, .budget = 1.0, .alpha = 0.5};
         const auto s =
             SolveAnnealing(instance, view, objective, &sa_rng).value();
         sa.inc_time.Add(t.ElapsedSeconds());
@@ -321,7 +318,8 @@ void RunIncrementalAblation() {
         AnnealingOptions no_inc;
         no_inc.use_incremental = false;
         Timer t;
-        const WorkerPoolView view(instance.candidates);
+        const WorkerPoolView view(pool);
+        const JspInstance instance{.pool = &view, .budget = 1.0, .alpha = 0.5};
         const auto s =
             SolveAnnealing(instance, view, objective, &sa_rng, no_inc).value();
         sa.full_time.Add(t.ElapsedSeconds());
@@ -331,7 +329,8 @@ void RunIncrementalAblation() {
       objective.ResetEvaluationCounters();
       {
         Timer t;
-        const WorkerPoolView view(instance.candidates);
+        const WorkerPoolView view(pool);
+        const JspInstance instance{.pool = &view, .budget = 1.0, .alpha = 0.5};
         const auto s =
             SolveGreedyMarginalGain(instance, view, objective).value();
         greedy.inc_time.Add(t.ElapsedSeconds());
@@ -343,7 +342,8 @@ void RunIncrementalAblation() {
         GreedyOptions no_inc;
         no_inc.use_incremental = false;
         Timer t;
-        const WorkerPoolView view(instance.candidates);
+        const WorkerPoolView view(pool);
+        const JspInstance instance{.pool = &view, .budget = 1.0, .alpha = 0.5};
         const auto s =
             SolveGreedyMarginalGain(instance, view, objective, no_inc).value();
         greedy.full_time.Add(t.ElapsedSeconds());
@@ -374,12 +374,12 @@ void RunIncrementalAblation() {
   const BucketBvObjective demo;
   Rng pool_rng = rng.Fork();
   const std::vector<Worker> pool = bench::PaperPool(&pool_rng, 100, 0.7);
+  const WorkerPoolView view(pool);
   JspInstance instance;
-  instance.candidates = pool;
+  instance.pool = &view;
   instance.budget = 1.0;
   instance.alpha = 0.5;
   Rng sa_rng(99);
-  const WorkerPoolView view(instance.candidates);
   static_cast<void>(SolveAnnealing(instance, view, demo, &sa_rng).value());
   bench::PrintEvaluationCounters("annealing N=100 (BV/bucket)", demo);
 }
@@ -428,22 +428,15 @@ void RunBatchedNeighbourhoodAblation(bench::ThreadScalingReport* report) {
 
   const BucketBvObjective objective;
   Rng rng(737373);
-  // Each instance borrows its pool; reserved, so the pools never move.
   std::vector<std::vector<Worker>> pools;
-  pools.reserve(static_cast<std::size_t>(reps));
-  std::vector<JspInstance> instances;
   std::vector<double> optima;
   for (int rep = 0; rep < reps; ++rep) {
     Rng pool_rng = rng.Fork();
     pools.push_back(bench::PaperPool(&pool_rng, kN, 0.7));
-    JspInstance instance;
-    instance.candidates = pools.back();
-    instance.budget = 0.5;
-    instance.alpha = 0.5;
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pools.back());
+    const JspInstance instance{.pool = &view, .budget = 0.5, .alpha = 0.5};
     optima.push_back(
         SolveBranchAndBound(instance, view, objective).value().jq);
-    instances.push_back(std::move(instance));
   }
 
   Table table({"config", "mean JQ gap", "full evals", "incr evals",
@@ -455,9 +448,9 @@ void RunBatchedNeighbourhoodAblation(bench::ThreadScalingReport* report) {
     for (int rep = 0; rep < reps; ++rep) {
       Rng sa_rng(31000 + static_cast<std::uint64_t>(rep));
       AnnealingStats stats;
-      const JspInstance& instance = instances[static_cast<std::size_t>(rep)];
       Timer t;
-      const WorkerPoolView view(instance.candidates);
+      const WorkerPoolView view(pools[static_cast<std::size_t>(rep)]);
+      const JspInstance instance{.pool = &view, .budget = 0.5, .alpha = 0.5};
       const auto s = SolveAnnealing(instance, view, objective, &sa_rng,
                                     config.options, &stats)
                          .value();
@@ -609,8 +602,8 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
          options.num_restarts = 8;
          options.num_threads = threads;
          Rng sa_rng(seed);
-         const WorkerPoolView view(instance.candidates);
-         return SolveAnnealing(instance, view, objective, &sa_rng, options)
+         return SolveAnnealing(instance, *instance.pool, objective, &sa_rng,
+                               options)
              .value();
        }},
       {"greedy marginal-gain", 200,
@@ -618,8 +611,8 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
           std::uint64_t, std::size_t threads) {
          GreedyOptions options;
          options.num_threads = threads;
-         const WorkerPoolView view(instance.candidates);
-         return SolveGreedyMarginalGain(instance, view, objective, options)
+         return SolveGreedyMarginalGain(instance, *instance.pool, objective,
+                                        options)
              .value();
        }},
       {"exhaustive (Gray-code)", 20,
@@ -627,24 +620,18 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
           std::uint64_t, std::size_t threads) {
          ExhaustiveOptions options;
          options.num_threads = threads;
-         const WorkerPoolView view(instance.candidates);
-         return SolveExhaustive(instance, view, objective, options).value();
+         return SolveExhaustive(instance, *instance.pool, objective, options)
+             .value();
        }},
   };
 
   for (const Workload& workload : workloads) {
     const BucketBvObjective objective;
+    const double budget = workload.n >= 100 ? 1.0 : 0.5;
     std::vector<std::vector<Worker>> pools;
-    pools.reserve(static_cast<std::size_t>(reps));
-    std::vector<JspInstance> instances;
     for (int rep = 0; rep < reps; ++rep) {
       Rng pool_rng = rng.Fork();
       pools.push_back(bench::PaperPool(&pool_rng, workload.n, 0.7));
-      JspInstance instance;
-      instance.candidates = pools.back();
-      instance.budget = workload.n >= 100 ? 1.0 : 0.5;
-      instance.alpha = 0.5;
-      instances.push_back(std::move(instance));
     }
     double serial_mean = 0.0;
     std::vector<JspSolution> reference;
@@ -654,9 +641,12 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
       std::vector<JspSolution> juries;
       for (int rep = 0; rep < reps; ++rep) {
         Timer t;
+        const WorkerPoolView view(pools[static_cast<std::size_t>(rep)]);
+        const JspInstance instance{
+            .pool = &view, .budget = budget, .alpha = 0.5};
         juries.push_back(workload.solve(
-            instances[static_cast<std::size_t>(rep)], objective,
-            9000 + static_cast<std::uint64_t>(rep), threads));
+            instance, objective, 9000 + static_cast<std::uint64_t>(rep),
+            threads));
         secs.Add(t.ElapsedSeconds());
       }
       if (threads == 1) {

@@ -48,13 +48,13 @@ Point AverageOverQuestions(
   OnlineStats optjs_stats, mvjs_stats;
   for (std::size_t q = 0; q < num_questions; ++q) {
     const std::vector<Worker> pool = make_pool(q, &rng);
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = budget;
     instance.alpha = 0.5;
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    const WorkerPoolView view(instance.candidates);
     optjs_stats.Add(
         SolveOptjs(instance, view, BucketBvObjective(), &r1).value().jq);
     mvjs_stats.Add(

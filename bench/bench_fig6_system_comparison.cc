@@ -28,13 +28,13 @@ Point RunPoint(std::uint64_t seed, int reps, int num_workers, double mu,
     Rng pool_rng = rng.Fork();
     const auto pool = bench::PaperPool(&pool_rng, num_workers, mu,
                                        0.22360679774997896, 0.05, cost_sigma);
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = budget;
     instance.alpha = 0.5;
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    const WorkerPoolView view(instance.candidates);
     optjs_stats.Add(
         SolveOptjs(instance, view, BucketBvObjective(), &r1).value().jq);
     mvjs_stats.Add(

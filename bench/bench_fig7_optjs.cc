@@ -25,11 +25,11 @@ void Fig7a(int reps) {
     for (int rep = 0; rep < reps; ++rep) {
       Rng pool_rng = rng.Fork();
       const std::vector<Worker> pool = bench::PaperPool(&pool_rng, 11, 0.7);
+      const WorkerPoolView view(pool);
       JspInstance instance;
-      instance.candidates = pool;
+      instance.pool = &view;
       instance.budget = budget;
       instance.alpha = 0.5;
-      const WorkerPoolView view(instance.candidates);
       const auto optimal = SolveExhaustive(instance, view, objective).value();
       Rng sa_rng = rng.Fork();
       const auto returned =
@@ -61,14 +61,12 @@ void Fig7b(int reps) {
       for (int rep = 0; rep < reps; ++rep) {
         Rng pool_rng = rng.Fork();
         const std::vector<Worker> pool = bench::PaperPool(&pool_rng, n, 0.7);
-        JspInstance instance;
-        instance.candidates = pool;
-        instance.budget = budget;
-        instance.alpha = 0.5;
         const BucketBvObjective objective;
         Rng sa_rng = rng.Fork();
         Timer timer;
-        const WorkerPoolView view(instance.candidates);
+        const WorkerPoolView view(pool);
+        const JspInstance instance{
+            .pool = &view, .budget = budget, .alpha = 0.5};
         (void)SolveAnnealing(instance, view, objective, &sa_rng).value();
         time_stats.Add(timer.ElapsedSeconds());
       }

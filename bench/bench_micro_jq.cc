@@ -677,14 +677,14 @@ void BM_AnnealingSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const std::vector<Worker> pool = AnnealingPool(n);
   JspInstance instance;
-  instance.candidates = pool;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const BucketBvObjective objective;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pool);
+    instance.pool = &view;
     benchmark::DoNotOptimize(
         SolveAnnealing(instance, view, objective, &rng).value());
   }
@@ -697,7 +697,6 @@ void BM_AnnealingSolveNoIncremental(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const std::vector<Worker> pool = AnnealingPool(n);
   JspInstance instance;
-  instance.candidates = pool;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const BucketBvObjective objective;
@@ -706,7 +705,8 @@ void BM_AnnealingSolveNoIncremental(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pool);
+    instance.pool = &view;
     benchmark::DoNotOptimize(
         SolveAnnealing(instance, view, objective, &rng, options).value());
   }
@@ -722,7 +722,6 @@ void BM_AnnealingStep(benchmark::State& state, bool with_token) {
   const int n = 100;
   const std::vector<Worker> pool = AnnealingPool(n);
   JspInstance instance;
-  instance.candidates = pool;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const BucketBvObjective objective;
@@ -732,7 +731,8 @@ void BM_AnnealingStep(benchmark::State& state, bool with_token) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pool);
+    instance.pool = &view;
     benchmark::DoNotOptimize(
         SolveAnnealing(instance, view, objective, &rng, options).value());
   }

@@ -31,11 +31,11 @@ void Run() {
     for (int rep = 0; rep < reps; ++rep) {
       Rng pool_rng = rng.Fork();
       const std::vector<Worker> pool = bench::PaperPool(&pool_rng, 11, 0.7);
+      const WorkerPoolView view(pool);
       JspInstance instance;
-      instance.candidates = pool;
+      instance.pool = &view;
       instance.budget = budget;
       instance.alpha = 0.5;
-      const WorkerPoolView view(instance.candidates);
       const auto optimal = SolveExhaustive(instance, view, objective).value();
       Rng sa_rng = rng.Fork();
       const auto returned =

@@ -48,12 +48,12 @@ int main() {
                "BV answer", "truth"});
   const BayesianVoting bv;
   for (const auto& pair : pairs) {
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = 0.6;
     instance.alpha = pair.alpha;
     Rng solver_rng = rng.Fork();
-    const WorkerPoolView view(instance.candidates);
     const auto solution =
         SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
 

@@ -213,55 +213,50 @@ int RunCli(const CliArgs& args_in) {
     return 1;
   }
 
+  // The CLI keeps its own workers: the plan holds only the columns, and
+  // the ids printed below and written to snapshots come from here.
   std::vector<Worker> workers;
   std::optional<api::PoolPlanContext> context;
   if (snapshot_mode) {
     // The mmap fast path: the snapshot's columns become the plan's view
     // directly — no CSV parse, no per-worker re-validation (the loader
     // checksummed and range-checked everything), no column recompute.
-    auto planned = api::PoolPlanContext::PlanFromSnapshot(args.pool_snapshot);
+    auto snapshot = PoolSnapshot::Load(args.pool_snapshot);
+    if (!snapshot.ok()) {
+      std::cerr << "error: " << snapshot.status() << "\n";
+      return 1;
+    }
+    workers = snapshot.value().MaterializeWorkers();
+    auto planned =
+        api::PoolPlanContext::PlanFromSnapshot(std::move(snapshot).value());
     if (!planned.ok()) {
       std::cerr << "error: " << planned.status() << "\n";
       return 1;
     }
     context.emplace(std::move(planned).value());
-    if (context->num_candidates() == 0) {
-      std::cerr << "error: empty worker pool\n";
+  } else if (!args.csv_path.empty()) {
+    auto loaded = LoadWorkersCsv(args.csv_path);
+    if (!loaded.ok()) {
+      std::cerr << "error: " << loaded.status() << "\n";
       return 1;
     }
-    if (args.budgets.empty()) {
-      double total = 0.0;
-      for (const double cost : context->view().cost()) total += cost;
-      for (int step = 1; step <= 10; ++step) {
-        args.budgets.push_back(total * step / 10);
-      }
-    }
+    workers = std::move(loaded).value();
   } else {
-    if (!args.csv_path.empty()) {
-      auto loaded = LoadWorkersCsv(args.csv_path);
-      if (!loaded.ok()) {
-        std::cerr << "error: " << loaded.status() << "\n";
-        return 1;
-      }
-      workers = std::move(loaded).value();
-    } else {
-      std::cout << "(no CSV given; using the paper's Figure-1 pool)\n";
-      workers = {{"A", 0.77, 9.0}, {"B", 0.70, 5.0}, {"C", 0.80, 6.0},
-                 {"D", 0.65, 7.0}, {"E", 0.60, 5.0}, {"F", 0.60, 2.0},
-                 {"G", 0.75, 3.0}};
-    }
-    if (workers.empty()) {
-      std::cerr << "error: empty worker pool\n";
-      return 1;
-    }
-
-    if (args.budgets.empty()) {
-      // Default grid: 10 steps up to the full pool cost.
-      double total = 0.0;
-      for (const Worker& w : workers) total += w.cost;
-      for (int step = 1; step <= 10; ++step) {
-        args.budgets.push_back(total * step / 10);
-      }
+    std::cout << "(no CSV given; using the paper's Figure-1 pool)\n";
+    workers = {{"A", 0.77, 9.0}, {"B", 0.70, 5.0}, {"C", 0.80, 6.0},
+               {"D", 0.65, 7.0}, {"E", 0.60, 5.0}, {"F", 0.60, 2.0},
+               {"G", 0.75, 3.0}};
+  }
+  if (workers.empty()) {
+    std::cerr << "error: empty worker pool\n";
+    return 1;
+  }
+  if (args.budgets.empty()) {
+    // Default grid: 10 steps up to the full pool cost.
+    double total = 0.0;
+    for (const Worker& w : workers) total += w.cost;
+    for (int step = 1; step <= 10; ++step) {
+      args.budgets.push_back(total * step / 10);
     }
   }
 
@@ -305,8 +300,7 @@ int RunCli(const CliArgs& args_in) {
     // per-worker re-validation pass — validation is hoisted to load time.
     api::PlanOptions plan_options;
     plan_options.assume_validated = true;
-    auto planned = api::PoolPlanContext::Plan(std::move(workers),
-                                              plan_options);
+    auto planned = api::PoolPlanContext::Plan(workers, plan_options);
     if (!planned.ok()) {
       std::cerr << "error: " << planned.status() << "\n";
       return 1;
@@ -315,8 +309,8 @@ int RunCli(const CliArgs& args_in) {
   }
 
   if (!args.save_snapshot.empty()) {
-    const Status saved = PoolSnapshot::Write(
-        args.save_snapshot, context->candidates(), context->view());
+    const Status saved =
+        PoolSnapshot::Write(args.save_snapshot, workers, context->view());
     if (!saved.ok()) {
       std::cerr << "error: " << saved << "\n";
       return 1;
@@ -361,13 +355,8 @@ int RunCli(const CliArgs& args_in) {
       std::cout << report.ToJson() << "\n";
       continue;
     }
-    std::string ids = "{";
-    for (std::size_t j = 0; j < report.solution.selected.size(); ++j) {
-      if (j > 0) ids += ", ";
-      ids += context->candidates()[report.solution.selected[j]].id;
-    }
-    ids += "}";
-    std::cout << "B = " << requests[i].budget << ": jury " << ids
+    std::cout << "B = " << requests[i].budget << ": jury "
+              << report.solution.Describe(workers)
               << ", JQ = " << 100.0 * report.solution.jq << "%"
               << ", cost = " << report.solution.cost << ", "
               << report.evaluations.total() << " evals, "

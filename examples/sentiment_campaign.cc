@@ -45,12 +45,12 @@ int main() {
                         dataset.estimated_quality[answer.worker],
                         rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
     }
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = 0.5;
     instance.alpha = 0.5;
     Rng solver_rng = rng.Fork();
-    const WorkerPoolView view(instance.candidates);
     const auto solution =
         SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
     total_spent += solution.cost;
@@ -59,7 +59,7 @@ int main() {
     Jury jury;
     Votes votes;
     for (std::size_t idx : solution.selected) {
-      jury.Add(instance.candidates[idx]);
+      jury.Add(pool[idx]);
       votes.push_back(static_cast<std::uint8_t>(task.answers[idx].vote));
     }
     if (!jury.empty()) {

@@ -90,6 +90,36 @@ expect_ok list_solvers        -- --list-solvers
 expect_ok demo_pool           -- --solver=greedy-quality --json 5
 expect_ok legacy_table        -- 0.4 5 10
 
+# --- pool snapshot round trip ---------------------------------------------
+# The demo pool saved as a snapshot, planned back from it, and saved again:
+# both runs succeed, the two snapshots are byte-identical, and the two runs
+# print the same juries (ids included) once the wall time is stripped.
+jury_lines() {
+  sed -n 's/, [0-9.e+-]* ms$//p' "$1" | grep '^B = '
+}
+if "$CLI" --solver=optjs --save-snapshot="$tmpdir/a.snap" \
+     >"$tmpdir/snap_a_out" 2>"$tmpdir/snap_a_err" &&
+   "$CLI" --pool-snapshot="$tmpdir/a.snap" --solver=optjs \
+     --save-snapshot="$tmpdir/b.snap" \
+     >"$tmpdir/snap_b_out" 2>"$tmpdir/snap_b_err"; then
+  if ! cmp -s "$tmpdir/a.snap" "$tmpdir/b.snap"; then
+    echo "FAIL(snapshot_round_trip): re-saved snapshot differs" >&2
+    failures=$((failures + 1))
+  elif [ -z "$(jury_lines "$tmpdir/snap_a_out")" ] ||
+       [ "$(jury_lines "$tmpdir/snap_a_out")" != \
+         "$(jury_lines "$tmpdir/snap_b_out")" ]; then
+    echo "FAIL(snapshot_round_trip): juries differ after the round trip" >&2
+    diff <(jury_lines "$tmpdir/snap_a_out") \
+         <(jury_lines "$tmpdir/snap_b_out") >&2
+    failures=$((failures + 1))
+  else
+    echo "ok(snapshot_round_trip)"
+  fi
+else
+  echo "FAIL(snapshot_round_trip): a run exited non-zero ($(cat "$tmpdir/snap_a_err" "$tmpdir/snap_b_err"))" >&2
+  failures=$((failures + 1))
+fi
+
 # --- anytime limits -------------------------------------------------------
 # An expired/capped solve is a *success* with its best-so-far jury — exit 0,
 # and under --json the report says so. max_work_units=1 guarantees an early

@@ -96,23 +96,14 @@ std::string SolveReport::ToJson() const {
       .Dump();
 }
 
-/// \brief One pool epoch's immutable plan: the candidate table, its
-/// columnar view, and the lazily built sharded summary index. Epoch 0 is
-/// built at plan time; `ApplyPoolDelta` builds a new state per churn
-/// batch and swaps it in as the context's current epoch. States are
-/// shared by the context (while current) and by every lease taken on
-/// them, so a retired epoch lives exactly as long as its last lease.
+/// \brief One pool epoch's immutable plan: the columnar view and the
+/// lazily built sharded summary index. Epoch 0 is built at plan time;
+/// `ApplyPoolDelta` builds a new state per churn batch and swaps it in as
+/// the context's current epoch. States are shared by the context (while
+/// current) and by every lease taken on them, so a retired epoch lives
+/// exactly as long as its last lease.
 struct PoolState {
   ~PoolState() { g_epochs_freed.Increment(); }
-
-  /// Snapshot states materialize `candidates` lazily, once (no-op for
-  /// memory and churned states); the view never needs them.
-  const std::vector<Worker>& Workers() {
-    std::call_once(workers_once, [this] {
-      if (snapshot != nullptr) candidates = snapshot->MaterializeWorkers();
-    });
-    return candidates;
-  }
 
   const ShardedWorkerPool* ShardedPool() {
     std::lock_guard<std::mutex> lock(pool_mutex);
@@ -126,10 +117,8 @@ struct PoolState {
   /// Owner of the mapped columns for a snapshot-born epoch 0 (its view
   /// adopts them). Null for memory plans and every churned state.
   std::unique_ptr<PoolSnapshot> snapshot;
-  std::vector<Worker> candidates;
   WorkerPoolView view;
   ShardedPoolOptions shard_options;
-  std::once_flag workers_once;
   std::mutex pool_mutex;
   std::unique_ptr<ShardedWorkerPool> pool;  // lazy; guarded by pool_mutex
 };
@@ -146,12 +135,11 @@ struct PoolPlanContext::Arena {
   bool from_snapshot = false;
 };
 
-PoolPlanContext::PoolPlanContext(std::vector<Worker> candidates,
+PoolPlanContext::PoolPlanContext(WorkerPoolView view,
                                  const PlanOptions& options)
     : arena_(std::make_unique<Arena>()) {
   auto state = std::make_shared<PoolState>();
-  state->candidates = std::move(candidates);
-  state->view = WorkerPoolView(state->candidates);
+  state->view = std::move(view);
   state->shard_options = ShardOptions(options);
   arena_->current = std::move(state);
 }
@@ -177,15 +165,15 @@ PoolPlanContext& PoolPlanContext::operator=(PoolPlanContext&&) noexcept =
     default;
 PoolPlanContext::~PoolPlanContext() = default;
 
-Result<PoolPlanContext> PoolPlanContext::Plan(std::vector<Worker> candidates,
+Result<PoolPlanContext> PoolPlanContext::Plan(std::span<const Worker> workers,
                                               const PlanOptions& options) {
   if (!options.assume_validated) {
-    for (const Worker& worker : candidates) {
+    for (const Worker& worker : workers) {
       JURY_RETURN_NOT_OK(ValidateWorker(worker));
     }
   }
   g_contexts_planned.Increment();
-  return PoolPlanContext(std::move(candidates), options);
+  return PoolPlanContext(WorkerPoolView(workers), options);
 }
 
 Result<PoolPlanContext> PoolPlanContext::PlanFromSnapshot(
@@ -210,10 +198,6 @@ std::shared_ptr<PoolState> PoolPlanContext::CurrentState() const {
 
 // The accessors' temporary reference dies at the end of the call; the
 // context's own reference keeps the state alive until the next delta.
-const std::vector<Worker>& PoolPlanContext::candidates() const {
-  return CurrentState()->Workers();
-}
-
 std::size_t PoolPlanContext::num_candidates() const {
   return CurrentState()->view.size();
 }
@@ -248,32 +232,32 @@ Status PoolPlanContext::ApplyPoolDelta(
     std::span<const PoolDeltaUpdate> updates) {
   std::lock_guard<std::mutex> churn(arena_->churn_mutex);
   const std::shared_ptr<PoolState> current = CurrentState();
-  // Churned states carry materialized workers (the new candidate table is
-  // a copy), so snapshot plans materialize at their first churn.
-  std::vector<Worker> candidates = current->Workers();
+  const std::size_t size = current->view.size();
   std::vector<std::size_t> changed;
+  std::vector<Worker> workers;
   changed.reserve(updates.size());
-  for (const PoolDeltaUpdate& update : updates) {
-    if (update.index >= candidates.size()) {
+  workers.reserve(updates.size());
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const PoolDeltaUpdate& update = updates[i];
+    // The epoch keeps no ids, so errors name the update by its position.
+    const std::string which = "update " + std::to_string(i);
+    if (update.index >= size) {
       return Status::InvalidArgument(
-          "PoolDeltaUpdate.index out of range: " +
-          std::to_string(update.index) + " >= " +
-          std::to_string(candidates.size()));
+          which + ": index out of range: " + std::to_string(update.index) +
+          " >= " + std::to_string(size));
     }
-    Worker& worker = candidates[update.index];
-    worker.quality = update.quality;
-    worker.cost = update.cost;
+    Worker worker(which, update.quality, update.cost);
     JURY_RETURN_NOT_OK(ValidateWorker(worker));
     changed.push_back(update.index);
+    workers.push_back(std::move(worker));
   }
   auto next = std::make_shared<PoolState>();
   next->epoch = current->epoch + 1;
-  next->candidates = std::move(candidates);
   next->shard_options = current->shard_options;
-  // The owning view recomputes the derived columns with the session
-  // backends' own expressions, so unchanged workers' columns are
-  // bit-identical to the previous epoch's (snapshot-born included).
-  next->view = WorkerPoolView(next->candidates);
+  // Unchanged rows keep the current epoch's column bits; updated rows are
+  // recomputed with the owning view's expressions, so they match a fresh
+  // plan of the updated pool (snapshot-born epochs included).
+  next->view = WorkerPoolView(current->view, changed, workers);
   {
     // Rebase the summary index instead of rebuilding it: copy the current
     // epoch's shard summaries onto the new view, then refresh exactly the
@@ -297,12 +281,11 @@ Status PoolPlanContext::ApplyPoolDelta(
 
 PoolPlanContext::InstanceLease::InstanceLease(std::shared_ptr<PoolState> state,
                                               double budget, double alpha)
-    : state_(std::move(state)) {
-  // The fault hook stands in for a lease failing to materialize a
-  // snapshot plan's workers.
+    : state_(std::move(state)),
+      instance_{.pool = &state_->view, .budget = budget, .alpha = alpha} {
+  // The fault hook stands in for a lease that cannot be taken, so the
+  // fault sweep covers a solve failing before its solver runs.
   JURY_FAULT_POINT("plan.lease_instance");
-  instance_ = JspInstance{
-      .candidates = state_->Workers(), .budget = budget, .alpha = alpha};
   g_instances_leased.Increment();
 }
 

@@ -221,14 +221,12 @@ struct PoolState;  // one pool epoch's immutable plan; private to solve.cc
 /// \brief A long-lived planning context for one candidate pool — the
 /// serving-layer shape of the paper's Fig. 1 system: one crowd worker
 /// pool answering a *stream* of jury-selection queries with varying
-/// budgets and task priors. Built once per pool, it owns everything the
-/// per-request path used to rebuild from scratch:
-///
-///  * the validated candidate table (pool validation runs once, at
-///    `Plan`, never per request), the one struct-array copy of the pool
-///    every solve on an epoch reads: a request's `JspInstance` borrows it
-///    and carries only its own (budget, alpha) scalars;
-///  * the columnar `WorkerPoolView` every evaluation session scores from.
+/// budgets and task priors. Built once per pool, it owns, per pool epoch,
+/// the one copy of the pool every solve reads: the columnar
+/// `WorkerPoolView`, validated once at `Plan` (never per request). A
+/// request's `JspInstance` points at it and carries only its own
+/// (budget, alpha) scalars. Worker ids are not kept: a caller that prints
+/// them keeps its own workers.
 ///
 /// `Solve` runs one request; `SolveMany` fans a batch across the
 /// process-wide scheduler, each request bit-identical to its serial
@@ -239,21 +237,18 @@ struct PoolState;  // one pool epoch's immutable plan; private to solve.cc
 class PoolPlanContext {
  public:
   /// Validates the pool (every worker's quality/cost ranges) and builds
-  /// the plan. InvalidArgument on a bad worker. `options.assume_validated`
-  /// skips the per-worker validation pass (the pool must come from a
-  /// source that already validated it — `LoadWorkersCsv` does).
-  static Result<PoolPlanContext> Plan(std::vector<Worker> candidates,
+  /// the plan's view; `workers` is not referenced afterwards.
+  /// InvalidArgument on a bad worker. `options.assume_validated` skips the
+  /// per-worker validation pass (the pool must come from a source that
+  /// already validated it — `LoadWorkersCsv` does).
+  static Result<PoolPlanContext> Plan(std::span<const Worker> workers,
                                       const PlanOptions& options = {});
 
   /// Plans directly from a pool snapshot file: maps the columns read-only
   /// and adopts them as the plan's `WorkerPoolView` — no per-worker
   /// validation (the snapshot loader verified every invariant) and no
   /// column recomputation, so a million-worker pool plans in the time it
-  /// takes to checksum the mapping. `Worker` structs are materialized
-  /// lazily, on the first call site that needs the AoS record
-  /// (`candidates()` / `AcquireInstance`). Every registry solver leases
-  /// an instance, so the first solve on the epoch pays for them; planning,
-  /// `view()` and `sharded_pool()` do not.
+  /// takes to checksum the mapping.
   static Result<PoolPlanContext> PlanFromSnapshot(
       const std::string& path, const PlanOptions& options = {});
   /// Same, adopting an already-loaded snapshot (moves it in; the context
@@ -273,11 +268,7 @@ class PoolPlanContext {
   // pointers they return stay valid until the next `ApplyPoolDelta`; a
   // reader that must outlive one holds an `InstanceLease` instead.
 
-  /// The pool's AoS records. For a snapshot plan this materializes the
-  /// structs on first use (thread-safe, once); prefer `num_candidates()` /
-  /// `view()` when only sizes or columns are needed.
-  const std::vector<Worker>& candidates() const;
-  /// Pool size without materializing workers (column length).
+  /// Pool size (column length).
   std::size_t num_candidates() const;
   /// The pool's columnar snapshot, shared read-only by every solve.
   const WorkerPoolView& view() const;
@@ -313,13 +304,15 @@ class PoolPlanContext {
 
   /// \brief Applies worker churn — re-estimated qualities/costs — as a new
   /// pool epoch. InvalidArgument (and no epoch change) on an out-of-range
-  /// index or a worker that fails validation.
+  /// index or a worker that fails validation; the message names the
+  /// offending update's position in `updates`.
   ///
-  /// The current epoch's state is never mutated: a new candidate table and
-  /// columnar view are built, the sharded summary index (when already
-  /// built) is *rebased* — copied shard summaries, then `ApplyDelta` over
-  /// exactly the changed indices, so only touched shards pay a rebuild —
-  /// and the epoch counter bumps (`serve.epoch_bumps`). In-flight solves
+  /// The current epoch's state is never mutated: a new columnar view is
+  /// built (the current columns copied, only the updated rows recomputed;
+  /// an index updated twice keeps its last update), the sharded summary
+  /// index (when already built) is *rebased* — copied shard summaries,
+  /// then `ApplyDelta` over exactly the changed indices, so only touched
+  /// shards pay a rebuild — and the epoch counter bumps (`serve.epoch_bumps`). In-flight solves
   /// and leases keep the epoch they started on, and the retired epoch is
   /// freed when the last of them goes (`plan.epochs_freed`). The result
   /// cache keeps old-epoch entries keyed by their epoch (new-epoch lookups
@@ -346,10 +339,10 @@ class PoolPlanContext {
 
   /// \brief One request's hold on a pool epoch: it shares ownership of the
   /// epoch it was taken from and carries the request's budget and alpha.
-  /// Everything read through it — the instance (a span over the epoch's
-  /// candidate table, never a copy), the view, the sharded index — is
-  /// that one epoch's, however many `ApplyPoolDelta` calls land while it
-  /// is held; a retired epoch is freed when its last lease goes.
+  /// Everything read through it — the instance (which points at the
+  /// epoch's view), the view, the sharded index — is that one epoch's,
+  /// however many `ApplyPoolDelta` calls land while it is held; a retired
+  /// epoch is freed when its last lease goes.
   class InstanceLease {
    public:
     InstanceLease(InstanceLease&&) noexcept = default;
@@ -374,14 +367,13 @@ class PoolPlanContext {
   };
 
   /// A lease on the current epoch with the request's scalars stamped on.
-  /// O(1): materializes a snapshot plan's workers on the first lease, then
-  /// only points at them.
+  /// O(1).
   InstanceLease AcquireInstance(double budget, double alpha);
 
  private:
   struct Arena;
 
-  PoolPlanContext(std::vector<Worker> candidates, const PlanOptions& options);
+  PoolPlanContext(WorkerPoolView view, const PlanOptions& options);
   PoolPlanContext(std::unique_ptr<PoolSnapshot> snapshot,
                   const PlanOptions& options);
 

@@ -147,11 +147,11 @@ Result<SolveTrace> SolveTrace::Parse(std::string_view text) {
 
 Result<SolveTrace> RecordTrace(std::vector<Worker> pool,
                                std::vector<SolveRequest> requests) {
-  Result<PoolPlanContext> planned = PoolPlanContext::Plan(std::move(pool));
+  Result<PoolPlanContext> planned = PoolPlanContext::Plan(pool);
   JURY_RETURN_NOT_OK(planned.status());
   PoolPlanContext& context = planned.value();
   SolveTrace trace;
-  trace.pool = context.candidates();
+  trace.pool = std::move(pool);
   trace.entries.reserve(requests.size());
   for (SolveRequest& request : requests) {
     SolveReport report;

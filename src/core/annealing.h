@@ -109,8 +109,8 @@ struct AnnealingStats {
 /// `exp(delta / T)` (Boltzmann). Temperature halves until epsilon.
 /// `options.num_restarts > 1` runs that many independent chains in
 /// parallel and returns the best jury found; `stats` then aggregates the
-/// per-chain instrumentation. `view` is the columnar snapshot of
-/// `instance.candidates`, built once per validated pool (only
+/// per-chain instrumentation. `view` must be `*instance.pool`, the
+/// columnar view built once per validated pool (only
 /// `ValidateSolveEntry` and the options are checked here).
 Result<JspSolution> SolveAnnealing(const JspInstance& instance,
                                    const WorkerPoolView& view,

@@ -50,8 +50,8 @@ struct BranchBoundStats {
 ///
 /// Requires `objective.monotone_in_size()` (InvalidArgument otherwise) —
 /// for MV use `SolveExhaustive`. Ties break towards cheaper juries, like
-/// the exhaustive solver. `view` is the columnar snapshot of
-/// `instance.candidates`, built once per validated pool.
+/// the exhaustive solver. `view` must be `*instance.pool`, the columnar
+/// view built once per validated pool.
 Result<JspSolution> SolveBranchAndBound(const JspInstance& instance,
                                         const WorkerPoolView& view,
                                         const JqObjective& objective,

@@ -70,10 +70,8 @@ Result<std::vector<BudgetQualityRow>> BuildBudgetQualityTable(
           options.cancel_token->Check() != StopReason::kNone) {
         return;
       }
-      JspInstance instance;
-      instance.candidates = candidates;
-      instance.budget = budgets[i];
-      instance.alpha = alpha;
+      const JspInstance instance{
+          .pool = &view, .budget = budgets[i], .alpha = alpha};
       Rng row_rng(row_seeds[i]);
       Result<JspSolution> solution =
           SolveOptjs(instance, view, objective, &row_rng, row_options);
@@ -84,7 +82,7 @@ Result<std::vector<BudgetQualityRow>> BuildBudgetQualityTable(
       }
       rows[i].budget = budgets[i];
       rows[i].selected = solution.value().selected;
-      rows[i].jury_ids = solution.value().Describe(instance);
+      rows[i].jury_ids = solution.value().Describe(candidates);
       rows[i].jq = solution.value().jq;
       rows[i].required = solution.value().cost;
       row_done[i] = 1;
@@ -136,10 +134,8 @@ Result<BudgetQualityRow> MinimalBudgetForQuality(
   }
   // One instance, view and objective serve every probe; probes only move
   // the budget.
-  JspInstance instance;
-  instance.candidates = candidates;
-  instance.alpha = alpha;
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(candidates);
+  JspInstance instance{.pool = &view, .alpha = alpha};
   const BucketBvObjective objective(options.bucket);
 
   // One bisection probe is one work unit; a stop keeps the best budget
@@ -198,7 +194,7 @@ Result<BudgetQualityRow> MinimalBudgetForQuality(
   BudgetQualityRow row;
   row.budget = best_budget;
   row.selected = best.selected;
-  row.jury_ids = best.Describe(instance);
+  row.jury_ids = best.Describe(candidates);
   row.jq = best.jq;
   row.required = best.cost;
   return row;

@@ -39,8 +39,8 @@ struct ExhaustiveOptions : SolverOptions {
 /// For monotone objectives (Lemma 1), only maximal feasible juries need the
 /// objective evaluated — any non-maximal jury is dominated by a superset —
 /// which prunes most of the 2^N evaluations. Returns OutOfRange when N
-/// exceeds `max_candidates`. `view` is the columnar snapshot of
-/// `instance.candidates`, built once per validated pool.
+/// exceeds `max_candidates`. `view` must be `*instance.pool`, the
+/// columnar view built once per validated pool.
 Result<JspSolution> SolveExhaustive(const JspInstance& instance,
                                     const WorkerPoolView& view,
                                     const JqObjective& objective,

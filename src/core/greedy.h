@@ -21,8 +21,8 @@ struct GreedyOptions : SolverOptions {
   Status Validate() const { return Status::OK(); }
 };
 
-// Every entry below takes `view`, the columnar snapshot of
-// `instance.candidates` built once per validated pool; only
+// Every entry below takes `view`, which must be `*instance.pool`, the
+// columnar view built once per validated pool; only
 // `ValidateSolveEntry` and the options are checked per call.
 
 /// Sorts candidates by quality (descending) and adds each one that still

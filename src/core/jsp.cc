@@ -7,35 +7,15 @@
 #include "util/json.h"
 
 namespace jury {
-namespace {
 
-/// The pool-independent half of `JspInstance::Validate`.
-Status ValidateAlphaAndBudget(const JspInstance& instance) {
+Status ValidateSolveEntry(const JspInstance& instance,
+                          const WorkerPoolView& view) {
   JURY_RETURN_NOT_OK(ValidateAlpha(instance.alpha));
   if (!(instance.budget >= 0.0)) {
     return Status::InvalidArgument("budget must be non-negative");
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status JspInstance::Validate() const {
-  JURY_RETURN_NOT_OK(ValidateAlphaAndBudget(*this));
-  for (const Worker& w : candidates) {
-    JURY_RETURN_NOT_OK(ValidateWorker(w));
-  }
-  return Status::OK();
-}
-
-Status ValidateSolveEntry(const JspInstance& instance,
-                          const WorkerPoolView& view) {
-  JURY_RETURN_NOT_OK(ValidateAlphaAndBudget(instance));
-  if (view.size() != instance.num_candidates()) {
-    return Status::InvalidArgument(
-        "pool view covers " + std::to_string(view.size()) +
-        " workers, instance has " +
-        std::to_string(instance.num_candidates()) + " candidates");
+  if (instance.pool != &view) {
+    return Status::InvalidArgument("view is not the instance's pool");
   }
   return Status::OK();
 }
@@ -43,17 +23,18 @@ Status ValidateSolveEntry(const JspInstance& instance,
 Jury JspSolution::ToJury(const JspInstance& instance) const {
   Jury jury;
   for (std::size_t idx : selected) {
-    JURY_CHECK_LT(idx, instance.candidates.size());
-    jury.Add(instance.candidates[idx]);
+    JURY_CHECK_LT(idx, instance.num_candidates());
+    jury.Add(Worker("", instance.pool->quality()[idx],
+                    instance.pool->cost()[idx]));
   }
   return jury;
 }
 
-std::string JspSolution::Describe(const JspInstance& instance) const {
+std::string JspSolution::Describe(std::span<const Worker> workers) const {
   std::string out = "{";
   for (std::size_t i = 0; i < selected.size(); ++i) {
     if (i > 0) out += ", ";
-    out += instance.candidates[selected[i]].id;
+    out += workers[selected[i]].id;
   }
   out += "}";
   return out;
@@ -82,8 +63,8 @@ JspSolution MakeSolution(const JspInstance& instance,
   JspSolution out;
   out.cost = 0.0;
   for (std::size_t idx : selected) {
-    JURY_CHECK_LT(idx, instance.candidates.size());
-    out.cost += instance.candidates[idx].cost;
+    JURY_CHECK_LT(idx, instance.num_candidates());
+    out.cost += instance.pool->cost()[idx];
   }
   out.selected = std::move(selected);
   out.jq = jq;

@@ -14,49 +14,35 @@
 
 namespace jury {
 
-/// \brief A non-owning view of a candidate pool. It binds to a named
-/// `std::vector<Worker>` or to a span, never to a temporary vector: the
-/// rvalue constructor is deleted, so `instance.candidates = MakePool()`
-/// fails to compile instead of dangling.
-class CandidateSpan : public std::span<const Worker> {
- public:
-  CandidateSpan() = default;
-  CandidateSpan(std::span<const Worker> workers)  // NOLINT
-      : std::span<const Worker>(workers) {}
-  CandidateSpan(const std::vector<Worker>& workers)  // NOLINT
-      : std::span<const Worker>(workers) {}
-  CandidateSpan(std::vector<Worker>&&) = delete;
-};
-
 /// \brief An instance of the Jury Selection Problem (§2.2): candidate
 /// workers W, a budget B, and the task prior alpha. The goal is
 /// `J* = argmax_{J in C} max_S JQ(J, S, alpha)` over feasible juries
 /// `C = { J subset of W : sum of costs <= B }`; by Corollary 1 the inner
 /// max is attained by Bayesian Voting.
 ///
-/// The instance borrows its candidates, as `WorkerPoolView` does: the
-/// pool they point at must outlive every solve on the instance.
+/// W is the columnar view of a validated pool, which must outlive every
+/// solve on the instance. Worker ids are not part of an instance: a
+/// caller that prints them keeps its own workers (see `Describe`).
 struct JspInstance {
-  CandidateSpan candidates;
+  const WorkerPoolView* pool = nullptr;
   double budget = 0.0;
   double alpha = 0.5;
 
-  /// Full O(n) check: a valid prior, a non-negative budget, and every
-  /// candidate's quality and cost. Run once where a pool is built.
-  Status Validate() const;
-  std::size_t num_candidates() const { return candidates.size(); }
+  std::size_t num_candidates() const { return pool->size(); }
 };
 
 /// The O(1) check every `Solve*` entry runs before it reads the pool: a
-/// valid prior, a non-negative budget, and a `view` with one entry per
-/// candidate (the solvers index the view's columns with candidate
-/// indices). InvalidArgument otherwise. It does not re-validate the
-/// workers: the caller validated the pool once, when it built `view`.
+/// valid prior, a non-negative budget, and `view` being the instance's
+/// own pool (`instance.pool == &view`; an equal copy does not pass).
+/// InvalidArgument otherwise. It does not re-validate the workers: the
+/// caller validated the pool once, when it built the view. The entries'
+/// `view` parameter repeats `instance.pool`; it stays while the
+/// benchmark's probe calls the entries that way.
 Status ValidateSolveEntry(const JspInstance& instance,
                           const WorkerPoolView& view);
 
-/// \brief A solved jury: indices into `JspInstance::candidates`, the
-/// objective value attained, and the jury's actual cost (<= budget).
+/// \brief A solved jury: indices into the instance's pool, the objective
+/// value attained, and the jury's actual cost (<= budget).
 struct JspSolution {
   /// Sorted, de-duplicated candidate indices.
   std::vector<std::size_t> selected;
@@ -65,10 +51,12 @@ struct JspSolution {
   /// Sum of selected workers' costs.
   double cost = 0.0;
 
-  /// Materializes the selected workers as a `Jury`.
+  /// The selected workers as an anonymous `Jury`, read from the pool's
+  /// quality and cost columns.
   Jury ToJury(const JspInstance& instance) const;
-  /// Comma-separated worker ids, for reports.
-  std::string Describe(const JspInstance& instance) const;
+  /// Comma-separated ids of the selected `workers`, the pool the instance
+  /// was built from, for reports.
+  std::string Describe(std::span<const Worker> workers) const;
   /// Deterministic JSON serialization (sorted keys, round-trip doubles):
   /// `{"cost":...,"jq":...,"selected":[...]}`. Shared by
   /// `api::SolveReport::ToJson` and the bench/service logs, so the same

@@ -33,8 +33,8 @@ struct MvjsOptions : SolverOptions {
 
 /// Solves JSP under the MV strategy (the baseline system of §6.1.2).
 /// The returned `jq` is the exact JQ(J, MV, alpha) of the chosen jury.
-/// `view` is the columnar snapshot of `instance.candidates`, built once
-/// per validated pool; the caller builds the exact-MV objective, so it
+/// `view` must be `*instance.pool`, the columnar view built once per
+/// validated pool; the caller builds the exact-MV objective, so it
 /// owns its evaluation counters. When `annealing_stats` is non-null it
 /// receives the inner SA instrumentation.
 Result<JspSolution> SolveMvjs(const JspInstance& instance,

@@ -43,8 +43,8 @@ struct OptjsOptions : SolverOptions {
 /// The returned `jq` is the Algorithm-1 estimate JQ-hat(J, BV, alpha), an
 /// underestimate of the true JQ by at most the §4.4 bound.
 ///
-/// `view` is the columnar snapshot of `instance.candidates`, built once
-/// per validated pool. The caller builds the Algorithm-1 objective, so it
+/// `view` must be `*instance.pool`, the columnar view built once per
+/// validated pool. The caller builds the Algorithm-1 objective, so it
 /// owns its evaluation counters; `objective.options()` must equal
 /// `options.bucket`. When `annealing_stats` is non-null it receives the
 /// inner SA instrumentation (zeroed when the exhaustive shortcut ran

@@ -1,5 +1,8 @@
 #include "crowd/pool.h"
 
+#include <string>
+#include <utility>
+
 namespace jury::crowd {
 
 Result<std::vector<Worker>> GeneratePool(const PoolConfig& config, Rng* rng) {
@@ -24,7 +27,9 @@ Result<std::vector<Worker>> GeneratePool(const PoolConfig& config, Rng* rng) {
                                config.quality_lo, config.quality_hi);
     const double c = rng->TruncatedGaussian(
         config.cost_mean, config.cost_stddev, config.cost_lo, config.cost_hi);
-    pool.emplace_back("w" + std::to_string(i), q, c);
+    std::string id = "w";
+    id += std::to_string(i);
+    pool.emplace_back(std::move(id), q, c);
   }
   return pool;
 }

@@ -1,6 +1,8 @@
 #include "model/jury.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "util/check.h"
 
@@ -10,7 +12,9 @@ Jury Jury::FromQualities(const std::vector<double>& qualities) {
   std::vector<Worker> workers;
   workers.reserve(qualities.size());
   for (std::size_t i = 0; i < qualities.size(); ++i) {
-    workers.emplace_back("w" + std::to_string(i), qualities[i], 0.0);
+    std::string id = "w";
+    id += std::to_string(i);
+    workers.emplace_back(std::move(id), qualities[i], 0.0);
   }
   return Jury(std::move(workers));
 }

@@ -112,9 +112,10 @@ class PoolSnapshot {
   std::string_view id(std::size_t i) const;
 
   /// Materializes full `Worker` structs (copies the id strings). The
-  /// columns stay authoritative; this exists for call sites that need the
-  /// struct form (CLI id printing, the candidate table a solve's
-  /// `JspInstance` borrows).
+  /// columns stay authoritative, and a plan never needs the structs; this
+  /// exists for callers that print or re-save the ids (`jury_cli
+  /// --pool-snapshot` calls it before handing the snapshot to
+  /// `PlanFromSnapshot`).
   std::vector<Worker> MaterializeWorkers() const;
 
  private:

@@ -11,16 +11,37 @@ WorkerPoolView::WorkerPoolView(std::span<const Worker> workers) {
   owned_cost_.resize(n);
   owned_norm_quality_.resize(n);
   owned_log_odds_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Worker& w = workers[i];
-    owned_quality_[i] = w.quality;
-    owned_cost_[i] = w.cost;
-    // Same expressions the evaluation backends run on the Worker structs,
-    // evaluated once: column-sourced scores stay bit-identical.
-    const double norm = NormalizedQuality(w.quality);
-    owned_norm_quality_[i] = norm;
-    owned_log_odds_[i] = LogOdds(EffectiveQuality(norm));
+  for (std::size_t i = 0; i < n; ++i) SetRow(i, workers[i]);
+  AdoptOwned();
+}
+
+WorkerPoolView::WorkerPoolView(const WorkerPoolView& base,
+                               std::span<const std::size_t> rows,
+                               std::span<const Worker> workers)
+    : owned_quality_(base.quality_.begin(), base.quality_.end()),
+      owned_cost_(base.cost_.begin(), base.cost_.end()),
+      owned_norm_quality_(base.norm_quality_.begin(),
+                          base.norm_quality_.end()),
+      owned_log_odds_(base.log_odds_.begin(), base.log_odds_.end()) {
+  JURY_CHECK_EQ(rows.size(), workers.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    JURY_CHECK_LT(rows[i], owned_quality_.size());
+    SetRow(rows[i], workers[i]);
   }
+  AdoptOwned();
+}
+
+void WorkerPoolView::SetRow(std::size_t i, const Worker& worker) {
+  owned_quality_[i] = worker.quality;
+  owned_cost_[i] = worker.cost;
+  // Same expressions the evaluation backends run on the Worker structs,
+  // evaluated once: column-sourced scores stay bit-identical.
+  const double norm = NormalizedQuality(worker.quality);
+  owned_norm_quality_[i] = norm;
+  owned_log_odds_[i] = LogOdds(EffectiveQuality(norm));
+}
+
+void WorkerPoolView::AdoptOwned() {
   quality_ = owned_quality_;
   cost_ = owned_cost_;
   norm_quality_ = owned_norm_quality_;
@@ -52,12 +73,7 @@ WorkerPoolView::WorkerPoolView(const WorkerPoolView& other)
       owned_cost_(other.owned_cost_),
       owned_norm_quality_(other.owned_norm_quality_),
       owned_log_odds_(other.owned_log_odds_) {
-  if (!owned_quality_.empty()) {
-    quality_ = owned_quality_;
-    cost_ = owned_cost_;
-    norm_quality_ = owned_norm_quality_;
-    log_odds_ = owned_log_odds_;
-  }
+  if (!owned_quality_.empty()) AdoptOwned();
 }
 
 WorkerPoolView& WorkerPoolView::operator=(const WorkerPoolView& other) {

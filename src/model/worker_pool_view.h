@@ -31,6 +31,8 @@ namespace jury {
 ///   - **Owning** (the `span<const Worker>` constructor): the four columns
 ///     are computed into internal vectors, as every solver has always done.
 ///     The workers are read once, here, and not referenced afterwards.
+///     The updating constructor is owning too: it copies another view's
+///     columns and recomputes only the rows it replaces.
 ///   - **Adopted** (`FromColumns`): the columns alias caller-owned storage
 ///     — in practice a mapped `PoolSnapshot` — so a million-worker plan
 ///     skips the per-worker `log()` pass entirely.
@@ -41,6 +43,12 @@ class WorkerPoolView {
  public:
   WorkerPoolView() = default;
   explicit WorkerPoolView(std::span<const Worker> workers);
+  /// A copy of `base` in which row `rows[i]` holds `workers[i]`'s quality
+  /// and cost, its derived columns computed as the constructor above does;
+  /// a row named twice keeps its last worker. Every other row keeps
+  /// `base`'s bits.
+  WorkerPoolView(const WorkerPoolView& base, std::span<const std::size_t> rows,
+                 std::span<const Worker> workers);
 
   /// Builds a view whose columns alias caller-owned storage (all four the
   /// same length; they must outlive the view).
@@ -73,6 +81,11 @@ class WorkerPoolView {
   std::span<const double> log_odds() const { return log_odds_; }
 
  private:
+  /// Fills row `i` of the owned columns from `worker`.
+  void SetRow(std::size_t i, const Worker& worker);
+  /// Points the column spans at the owned vectors.
+  void AdoptOwned();
+
   // The public column spans; for the owning flavour they point into the
   // owned_* vectors below, for adopted views into caller storage.
   std::span<const double> quality_;

@@ -75,16 +75,15 @@ class McJqObjectiveAdapter final : public JqObjective {
 };
 
 /// Placeholder workers for the binary drivers, one per candidate in order:
-/// id = candidate index, cost = the real cost (the column every
-/// affordability test reads), quality = a neutral 0.5 the adapter never
-/// consults. The binary instance's alpha
-/// is a neutral 0.5 too — the adapter overrides everything
-/// alpha-dependent.
+/// cost = the real cost (the column every affordability test reads),
+/// quality = a neutral 0.5 the adapter never consults. The binary
+/// instance's alpha is a neutral 0.5 too — the adapter overrides
+/// everything alpha-dependent.
 std::vector<Worker> PlaceholderWorkers(const McJspInstance& instance) {
   std::vector<Worker> workers;
   workers.reserve(instance.candidates.size());
-  for (std::size_t i = 0; i < instance.candidates.size(); ++i) {
-    workers.emplace_back(std::to_string(i), 0.5, instance.candidates[i].cost);
+  for (const McWorker& candidate : instance.candidates) {
+    workers.emplace_back("", 0.5, candidate.cost);
   }
   return workers;
 }
@@ -129,10 +128,9 @@ Result<McJspSolution> SolveMcAnnealing(const McJspInstance& instance, Rng* rng,
   if (options.bucket.num_buckets <= 0) {
     return Status::InvalidArgument("bucket.num_buckets must be positive");
   }
-  const std::vector<Worker> placeholders = PlaceholderWorkers(instance);
+  const WorkerPoolView view(PlaceholderWorkers(instance));
   const JspInstance binary{
-      .candidates = placeholders, .budget = instance.budget, .alpha = 0.5};
-  const WorkerPoolView view(placeholders);
+      .pool = &view, .budget = instance.budget, .alpha = 0.5};
   const McJqObjectiveAdapter objective(instance, options.bucket);
   AnnealingOptions annealing;
   annealing.initial_temperature = options.initial_temperature;
@@ -151,10 +149,9 @@ Result<McJspSolution> SolveMcExhaustive(const McJspInstance& instance,
   if (bucket.num_buckets <= 0) {
     return Status::InvalidArgument("bucket.num_buckets must be positive");
   }
-  const std::vector<Worker> placeholders = PlaceholderWorkers(instance);
+  const WorkerPoolView view(PlaceholderWorkers(instance));
   const JspInstance binary{
-      .candidates = placeholders, .budget = instance.budget, .alpha = 0.5};
-  const WorkerPoolView view(placeholders);
+      .pool = &view, .budget = instance.budget, .alpha = 0.5};
   const McJqObjectiveAdapter objective(instance, bucket);
   ExhaustiveOptions exhaustive;
   exhaustive.max_candidates = max_candidates;

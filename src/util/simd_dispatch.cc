@@ -85,6 +85,7 @@ constexpr KernelTable kScalarTable{
 
 // ------------------------------------------------------------- selection
 
+#if defined(JURYOPT_HAVE_AVX2)
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2");
@@ -92,6 +93,7 @@ bool CpuHasAvx2() {
   return false;
 #endif
 }
+#endif
 
 const KernelTable* TableFor(Level level) {
   switch (level) {

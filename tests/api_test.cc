@@ -56,7 +56,7 @@ std::vector<std::vector<Worker>> SeededPools(int count, int n) {
 Result<JspSolution> DirectSolve(const std::string& name,
                                 const JspInstance& instance,
                                 const SolveRequest& request) {
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView& view = *instance.pool;
   Rng rng(request.rng_seed);
   if (name == "optjs") {
     const BucketBvObjective objective(request.tuning.optjs.bucket);
@@ -156,10 +156,9 @@ TEST_P(RegistryContractTest, MatchesDirectSolverCallBitForBit) {
         ASSERT_TRUE(report.ok()) << name << ": " << report.status();
         EXPECT_EQ(report.value().solver, name);
 
-        JspInstance instance;
-        instance.candidates = pool;
-        instance.budget = budget;
-        instance.alpha = 0.4;
+        const WorkerPoolView view(pool);
+        const JspInstance instance{
+            .pool = &view, .budget = budget, .alpha = 0.4};
         auto direct = DirectSolve(name, instance, request);
         ASSERT_TRUE(direct.ok()) << name << ": " << direct.status();
         EXPECT_EQ(report.value().solution.selected, direct.value().selected)
@@ -425,14 +424,14 @@ TEST(OptionsValidationTest, DirectValidateCalls) {
 
   // The core entry points validate their options too.
   const std::vector<Worker> workers = jury::testing::Figure1Workers();
+  const WorkerPoolView view(workers);
   JspInstance instance;
-  instance.candidates = workers;
+  instance.pool = &view;
   instance.budget = 15.0;
   const BucketBvObjective objective;
   Rng rng(1);
   AnnealingOptions bad_schedule;
   bad_schedule.cooling_factor = 0.0;
-  const WorkerPoolView view(instance.candidates);
   EXPECT_EQ(SolveAnnealing(instance, view, objective, &rng, bad_schedule)
                 .status()
                 .code(),
@@ -452,40 +451,34 @@ TEST(PlanContextTest, RejectsInvalidPools) {
             StatusCode::kInvalidArgument);
 }
 
-// An instance borrows its pool, so a temporary vector must not bind.
-static_assert(!std::is_assignable_v<decltype(JspInstance::candidates)&,
-                                    std::vector<Worker>&&>);
-static_assert(std::is_assignable_v<decltype(JspInstance::candidates)&,
-                                   const std::vector<Worker>&>);
-
-TEST(PlanContextTest, LeasesBorrowTheEpochCandidateTable) {
+TEST(PlanContextTest, LeasesPointAtTheEpochView) {
   auto context =
       PoolPlanContext::Plan(jury::testing::Figure1Workers()).value();
   const auto first = context.AcquireInstance(5.0, 0.5);
   const auto second = context.AcquireInstance(10.0, 0.3);
-  // Concurrent leases read the epoch's one candidate table, not copies.
-  EXPECT_EQ(first.instance().candidates.data(), context.candidates().data());
-  EXPECT_EQ(second.instance().candidates.data(), context.candidates().data());
+  // Concurrent leases read the epoch's one view, not copies.
+  EXPECT_EQ(first.instance().pool, &first.view());
+  EXPECT_EQ(first.instance().pool, &context.view());
+  EXPECT_EQ(second.instance().pool, &second.view());
+  EXPECT_EQ(second.instance().pool, &context.view());
   EXPECT_EQ(first.instance().budget, 5.0);
   EXPECT_EQ(second.instance().budget, 10.0);
   EXPECT_EQ(second.instance().alpha, 0.3);
 }
 
 TEST(PlanContextTest, LeaseKeepsItsEpochAcrossPoolDeltas) {
-  auto context =
-      PoolPlanContext::Plan(jury::testing::Figure1Workers()).value();
-  const Worker* const old_table = context.candidates().data();
-  const Worker old_worker = context.candidates()[0];
+  const std::vector<Worker> workers = jury::testing::Figure1Workers();
+  auto context = PoolPlanContext::Plan(workers).value();
+  const WorkerPoolView* const old_view = &context.view();
+  const Worker& old_worker = workers[0];
   const auto before = context.AcquireInstance(5.0, 0.5);
   const PoolDeltaUpdate update{0, 0.99, old_worker.cost};
   ASSERT_TRUE(context.ApplyPoolDelta({&update, 1}).ok());
   const auto after = context.AcquireInstance(5.0, 0.5);
 
-  EXPECT_EQ(before.instance().candidates.data(), old_table);
-  EXPECT_EQ(before.instance().candidates[0], old_worker);
-  EXPECT_EQ(after.instance().candidates.data(), context.candidates().data());
-  EXPECT_NE(after.instance().candidates.data(), old_table);
-  EXPECT_EQ(after.instance().candidates[0].quality, 0.99);
+  EXPECT_EQ(before.instance().pool, old_view);
+  EXPECT_EQ(after.instance().pool, &context.view());
+  EXPECT_NE(after.instance().pool, old_view);
   // The view and the sharded index come from the lease's epoch too.
   EXPECT_EQ(before.view().quality()[0], old_worker.quality);
   EXPECT_EQ(before.sharded_pool()->view().quality()[0], old_worker.quality);

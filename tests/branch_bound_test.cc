@@ -13,10 +13,10 @@ namespace {
 using jury::testing::Figure1Workers;
 using jury::testing::RandomPool;
 
-JspInstance MakeInstance(CandidateSpan workers, double budget,
+JspInstance MakeInstance(const WorkerPoolView& view, double budget,
                          double alpha = 0.5) {
   JspInstance instance;
-  instance.candidates = workers;
+  instance.pool = &view;
   instance.budget = budget;
   instance.alpha = alpha;
   return instance;
@@ -30,9 +30,9 @@ TEST_P(BranchBoundAgreementTest, MatchesExhaustiveExactly) {
   Rng rng(static_cast<std::uint64_t>(seed) * 7001 +
           static_cast<std::uint64_t>(n));
   const auto pool = RandomPool(&rng, n, 0.5, 0.95, 0.05, 0.4);
-  const auto instance = MakeInstance(pool, budget);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, budget);
   const ExactBvObjective objective;
-  const WorkerPoolView view(instance.candidates);
   const auto exhaustive = SolveExhaustive(instance, view, objective).value();
   const auto bb = SolveBranchAndBound(instance, view, objective).value();
   EXPECT_NEAR(bb.jq, exhaustive.jq, 1e-10);
@@ -52,8 +52,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BranchBoundTest, SolvesFigure1) {
   const ExactBvObjective objective;
   const auto pool = Figure1Workers();
-  const auto instance = MakeInstance(pool, 15.0);
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 15.0);
   const auto solution = SolveBranchAndBound(instance, view, objective).value();
   EXPECT_EQ(solution.selected, (std::vector<std::size_t>{1, 2, 6}));
   EXPECT_NEAR(solution.jq, 0.845, 1e-9);
@@ -64,10 +64,10 @@ TEST(BranchBoundTest, ScalesBeyondTheExhaustiveGuard) {
   // bucket objective finishes and prunes most of the tree.
   Rng rng(11);
   const auto pool = RandomPool(&rng, 26, 0.5, 0.95, 0.05, 0.4);
-  const auto instance = MakeInstance(pool, 0.4);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 0.4);
   const BucketBvObjective objective;
   BranchBoundStats stats;
-  const WorkerPoolView view(instance.candidates);
   const auto solution =
       SolveBranchAndBound(instance, view, objective, {}, &stats).value();
   EXPECT_LE(solution.cost, instance.budget + 1e-12);
@@ -78,8 +78,8 @@ TEST(BranchBoundTest, ScalesBeyondTheExhaustiveGuard) {
 TEST(BranchBoundTest, RejectsNonMonotoneObjectives) {
   const MajorityObjective mv;
   const auto pool = Figure1Workers();
-  const auto instance = MakeInstance(pool, 10.0);
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 10.0);
   EXPECT_EQ(SolveBranchAndBound(instance, view, mv).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -87,11 +87,11 @@ TEST(BranchBoundTest, RejectsNonMonotoneObjectives) {
 TEST(BranchBoundTest, NodeBudgetIsEnforced) {
   Rng rng(13);
   const auto pool = RandomPool(&rng, 18, 0.5, 0.95, 0.05, 0.4);
-  const auto instance = MakeInstance(pool, 1.0);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 1.0);
   const ExactBvObjective objective;
   BranchBoundOptions options;
   options.max_nodes = 5;
-  const WorkerPoolView view(instance.candidates);
   EXPECT_EQ(
       SolveBranchAndBound(instance, view, objective, options).status().code(),
       StatusCode::kResourceExhausted);
@@ -99,16 +99,16 @@ TEST(BranchBoundTest, NodeBudgetIsEnforced) {
 
 TEST(BranchBoundTest, EmptyPoolAndZeroBudget) {
   const ExactBvObjective objective;
-  const auto empty = MakeInstance({}, 1.0, 0.7);
-  const WorkerPoolView empty_view(empty.candidates);
+  const WorkerPoolView empty_view;
+  const auto empty = MakeInstance(empty_view, 1.0, 0.7);
   const auto s1 = SolveBranchAndBound(empty, empty_view, objective).value();
   EXPECT_TRUE(s1.selected.empty());
   EXPECT_DOUBLE_EQ(s1.jq, 0.7);
 
   Rng rng(17);
   const auto pool = RandomPool(&rng, 6, 0.5, 0.9, 0.5, 1.0);
-  const auto broke = MakeInstance(pool, 0.0);
-  const WorkerPoolView broke_view(broke.candidates);
+  const WorkerPoolView broke_view(pool);
+  const auto broke = MakeInstance(broke_view, 0.0);
   const auto s2 = SolveBranchAndBound(broke, broke_view, objective).value();
   EXPECT_TRUE(s2.selected.empty());
 }
@@ -118,8 +118,8 @@ TEST(BranchBoundTest, PrefersCheaperTies) {
   // quality need — the optimum should keep the cost minimal among ties.
   std::vector<Worker> workers = {{"cheap", 0.8, 1.0}, {"pricey", 0.8, 3.0}};
   const ExactBvObjective objective;
-  const auto instance = MakeInstance(workers, 3.0);
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(workers);
+  const auto instance = MakeInstance(view, 3.0);
   const auto solution = SolveBranchAndBound(instance, view, objective).value();
   ASSERT_EQ(solution.selected.size(), 1u);
   EXPECT_EQ(solution.selected[0], 0u);

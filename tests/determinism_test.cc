@@ -66,12 +66,12 @@ TEST(DeterminismTest, AnnealingSolver) {
   Rng pool_rng(99);
   const std::vector<Worker> pool =
       RandomPool(&pool_rng, 20, 0.5, 0.95, 0.05, 0.3);
+  const WorkerPoolView view(pool);
   JspInstance instance;
-  instance.candidates = pool;
+  instance.pool = &view;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   const BucketBvObjective objective;
-  const WorkerPoolView view(instance.candidates);
   ExpectSameTwice([&] {
     Rng rng(4242);
     return SolveAnnealing(instance, view, objective, &rng).value().selected;
@@ -82,11 +82,11 @@ TEST(DeterminismTest, FullSystems) {
   Rng pool_rng(101);
   const std::vector<Worker> pool =
       RandomPool(&pool_rng, 16, 0.5, 0.95, 0.05, 0.3);
+  const WorkerPoolView view(pool);
   JspInstance instance;
-  instance.candidates = pool;
+  instance.pool = &view;
   instance.budget = 0.5;
   instance.alpha = 0.5;
-  const WorkerPoolView view(instance.candidates);
   const BucketBvObjective bucket;
   const MajorityObjective majority;
   ExpectSameTwice([&] {

@@ -53,9 +53,9 @@ std::vector<Worker> MakePool(Rng* rng, int n) {
   return RandomPool(rng, n, 0.0, 1.0, 0.01, 0.5);
 }
 
-JspInstance MakeInstance(CandidateSpan workers, double budget) {
+JspInstance MakeInstance(const WorkerPoolView& view, double budget) {
   JspInstance instance;
-  instance.candidates = workers;
+  instance.pool = &view;
   instance.budget = budget;
   instance.alpha = 0.5;
   return instance;
@@ -64,8 +64,8 @@ JspInstance MakeInstance(CandidateSpan workers, double budget) {
 TEST(FrontierTest, GreedyMarginalGainExactModeIsBitIdentical) {
   Rng rng(8801);
   const std::vector<Worker> workers = MakePool(&rng, 600);
-  const JspInstance instance = MakeInstance(workers, 1.0);
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(workers);
+  const JspInstance instance = MakeInstance(view, 1.0);
   const BucketBvObjective bv{BucketJqOptions{}};
   const MajorityObjective mv;
 
@@ -79,7 +79,7 @@ TEST(FrontierTest, GreedyMarginalGainExactModeIsBitIdentical) {
           SolveGreedyMarginalGain(instance, view, *objective, full_options);
       ASSERT_TRUE(full.ok());
       for (const std::size_t shard_size :
-           {std::size_t{16}, std::size_t{64}, instance.candidates.size()}) {
+           {std::size_t{16}, std::size_t{64}, instance.num_candidates()}) {
         for (const std::size_t k : {std::size_t{2}, std::size_t{8}}) {
           for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
             ShardedPoolOptions pool_options;
@@ -117,8 +117,8 @@ TEST(FrontierTest, SelectAddMatchesFullScanArgmaxUnderPruning) {
   // pruning (the proof doing real work at least once).
   Rng rng(8803);
   const std::vector<Worker> workers = MakePool(&rng, 512);
-  const JspInstance instance = MakeInstance(workers, 0.4);
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(workers);
+  const JspInstance instance = MakeInstance(view, 0.4);
   const BucketBvObjective objective{BucketJqOptions{}};
   auto session = objective.StartSession(view, instance.alpha, true);
   ASSERT_NE(session, nullptr);
@@ -128,15 +128,15 @@ TEST(FrontierTest, SelectAddMatchesFullScanArgmaxUnderPruning) {
   small_options.slate_k = 4;
   const ShardedWorkerPool small(&view, small_options);
   ShardedPoolOptions whole_options;
-  whole_options.shard_size = instance.candidates.size();
-  whole_options.slate_k = instance.candidates.size();
+  whole_options.shard_size = instance.num_candidates();
+  whole_options.slate_k = instance.num_candidates();
   const ShardedWorkerPool whole(&view, whole_options);
 
-  std::vector<char> excluded(instance.candidates.size(), 0);
+  std::vector<char> excluded(instance.num_candidates(), 0);
   FrontierOptions pruned_scan;
   pruned_scan.k = 4;
   FrontierOptions full_scan;
-  full_scan.k = instance.candidates.size();
+  full_scan.k = instance.num_candidates();
   FrontierScanStats stats;
   const auto key = ShardedWorkerPool::KeyColumn::kNormQuality;
 
@@ -167,8 +167,8 @@ TEST(FrontierTest, AnnealingPolishIdenticalWithFrontier) {
   // sharded pool wired (same seed, same trajectory).
   Rng rng_base(8805);
   const std::vector<Worker> workers = MakePool(&rng_base, 300);
-  const JspInstance instance = MakeInstance(workers, 0.8);
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(workers);
+  const JspInstance instance = MakeInstance(view, 0.8);
   const BucketBvObjective objective{BucketJqOptions{}};
   ShardedPoolOptions pool_options;
   pool_options.shard_size = 64;
@@ -202,11 +202,11 @@ TEST(FrontierTest, BranchBoundOrderingKeepsOptimality) {
   // to score ties).
   Rng rng(8807);
   const auto workers = RandomPool(&rng, 24, 0.3, 1.0, 0.05, 0.4);
+  const WorkerPoolView view(workers);
   JspInstance instance;
-  instance.candidates = workers;
+  instance.pool = &view;
   instance.budget = 0.8;
   instance.alpha = 0.5;
-  const WorkerPoolView view(instance.candidates);
   const BucketBvObjective objective{BucketJqOptions{}};
   ShardedPoolOptions pool_options;
   pool_options.shard_size = 8;

@@ -77,13 +77,13 @@ TEST_P(FuzzTest, SolverInvariants) {
   for (int round = 0; round < 6; ++round) {
     const int n = 2 + static_cast<int>(rng.UniformInt(9));
     const std::vector<Worker> pool = RandomPool(&rng, n, 0.0, 1.0, 0.0, 0.5);
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = rng.Uniform(0.0, 1.5);
     instance.alpha = rng.Uniform();
 
     const ExactBvObjective objective;
-    const WorkerPoolView view(instance.candidates);
     const auto exhaustive = SolveExhaustive(instance, view, objective).value();
     const auto bb = SolveBranchAndBound(instance, view, objective).value();
     EXPECT_NEAR(bb.jq, exhaustive.jq, 1e-9);
@@ -107,15 +107,15 @@ TEST_P(FuzzTest, SystemsNeverViolateBudgetsOrDominance) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7577u + 101u);
   for (int round = 0; round < 4; ++round) {
     const std::vector<Worker> pool = RandomPool(&rng, 14, 0.3, 0.99, 0.02, 0.4);
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = rng.Uniform(0.1, 1.0);
     instance.alpha = 0.5;
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
     OptjsOptions options;
     options.bucket.num_buckets = 400;
-    const WorkerPoolView view(instance.candidates);
     const BucketBvObjective bucket(options.bucket);
     const auto optjs =
         SolveOptjs(instance, view, bucket, &r1, options).value();

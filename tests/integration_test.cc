@@ -26,12 +26,12 @@ TEST(IntegrationTest, JqPredictsRealizedAccuracy) {
   pool_config.num_workers = 20;
   const auto pool = crowd::GeneratePool(pool_config, &rng).value();
 
+  const WorkerPoolView view(pool);
   JspInstance instance;
-  instance.candidates = pool;
+  instance.pool = &view;
   instance.budget = 0.5;
   instance.alpha = 0.5;
   Rng solver_rng(7);
-  const WorkerPoolView view(instance.candidates);
   const auto solution =
       SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
   ASSERT_FALSE(solution.selected.empty());
@@ -59,13 +59,13 @@ TEST(IntegrationTest, EndToEndSyntheticComparisonFavorsOptjs) {
     config.num_workers = 25;
     Rng pool_rng = rng.Fork();
     const auto pool = crowd::GeneratePool(config, &pool_rng).value();
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = 0.5;
     instance.alpha = 0.5;
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    const WorkerPoolView view(instance.candidates);
     optjs_jq.Add(
         SolveOptjs(instance, view, BucketBvObjective(), &r1).value().jq);
     mvjs_jq.Add(SolveMvjs(instance, view, MajorityObjective(), &r2).value().jq);
@@ -89,12 +89,12 @@ TEST(IntegrationTest, SentimentDatasetDrivesJsp) {
                         dataset.estimated_quality[answer.worker],
                         rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
     }
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = 0.5;
     instance.alpha = 0.5;
     Rng solver_rng = rng.Fork();
-    const WorkerPoolView view(instance.candidates);
     const auto solution =
         SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
@@ -145,19 +145,19 @@ TEST(IntegrationTest, EstimatedQualitiesAreGoodEnoughForSelection) {
     }
     return pool;
   };
-  auto make_instance = [](const std::vector<Worker>& pool) {
+  auto make_instance = [](const WorkerPoolView& view) {
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = 0.3;
     instance.alpha = 0.5;
     return instance;
   };
   const std::vector<Worker> latent_pool = make_pool(latent);
   const std::vector<Worker> estimated_pool = make_pool(estimated);
-  const auto latent_instance = make_instance(latent_pool);
-  const auto estimated_instance = make_instance(estimated_pool);
   const WorkerPoolView latent_view(latent_pool);
   const WorkerPoolView estimated_view(estimated_pool);
+  const auto latent_instance = make_instance(latent_view);
+  const auto estimated_instance = make_instance(estimated_view);
   const BucketBvObjective objective;
   Rng r1(1), r2(1);
   const auto with_latent =

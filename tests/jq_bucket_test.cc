@@ -3,12 +3,14 @@
 #include <cmath>
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "jq/bucket.h"
 #include "jq/closed_form.h"
 #include "jq/exact.h"
+#include "jq/exact_map.h"
 #include "jq/monte_carlo.h"
 #include "jq/prior_transform.h"
 #include "model/jury.h"
@@ -121,6 +123,49 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(10, 50, 200),
                        ::testing::Values(0.3, 0.5, 0.8),
                        ::testing::Values(1, 2)));
+
+/// The same guarantees at jury sizes enumeration cannot reach, against
+/// `ExactJqBvMap`: a jury of k distinct qualities keeps its key map at
+/// O(n^k) keys, so exact BV JQ stays affordable far past n = 20.
+class BucketLargeJuryGuaranteeTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::pair<int, int>, double, int, int>> {};
+
+TEST_P(BucketLargeJuryGuaranteeTest, UnderestimatesExactMapWithinBound) {
+  const auto [size, alpha, num_buckets, seed] = GetParam();
+  const auto [n, k] = size;
+  Rng rng(static_cast<std::uint64_t>(seed) * 6007 +
+          static_cast<std::uint64_t>(n * 7 + k));
+  std::vector<double> levels;
+  while (levels.size() < static_cast<std::size_t>(k)) {
+    const double q = rng.Uniform(0.52, 0.9);
+    if (std::find(levels.begin(), levels.end(), q) == levels.end()) {
+      levels.push_back(q);
+    }
+  }
+  std::vector<double> qualities;
+  for (int i = 0; i < n; ++i) qualities.push_back(levels[i % k]);
+  const Jury jury = Jury::FromQualities(qualities);
+  const double exact = ExactJqBvMap(jury, alpha).value();
+
+  BucketJqOptions options;
+  options.num_buckets = num_buckets;
+  BucketJqStats stats;
+  const double estimate = EstimateJq(jury, alpha, options, &stats).value();
+
+  EXPECT_LE(estimate, exact + 1e-9) << "estimate must not exceed JQ";
+  EXPECT_LE(exact - estimate, stats.error_bound + 1e-9)
+      << "n=" << n << " k=" << k << " buckets=" << num_buckets;
+}
+
+// n = 120 at k = 3 is left out: one exact JQ takes about half a second.
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, BucketLargeJuryGuaranteeTest,
+    ::testing::Combine(::testing::Values(std::pair{30, 2}, std::pair{60, 2},
+                                         std::pair{120, 2}, std::pair{30, 3},
+                                         std::pair{60, 3}),
+                       ::testing::Values(0.3, 0.5, 0.8),
+                       ::testing::Values(50, 200), ::testing::Values(1, 2)));
 
 /// Pruning is a pure optimization: results identical.
 class BucketEquivalenceTest

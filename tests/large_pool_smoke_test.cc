@@ -73,7 +73,7 @@ TEST(LargePoolSmokeTest, SnapshotRoundTripAndFrontierSolve) {
   // Frontier solve vs full scan on the core seam, budget sized for a
   // ~15-member jury so the full scan does real per-round work.
   JspInstance instance;
-  instance.candidates = workers;
+  instance.pool = &view;
   instance.budget = 0.75;
   instance.alpha = 0.5;
   const BucketBvObjective objective{BucketJqOptions{}};
@@ -90,9 +90,7 @@ TEST(LargePoolSmokeTest, SnapshotRoundTripAndFrontierSolve) {
   FrontierScanStats stats;
   frontier_options.frontier_stats = &stats;
   JspInstance snapshot_instance;
-  // Materializes the snapshot's AoS records for the instance
-  // (`MakeSolution` sums the winner's cost from `instance.candidates`).
-  snapshot_instance.candidates = plan.value().candidates();
+  snapshot_instance.pool = &plan.value().view();
   snapshot_instance.budget = instance.budget;
   snapshot_instance.alpha = instance.alpha;
   const auto frontier = SolveGreedyMarginalGain(

@@ -98,14 +98,14 @@ TEST(CostCorollaryTest, FreeWorkersMeanSelectEveryone) {
   for (int i = 0; i < 8; ++i) {
     pool.emplace_back("w" + std::to_string(i), rng.Uniform(0.5, 0.95), 0.0);
   }
+  const WorkerPoolView view(pool);
   JspInstance instance;
-  instance.candidates = pool;
+  instance.pool = &view;
   instance.budget = 0.0;
   instance.alpha = 0.5;
   const ExactBvObjective objective;
-  const WorkerPoolView view(instance.candidates);
   const auto solution = SolveGreedyByQuality(instance, view, objective).value();
-  EXPECT_EQ(solution.selected.size(), instance.candidates.size());
+  EXPECT_EQ(solution.selected.size(), pool.size());
 }
 
 TEST(CostCorollaryTest, UniformCostsMeanTopKByQuality) {
@@ -117,12 +117,12 @@ TEST(CostCorollaryTest, UniformCostsMeanTopKByQuality) {
     for (int i = 0; i < 7; ++i) {
       pool.emplace_back("w" + std::to_string(i), rng.Uniform(0.5, 0.95), 1.0);
     }
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = 3.0;  // exactly three workers affordable
     instance.alpha = 0.5;
     const ExactBvObjective objective;
-    const WorkerPoolView view(instance.candidates);
     const auto greedy = SolveGreedyByQuality(instance, view, objective).value();
     const auto exact =
         SolveExhaustive(instance, view, objective).value();

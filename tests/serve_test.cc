@@ -22,10 +22,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,8 +36,10 @@
 
 #include "api/solve.h"
 #include "gtest/gtest.h"
+#include "model/pool_snapshot.h"
 #include "model/sharded_pool.h"
 #include "model/worker.h"
+#include "model/worker_pool_view.h"
 #include "serve/http.h"
 #include "serve/result_cache.h"
 #include "serve/server.h"
@@ -449,7 +454,6 @@ TEST(PoolDeltaTest, BumpsEpochAndReplans) {
   const api::PoolDeltaUpdate update{0, 0.95, 0.01};
   ASSERT_TRUE(context.ApplyPoolDelta({&update, 1}).ok());
   EXPECT_EQ(context.pool_epoch(), 1u);
-  EXPECT_EQ(context.candidates()[0].quality, 0.95);
   EXPECT_EQ(context.view().quality()[0], 0.95);
 
   // The old epoch's entry is stale for new traffic: the same request
@@ -574,7 +578,8 @@ TEST(PoolDeltaTest, RetiredEpochsAreFreedByTheirLastLease) {
   const std::uint64_t freed_before = freed.value();
   std::optional<api::PoolPlanContext::InstanceLease> epoch0(
       context.AcquireInstance(1.5, 0.4));
-  const Worker worker0 = epoch0->instance().candidates[0];
+  const Worker worker0("", epoch0->instance().pool->quality()[0],
+                       epoch0->instance().pool->cost()[0]);
   const std::uint64_t leased_before = leased.value();
 
   std::vector<api::SolveRequest> requests;
@@ -620,12 +625,109 @@ TEST(PoolDeltaTest, RetiredEpochsAreFreedByTheirLastLease) {
   // Epochs 1..99 died with their last batch; epoch 0 lives on in the
   // lease, which still reads its workers and columns.
   EXPECT_EQ(freed.value() - freed_before, 99u);
-  EXPECT_EQ(epoch0->instance().candidates[0], worker0);
+  EXPECT_EQ(epoch0->instance().pool->quality()[0], worker0.quality);
   EXPECT_EQ(epoch0->view().quality()[0], worker0.quality);
   EXPECT_EQ(epoch0->sharded_pool()->view().quality()[0], worker0.quality);
   EXPECT_EQ(context.view().quality()[0], last_quality);
   epoch0.reset();
   EXPECT_EQ(freed.value() - freed_before, 100u);
+}
+
+/// True when two columns hold the same doubles bit for bit (EXPECT_EQ on
+/// doubles would let -0.0 pass for 0.0).
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(PoolDeltaTest, ChurnedEpochMatchesAFreshPlan) {
+  // A delta copies the current columns and recomputes only the updated
+  // rows, so every churned epoch must be the pool a fresh plan of the
+  // updated workers builds: the same column bits and the same reports,
+  // from a memory plan and from a snapshot plan alike.
+  std::vector<Worker> workers = TestPool(300);
+  const char* dir = std::getenv("TMPDIR");
+  const std::string path =
+      std::string(dir != nullptr && dir[0] != '\0' ? dir : "/tmp") +
+      "/juryopt_churned_epoch_" + std::to_string(getpid()) + ".snap";
+  ASSERT_TRUE(
+      PoolSnapshot::Write(path, workers, WorkerPoolView(workers)).ok());
+  auto snapshot = PoolSnapshot::Load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+
+  api::PlanOptions plan_options;
+  plan_options.shard_size = 32;
+  std::vector<api::PoolPlanContext> contexts;
+  contexts.push_back(api::PoolPlanContext::Plan(workers, plan_options).value());
+  contexts.push_back(api::PoolPlanContext::PlanFromSnapshot(
+                         std::move(snapshot).value(), plan_options)
+                         .value());
+  for (const api::PoolPlanContext& context : contexts) {
+    ASSERT_NE(context.sharded_pool(), nullptr);  // deltas rebase the index
+  }
+
+  std::vector<api::SolveRequest> requests;
+  for (const char* solver : {"optjs", "annealing", "mvjs", "greedy-mg"}) {
+    api::SolveRequest request = BaseRequest(1.0);
+    request.solver = solver;
+    request.tuning.greedy.frontier_k = 8;
+    requests.push_back(request);
+  }
+  const auto canonical = [](api::SolveReport report) {
+    report.wall_seconds = 0.0;
+    return report.ToJson();
+  };
+
+  Rng rng(2626);
+  for (int delta = 0; delta < 40; ++delta) {
+    // Eight updates with qualities in [0, 1] plus the edge values 0, 0.5
+    // and 1, and zero costs among them; a ninth repeats the first update's
+    // index, so the last update of that index must win.
+    std::vector<api::PoolDeltaUpdate> updates;
+    for (int u = 0; u < 8; ++u) {
+      api::PoolDeltaUpdate update;
+      update.index = static_cast<std::size_t>(rng.UniformInt(workers.size()));
+      update.quality = u < 3 ? 0.5 * u : rng.Uniform(0.0, 1.0);
+      update.cost = u % 3 == 0 ? 0.0 : rng.Uniform(0.0, 0.6);
+      updates.push_back(update);
+    }
+    updates.push_back({updates[0].index, rng.Uniform(0.0, 1.0),
+                       rng.Uniform(0.0, 0.6)});
+    for (const api::PoolDeltaUpdate& update : updates) {
+      workers[update.index].quality = update.quality;
+      workers[update.index].cost = update.cost;
+    }
+
+    const WorkerPoolView fresh_view(workers);
+    auto fresh = api::PoolPlanContext::Plan(workers, plan_options);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_NE(fresh.value().sharded_pool(), nullptr);
+    std::vector<std::string> expected;
+    for (const api::SolveRequest& request : requests) {
+      auto report = fresh.value().Solve(request);
+      ASSERT_TRUE(report.ok()) << report.status();
+      expected.push_back(canonical(report.value()));
+    }
+
+    for (api::PoolPlanContext& context : contexts) {
+      const std::string where = std::string(context.pool_source()) +
+                                " plan, delta " + std::to_string(delta);
+      ASSERT_TRUE(context.ApplyPoolDelta(updates).ok()) << where;
+      const WorkerPoolView& view = context.view();
+      EXPECT_TRUE(SameBits(view.quality(), fresh_view.quality())) << where;
+      EXPECT_TRUE(SameBits(view.cost(), fresh_view.cost())) << where;
+      EXPECT_TRUE(SameBits(view.norm_quality(), fresh_view.norm_quality()))
+          << where;
+      EXPECT_TRUE(SameBits(view.log_odds(), fresh_view.log_odds())) << where;
+      for (std::size_t r = 0; r < requests.size(); ++r) {
+        auto report = context.Solve(requests[r]);
+        ASSERT_TRUE(report.ok()) << where << ": " << report.status();
+        EXPECT_EQ(canonical(report.value()), expected[r])
+            << where << ", " << requests[r].solver;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

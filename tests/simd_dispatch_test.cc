@@ -426,12 +426,12 @@ TEST(SimdDispatchTest, SolversReturnIdenticalJuriesAcrossLevels) {
   const MajorityObjective majority;
   for (int inst = 0; inst < 8; ++inst) {
     const std::vector<Worker> pool = RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4);
+    const WorkerPoolView view(pool);
     JspInstance instance;
-    instance.candidates = pool;
+    instance.pool = &view;
     instance.budget = rng.Uniform(0.3, 1.0);
     instance.alpha = 0.5;
     const std::uint64_t seed = 7100 + static_cast<std::uint64_t>(inst);
-    const WorkerPoolView view(instance.candidates);
 
     JspSolution ref_sa, ref_greedy, ref_mv_greedy, ref_ex, ref_bb;
     bool have_ref = false;

@@ -27,10 +27,10 @@ namespace {
 using jury::testing::Figure1Workers;
 using jury::testing::RandomPool;
 
-JspInstance MakeInstance(CandidateSpan workers, double budget,
+JspInstance MakeInstance(const WorkerPoolView& view, double budget,
                          double alpha = 0.5) {
   JspInstance instance;
-  instance.candidates = workers;
+  instance.pool = &view;
   instance.budget = budget;
   instance.alpha = alpha;
   return instance;
@@ -62,11 +62,11 @@ TEST(ExhaustiveSolverTest, FindsTheFigure1Optima) {
   };
   for (const auto& expected : table) {
     const auto pool = Figure1Workers();
-    const auto instance = MakeInstance(pool, expected.budget);
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, expected.budget);
     const auto solution = SolveExhaustive(instance, view, objective).value();
     EXPECT_EQ(solution.selected, expected.selected)
-        << "B=" << expected.budget << " got " << solution.Describe(instance);
+        << "B=" << expected.budget << " got " << solution.Describe(pool);
     EXPECT_NEAR(solution.jq, expected.jq, 1e-9);
     EXPECT_NEAR(solution.cost, expected.cost, 1e-9);
   }
@@ -78,8 +78,8 @@ TEST(ExhaustiveSolverTest, RespectsBudgetAlways) {
   for (int trial = 0; trial < 10; ++trial) {
     const double budget = rng.Uniform(0.2, 2.0);
     const auto pool = RandomPool(&rng, 9, 0.5, 0.95, 0.1, 1.0);
-    const auto instance = MakeInstance(pool, budget);
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, budget);
     const auto solution = SolveExhaustive(instance, view, objective).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
   }
@@ -89,8 +89,8 @@ TEST(ExhaustiveSolverTest, ZeroBudgetYieldsEmptyJury) {
   const ExactBvObjective objective;
   Rng rng(1);
   const auto pool = RandomPool(&rng, 5, 0.5, 0.9, 0.5, 1.0);
-  const auto instance = MakeInstance(pool, 0.0);
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 0.0);
   const auto solution = SolveExhaustive(instance, view, objective).value();
   EXPECT_TRUE(solution.selected.empty());
   EXPECT_DOUBLE_EQ(solution.jq, 0.5);
@@ -100,8 +100,8 @@ TEST(ExhaustiveSolverTest, GuardsLargePools) {
   Rng rng(3);
   const ExactBvObjective objective;
   const auto pool = RandomPool(&rng, 23, 0.5, 0.9, 0.1, 1.0);
-  const auto instance = MakeInstance(pool, 1.0);
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 1.0);
   EXPECT_EQ(SolveExhaustive(instance, view, objective).status().code(),
             StatusCode::kOutOfRange);
 }
@@ -115,8 +115,8 @@ TEST(ExhaustiveSolverTest, MaximalityPruningMatchesFullEnumeration) {
   for (int trial = 0; trial < 8; ++trial) {
     const double budget = rng.Uniform(0.3, 1.5);
     const auto pool = RandomPool(&rng, 8, 0.5, 0.95, 0.1, 0.6);
-    const auto instance = MakeInstance(pool, budget);
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, budget);
     const auto fast = SolveExhaustive(instance, view, bv).value();
     // Brute-force reference without maximality pruning.
     double best = EmptyJuryJq(instance.alpha);
@@ -125,8 +125,8 @@ TEST(ExhaustiveSolverTest, MaximalityPruningMatchesFullEnumeration) {
       double cost = 0.0;
       for (std::size_t i = 0; i < 8; ++i) {
         if ((mask >> i) & 1u) {
-          jury.Add(instance.candidates[i]);
-          cost += instance.candidates[i].cost;
+          jury.Add(pool[i]);
+          cost += pool[i].cost;
         }
       }
       if (cost > instance.budget) continue;
@@ -151,9 +151,9 @@ TEST_P(AnnealingQualityTest, ComesCloseToTheExhaustiveOptimum) {
     pool.emplace_back("w" + std::to_string(i), pool_rng.Uniform(0.5, 0.95),
                       pool_rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
   }
-  const auto instance = MakeInstance(pool, 0.5);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 0.5);
   const ExactBvObjective objective;
-  const WorkerPoolView view(instance.candidates);
   const auto optimal = SolveExhaustive(instance, view, objective).value();
   double best_sa = 0.0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -174,9 +174,9 @@ TEST(AnnealingSolverTest, BudgetNeverViolated) {
   for (int trial = 0; trial < 10; ++trial) {
     const double budget = rng.Uniform(0.1, 1.0);
     const auto pool = RandomPool(&rng, 30, 0.5, 0.95, 0.05, 0.5);
-    const auto instance = MakeInstance(pool, budget);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, budget);
     Rng sa_rng = rng.Fork();
-    const WorkerPoolView view(instance.candidates);
     const auto solution =
         SolveAnnealing(instance, view, objective, &sa_rng).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
@@ -189,9 +189,9 @@ TEST(AnnealingSolverTest, BudgetNeverViolated) {
 
 TEST(AnnealingSolverTest, EmptyPoolYieldsPriorOnlySolution) {
   const BucketBvObjective objective;
-  const auto instance = MakeInstance({}, 1.0, 0.7);
+  const WorkerPoolView view;
+  const auto instance = MakeInstance(view, 1.0, 0.7);
   Rng rng(5);
-  const WorkerPoolView view(instance.candidates);
   const auto solution = SolveAnnealing(instance, view, objective, &rng).value();
   EXPECT_TRUE(solution.selected.empty());
   EXPECT_DOUBLE_EQ(solution.jq, 0.7);
@@ -201,10 +201,10 @@ TEST(AnnealingSolverTest, StatsAreConsistent) {
   Rng rng(4003);
   const BucketBvObjective objective;
   const auto pool = RandomPool(&rng, 20, 0.5, 0.95, 0.05, 0.3);
-  const auto instance = MakeInstance(pool, 0.5);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 0.5);
   Rng sa_rng(17);
   AnnealingStats stats;
-  const WorkerPoolView view(instance.candidates);
   ASSERT_TRUE(
       SolveAnnealing(instance, view, objective, &sa_rng, {}, &stats).ok());
   // T halves from 1.0 to 1e-8: 27 levels.
@@ -219,9 +219,9 @@ TEST(AnnealingSolverTest, StatsAreConsistent) {
 TEST(AnnealingSolverTest, ValidatesArguments) {
   const BucketBvObjective objective;
   const auto pool = Figure1Workers();
-  const auto instance = MakeInstance(pool, 10.0);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 10.0);
   Rng rng(1);
-  const WorkerPoolView view(instance.candidates);
   EXPECT_FALSE(SolveAnnealing(instance, view, objective, nullptr).ok());
   AnnealingOptions bad;
   bad.cooling_factor = 1.5;
@@ -233,11 +233,11 @@ TEST(AnnealingSolverTest, ReturnBestSeenNeverHurts) {
   const ExactBvObjective objective;
   for (int trial = 0; trial < 5; ++trial) {
     const auto pool = RandomPool(&rng, 12, 0.5, 0.95, 0.05, 0.3);
-    const auto instance = MakeInstance(pool, 0.4);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, 0.4);
     Rng rng_final(1000 + static_cast<std::uint64_t>(trial));
     Rng rng_best(1000 + static_cast<std::uint64_t>(trial));
     AnnealingOptions final_opts;
-    const WorkerPoolView view(instance.candidates);
     const auto final_solution =
         SolveAnnealing(instance, view, objective, &rng_final, final_opts)
             .value();
@@ -256,9 +256,9 @@ TEST(AnnealingSolverTest, RemovalMovesHelpEscapeStuckJuries) {
   std::vector<Worker> workers = {
       {"cheap1", 0.55, 0.20}, {"cheap2", 0.55, 0.20}, {"cheap3", 0.55, 0.20},
       {"expert", 0.97, 0.45}};
-  const auto instance = MakeInstance(workers, 0.6);
+  const WorkerPoolView view(workers);
+  const auto instance = MakeInstance(view, 0.6);
   const ExactBvObjective objective;
-  const WorkerPoolView view(instance.candidates);
   const auto optimal = SolveExhaustive(instance, view, objective).value();
   ASSERT_NEAR(optimal.jq, 0.97, 0.01);  // the expert dominates
 
@@ -286,10 +286,10 @@ TEST(AnnealingSolverTest, RemovalsDisabledByDefaultMatchVerbatimAlg3) {
   // default configuration (same seed, same moves).
   Rng rng(6007);
   const auto pool = RandomPool(&rng, 15, 0.5, 0.95, 0.05, 0.3);
-  const auto instance = MakeInstance(pool, 0.5);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 0.5);
   const ExactBvObjective objective;
   Rng r1(99), r2(99);
-  const WorkerPoolView view(instance.candidates);
   const auto a = SolveAnnealing(instance, view, objective, &r1).value();
   AnnealingOptions zero;
   zero.removal_probability = 0.0;
@@ -306,8 +306,8 @@ TEST(GreedySolverTest, RespectsBudget) {
   for (int trial = 0; trial < 10; ++trial) {
     const double budget = rng.Uniform(0.3, 2.0);
     const auto pool = RandomPool(&rng, 10, 0.5, 0.95, 0.1, 1.0);
-    const auto instance = MakeInstance(pool, budget);
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, budget);
     for (const auto& solution :
          {SolveGreedyByQuality(instance, view, objective).value(),
           SolveGreedyByValuePerCost(instance, view, objective).value(),
@@ -321,8 +321,8 @@ TEST(GreedySolverTest, OddTopKSelectsOddSizes) {
   Rng rng(4013);
   const MajorityObjective objective;
   const auto pool = RandomPool(&rng, 9, 0.5, 0.95, 1.0, 1.0);
-  const auto instance = MakeInstance(pool, 6.0);
-  const WorkerPoolView view(instance.candidates);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 6.0);
   const auto solution = SolveOddTopK(instance, view, objective).value();
   EXPECT_EQ(solution.selected.size() % 2, 1u);
 }
@@ -339,10 +339,10 @@ TEST(SystemComparisonTest, OptjsNeverLosesOnExpectation) {
   const int trials = 20;
   for (int trial = 0; trial < trials; ++trial) {
     const auto pool = RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4);
-    const auto instance = MakeInstance(pool, 0.5);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, 0.5);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    const WorkerPoolView view(instance.candidates);
     const auto optjs =
         SolveOptjs(instance, view, BucketBvObjective(), &r1).value();
     const auto mvjs =
@@ -367,12 +367,12 @@ TEST(SystemComparisonTest, OptjsExhaustiveDominatesMvjsPointwise) {
   Rng rng(5101);
   for (int trial = 0; trial < 10; ++trial) {
     const auto pool = RandomPool(&rng, 10, 0.4, 0.95, 0.05, 0.4);
-    const auto instance = MakeInstance(pool, 0.5);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, 0.5);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
     OptjsOptions options;
     options.bucket.num_buckets = 400;
-    const WorkerPoolView view(instance.candidates);
     const BucketBvObjective bucket(options.bucket);
     const auto optjs =
         SolveOptjs(instance, view, bucket, &r1, options).value();
@@ -391,10 +391,10 @@ TEST(OptjsFacadeTest, SmallPoolsUseTheExactPath) {
   // regardless of SA luck (same instance, many rng streams, one answer).
   Rng rng(5107);
   const auto pool = RandomPool(&rng, 9, 0.5, 0.95, 0.05, 0.4);
-  const auto instance = MakeInstance(pool, 0.5);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 0.5);
   OptjsOptions options;
   options.bucket.num_buckets = 400;
-  const WorkerPoolView view(instance.candidates);
   const BucketBvObjective objective(options.bucket);
   double first_jq = -1.0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -415,10 +415,10 @@ TEST(OptjsFacadeTest, GreedyFallbackRescuesStuckAnnealing) {
     workers.emplace_back("cheap" + std::to_string(i), 0.55, 0.20);
   }
   workers.emplace_back("expert", 0.97, 0.45);
-  const auto instance = MakeInstance(workers, 0.6);
+  const WorkerPoolView view(workers);
+  const auto instance = MakeInstance(view, 0.6);
   OptjsOptions options;
   options.exhaustive_threshold = 0;  // force the SA+fallback path
-  const WorkerPoolView view(instance.candidates);
   const BucketBvObjective objective(options.bucket);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Rng solver_rng(seed);
@@ -434,12 +434,11 @@ TEST(OptjsFacadeTest, GreedyFallbackRescuesStuckAnnealing) {
 /// whether moves are scored by session delta updates or by from-scratch
 /// `Evaluate` calls. 50 seeded instances, both BV objectives and MV.
 void ExpectSameSolution(const JspSolution& incremental,
-                        const JspSolution& full, const JspInstance& instance,
+                        const JspSolution& full, std::span<const Worker> pool,
                         const std::string& label, int inst) {
   EXPECT_EQ(incremental.selected, full.selected)
       << label << " instance " << inst << ": incremental "
-      << incremental.Describe(instance) << " vs full "
-      << full.Describe(instance);
+      << incremental.Describe(pool) << " vs full " << full.Describe(pool);
   EXPECT_NEAR(incremental.jq, full.jq, 1e-12)
       << label << " instance " << inst;
 }
@@ -451,8 +450,8 @@ TEST(IncrementalEquivalenceTest, AnnealingAndGreedyOnFiftyInstances) {
   for (int inst = 0; inst < 50; ++inst) {
     const double budget = rng.Uniform(0.3, 1.0);
     const auto pool = RandomPool(&rng, 14, 0.4, 0.95, 0.05, 0.4);
-    const auto instance = MakeInstance(pool, budget);
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, budget);
     const std::uint64_t sa_seed = 5000 + static_cast<std::uint64_t>(inst);
     for (const JqObjective* objective :
          {static_cast<const JqObjective*>(&bucket),
@@ -464,7 +463,7 @@ TEST(IncrementalEquivalenceTest, AnnealingAndGreedyOnFiftyInstances) {
           SolveAnnealing(instance, view, *objective, &r1, inc_opts).value();
       const auto full =
           SolveAnnealing(instance, view, *objective, &r2, full_opts).value();
-      ExpectSameSolution(inc, full, instance,
+      ExpectSameSolution(inc, full, pool,
                          "annealing/" + objective->name(), inst);
 
       GreedyOptions g_inc, g_full;
@@ -472,10 +471,10 @@ TEST(IncrementalEquivalenceTest, AnnealingAndGreedyOnFiftyInstances) {
       ExpectSameSolution(
           SolveGreedyMarginalGain(instance, view, *objective, g_inc).value(),
           SolveGreedyMarginalGain(instance, view, *objective, g_full).value(),
-          instance, "marginal-gain/" + objective->name(), inst);
+          pool, "marginal-gain/" + objective->name(), inst);
       ExpectSameSolution(
           SolveOddTopK(instance, view, *objective, g_inc).value(),
-          SolveOddTopK(instance, view, *objective, g_full).value(), instance,
+          SolveOddTopK(instance, view, *objective, g_full).value(), pool,
           "odd-top-k/" + objective->name(), inst);
     }
   }
@@ -489,8 +488,8 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
   for (int inst = 0; inst < 15; ++inst) {
     const double budget = rng.Uniform(0.3, 1.0);
     const auto pool = RandomPool(&rng, 10, 0.4, 0.95, 0.05, 0.4);
-    const auto instance = MakeInstance(pool, budget);
-    const WorkerPoolView view(instance.candidates);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, budget);
     ExhaustiveOptions ex_inc, ex_full;
     ex_full.use_incremental = false;
     for (const JqObjective* objective :
@@ -500,7 +499,7 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
       ExpectSameSolution(
           SolveExhaustive(instance, view, *objective, ex_inc).value(),
           SolveExhaustive(instance, view, *objective, ex_full).value(),
-          instance, "exhaustive/" + objective->name(), inst);
+          pool, "exhaustive/" + objective->name(), inst);
     }
     BranchBoundOptions bb_inc, bb_full;
     bb_full.use_incremental = false;
@@ -510,7 +509,7 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
       ExpectSameSolution(
           SolveBranchAndBound(instance, view, *objective, bb_inc).value(),
           SolveBranchAndBound(instance, view, *objective, bb_full).value(),
-          instance, "branch-bound/" + objective->name(), inst);
+          pool, "branch-bound/" + objective->name(), inst);
     }
   }
 }
@@ -522,12 +521,12 @@ TEST(IncrementalEquivalenceTest, ExhaustiveBreaksExactTiesIdentically) {
   // mask, i.e. the ascending sweep's first hit).
   std::vector<Worker> workers = {{"a", 0.7, 1.0}, {"b", 0.7, 1.0},
                                  {"c", 0.8, 1.5}, {"d", 0.7, 1.0}};
-  const auto instance = MakeInstance(workers, 2.5);
+  const WorkerPoolView view(workers);
+  const auto instance = MakeInstance(view, 2.5);
   ExhaustiveOptions inc, full;
   full.use_incremental = false;
   const MajorityObjective mv;  // non-monotone: no maximality filter
   const ExactBvObjective bv;
-  const WorkerPoolView view(instance.candidates);
   for (const JqObjective* objective :
        {static_cast<const JqObjective*>(&mv),
         static_cast<const JqObjective*>(&bv)}) {
@@ -544,12 +543,12 @@ TEST(IncrementalEquivalenceTest, SolversSpendFarFewerFullEvaluations) {
   // grid rebuilds remain — while the no-incremental path is all-full.
   Rng rng(90011);
   const auto pool = RandomPool(&rng, 100, 0.4, 0.95, 0.05, 0.4);
-  const auto instance = MakeInstance(pool, 1.0);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 1.0);
   const BucketBvObjective objective;
 
   objective.ResetEvaluationCounters();
   Rng r1(7);
-  const WorkerPoolView view(instance.candidates);
   ASSERT_TRUE(SolveAnnealing(instance, view, objective, &r1).ok());
   const EvaluationCounters with_sessions = objective.evaluation_counters();
 
@@ -608,9 +607,9 @@ TEST(ThreadDeterminismTest, AllParallelSolversAcrossThreadCounts) {
   for (int inst = 0; inst < 24; ++inst) {
     const double budget = rng.Uniform(0.3, 1.0);
     const auto pool = RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4);
-    const auto instance = MakeInstance(pool, budget);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, budget);
     const std::uint64_t seed = 8800 + static_cast<std::uint64_t>(inst);
-    const WorkerPoolView view(instance.candidates);
 
     JspSolution ref_sa, ref_greedy, ref_exhaustive, ref_mv_greedy;
     bool have_ref = false;
@@ -687,10 +686,10 @@ TEST(ThreadDeterminismTest, MultiRestartNeverLosesToSingleChainBadly) {
   double multi_total = 0.0;
   for (int inst = 0; inst < 10; ++inst) {
     const auto pool = RandomPool(&rng, 16, 0.4, 0.95, 0.05, 0.4);
-    const auto instance = MakeInstance(pool, 0.5);
+    const WorkerPoolView view(pool);
+    const auto instance = MakeInstance(view, 0.5);
     Rng r1(42), r2(42);
     AnnealingOptions single;
-    const WorkerPoolView view(instance.candidates);
     const auto s = SolveAnnealing(instance, view, bucket, &r1, single).value();
     AnnealingOptions multi;
     multi.num_restarts = 4;
@@ -706,12 +705,12 @@ TEST(ThreadDeterminismTest, MultiRestartStatsAggregateAllChains) {
   Rng rng(77031);
   const BucketBvObjective bucket;
   const auto pool = RandomPool(&rng, 20, 0.5, 0.95, 0.05, 0.3);
-  const auto instance = MakeInstance(pool, 0.5);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 0.5);
   Rng sa_rng(17);
   AnnealingOptions opts;
   opts.num_restarts = 3;
   AnnealingStats stats;
-  const WorkerPoolView view(instance.candidates);
   ASSERT_TRUE(
       SolveAnnealing(instance, view, bucket, &sa_rng, opts, &stats).ok());
   // Each chain runs 27 temperature levels of 20 moves (see
@@ -725,8 +724,9 @@ TEST(ThreadDeterminismTest, MultiRestartStatsAggregateAllChains) {
 // ------------------------------------------------------------ entry check
 
 /// All nine entry points run the same O(1) check before they read the
-/// pool: a view that does not cover the instance's candidates, a NaN
-/// budget and an out-of-range prior each return InvalidArgument.
+/// pool: a view that is not the instance's pool (shorter, or an equal
+/// copy), a NaN budget and an out-of-range prior each return
+/// InvalidArgument.
 TEST(SolveEntryTest, EveryEntryRejectsShortViewsAndBadScalars) {
   const BucketBvObjective bucket;
   const MajorityObjective majority;
@@ -774,10 +774,11 @@ TEST(SolveEntryTest, EveryEntryRejectsShortViewsAndBadScalars) {
        }},
   };
   const auto pool = Figure1Workers();
-  const JspInstance good = MakeInstance(pool, 10.0);
-  const WorkerPoolView view(good.candidates);
-  const std::span<const Worker> all(good.candidates);
+  const WorkerPoolView view(pool);
+  const JspInstance good = MakeInstance(view, 10.0);
+  const std::span<const Worker> all(pool);
   const WorkerPoolView short_view(all.first(all.size() - 1));
+  const WorkerPoolView copy_view(pool);
   JspInstance nan_budget = good;
   nan_budget.budget = std::numeric_limits<double>::quiet_NaN();
   JspInstance bad_alpha = good;
@@ -786,6 +787,8 @@ TEST(SolveEntryTest, EveryEntryRejectsShortViewsAndBadScalars) {
     EXPECT_TRUE(entry(good, view).ok()) << name;
     EXPECT_EQ(entry(good, short_view).code(), StatusCode::kInvalidArgument)
         << name << ": short view";
+    EXPECT_EQ(entry(good, copy_view).code(), StatusCode::kInvalidArgument)
+        << name << ": a copy of the pool";
     EXPECT_EQ(entry(nan_budget, view).code(), StatusCode::kInvalidArgument)
         << name << ": NaN budget";
     EXPECT_EQ(entry(bad_alpha, view).code(), StatusCode::kInvalidArgument)
@@ -796,9 +799,9 @@ TEST(SolveEntryTest, EveryEntryRejectsShortViewsAndBadScalars) {
 TEST(MvjsTest, ReportsExactMajorityJq) {
   Rng rng(5103);
   const auto pool = RandomPool(&rng, 10, 0.5, 0.95, 0.05, 0.4);
-  const auto instance = MakeInstance(pool, 0.5);
+  const WorkerPoolView view(pool);
+  const auto instance = MakeInstance(view, 0.5);
   Rng solver_rng(9);
-  const WorkerPoolView view(instance.candidates);
   const auto solution =
       SolveMvjs(instance, view, MajorityObjective(), &solver_rng).value();
   if (!solution.selected.empty()) {
