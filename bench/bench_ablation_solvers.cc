@@ -563,7 +563,7 @@ int RunNestedBudgetTableAblation(bench::ThreadScalingReport* report) {
   std::cout << table.ToString()
             << "Takeaway: with fewer rows than workers the fixed pool "
                "strands cores; routing rows through the scheduler's task "
-               "groups lets idle workers steal the inner restart chains "
+               "groups lets idle workers run the inner restart chains "
                "and candidate scans, at identical tables.\n";
   return violations;
 }

@@ -29,7 +29,9 @@ std::vector<Worker> QuestionPool(const SentimentDataset& dataset,
   std::vector<Worker> pool;
   const auto& answers = dataset.campaign.tasks[question].answers;
   for (std::size_t i = 0; i < std::min(n, answers.size()); ++i) {
-    pool.emplace_back("w" + std::to_string(answers[i].worker),
+    std::string id = "w";
+    id += std::to_string(answers[i].worker);
+    pool.emplace_back(std::move(id),
                       dataset.estimated_quality[answers[i].worker],
                       rng->TruncatedGaussian(0.05, cost_sigma, 0.01, 1e9));
   }

@@ -362,8 +362,10 @@ void SessionScan(benchmark::State& state, const JqObjective& objective,
   std::vector<Worker> pool = MakeJury(static_cast<int>(n)).workers();
   Rng rng(47);
   for (std::size_t j = 0; j < kScanCandidates; ++j) {
+    std::string id = "c";
+    id += std::to_string(j);
     pool.emplace_back(
-        "c" + std::to_string(j),
+        std::move(id),
         rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99), 0.0);
   }
   const WorkerPoolView view(pool);
@@ -560,8 +562,10 @@ struct ScanFixture {
   ScanFixture(const JqObjective& objective, int n) {
     Rng rng(47);
     for (int i = 0; i < n; ++i) {
+      std::string id = "w";
+      id += std::to_string(i);
       pool.emplace_back(
-          "w" + std::to_string(i),
+          std::move(id),
           rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99), 0.0);
     }
     view = WorkerPoolView(pool);
@@ -665,8 +669,10 @@ std::vector<Worker> AnnealingPool(int n) {
   Rng pool_rng(7);
   std::vector<Worker> pool;
   for (int i = 0; i < n; ++i) {
+    std::string id = "w";
+    id += std::to_string(i);
     pool.emplace_back(
-        "w" + std::to_string(i),
+        std::move(id),
         pool_rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99),
         pool_rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
   }

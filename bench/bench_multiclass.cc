@@ -74,8 +74,10 @@ void JspComparison(int reps) {
     instance.prior = UniformMcPrior(3);
     Rng pool_rng = rng.Fork();
     for (int i = 0; i < 8; ++i) {
+      std::string id = "c";
+      id += std::to_string(i);
       instance.candidates.emplace_back(
-          "c" + std::to_string(i), RandomConfusion(&pool_rng, 3),
+          std::move(id), RandomConfusion(&pool_rng, 3),
           pool_rng.TruncatedGaussian(0.3, 0.2, 0.05, 1e9));
     }
     Timer t_ex;
@@ -104,7 +106,9 @@ void SpammerHeuristic(int reps) {
     McJury pool;
     Rng pool_rng = rng.Fork();
     for (int i = 0; i < 8; ++i) {
-      pool.Add({"w" + std::to_string(i), RandomConfusion(&pool_rng, 3), 1.0});
+      std::string id = "w";
+      id += std::to_string(i);
+      pool.Add({std::move(id), RandomConfusion(&pool_rng, 3), 1.0});
     }
     const McPrior prior = UniformMcPrior(3);
     // Top-3 by informativeness.

@@ -51,7 +51,9 @@ inline std::vector<Worker> PaperPool(Rng* rng, int n, double mu,
   std::vector<Worker> pool;
   pool.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    pool.emplace_back("w" + std::to_string(i),
+    std::string id = "w";
+    id += std::to_string(i);
+    pool.emplace_back(std::move(id),
                       rng->TruncatedGaussian(mu, sigma, 0.01, 0.99),
                       rng->TruncatedGaussian(cost_mu, cost_sigma, 0.01, 1e9));
   }
@@ -184,9 +186,10 @@ class ThreadScalingReport {
   }
 
   /// Scheduler counters snapshotted around the nested workload: nonzero
-  /// `nested_regions` (and, with idle workers, `tasks_stolen`) is the
-  /// direct evidence that budget-table rows fanned their inner OPTJS
-  /// solves across workers instead of pinning them.
+  /// `nested_regions` (and, with idle workers, `tasks_stolen`: tasks a
+  /// worker spawned that another thread ran) is the direct evidence that
+  /// budget-table rows fanned their inner OPTJS solves across workers
+  /// instead of pinning them.
   void SetSchedulerCounters(const SchedulerCounters& counters) {
     scheduler_json_ =
         Json::Object()

@@ -129,7 +129,9 @@ void FuzzPoolSnapshot(const std::uint8_t* data, std::size_t size) {
     double cost = 0.0;
     std::memcpy(&quality, data + 16 * i, sizeof(quality));
     std::memcpy(&cost, data + 16 * i + 8, sizeof(cost));
-    pool.emplace_back("w" + std::to_string(i), quality, cost);
+    std::string id = "w";
+    id += std::to_string(i);
+    pool.emplace_back(std::move(id), quality, cost);
   }
   Result<PoolPlanContext> planned = PoolPlanContext::Plan(std::move(pool));
   if (!planned.ok()) return;

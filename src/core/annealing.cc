@@ -502,7 +502,7 @@ Result<JspSolution> SolveAnnealing(const JspInstance& instance,
   // Chain k's trajectory depends only on seeds[k], so the result set —
   // and the ordered best-of reduction below — is bit-identical for every
   // thread count. When this solve itself runs inside a task (a
-  // budget-table row), the region nests and idle workers steal chains.
+  // budget-table row), the region nests and idle threads run its chains.
   const std::size_t chains = options.num_restarts;
   std::vector<std::uint64_t> seeds(chains);
   for (std::uint64_t& seed : seeds) seed = rng->Next();

@@ -31,7 +31,7 @@ Result<std::vector<BudgetQualityRow>> BuildBudgetQualityTable(
   // parallelism (the default) the inner OPTJS solve keeps the caller's
   // thread setting: a row task fans its restart chains / candidate scans /
   // subset shards out as nested regions, and workers with no row of their
-  // own steal those — the fix for the old pin-to-one-thread starvation
+  // own run those — the fix for the old pin-to-one-thread starvation
   // when rows < workers. Row k's result depends only on its own stream
   // (and every inner parallel path is deterministic in the thread count),
   // so the table is bit-identical for any thread count, nested or not.

@@ -213,8 +213,7 @@ JspSolution SweepGraySharded(const JspInstance& instance,
   // exhaustive solve inside a budget-table row fans out to idle workers;
   // at parallelism 1 — a limit-forced sharded run — the shards run
   // inline, in order, without touching the pool). The grain is pinned at
-  // 1 — each element is a stateful Gray-code walk, so this loop must not
-  // be grain-autotuned.
+  // 1: each element is a stateful Gray-code walk.
   Scheduler::GlobalParallelFor(
       0, shards, 1,
       [&](std::size_t begin, std::size_t end) {

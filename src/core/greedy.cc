@@ -193,22 +193,15 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
   // Scan machinery: each round gathers the affordable candidate indices
   // (ascending) and scores them through the session's index-based batched
   // `ScoreAddBatch` kernel. In the parallel case the candidate list is
-  // sharded across the process-wide scheduler with an autotuned grain —
-  // legal because every candidate's score is a pure function of
-  // (committed jury, candidate), never of how candidates are grouped into
-  // shards — and each shard scores through its own clone of the round's
-  // session, which carries the committed cached state (and the view
-  // binding) bit-for-bit. The ordered banded argmax below therefore picks
-  // the same winner as the serial scan, for any thread count and grain.
+  // sharded across the process-wide scheduler — legal because every
+  // candidate's score is a pure function of (committed jury, candidate),
+  // never of how candidates are grouped into shards — and each shard
+  // scores through its own clone of the round's session, which carries
+  // the committed cached state (and the view binding) bit-for-bit. The
+  // ordered banded argmax below therefore picks the same winner as the
+  // serial scan, for any thread count and grain.
   const std::size_t threads =
       std::min(ResolveThreadCount(options.num_threads), n > 0 ? n : 1);
-  // Grain feedback per *solve*, not per process: per-item cost differs by
-  // orders of magnitude across backends (batched MV vs full-recompute),
-  // so a shared tuner would drag every workload toward the last one's
-  // grain. One solve runs many rounds of the same workload — the EMA
-  // converges after the first. The per-shard overhead to amortize is the
-  // session clone, hence the floor of 8 candidates per shard.
-  GrainTuner scan_tuner(/*min_grain=*/8);
 
   const std::span<const double> cost_col = view.cost();
   std::vector<std::size_t> eligible_idx;
@@ -246,8 +239,13 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
     if (eligible_idx.empty()) break;  // nothing fits
     scores.resize(eligible_idx.size());
     if (threads > 1 && eligible_idx.size() > 1) {
-      Scheduler::Global()->ParallelForTuned(
-          &scan_tuner, 0, eligible_idx.size(),
+      // Eight shards per thread even out uneven shard times. Each shard
+      // pays one session clone, so a shard holds at least 8 candidates.
+      const std::size_t per_shard = 8 * threads;
+      const std::size_t grain = std::max<std::size_t>(
+          8, (eligible_idx.size() + per_shard - 1) / per_shard);
+      Scheduler::Global()->ParallelFor(
+          0, eligible_idx.size(), grain,
           [&](std::size_t begin, std::size_t end) {
             // A clone is a real allocation on a worker thread; the fault
             // hook stands in for it failing. The throw unwinds through

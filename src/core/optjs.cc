@@ -103,7 +103,7 @@ Result<JspSolution> SolveOptjs(const JspInstance& instance,
     // (exactly as in the serial order below), the fallbacks take no rng,
     // and the jq comparisons after the join run in the fixed serial
     // order. When SolveOptjs itself runs inside a task (a budget-table
-    // row), these become nested tasks idle workers can steal.
+    // row), these become nested tasks any idle thread can run.
     const std::size_t threads = ResolveThreadCount(options.num_threads);
     Result<JspSolution> by_quality_result = JspSolution{};
     Result<JspSolution> by_value_result = JspSolution{};

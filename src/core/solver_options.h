@@ -17,7 +17,7 @@ struct FrontierScanStats;
 struct SolverOptions {
   /// Parallelism cap for each of the solver's parallel *regions* (restart
   /// chains, candidate shards, subset partitions), which run on the
-  /// process-wide work-stealing scheduler. 0 = auto: the
+  /// process-wide scheduler. 0 = auto: the
   /// `JURYOPT_THREADS` environment variable when set, otherwise the
   /// hardware concurrency (`ResolveThreadCount` in util/scheduler.h).
   /// 1 forces the serial path (which never touches the scheduler).

@@ -42,7 +42,7 @@ struct ServeOptions {
 /// solve returns. One solve runs at a time, and requests that arrive
 /// meanwhile (cache hits included) wait for it. Parallelism inside a
 /// solve (OPTJS's fallbacks, parallel scans) still fans out on the
-/// process work-stealing scheduler. The server adds no locking on the
+/// process-wide scheduler. The server adds no locking on the
 /// solve path.
 ///
 /// Routes:

@@ -19,13 +19,8 @@ struct TaskFrame {
 };
 thread_local TaskFrame* tls_task_frame = nullptr;
 
-/// Worker identity: which scheduler (if any) owns the calling thread, and
-/// the index of its deque.
-struct WorkerIdentity {
-  Scheduler* scheduler = nullptr;
-  std::size_t index = 0;
-};
-thread_local WorkerIdentity tls_worker;
+/// The scheduler whose worker the calling thread is, if any.
+thread_local Scheduler* tls_worker_of = nullptr;
 
 std::size_t GlobalSchedulerSize() {
   // JURYOPT_THREADS at process start is a *budget*: a user who exports 2
@@ -51,41 +46,6 @@ std::size_t ResolveThreadCount(std::size_t requested) {
   if (env > 0) return static_cast<std::size_t>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<std::size_t>(hw) : 1;
-}
-
-// ---------------------------------------------------------------- GrainTuner
-
-std::size_t GrainTuner::Pick(std::size_t count,
-                             std::size_t parallelism) const {
-  if (count == 0) return min_grain_;
-  if (parallelism == 0) parallelism = 1;
-  // Upper bound keeps at least `parallelism` shards so no thread idles by
-  // construction; the measured feedback can only subdivide further.
-  std::size_t upper = count / parallelism;
-  if (upper == 0) upper = 1;
-  std::size_t grain = upper;  // no feedback yet: one shard per thread
-  const std::uint64_t ema = ema_ns_per_item_x1024_.load(
-      std::memory_order_relaxed);
-  if (ema > 0) {
-    const std::uint64_t items = (target_shard_ns_ << 10) / ema;
-    grain = items == 0
-                ? 1
-                : static_cast<std::size_t>(std::min<std::uint64_t>(
-                      items, upper));
-  }
-  if (grain < min_grain_) grain = min_grain_;
-  if (grain > count) grain = count;
-  return grain;
-}
-
-void GrainTuner::Record(std::size_t items, std::uint64_t elapsed_ns) {
-  if (items == 0) return;
-  std::uint64_t per_item = (elapsed_ns << 10) / items;
-  if (per_item == 0) per_item = 1;
-  const std::uint64_t old =
-      ema_ns_per_item_x1024_.load(std::memory_order_relaxed);
-  ema_ns_per_item_x1024_.store(old == 0 ? per_item : (3 * old + per_item) / 4,
-                               std::memory_order_relaxed);
 }
 
 // ----------------------------------------------------------------- TaskGroup
@@ -120,7 +80,7 @@ void TaskGroup::Wait() {
       scheduler_->RunTask(task);
       continue;
     }
-    // Nothing runnable anywhere: every remaining task of this group is in
+    // The queue is empty: every remaining task of this group is in
     // flight on another thread. Block until the group advances; the
     // timeout re-arms the scan so a task queued between the failed
     // acquire and the wait cannot strand us.
@@ -149,87 +109,6 @@ void TaskGroup::OnTaskFinished(std::exception_ptr error) {
   }
 }
 
-// --------------------------------------------------------- Scheduler::Deque
-
-Scheduler::Deque::Ring::Ring(std::size_t cap)
-    : capacity(cap), slots(new std::atomic<Task*>[cap]) {
-  for (std::size_t i = 0; i < cap; ++i) {
-    slots[i].store(nullptr, std::memory_order_relaxed);
-  }
-}
-
-Scheduler::Deque::Deque() {
-  auto ring = std::make_unique<Ring>(256);
-  ring_.store(ring.get(), std::memory_order_relaxed);
-  retired_.push_back(std::move(ring));
-}
-
-Scheduler::Deque::~Deque() = default;
-
-Scheduler::Deque::Ring* Scheduler::Deque::Grow(Ring* ring,
-                                               std::int64_t bottom,
-                                               std::int64_t top) {
-  auto bigger = std::make_unique<Ring>(ring->capacity * 2);
-  for (std::int64_t i = top; i < bottom; ++i) {
-    bigger->Slot(i).store(ring->Slot(i).load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  }
-  Ring* raw = bigger.get();
-  {
-    std::lock_guard<std::mutex> lock(retired_mutex_);
-    retired_.push_back(std::move(bigger));
-  }
-  // The old ring stays alive (and keeps its values): a concurrent thief
-  // holding the stale pointer still reads the task it will CAS for.
-  ring_.store(raw, std::memory_order_release);
-  return raw;
-}
-
-void Scheduler::Deque::Push(Task* task) {
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-  const std::int64_t t = top_.load(std::memory_order_acquire);
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  if (b - t >= static_cast<std::int64_t>(ring->capacity)) {
-    ring = Grow(ring, b, t);
-  }
-  ring->Slot(b).store(task, std::memory_order_release);
-  bottom_.store(b + 1, std::memory_order_seq_cst);
-}
-
-Scheduler::Task* Scheduler::Deque::Pop() {
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  bottom_.store(b, std::memory_order_seq_cst);
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  if (t <= b) {
-    Task* task = ring->Slot(b).load(std::memory_order_relaxed);
-    if (t == b) {
-      // Last element: race the thieves for it via top.
-      if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        task = nullptr;
-      }
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return task;
-  }
-  bottom_.store(b + 1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-Scheduler::Task* Scheduler::Deque::Steal() {
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-  if (t >= b) return nullptr;
-  Ring* ring = ring_.load(std::memory_order_acquire);
-  Task* task = ring->Slot(t).load(std::memory_order_acquire);
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed)) {
-    return nullptr;  // lost to the owner's Pop or another thief
-  }
-  return task;
-}
-
 // ------------------------------------------------------------------ Scheduler
 
 namespace {
@@ -253,7 +132,7 @@ SchedulerCounters GlobalSchedulerCountersIfStarted() {
 namespace {
 // Gauges, not counters: the scheduler already keeps its own relaxed
 // atomics, so the registry reads them on demand instead of double
-// counting on the steal/inject hot paths.
+// counting on the submit and run paths.
 const bool g_scheduler_gauges_registered = [] {
   StatsRegistry& registry = StatsRegistry::Global();
   registry.RegisterGauge("scheduler.tasks_spawned", [] {
@@ -280,25 +159,21 @@ const bool g_scheduler_gauges_registered = [] {
 
 Scheduler::Scheduler(std::size_t num_threads) {
   const std::size_t n = num_threads > 0 ? num_threads : 1;
-  deques_.reserve(n - 1);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    deques_.push_back(std::make_unique<Deque>());
-  }
   workers_.reserve(n - 1);
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 Scheduler::~Scheduler() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
   }
-  sleep_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // Tasks spawned during the drain (by other draining tasks) land on the
-  // injection queue once the workers are gone; finish them inline so a
+  // A non-worker thread still running this scheduler's tasks may queue
+  // more after the last worker left; finish those inline so a
   // shutdown-while-busy destruction never strands a TaskGroup.
   while (Task* task = TryAcquire()) RunTask(task);
 }
@@ -313,56 +188,31 @@ bool Scheduler::InTask() const {
 
 void Scheduler::Submit(Task* task) {
   tasks_spawned_.fetch_add(1, std::memory_order_relaxed);
-  if (tls_worker.scheduler == this) {
-    deques_[tls_worker.index]->Push(task);
+  if (tls_worker_of == this) {
+    task->spawner = std::this_thread::get_id();
   } else {
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    inject_queue_.push_back(task);
+    tasks_injected_.fetch_add(1, std::memory_order_relaxed);
   }
-  available_.fetch_add(1, std::memory_order_release);
   {
-    // Pairs with the sleep predicate so a worker cannot slip between its
-    // availability check and its wait.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(task);
   }
-  sleep_cv_.notify_one();
+  cv_.notify_one();
 }
 
 Scheduler::Task* Scheduler::TryAcquire() {
-  constexpr std::size_t kExternal = static_cast<std::size_t>(-1);
-  std::size_t self = kExternal;
-  if (tls_worker.scheduler == this) {
-    self = tls_worker.index;
-    if (Task* task = deques_[self]->Pop()) {
-      available_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    if (!inject_queue_.empty()) {
-      Task* task = inject_queue_.front();
-      inject_queue_.pop_front();
-      available_.fetch_sub(1, std::memory_order_relaxed);
-      tasks_injected_.fetch_add(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  const std::size_t n = deques_.size();
-  const std::size_t start = self == kExternal ? 0 : self + 1;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t victim = (start + k) % n;
-    if (victim == self) continue;
-    if (Task* task = deques_[victim]->Steal()) {
-      available_.fetch_sub(1, std::memory_order_relaxed);
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  return nullptr;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (queue_.empty()) return nullptr;
+  Task* task = queue_.front();
+  queue_.pop_front();
+  return task;
 }
 
 void Scheduler::RunTask(Task* task) {
+  if (task->spawner != std::thread::id() &&
+      task->spawner != std::this_thread::get_id()) {
+    tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
+  }
   TaskFrame frame{this, tls_task_frame};
   tls_task_frame = &frame;
   std::exception_ptr error;
@@ -378,21 +228,16 @@ void Scheduler::RunTask(Task* task) {
   group->OnTaskFinished(error);
 }
 
-void Scheduler::WorkerLoop(std::size_t index) {
-  tls_worker.scheduler = this;
-  tls_worker.index = index;
+void Scheduler::WorkerLoop() {
+  tls_worker_of = this;
   for (;;) {
     if (Task* task = TryAcquire()) {
       RunTask(task);
       continue;
     }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    if (available_.load(std::memory_order_acquire) > 0) continue;
-    if (shutdown_) return;
-    sleep_cv_.wait(lock, [&] {
-      return shutdown_ || available_.load(std::memory_order_acquire) > 0;
-    });
-    if (shutdown_ && available_.load(std::memory_order_acquire) == 0) return;
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // shut down, with nothing left to drain
   }
 }
 
@@ -421,7 +266,7 @@ void Scheduler::ParallelFor(
   if (InTask()) nested_regions_.fetch_add(1, std::memory_order_relaxed);
 
   // The region is claim-based: `parallelism` participants (the caller plus
-  // parallelism - 1 stealable tasks) pull shard indices from one atomic
+  // parallelism - 1 queued tasks) pull shard indices from one atomic
   // counter. Shard boundaries stay a pure function of (begin, end, grain);
   // the counter only decides *when* a shard runs and on which thread.
   struct Region {
@@ -473,27 +318,6 @@ void Scheduler::GlobalParallelFor(
     return;
   }
   Global()->ParallelFor(begin, end, grain, body, max_parallelism);
-}
-
-void Scheduler::ParallelForTuned(
-    GrainTuner* tuner, std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t max_parallelism) {
-  if (begin >= end) return;
-  const std::size_t count = end - begin;
-  std::size_t parallelism = num_threads();
-  if (max_parallelism > 0) parallelism = std::min(parallelism, max_parallelism);
-  const std::size_t grain = tuner->Pick(count, parallelism);
-  const auto timed = [&](std::size_t shard_begin, std::size_t shard_end) {
-    const auto start = std::chrono::steady_clock::now();
-    body(shard_begin, shard_end);
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-    tuner->Record(shard_end - shard_begin,
-                  ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
-  };
-  ParallelFor(begin, end, grain, timed, max_parallelism);
 }
 
 SchedulerCounters Scheduler::counters() const {

@@ -8,7 +8,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -27,9 +26,9 @@ class Scheduler;
 ///
 /// Groups nest: a task may create its own `TaskGroup`, spawn subtasks, and
 /// `Wait()` on them — this is how a budget-table row fans its inner OPTJS
-/// solve across idle workers. A waiting thread never blocks while runnable
-/// tasks exist: `Wait()` keeps executing tasks (its own deque first, then
-/// steals), so nesting cannot deadlock and cores stay busy.
+/// solve across idle workers. A waiting thread never blocks while queued
+/// tasks exist: `Wait()` keeps running the oldest queued task, of any
+/// group, so nesting cannot deadlock and cores stay busy.
 ///
 /// The first exception thrown by a task is captured and rethrown from
 /// `Wait()` (after every task of the group has finished); later exceptions
@@ -44,10 +43,8 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Spawns `fn` as a task of this group. From a worker thread the task is
-  /// pushed onto that worker's own deque (LIFO — nested work runs hot
-  /// unless an idle worker steals it); from any other thread it lands on
-  /// the scheduler's injection queue.
+  /// Spawns `fn` as a task of this group, at the back of the scheduler's
+  /// queue.
   void Run(std::function<void()> fn);
 
   /// Blocks until every task of the group has finished, executing queued
@@ -66,57 +63,16 @@ class TaskGroup {
   std::exception_ptr error_;  // guarded by mutex_
 };
 
-/// \brief Per-call-site grain autotuner for `Scheduler::ParallelFor`.
-///
-/// Records measured per-shard cost (a lossy, racy exponential moving
-/// average — feedback only, never correctness) and picks the grain that
-/// targets `target_shard_ns` of work per shard, clamped to the
-/// determinism-safe bounds [min_grain, count / parallelism]: any grain in
-/// that range yields shard boundaries that are a pure function of
-/// (count, grain), so a loop whose per-element outputs do not depend on
-/// how elements are grouped into shards (the `ParallelFor` contract)
-/// computes identical results whatever the tuner measured. Tuned loops
-/// must satisfy that per-element purity; loops whose shard *walk* carries
-/// state across elements (e.g. the exhaustive Gray-code shards) must pin
-/// their grain instead.
-class GrainTuner {
- public:
-  explicit GrainTuner(std::size_t min_grain = 1,
-                      std::uint64_t target_shard_ns = 100'000)
-      : min_grain_(min_grain > 0 ? min_grain : 1),
-        target_shard_ns_(target_shard_ns > 0 ? target_shard_ns : 1) {}
-
-  /// The grain to use for a loop of `count` elements on `parallelism`
-  /// threads. Without feedback, one shard per thread (the fixed-pool
-  /// default); with feedback, `target_shard_ns` worth of elements.
-  std::size_t Pick(std::size_t count, std::size_t parallelism) const;
-
-  /// Feeds back one shard's measured cost. Thread-safe (relaxed atomics;
-  /// concurrent updates may drop each other — the EMA only steers).
-  void Record(std::size_t items, std::uint64_t elapsed_ns);
-
-  /// Scaled EMA of the per-item cost (ns << 10); 0 = no feedback yet.
-  std::uint64_t ema_ns_per_item_x1024() const {
-    return ema_ns_per_item_x1024_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::size_t min_grain_;
-  std::uint64_t target_shard_ns_;
-  std::atomic<std::uint64_t> ema_ns_per_item_x1024_{0};
-};
-
 /// \brief Snapshot of the scheduler's activity counters (relaxed atomics;
 /// exact once all regions have quiesced). The bench harness records these
 /// around a workload to show — rather than assert — that nested solves
 /// actually fanned out across workers.
 struct SchedulerCounters {
-  /// Tasks pushed onto a worker's own deque or the injection queue.
+  /// Tasks submitted to the queue.
   std::uint64_t tasks_spawned = 0;
-  /// Tasks executed by a thread other than the one that spawned them
-  /// (taken from another worker's deque top).
+  /// Tasks spawned by a worker and run by another thread.
   std::uint64_t tasks_stolen = 0;
-  /// Tasks taken from the external-submission injection queue.
+  /// Tasks submitted from a thread that is not one of the workers.
   std::uint64_t tasks_injected = 0;
   /// Parallel regions dispatched across workers.
   std::uint64_t regions = 0;
@@ -127,27 +83,25 @@ struct SchedulerCounters {
   std::uint64_t inline_regions = 0;
 };
 
-/// \brief Process-wide work-stealing scheduler.
+/// \brief Process-wide task scheduler.
 ///
 /// One fixed set of worker threads serves every parallel region in the
-/// process, replacing the per-call fixed pools of the previous layer. Each
-/// worker owns a Chase–Lev-style deque: the owner pushes and pops at the
-/// bottom (LIFO, so nested regions run their own freshest work), thieves
-/// steal from the top (FIFO, so the oldest — usually largest — pending
-/// task migrates to an idle core). Tasks spawned from non-worker threads
-/// enter through a shared injection queue.
+/// process. Tasks wait in one FIFO queue under one mutex; a worker, or a
+/// thread waiting on a `TaskGroup`, takes the oldest. The work it carries
+/// is coarse — restart chains, candidate-scan shards, subset shards, the
+/// OPTJS fallbacks — and a region spawns at most parallelism − 1 tasks.
 ///
-/// Determinism contract (inherited from the fixed pool, kept verbatim):
-/// `ParallelFor` splits [begin, end) into shards whose boundaries depend
-/// only on (begin, end, grain) — never on the worker count, the stealing
-/// order, or which thread ran a shard. Bodies write per-element or
-/// per-shard outputs; reductions happen serially in index order after the
-/// region. Threads decide *when* a shard runs, never *what* it computes.
+/// Determinism contract: `ParallelFor` splits [begin, end) into shards
+/// whose boundaries depend only on (begin, end, grain) — never on the
+/// worker count, the queue order, or which thread ran a shard. Bodies
+/// write per-element or per-shard outputs; reductions happen serially in
+/// index order after the region. Threads decide *when* a shard runs, never
+/// *what* it computes.
 ///
-/// Unlike the old pool, regions nest: a `ParallelFor` body may itself call
-/// `ParallelFor` (or spawn a `TaskGroup`), and its subtasks are stealable
-/// by any idle worker. This is what lets a budget-table row fan out its
-/// inner OPTJS solve instead of pinning it to one thread.
+/// Regions nest: a `ParallelFor` body may itself call `ParallelFor` (or
+/// spawn a `TaskGroup`), and any idle thread may run its subtasks. This is
+/// what lets a budget-table row fan out its inner OPTJS solve instead of
+/// pinning it to one thread.
 class Scheduler {
  public:
   /// The process-wide instance. Sized once, at first use: exactly
@@ -180,18 +134,10 @@ class Scheduler {
   /// shards are abandoned once an exception is seen, so a throwing body
   /// forfeits the coverage guarantee). Shard boundaries depend only on
   /// (begin, end, grain). May be called from inside another region's body
-  /// (the region nests; idle workers steal its shards).
+  /// (the region nests; idle threads run its shards).
   void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
                    const std::function<void(std::size_t, std::size_t)>& body,
                    std::size_t max_parallelism = 0);
-
-  /// `ParallelFor` with the grain chosen by `tuner` (and per-shard cost fed
-  /// back into it). Only for loops whose per-element outputs are pure in
-  /// the element index — see `GrainTuner`.
-  void ParallelForTuned(
-      GrainTuner* tuner, std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t, std::size_t)>& body,
-      std::size_t max_parallelism = 0);
 
   /// `Global()->ParallelFor`, except that a serial cap (`max_parallelism
   /// == 1`) runs the identical shard loop inline *without touching — or
@@ -216,54 +162,19 @@ class Scheduler {
   struct Task {
     std::function<void()> fn;
     TaskGroup* group = nullptr;
+    /// The spawning worker's thread; empty when a non-worker spawned it.
+    std::thread::id spawner;
   };
 
-  /// Chase–Lev-style work-stealing deque. The owner pushes/pops at the
-  /// bottom; any thread steals from the top. All slots are atomic, so the
-  /// implementation is ThreadSanitizer-clean without fences.
-  class Deque {
-   public:
-    Deque();
-    ~Deque();
-    void Push(Task* task);  // owner only
-    Task* Pop();            // owner only
-    Task* Steal();          // any thread
-
-   private:
-    struct Ring {
-      explicit Ring(std::size_t capacity);
-      std::size_t capacity;
-      std::unique_ptr<std::atomic<Task*>[]> slots;
-      std::atomic<Task*>& Slot(std::int64_t i) {
-        return slots[static_cast<std::size_t>(i) & (capacity - 1)];
-      }
-    };
-    Ring* Grow(Ring* ring, std::int64_t bottom, std::int64_t top);
-
-    std::atomic<std::int64_t> top_{0};
-    std::atomic<std::int64_t> bottom_{0};
-    std::atomic<Ring*> ring_;
-    // Retired rings stay alive until destruction: a thief may still be
-    // reading a stale ring pointer (its values are preserved by Grow).
-    std::vector<std::unique_ptr<Ring>> retired_;
-    std::mutex retired_mutex_;
-  };
-
-  void WorkerLoop(std::size_t index);
+  void WorkerLoop();
   void Submit(Task* task);
   Task* TryAcquire();
   void RunTask(Task* task);
 
-  std::vector<std::unique_ptr<Deque>> deques_;  // one per worker
-  std::vector<std::thread> workers_;
-
-  std::mutex inject_mutex_;
-  std::deque<Task*> inject_queue_;
-
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  bool shutdown_ = false;                  // guarded by sleep_mutex_
-  std::atomic<std::size_t> available_{0};  // queued, not yet acquired
+  std::mutex mutex_;
+  std::condition_variable cv_;  // a task was queued, or shutdown_ was set
+  std::deque<Task*> queue_;     // guarded by mutex_; oldest at the front
+  bool shutdown_ = false;       // guarded by mutex_
 
   std::atomic<std::uint64_t> tasks_spawned_{0};
   std::atomic<std::uint64_t> tasks_stolen_{0};
@@ -271,6 +182,8 @@ class Scheduler {
   std::atomic<std::uint64_t> regions_{0};
   std::atomic<std::uint64_t> nested_regions_{0};
   std::atomic<std::uint64_t> inline_regions_{0};
+
+  std::vector<std::thread> workers_;
 };
 
 /// \brief Counters of the process-wide scheduler *without* forcing its

@@ -8,7 +8,6 @@
 #include "core/objective.h"
 #include "core/optjs.h"
 #include "core/sequential.h"
-#include "crowd/mc_sim.h"
 #include "crowd/pool.h"
 #include "crowd/sentiment.h"
 #include "crowd/vote_sim.h"
@@ -111,20 +110,6 @@ TEST(DeterminismTest, MonteCarloJq) {
     if (i == 0) first = jq;
     EXPECT_DOUBLE_EQ(jq, first);
   }
-}
-
-TEST(DeterminismTest, McWorld) {
-  const std::vector<mc::ConfusionMatrix> cms(
-      4, mc::ConfusionMatrix::FromQuality(0.8, 3));
-  ExpectSameTwice([&] {
-    Rng rng(1234);
-    const auto world = crowd::SimulateMcWorld(cms, 60, &rng).value();
-    std::vector<std::size_t> flat = world.truths;
-    for (const auto& task : world.dataset.tasks) {
-      for (const auto& a : task) flat.push_back(a.vote);
-    }
-    return flat;
-  });
 }
 
 TEST(DeterminismTest, SequentialPolicyWithSimulatedVotes) {

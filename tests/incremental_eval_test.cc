@@ -45,7 +45,9 @@ static_assert(!ScoreAddTakes<Worker> && !ScoreSwapTakes<Worker> &&
 
 Worker RandomWorker(Rng* rng, int serial, double qlo = 0.05,
                     double qhi = 0.95) {
-  return Worker("w" + std::to_string(serial), rng->Uniform(qlo, qhi), 0.0);
+  std::string id = "w";
+  id += std::to_string(serial);
+  return Worker(std::move(id), rng->Uniform(qlo, qhi), 0.0);
 }
 
 /// Shared churn harness: random add/remove/swap moves, each committed or

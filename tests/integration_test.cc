@@ -85,7 +85,9 @@ TEST(IntegrationTest, SentimentDatasetDrivesJsp) {
     const auto& task = dataset.campaign.tasks[q];
     std::vector<Worker> pool;
     for (const auto& answer : task.answers) {
-      pool.emplace_back("w" + std::to_string(answer.worker),
+      std::string id = "w";
+      id += std::to_string(answer.worker);
+      pool.emplace_back(std::move(id),
                         dataset.estimated_quality[answer.worker],
                         rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
     }
@@ -140,8 +142,10 @@ TEST(IntegrationTest, EstimatedQualitiesAreGoodEnoughForSelection) {
   auto make_pool = [](const std::vector<double>& qs) {
     std::vector<Worker> pool;
     for (int i = 0; i < 10; ++i) {
-      pool.emplace_back("w" + std::to_string(i),
-                        qs[static_cast<std::size_t>(i)], 0.05 + 0.01 * i);
+      std::string id = "w";
+      id += std::to_string(i);
+      pool.emplace_back(std::move(id), qs[static_cast<std::size_t>(i)],
+                        0.05 + 0.01 * i);
     }
     return pool;
   };

@@ -28,7 +28,9 @@ std::vector<Worker> LargePool() {
   std::vector<Worker> workers;
   workers.reserve(kPoolSize);
   for (std::size_t i = 0; i < kPoolSize; ++i) {
-    workers.emplace_back("w" + std::to_string(i), rng.Uniform(0.0, 1.0),
+    std::string id = "w";
+    id += std::to_string(i);
+    workers.emplace_back(std::move(id), rng.Uniform(0.0, 1.0),
                          rng.Uniform(0.01, 0.1));
   }
   return workers;

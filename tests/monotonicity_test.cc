@@ -96,7 +96,9 @@ TEST(CostCorollaryTest, FreeWorkersMeanSelectEveryone) {
   Rng rng(2027);
   std::vector<Worker> pool;
   for (int i = 0; i < 8; ++i) {
-    pool.emplace_back("w" + std::to_string(i), rng.Uniform(0.5, 0.95), 0.0);
+    std::string id = "w";
+    id += std::to_string(i);
+    pool.emplace_back(std::move(id), rng.Uniform(0.5, 0.95), 0.0);
   }
   const WorkerPoolView view(pool);
   JspInstance instance;
@@ -115,7 +117,9 @@ TEST(CostCorollaryTest, UniformCostsMeanTopKByQuality) {
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Worker> pool;
     for (int i = 0; i < 7; ++i) {
-      pool.emplace_back("w" + std::to_string(i), rng.Uniform(0.5, 0.95), 1.0);
+      std::string id = "w";
+      id += std::to_string(i);
+      pool.emplace_back(std::move(id), rng.Uniform(0.5, 0.95), 1.0);
     }
     const WorkerPoolView view(pool);
     JspInstance instance;

@@ -7,7 +7,6 @@
 #include "model/jury.h"
 #include "multiclass/bv.h"
 #include "multiclass/confusion.h"
-#include "multiclass/decompose.h"
 #include "multiclass/jq_bucket.h"
 #include "multiclass/jq_exact.h"
 #include "multiclass/jsp.h"
@@ -38,8 +37,9 @@ ConfusionMatrix RandomConfusion(Rng* rng, std::size_t labels,
 McJury RandomMcJury(Rng* rng, std::size_t n, std::size_t labels) {
   McJury jury;
   for (std::size_t i = 0; i < n; ++i) {
-    jury.Add(McWorker("m" + std::to_string(i), RandomConfusion(rng, labels),
-                      0.0));
+    std::string id = "m";
+    id += std::to_string(i);
+    jury.Add(McWorker(std::move(id), RandomConfusion(rng, labels), 0.0));
   }
   return jury;
 }
@@ -268,35 +268,6 @@ TEST(SpammerTest, RankingPutsSpammersLast) {
   EXPECT_EQ(order[2], 0u);
 }
 
-// ------------------------------------------------------------ Decompose
-
-TEST(DecomposeTest, BinaryProjectionsAreConsistent) {
-  McJury jury;
-  jury.Add({"w", ConfusionMatrix::FromQuality(0.8, 3), 0.0});
-  const McPrior prior{0.5, 0.3, 0.2};
-  const auto projections = DecomposeToBinary(jury, prior).value();
-  ASSERT_EQ(projections.size(), 3u);
-  for (const auto& p : projections) {
-    EXPECT_DOUBLE_EQ(p.alpha, prior[p.label]);
-    ASSERT_EQ(p.workers.size(), 1u);
-    EXPECT_GT(p.workers[0].quality, 0.5);
-    EXPECT_LE(p.workers[0].quality, 1.0);
-  }
-  // For the symmetric worker: Pr(correct on "is it 0?") =
-  // 0.5*0.8 + (0.3+0.2)*(1-0.1) = 0.85.
-  EXPECT_NEAR(projections[0].workers[0].quality, 0.85, 1e-12);
-}
-
-TEST(DecomposeTest, PerfectWorkerProjectsToPerfectBinaryWorkers) {
-  McJury jury;
-  jury.Add({"oracle", ConfusionMatrix::Identity(3), 0.0});
-  const auto projections =
-      DecomposeToBinary(jury, UniformMcPrior(3)).value();
-  for (const auto& p : projections) {
-    EXPECT_NEAR(p.workers[0].quality, 1.0, 1e-9);
-  }
-}
-
 // ------------------------------------------------------------------ JSP
 
 TEST(McJspTest, AnnealingRespectsBudgetAndFindsGoodJuries) {
@@ -305,8 +276,9 @@ TEST(McJspTest, AnnealingRespectsBudgetAndFindsGoodJuries) {
   instance.budget = 2.0;
   instance.prior = UniformMcPrior(3);
   for (int i = 0; i < 8; ++i) {
-    instance.candidates.emplace_back("c" + std::to_string(i),
-                                     RandomConfusion(&rng, 3),
+    std::string id = "c";
+    id += std::to_string(i);
+    instance.candidates.emplace_back(std::move(id), RandomConfusion(&rng, 3),
                                      rng.Uniform(0.4, 1.2));
   }
   Rng sa_rng(5);

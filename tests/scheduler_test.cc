@@ -76,35 +76,39 @@ TEST(SchedulerTest, MaxParallelismOneRunsInline) {
 }
 
 TEST(SchedulerTest, NestedRegionsCoverAndCount) {
-  Scheduler scheduler(4);
-  scheduler.ResetCounters();
-  constexpr std::size_t kOuter = 8;
-  constexpr std::size_t kInner = 32;
-  std::vector<std::atomic<int>> hits(kOuter * kInner);
-  for (auto& h : hits) h.store(0);
-  scheduler.ParallelFor(0, kOuter, 1, [&](std::size_t ob, std::size_t oe) {
-    for (std::size_t o = ob; o < oe; ++o) {
-      // A region from inside a task: its shards are stealable subtasks.
-      scheduler.ParallelFor(0, kInner, 4,
-                            [&](std::size_t ib, std::size_t ie) {
-                              for (std::size_t i = ib; i < ie; ++i) {
-                                hits[o * kInner + i].fetch_add(1);
-                              }
-                            });
+  // Two threads is one worker plus the caller: the caller's Wait runs
+  // whatever the worker has not taken.
+  for (std::size_t threads : {2u, 4u}) {
+    Scheduler scheduler(threads);
+    scheduler.ResetCounters();
+    constexpr std::size_t kOuter = 8;
+    constexpr std::size_t kInner = 32;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    for (auto& h : hits) h.store(0);
+    scheduler.ParallelFor(0, kOuter, 1, [&](std::size_t ob, std::size_t oe) {
+      for (std::size_t o = ob; o < oe; ++o) {
+        // A region from inside a task: its shards are queued subtasks.
+        scheduler.ParallelFor(0, kInner, 4,
+                              [&](std::size_t ib, std::size_t ie) {
+                                for (std::size_t i = ib; i < ie; ++i) {
+                                  hits[o * kInner + i].fetch_add(1);
+                                }
+                              });
+      }
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "threads=" << threads << " i=" << i;
     }
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
+    const SchedulerCounters counters = scheduler.counters();
+    EXPECT_GT(counters.regions, 0u) << "threads=" << threads;
+    EXPECT_GT(counters.nested_regions, 0u) << "threads=" << threads;
   }
-  const SchedulerCounters counters = scheduler.counters();
-  EXPECT_GT(counters.regions, 0u);
-  EXPECT_GT(counters.nested_regions, 0u);
 }
 
 TEST(SchedulerTest, WorkIsActuallyStolen) {
-  // A task spawns a subtask onto its own deque, then spins until another
-  // worker has stolen and run it — it never helps, so completion proves a
-  // steal happened (liveness only; no timing assumptions).
+  // A task queues a subtask, then spins until another worker has taken
+  // and run it — it never helps, so completion proves that a task spawned
+  // by one worker ran on another (liveness only; no timing assumptions).
   Scheduler scheduler(3);
   scheduler.ResetCounters();
   std::atomic<bool> stolen_ran{false};
@@ -115,9 +119,9 @@ TEST(SchedulerTest, WorkIsActuallyStolen) {
     while (!stolen_ran.load()) std::this_thread::yield();
     inner.Wait();
   });
-  // Don't call Wait() (which would help) until the steal happened: the
-  // outer task must be picked up by a worker, so its subtask lands on
-  // that worker's deque and only a *steal* can run it.
+  // Don't call Wait() (which would help) until the subtask ran: the outer
+  // task must be picked up by a worker, so its subtask is spawned by that
+  // worker and only the other worker can run it.
   while (!stolen_ran.load()) std::this_thread::yield();
   outer.Wait();
   EXPECT_TRUE(stolen_ran.load());
@@ -176,20 +180,22 @@ TEST(SchedulerTest, ShutdownWhileBusyDrainsEveryTask) {
 }
 
 TEST(SchedulerTest, StressNestedGroupsUnderChurn) {
-  // Many concurrent nested groups — the TSAN target for the deque, the
-  // injection queue, and the group completion protocol.
-  Scheduler scheduler(4);
-  std::atomic<int> total{0};
-  scheduler.ParallelFor(0, 16, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t o = b; o < e; ++o) {
-      TaskGroup group(&scheduler);
-      for (int i = 0; i < 8; ++i) {
-        group.Run([&] { total.fetch_add(1); });
+  // Many concurrent nested groups — the TSAN target for the queue and the
+  // group completion protocol.
+  for (std::size_t threads : {2u, 4u}) {
+    Scheduler scheduler(threads);
+    std::atomic<int> total{0};
+    scheduler.ParallelFor(0, 16, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t o = b; o < e; ++o) {
+        TaskGroup group(&scheduler);
+        for (int i = 0; i < 8; ++i) {
+          group.Run([&] { total.fetch_add(1); });
+        }
+        group.Wait();
       }
-      group.Wait();
-    }
-  });
-  EXPECT_EQ(total.load(), 16 * 8);
+    });
+    EXPECT_EQ(total.load(), 16 * 8) << "threads=" << threads;
+  }
 }
 
 TEST(SchedulerTest, ManyRegionsReuseTheSchedulerCleanly) {
@@ -201,48 +207,6 @@ TEST(SchedulerTest, ManyRegionsReuseTheSchedulerCleanly) {
     });
   }
   EXPECT_EQ(total.load(), 200u * 32u);
-}
-
-TEST(GrainTunerTest, PicksOneShardPerThreadWithoutFeedback) {
-  GrainTuner tuner;
-  EXPECT_EQ(tuner.Pick(100, 4), 25u);
-  EXPECT_EQ(tuner.Pick(3, 4), 1u);
-  EXPECT_EQ(tuner.Pick(0, 4), 1u);
-}
-
-TEST(GrainTunerTest, FeedbackSteersTowardTargetWithinBounds) {
-  GrainTuner tuner(/*min_grain=*/4, /*target_shard_ns=*/1000);
-  // 10 ns per item -> ~100 items per shard, clamped to count/parallelism.
-  for (int i = 0; i < 8; ++i) tuner.Record(100, 1000);
-  EXPECT_GT(tuner.ema_ns_per_item_x1024(), 0u);
-  const std::size_t grain = tuner.Pick(10000, 4);
-  EXPECT_GE(grain, 4u);
-  EXPECT_LE(grain, 10000u / 4u);
-  // Expensive items shrink the grain to the floor, never below it.
-  for (int i = 0; i < 32; ++i) tuner.Record(1, 1000000);
-  EXPECT_EQ(tuner.Pick(10000, 4), 4u);
-  // The grain never exceeds count / parallelism, so no thread idles by
-  // construction even when items are measured as nearly free.
-  for (int i = 0; i < 64; ++i) tuner.Record(100000, 1);
-  EXPECT_LE(tuner.Pick(64, 4), 16u);
-}
-
-TEST(GrainTunerTest, TunedLoopCoversAllElements) {
-  Scheduler scheduler(4);
-  GrainTuner tuner(/*min_grain=*/2);
-  std::vector<std::atomic<int>> hits(500);
-  for (int round = 0; round < 5; ++round) {
-    for (auto& h : hits) h.store(0);
-    scheduler.ParallelForTuned(&tuner, 0, hits.size(),
-                               [&](std::size_t b, std::size_t e) {
-                                 for (std::size_t i = b; i < e; ++i) {
-                                   hits[i].fetch_add(1);
-                                 }
-                               });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "round=" << round << " i=" << i;
-    }
-  }
 }
 
 TEST(SchedulerTest, GlobalIsSharedAndSizedByBudget) {

@@ -24,7 +24,9 @@ inline std::vector<Worker> RandomPool(Rng* rng, int n, double qlo, double qhi,
   std::vector<Worker> pool;
   pool.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    pool.emplace_back("w" + std::to_string(i), rng->Uniform(qlo, qhi),
+    std::string id = "w";
+    id += std::to_string(i);
+    pool.emplace_back(std::move(id), rng->Uniform(qlo, qhi),
                       rng->Uniform(clo, chi));
   }
   return pool;
